@@ -15,24 +15,26 @@
 //!   order.
 //! - **Reads** ([`FleetGateway::localize`] /
 //!   [`FleetGateway::localize_batch`]) never touch the channel. Each
-//!   deployment's committed database and prepared localizer live in an
-//!   epoch-swapped [`PublishedSnapshot`] behind an [`EpochCell`]: the
-//!   drive loop publishes a fresh snapshot after every committed
-//!   cycle, readers grab the current epoch with two atomic loads and
-//!   an `Arc` clone, and queries then run entirely on the caller's
-//!   thread against immutable data — zero contention with an
-//!   in-flight cycle.
+//!   deployment's prepared localizer (which owns its committed
+//!   database) is built once per cycle by the service and shared by
+//!   `Arc` into an epoch-swapped [`PublishedSnapshot`] behind an
+//!   [`EpochCell`]: the drive loop publishes a fresh snapshot after
+//!   every committed cycle, readers grab the current epoch with one
+//!   `Arc` clone under a read lock, and queries then run entirely on
+//!   the caller's thread against immutable data — zero contention with
+//!   an in-flight cycle.
 //!
 //! # The epoch-publication invariant
 //!
 //! Readers observe exactly one committed epoch: a query never sees a
 //! half-committed database, because a commit builds the complete
-//! [`PublishedSnapshot`] *before* swapping it in, and the swap is a
-//! single pointer store. A reader that pinned a snapshot keeps
-//! answering against its original epoch for as long as it holds the
-//! `Arc` — old epochs are retired (freed) only once the last
-//! reference is gone. `core/tests/gateway_parity.rs` proves both
-//! properties under concurrent query storms at pool widths 1/2/4/7.
+//! [`PublishedSnapshot`] *before* swapping it in, and the swap is one
+//! pointer exchange under the cell's write lock. A reader that pinned
+//! a snapshot keeps answering against its original epoch for as long
+//! as it holds the `Arc` — an old epoch is retired (freed) at the next
+//! commit once no reader pins it. `core/tests/gateway_parity.rs`
+//! proves both properties under concurrent query storms at pool widths
+//! 1/2/4/7.
 //!
 //! # Backpressure policy
 //!
@@ -68,9 +70,8 @@
 //! # Ok::<(), iupdater_core::CoreError>(())
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::fingerprint::FingerprintMatrix;
 use crate::localize::{Localizer, LocationEstimate};
@@ -86,13 +87,6 @@ use crate::{CoreError, Result};
 /// as backpressure quickly, large enough that a burst of per-day
 /// batches for a whole fleet queues without pacing.
 pub const GATEWAY_CHANNEL_CAPACITY: usize = 64;
-
-/// Number of buffers in an [`EpochCell`]. Two suffices: a publish
-/// writes the slot the *previous* epoch vacated, so the slot a reader
-/// is cloning from is only rewritten after one further commit — and
-/// the epoch validation loop in [`EpochCell::read`] catches exactly
-/// that case and retries.
-pub const EPOCH_SLOTS: usize = 2;
 
 /// The error every gateway call maps a dead drive loop to.
 fn gateway_down() -> CoreError {
@@ -115,89 +109,57 @@ fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 // Epoch-swapped publication cell.
 // ---------------------------------------------------------------------------
 
-/// A double-buffered, epoch-swapped publication cell: one writer
-/// publishes immutable values, any number of readers grab the current
-/// one without ever blocking on (or observing) a half-finished
-/// publish.
+/// An epoch-swapped publication cell: one writer publishes immutable
+/// values, any number of readers grab the current one without ever
+/// observing a half-finished publish.
 ///
-/// `epoch` is the atomic pointer: its parity selects the active slot
-/// of [`EPOCH_SLOTS`]. A publish writes the *inactive* slot first and
-/// only then advances the epoch (release store), so readers either see
-/// the old epoch with the old value or the new epoch with the new
-/// value — never a mix. Readers validate the slot's stamped epoch
-/// against the one they loaded and retry on a lost race (which
-/// requires a full publish to have landed in between, so the loop
-/// terminates under any finite publish schedule). Retirement is
-/// reference counting: a replaced value is freed when the last reader
-/// drops its `Arc` — a reader pinned across a commit keeps its
-/// original epoch alive.
-///
-/// Publishes are serialized internally, so `&self` publication from
-/// several threads is sound; the gateway's single drive loop never
-/// contends on it.
+/// The cell is a single `RwLock<(epoch, Arc<T>)>`. A publish bumps the
+/// epoch and swaps the value in one write-locked transaction, and a
+/// read clones the pair under the read lock, so readers see either the
+/// old epoch with the old value or the new epoch with the new value —
+/// never a mix. Both critical sections are a pointer swap or an `Arc`
+/// clone; the value itself is built before the lock is taken.
+/// Retirement is reference counting: a replaced value is freed at the
+/// next publish once no reader pins it — a reader pinned across a
+/// commit keeps its original epoch alive.
 pub struct EpochCell<T> {
-    /// Current epoch; parity selects the active slot.
-    epoch: AtomicU64,
-    /// Serializes publishers (the epoch bump plus slot write must be
-    /// one transaction from any second writer's point of view).
-    writer: Mutex<()>,
-    /// The two buffers, each stamped with the epoch it carries.
-    slots: [RwLock<(u64, Arc<T>)>; EPOCH_SLOTS],
+    /// The current epoch and the value it published.
+    current: RwLock<(u64, Arc<T>)>,
 }
 
 impl<T> EpochCell<T> {
-    /// Seeds the cell at epoch 1 with `initial` in both buffers.
+    /// Seeds the cell at epoch 1 with `initial`.
     pub fn new(initial: Arc<T>) -> Self {
         EpochCell {
-            epoch: AtomicU64::new(1),
-            writer: Mutex::new(()),
-            slots: [
-                RwLock::new((1, Arc::clone(&initial))),
-                RwLock::new((1, initial)),
-            ],
+            current: RwLock::new((1, initial)),
         }
     }
 
     /// The current epoch (monotonically non-decreasing).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        read_lock(&self.current).0
     }
 
-    /// Grabs the currently published `(epoch, value)`. Readers never
-    /// wait on a publish: the read lock is only ever contended for the
-    /// duration of a pointer store, and the validation loop needs a
-    /// *completed* publish per retry to keep looping.
+    /// Grabs the currently published `(epoch, value)`. The read lock
+    /// is held only for an `Arc` clone.
     pub fn read(&self) -> (u64, Arc<T>) {
-        loop {
-            let epoch = self.epoch.load(Ordering::Acquire);
-            let slot = &self.slots[(epoch % EPOCH_SLOTS as u64) as usize];
-            let (stamped, value) = {
-                let guard = read_lock(slot);
-                (guard.0, Arc::clone(&guard.1))
-            };
-            if stamped == epoch {
-                return (epoch, value);
-            }
-            // The slot was republished between the epoch load and the
-            // slot read (two commits landed); retry on the new epoch.
-        }
+        let guard = read_lock(&self.current);
+        (guard.0, Arc::clone(&guard.1))
     }
 
     /// Publishes `value` as the next epoch and returns that epoch. The
-    /// new value is fully in place before the epoch advances, so a
+    /// epoch bump and the swap happen under one write lock, so a
     /// concurrent [`EpochCell::read`] observes the old epoch or the
     /// new one — never an intermediate state.
     pub fn publish(&self, value: Arc<T>) -> u64 {
-        let _writer = self
-            .writer
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let next = self.epoch.load(Ordering::Relaxed) + 1;
-        {
-            let mut guard = write_lock(&self.slots[(next % EPOCH_SLOTS as u64) as usize]);
-            *guard = (next, value);
-        }
-        self.epoch.store(next, Ordering::Release);
+        let (next, old) = {
+            let mut guard = write_lock(&self.current);
+            guard.0 += 1;
+            (guard.0, std::mem::replace(&mut guard.1, value))
+        };
+        // The superseded value is released outside the lock, so a
+        // retirement that frees it never stalls readers.
+        drop(old);
         next
     }
 }
@@ -214,17 +176,17 @@ impl<T> std::fmt::Debug for EpochCell<T> {
 // Published snapshots.
 // ---------------------------------------------------------------------------
 
-/// One deployment's immutable published state: the committed database
-/// and the prepared localizer built at its publish point, stamped with
-/// the epoch that published them. Queries against a pinned snapshot
-/// keep answering bit-identically no matter how many commits land
-/// after the pin.
+/// One deployment's immutable published state: the prepared localizer
+/// (which owns the committed database) built at its commit point,
+/// stamped with the epoch that published it. The localizer is the
+/// service's own `Arc`, shared rather than copied. Queries against a
+/// pinned snapshot keep answering bit-identically no matter how many
+/// commits land after the pin.
 #[derive(Debug, Clone)]
 pub struct PublishedSnapshot {
     epoch: u64,
     name: String,
-    fingerprint: FingerprintMatrix,
-    localizer: Localizer,
+    localizer: Arc<Localizer>,
     cycles_run: usize,
     last_update_day: f64,
 }
@@ -245,7 +207,7 @@ impl PublishedSnapshot {
     /// matrix to prove the read path answered from one committed
     /// epoch.
     pub fn fingerprint(&self) -> &FingerprintMatrix {
-        &self.fingerprint
+        self.localizer.fingerprint()
     }
 
     /// The prepared default-config localizer over
@@ -625,8 +587,9 @@ impl FleetGateway {
 }
 
 /// Builds one deployment's [`PublishedSnapshot`] at `epoch` from the
-/// service's committed state (cloning the prepared localizer built at
-/// the commit point — no rebuild on the read path).
+/// service's committed state: the prepared localizer built at the
+/// commit point is shared by `Arc`, so publishing copies no matrix and
+/// the read path never rebuilds.
 fn snapshot_deployment(
     service: &UpdateService,
     id: DeploymentId,
@@ -635,8 +598,7 @@ fn snapshot_deployment(
     Ok(PublishedSnapshot {
         epoch,
         name: service.name(id)?.to_string(),
-        fingerprint: service.fingerprint(id)?.clone(),
-        localizer: service.localizer(id)?.clone(),
+        localizer: Arc::clone(service.localizer(id)?),
         cycles_run: service.cycles_run(id)?,
         last_update_day: service.last_update_day(id)?,
     })
@@ -753,16 +715,38 @@ mod tests {
         let cell = EpochCell::new(Arc::new(1usize));
         let (_, pinned) = cell.read();
         let weak = Arc::downgrade(&pinned);
-        // Two publishes overwrite both slots; only the pin keeps the
-        // original alive.
+        // The publish drops the cell's reference; only the pin keeps
+        // the original alive.
         cell.publish(Arc::new(2));
-        cell.publish(Arc::new(3));
         assert!(weak.upgrade().is_some(), "pin must keep the epoch alive");
         drop(pinned);
         assert!(
             weak.upgrade().is_none(),
             "unreferenced epoch must be retired"
         );
+        // Unpinned, a superseded value is freed by the very next
+        // publish.
+        let weak = Arc::downgrade(&cell.read().1);
+        cell.publish(Arc::new(3));
+        assert!(
+            weak.upgrade().is_none(),
+            "superseded epoch must be freed at the next publish"
+        );
+    }
+
+    #[test]
+    fn publish_shares_the_committed_localizer() {
+        let (gw, id) = office_gateway();
+        gw.run_cycle(5.0, 2).unwrap();
+        let snap = gw.published(id).unwrap();
+        // Two reads of one epoch hand out the same snapshot.
+        assert!(Arc::ptr_eq(&snap, &gw.published(id).unwrap()));
+        let report = gw.shutdown().unwrap();
+        // The snapshot serves the service's own localizer, not a copy.
+        assert!(std::ptr::eq(
+            snap.localizer(),
+            &**report.service.localizer(id).unwrap()
+        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! goes stale. iUpdater re-surveys only a handful of *reference
 //! locations* (the maximum-independent-column locations, [`mic`]) and
 //! reconstructs the entire matrix by a *self-augmented regularized SVD*
-//! ([`self_augmented`]) that combines:
+//! ([`solver`]) that combines:
 //!
 //! 1. the basic RSVD data-fit on the no-decrease cells that can be
 //!    measured without a target ([`rsvd`], [`classify`]);
@@ -38,8 +38,7 @@
 //!    configurable [`config::SweepOrder`]: the default Gauss–Seidel
 //!    order keeps the original sequential walk, making parallel
 //!    solves bit-identical to the retired monolith
-//!    (`solver::reference`, kept as the golden-parity oracle;
-//!    [`self_augmented`] is the compatibility alias), while the
+//!    (`solver::reference`, kept as the golden-parity oracle), while the
 //!    opt-in red-black order parallelises phase 2 as checkerboard
 //!    half-sweeps at the cost of a different — not worse — iteration
 //!    trajectory (its own tier, `tests/exact_convergence.rs`, proves
@@ -150,7 +149,6 @@ pub mod persist;
 pub mod query;
 pub mod reconstruct;
 pub mod rsvd;
-pub mod self_augmented;
 pub mod service;
 pub mod similarity;
 pub mod solver;

@@ -16,7 +16,7 @@ use crate::config::UpdaterConfig;
 use crate::correlation::{correlation_matrix, predict, CorrelationMethod};
 use crate::fingerprint::FingerprintMatrix;
 use crate::mic::{extract_mic, update_selection, MicMethod, MicSelection};
-use crate::self_augmented::{SolveReport, Solver, SolverInputs};
+use crate::solver::{SolveReport, Solver, SolverInputs};
 use crate::{CoreError, Result};
 
 /// The iUpdater reconstruction pipeline.

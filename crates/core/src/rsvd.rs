@@ -13,13 +13,13 @@
 //! (`‖L‖² + ‖R‖² ≥ 2‖X̂‖_*`, Recht et al.).
 //!
 //! This module is a thin, constraint-free entry into the full
-//! [`crate::self_augmented`] solver, mirroring how the paper presents
+//! self-augmented [`crate::solver`], mirroring how the paper presents
 //! the basic method before augmenting it.
 
 use iupdater_linalg::Matrix;
 
 use crate::config::UpdaterConfig;
-use crate::self_augmented::{SolveReport, Solver, SolverInputs};
+use crate::solver::{SolveReport, Solver, SolverInputs};
 use crate::Result;
 
 /// Solves the basic RSVD problem of Eq. (11).

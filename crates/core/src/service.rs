@@ -37,12 +37,13 @@
 //! correlation matrix) — so post-restore cycles are bit-identical to
 //! an uninterrupted run. [`crate::persist::write_service`] /
 //! [`crate::persist::read_service`] serialise snapshots to the
-//! versioned v3 text format (legacy v2 files stay readable). [`UpdateService::drive_schedule`] runs a
-//! day-stepped campaign with a snapshot handed to a callback after
-//! every committed cycle (checkpoint-on-commit). Pending ingest queues
-//! are deliberately *not* part of a snapshot: batches are transient
-//! gateway input and are re-ingested from the upload spool after a
-//! restart.
+//! versioned v3 text format (legacy v2 files stay readable). A
+//! checkpoint-on-commit loop is a [`UpdateService::run_cycle`] followed
+//! by a snapshot (the [`crate::gateway::FleetGateway`] drive loop
+//! serves the same role behind its command channel). Pending ingest
+//! queues are deliberately *not* part of a snapshot: batches are
+//! transient gateway input and are re-ingested from the upload spool
+//! after a restart.
 //!
 //! ```
 //! use iupdater_core::service::UpdateService;
@@ -64,6 +65,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rayon::prelude::*;
 
@@ -230,13 +232,13 @@ struct ManagedDeployment {
     name: String,
     testbed: Testbed,
     updater: Updater,
-    current: FingerprintMatrix,
-    /// Default-config localizer over `current`, with its prepared
-    /// query structures (centred dictionary, atom rows, column norms)
-    /// built eagerly at every publish point — register, commit,
-    /// restore — so the first online query after a database swap pays
-    /// no rebuild.
-    localizer: Localizer,
+    /// The committed state: a default-config localizer that owns the
+    /// live database, with its prepared query structures (centred
+    /// dictionary, atom rows, column norms) built once at every publish
+    /// point — register, cycle commit, restore — so the first online
+    /// query after a database swap pays no rebuild. Shared by `Arc`
+    /// with the gateway's published snapshots.
+    localizer: Arc<Localizer>,
     queue: IngestQueue,
     cycles_run: usize,
     last_update_day: f64,
@@ -355,13 +357,11 @@ impl UpdateService {
         let prior = FingerprintMatrix::survey(&testbed, 0.0, survey_samples.max(1));
         let updater = Updater::new(prior.clone(), config)?;
         let id = DeploymentId(self.deployments.len());
-        let localizer = Localizer::new(prior.clone(), LocalizerConfig::default());
         self.deployments.push(ManagedDeployment {
             name,
             testbed,
             updater,
-            current: prior,
-            localizer,
+            localizer: committed_state(prior),
             queue: IngestQueue::default(),
             cycles_run: 0,
             last_update_day: 0.0,
@@ -414,7 +414,7 @@ impl UpdateService {
     ///
     /// [`CoreError::InvalidArgument`] for an unknown id.
     pub fn fingerprint(&self, id: DeploymentId) -> Result<&FingerprintMatrix> {
-        Ok(&self.get(id)?.current)
+        Ok(self.get(id)?.localizer.fingerprint())
     }
 
     /// The deployment's update engine.
@@ -496,16 +496,16 @@ impl UpdateService {
             .map(|dep| dep.queue.drain_all())
     }
 
-    /// The deployment's current default-config localizer, with the
-    /// prepared query structures that were built at the last publish
-    /// point (register / commit / restore). The gateway clones this at
-    /// commit time to publish an immutable snapshot, so queries never
-    /// pay a rebuild.
+    /// The deployment's committed state: the default-config localizer
+    /// over its current database, with the prepared query structures
+    /// that were built at the last publish point (register / commit /
+    /// restore). The gateway publishes this same `Arc` — no copy — as
+    /// an immutable snapshot, so queries never pay a rebuild.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidArgument`] for an unknown id.
-    pub fn localizer(&self, id: DeploymentId) -> Result<&Localizer> {
+    pub fn localizer(&self, id: DeploymentId) -> Result<&Arc<Localizer>> {
         Ok(&self.get(id)?.localizer)
     }
 
@@ -631,9 +631,11 @@ impl UpdateService {
         Ok(())
     }
 
-    /// Applies one deployment's solved work list in batch order:
-    /// replaces the live database, bumps the counters, and appends one
-    /// [`UpdateOutcome`] per batch.
+    /// Applies one deployment's solved work list in batch order: bumps
+    /// the counters and appends one [`UpdateOutcome`] per batch, then
+    /// commits the last batch's database as the new committed state.
+    /// Only that last database is ever readable, so the localizer is
+    /// built once per cycle, not once per batch.
     fn commit_deployment(
         &mut self,
         idx: usize,
@@ -641,11 +643,9 @@ impl UpdateService {
         outcomes: &mut Vec<UpdateOutcome>,
     ) {
         let dep = &mut self.deployments[idx];
+        let mut last_db = None;
         for (batch_day, db, report) in committed {
-            dep.current = db;
-            // Publish-time rebuild: prepare the query structures at
-            // the commit point, not lazily on the first query.
-            dep.localizer = Localizer::new(dep.current.clone(), LocalizerConfig::default());
+            last_db = Some(db);
             dep.cycles_run += 1;
             dep.last_update_day = batch_day;
             outcomes.push(UpdateOutcome {
@@ -664,81 +664,9 @@ impl UpdateService {
                 reference_count: dep.updater.reference_locations().len(),
             });
         }
-    }
-
-    /// [`UpdateService::run_cycle`] for a single deployment: drains its
-    /// queued batches (one outcome each), or falls back to a testbed
-    /// pull at `day` when the queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id; otherwise the
-    /// same wrapped-and-atomic failure behaviour as
-    /// [`UpdateService::run_cycle`].
-    pub fn run_cycle_for(
-        &mut self,
-        id: DeploymentId,
-        day: f64,
-        samples: usize,
-    ) -> Result<Vec<UpdateOutcome>> {
-        if !day.is_finite() {
-            return Err(CoreError::InvalidArgument("update day must be finite"));
+        if let Some(db) = last_db {
+            dep.localizer = committed_state(db);
         }
-        self.get(id)?;
-        let idx = id.0;
-        self.guard_day(idx, day)?;
-        let plan = self.deployments[idx].queue.drain_all();
-        let committed = match run_deployment_cycle(&self.deployments[idx], &plan, day, samples) {
-            Ok(v) => v,
-            Err(e) => {
-                self.deployments[idx].queue.requeue(plan);
-                return Err(self.dep_err(idx, e));
-            }
-        };
-        let mut outcomes = Vec::with_capacity(committed.len());
-        self.commit_deployment(idx, committed, &mut outcomes);
-        Ok(outcomes)
-    }
-
-    /// Runs `cycles` update cycles at days `start_day`, `start_day +
-    /// step_days`, … and hands a fresh [`ServiceSnapshot`] to
-    /// `on_commit` after each committed cycle — the checkpoint-on-commit
-    /// loop a durable gateway runs. Returns the outcomes of every
-    /// cycle, in order.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for a non-finite `start_day` or a
-    /// non-positive `step_days`; otherwise propagates cycle and
-    /// `on_commit` errors (the schedule stops at the first failure,
-    /// keeping all previously committed cycles).
-    pub fn drive_schedule<F>(
-        &mut self,
-        start_day: f64,
-        step_days: f64,
-        cycles: usize,
-        samples: usize,
-        mut on_commit: F,
-    ) -> Result<Vec<Vec<UpdateOutcome>>>
-    where
-        F: FnMut(usize, &ServiceSnapshot) -> Result<()>,
-    {
-        if !start_day.is_finite() {
-            return Err(CoreError::InvalidArgument("start_day must be finite"));
-        }
-        if !(step_days > 0.0 && step_days.is_finite()) {
-            return Err(CoreError::InvalidArgument(
-                "step_days must be positive and finite",
-            ));
-        }
-        let mut all = Vec::with_capacity(cycles);
-        for k in 0..cycles {
-            let day = start_day + step_days * k as f64;
-            let outcomes = self.run_cycle(day, samples)?;
-            on_commit(k, &self.snapshot())?;
-            all.push(outcomes);
-        }
-        Ok(all)
     }
 
     /// Captures the whole fleet as a [`ServiceSnapshot`] (pending
@@ -784,7 +712,7 @@ impl UpdateService {
                     correlation: Some(dep.updater.correlation().clone()),
                     seed_locations: dep.updater.seed_locations().to_vec(),
                     prior: dep.updater.prior().clone(),
-                    current: dep.current.clone(),
+                    current: dep.localizer.fingerprint().clone(),
                 })
                 .collect(),
         }
@@ -899,8 +827,7 @@ impl UpdateService {
                 name: s.name.clone(),
                 testbed,
                 updater,
-                current: s.current.clone(),
-                localizer: Localizer::new(s.current.clone(), LocalizerConfig::default()),
+                localizer: committed_state(s.current.clone()),
                 queue: IngestQueue::default(),
                 cycles_run: s.cycles_run,
                 last_update_day: s.last_update_day,
@@ -938,24 +865,6 @@ impl UpdateService {
         queries: &[Vec<f64>],
     ) -> Result<Vec<LocationEstimate>> {
         self.get(id)?.localizer.localize_batch(queries)
-    }
-
-    /// [`UpdateService::localize`] with an explicit localizer config
-    /// (built per call; use [`UpdateService::localize`] on the online
-    /// hot path).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id; otherwise
-    /// propagates matching errors.
-    pub fn localize_with(
-        &self,
-        id: DeploymentId,
-        y: &[f64],
-        cfg: LocalizerConfig,
-    ) -> Result<LocationEstimate> {
-        let dep = self.get(id)?;
-        Localizer::new(dep.current.clone(), cfg).localize(y)
     }
 
     /// Re-learns the deployment's correlation engine from its *current*
@@ -1024,7 +933,8 @@ impl UpdateService {
                  queued; run a cycle to drain them (or clear the queue) first",
             )
         };
-        if !dep.queue.is_empty() && dep.current != *dep.updater.prior() {
+        let current = dep.localizer.fingerprint();
+        if !dep.queue.is_empty() && current != dep.updater.prior() {
             // Pre-check the refusal condition on the *selection* alone
             // before paying full engine construction (correlation
             // learning dominates a rebase): compute what the warm
@@ -1033,7 +943,7 @@ impl UpdateService {
             let cfg = dep.updater.config();
             let upd = crate::mic::update_selection(
                 dep.updater.seed_locations(),
-                dep.current.matrix(),
+                current.matrix(),
                 dep.updater.mic_method(),
                 cfg.rank_tol,
             )
@@ -1048,7 +958,7 @@ impl UpdateService {
                 return Err(self.dep_err(id.0, refuse()));
             }
         }
-        let updater = Updater::warm_start(&dep.updater, dep.current.clone())
+        let updater = Updater::warm_start(&dep.updater, current.clone())
             .map_err(|e| self.dep_err(id.0, e))?;
         if !dep.queue.is_empty()
             && updater.reference_locations() != dep.updater.reference_locations()
@@ -1058,6 +968,12 @@ impl UpdateService {
         self.deployments[id.0].updater = updater;
         Ok(())
     }
+}
+
+/// Builds a deployment's committed state over `db`: the default-config
+/// localizer with its prepared query structures, ready to share.
+fn committed_state(db: FingerprintMatrix) -> Arc<Localizer> {
+    Arc::new(Localizer::new(db, LocalizerConfig::default()))
 }
 
 /// One deployment's work for a cycle (the parallel body of
@@ -1153,26 +1069,6 @@ mod tests {
                 "{}: fresh {e_fresh} vs stale {e_stale}",
                 s.name(id).unwrap()
             );
-        }
-    }
-
-    #[test]
-    fn batched_cycle_matches_individual_updates() {
-        // The parallel fan-out must produce exactly what per-deployment
-        // sequential updates produce.
-        let mut batched = fleet();
-        let mut individual = fleet();
-        let outcomes = batched.run_cycle(15.0, 5).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        for id in individual.ids() {
-            individual.run_cycle_for(id, 15.0, 5).unwrap();
-        }
-        for id in batched.ids() {
-            assert!(batched
-                .fingerprint(id)
-                .unwrap()
-                .matrix()
-                .approx_eq(individual.fingerprint(id).unwrap().matrix(), 0.0));
         }
     }
 
@@ -1317,7 +1213,6 @@ mod tests {
     fn single_cycle_failure_is_isolated() {
         let mut s = UpdateService::new();
         assert!(s.run_cycle(1.0, 1).unwrap().is_empty());
-        assert!(s.run_cycle_for(DeploymentId(0), 1.0, 1).is_err());
     }
 
     #[test]
@@ -1338,7 +1233,6 @@ mod tests {
             assert_eq!(s.last_update_day(id).unwrap(), 30.0);
         }
         assert!(s.run_cycle(f64::NAN, 2).is_err());
-        assert!(s.run_cycle_for(s.ids()[0], 10.0, 2).is_err());
         // Re-running at the same day is allowed (idempotent re-survey).
         s.run_cycle(30.0, 2).unwrap();
     }
@@ -1602,37 +1496,5 @@ mod tests {
             .unwrap()
             .correlation()
             .approx_eq(s.updater(s.ids()[0]).unwrap().correlation(), 0.0));
-    }
-
-    #[test]
-    fn drive_schedule_checkpoints_every_cycle() {
-        let mut s = fleet();
-        let mut checkpoints: Vec<(usize, ServiceSnapshot)> = Vec::new();
-        let all = s
-            .drive_schedule(10.0, 10.0, 3, 2, |k, snap| {
-                checkpoints.push((k, snap.clone()));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(all.len(), 3);
-        assert_eq!(checkpoints.len(), 3);
-        assert_eq!(checkpoints.last().unwrap().1, s.snapshot());
-        for (k, snap) in &checkpoints {
-            for d in &snap.deployments {
-                assert_eq!(d.cycles_run, k + 1);
-                assert_eq!(d.last_update_day, 10.0 + 10.0 * *k as f64);
-            }
-        }
-        assert!(s.drive_schedule(1.0, 0.0, 1, 1, |_, _| Ok(())).is_err());
-        assert!(s
-            .drive_schedule(f64::INFINITY, 1.0, 1, 1, |_, _| Ok(()))
-            .is_err());
-        // A failing on_commit stops the schedule but keeps the cycle.
-        let before = s.cycles_run(s.ids()[0]).unwrap();
-        let err = s.drive_schedule(40.0, 1.0, 2, 1, |_, _| {
-            Err(CoreError::InvalidArgument("checkpoint disk full"))
-        });
-        assert!(err.is_err());
-        assert_eq!(s.cycles_run(s.ids()[0]).unwrap(), before + 1);
     }
 }

@@ -26,8 +26,7 @@
 //!   executable specification; the golden parity tests assert the
 //!   engine reproduces it to ≤ 1e-9.
 //!
-//! [`Solver`] is the stable entry point; `crate::self_augmented`
-//! remains as a re-export shim for existing callers.
+//! [`Solver`] is the stable entry point.
 
 mod engine;
 #[doc(hidden)]

@@ -1,7 +1,7 @@
 //! Property-based tests for the core algorithm invariants.
 
 use iupdater_core::config::{CouplingMode, ScalingMode};
-use iupdater_core::self_augmented::{Solver, SolverInputs};
+use iupdater_core::solver::{Solver, SolverInputs};
 use iupdater_core::{decrease, neighbors, omp, similarity, UpdaterConfig};
 use iupdater_linalg::Matrix;
 use proptest::prelude::*;

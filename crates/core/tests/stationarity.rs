@@ -9,7 +9,7 @@
 //! (the exact place the printed paper is loosest).
 
 use iupdater_core::config::{CouplingMode, ScalingMode};
-use iupdater_core::self_augmented::{Solver, SolverInputs, TermWeights};
+use iupdater_core::solver::{Solver, SolverInputs, TermWeights};
 use iupdater_core::{decrease, neighbors, similarity, UpdaterConfig};
 use iupdater_linalg::Matrix;
 

@@ -6,7 +6,7 @@
 
 use crate::report::{FigureResult, Series};
 use crate::scenario::{Scenario, TIMESTAMPS, UPDATE_SAMPLES};
-use iupdater_core::self_augmented::{Solver, SolverInputs};
+use iupdater_core::solver::{Solver, SolverInputs};
 use iupdater_core::{FingerprintMatrix, UpdaterConfig};
 use iupdater_linalg::stats::mean;
 use iupdater_linalg::Matrix;

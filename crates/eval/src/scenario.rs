@@ -120,14 +120,14 @@ impl Scenario {
         let x_b = b
             .hadamard(&no_decrease_matrix(&self.testbed, day))
             .expect("mask shape");
-        let inputs = iupdater_core::self_augmented::SolverInputs {
+        let inputs = iupdater_core::solver::SolverInputs {
             x_b,
             b,
             p: Some(p),
             per: self.prior.locations_per_link(),
             warm_start: Some(x.clone()),
         };
-        let report = iupdater_core::self_augmented::Solver::new(inputs, UpdaterConfig::default())
+        let report = iupdater_core::solver::Solver::new(inputs, UpdaterConfig::default())
             .expect("solver construction")
             .solve()
             .expect("solve");

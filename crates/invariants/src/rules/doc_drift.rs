@@ -20,8 +20,10 @@ pub const RULE: &str = "doc-drift";
 /// `PIVOT_TIE_SPAN_TOL`) joined the watched list, from 7 when the
 /// query path's Cholesky fallback (`QUERY_CHOL_TOL`) did, and from 8
 /// when the gateway's publication/backpressure pair
-/// (`GATEWAY_CHANNEL_CAPACITY`, `EPOCH_SLOTS`) did.
-pub const MIN_CITED_CONSTANTS: usize = 10;
+/// (`GATEWAY_CHANNEL_CAPACITY`, `EPOCH_SLOTS`) did. Lowered to 9 when
+/// the epoch double buffer collapsed to a single lock and
+/// `EPOCH_SLOTS` was deleted.
+pub const MIN_CITED_CONSTANTS: usize = 9;
 
 /// One `NAME = value` citation found in the markdown.
 #[derive(Clone, Debug)]

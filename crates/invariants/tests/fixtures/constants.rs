@@ -9,4 +9,3 @@ pub const PIVOT_TIE_TOL: f64 = 1.0;
 pub const PIVOT_TIE_SPAN_TOL: f64 = 1e-12;
 pub const QUERY_CHOL_TOL: f64 = 1e-8;
 pub const GATEWAY_CHANNEL_CAPACITY: usize = 64;
-pub const EPOCH_SLOTS: usize = 2;

@@ -43,7 +43,6 @@ mod view;
 
 pub mod kernels;
 
-pub mod cholesky;
 pub mod echelon;
 pub mod lrr;
 pub mod norms;

@@ -5,8 +5,8 @@
 //! process restart without losing a single reconstructed database.
 //! This example walks that lifecycle end to end:
 //!
-//! 1. register three deployments and drive a checkpoint-on-commit
-//!    schedule, writing a v2 snapshot to disk after every cycle;
+//! 1. register three deployments and run a checkpoint-on-commit
+//!    schedule, writing a snapshot to disk after every cycle;
 //! 2. "crash" (drop the service) and restore the fleet from the last
 //!    checkpoint on disk;
 //! 3. feed the restored fleet *asynchronously*: queue measurement
@@ -49,14 +49,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Phase 1: a scheduled campaign with checkpoint-on-commit. ---
     let mut service = build_fleet()?;
     println!("fleet up: {} deployments", service.len());
-    let path = checkpoint.clone();
-    service.drive_schedule(5.0, 10.0, 2, UPDATE_SAMPLES, |k, snapshot| {
+    for (k, day) in [5.0, 15.0].into_iter().enumerate() {
+        service.run_cycle(day, UPDATE_SAMPLES)?;
         // Atomic replace: the previous checkpoint stays intact if the
         // gateway dies mid-write.
-        persist::write_service_to_path(snapshot, &path)?;
-        println!("cycle {k} committed, checkpoint at {}", path.display());
-        Ok(())
-    })?;
+        persist::write_service_to_path(&service.snapshot(), &checkpoint)?;
+        println!(
+            "cycle {k} committed, checkpoint at {}",
+            checkpoint.display()
+        );
+    }
 
     // --- Phase 2: crash, then restore from the last checkpoint. ---
     drop(service);
