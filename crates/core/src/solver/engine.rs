@@ -10,9 +10,16 @@
 //! constraint 2 read the factor being updated. Each sweep therefore
 //! runs in two phases:
 //!
-//! 1. **Assemble + factor (parallel)**: for all columns at once, build
-//!    `A_j` and the fixed part of `c_j`, then LU-factor `A_j` — the
-//!    `O(M r² + r³)` bulk of the sweep, embarrassingly parallel.
+//! 1. **Assemble + factor (parallel)**: build and LU-factor one normal
+//!    matrix per *column class*, and the fixed part of every `c_j`.
+//!    `A_j` reads `L` only through the inputs each term's
+//!    [`PenaltyTerm::column_key`] names — the column's known-row set,
+//!    its link and one `G`/`H` coefficient — so columns with equal keys
+//!    have bit-identical normal matrices (the trait's "equal key ⇒
+//!    identical operation sequence" contract). [`AlsEngine::new`]
+//!    partitions the columns into classes once per solver; the 32x1536
+//!    Fresnel-zone mask has 96 classes for 1,536 columns. Row sweeps
+//!    still assemble and factor each of their `M` systems.
 //! 2. **Cross + solve**: add the cross terms and back-substitute. With
 //!    no active cross terms (paper-literal mode, or constraint 2 off)
 //!    this phase is also parallel; in Exact mode its order is
@@ -36,20 +43,28 @@
 //!      its own convergence tier (`core/tests/exact_convergence.rs`).
 //!
 //! Under the default order both phases preserve the historical
-//! per-element accumulation order, so the refactored engine reproduces
-//! `solver::reference` bit-for-bit — the golden parity tests assert
-//! ≤ 1e-9 end to end.
+//! per-element accumulation order, and a shared class factor is
+//! bit-identical to the one each column would have built, so the
+//! refactored engine reproduces `solver::reference` bit-for-bit — the
+//! golden parity tests assert ≤ 1e-9 end to end.
 //!
 //! # When sweeps fan out
 //!
 //! Parallel sweeps run on the rayon shim's persistent worker pool.
-//! A sweep of `count` systems fans out when `count * r²` (the dominant
-//! assembly cost) reaches [`MIN_PARALLEL_WORK`] and the pool has more
-//! than one thread; below that the fused serial path wins. The pool
-//! width is cached at engine construction ([`AlsEngine::new`]), so the
-//! serial/parallel decision is stable for the life of a solver and
-//! costs no per-sweep `current_num_threads()` query. Both paths
-//! produce bit-identical results — the threshold gates cost only.
+//! A batch of `count` systems — the class factors or right-hand sides
+//! of a column sweep, the systems of a row sweep — fans out when
+//! `count * r²` reaches [`MIN_PARALLEL_WORK`] and the pool has more
+//! than one thread; below that it runs serially. Row sweeps below the
+//! threshold take a fused serial path (assemble, cross and solve per
+//! row in one pass); column sweeps have none, because their shared
+//! factors must exist before any column solves. Red-black half-sweeps
+//! always use the pool. The pool width is cached at engine construction
+//! ([`AlsEngine::new`]), so the serial/parallel decision is stable for
+//! the life of a solver and costs no per-sweep `current_num_threads()`
+//! query. Both paths produce bit-identical results — the threshold
+//! gates cost only.
+
+use std::collections::BTreeMap;
 
 use iupdater_linalg::solve::Lu;
 use iupdater_linalg::Matrix;
@@ -65,8 +80,8 @@ use crate::solver::terms::{
 use crate::solver::{SolveReport, SolverInputs, TermWeights};
 use crate::Result;
 
-/// The assembled, factored state of one normal-equation system.
-struct ColumnPlan {
+/// The assembled, factored state of one row's normal-equation system.
+struct RowPlan {
     lu: Lu,
     rhs: Vec<f64>,
 }
@@ -76,11 +91,12 @@ struct ColumnPlan {
 /// Dispatching to the persistent pool costs a few microseconds (a
 /// mutex/condvar wake plus chunk bookkeeping — it was ~100 µs of
 /// scoped-thread spawns before the pool existed, behind the historical
-/// threshold of 16 384), so only genuinely tiny sweeps — where even
-/// microseconds exceed the arithmetic — stay on the fused serial path.
-/// At this threshold the paper-size office (96 columns × r = 8 → 6144)
-/// fans its column sweeps out while its 8-row sweeps stay fused.
-/// Results are identical either way — see the parity tests.
+/// threshold of 16 384), so only genuinely tiny batches — where even
+/// microseconds exceed the arithmetic — stay serial. At this threshold
+/// the paper-size office (r = 8) fans out the right-hand sides of its
+/// 96 columns (6144) while its 24 column classes (1536) and its 8-row
+/// sweeps stay serial. Results are identical either way — see the
+/// parity tests.
 const MIN_PARALLEL_WORK: usize = 4_096;
 
 /// Resets a reusable normal-equation workspace to `A = λI`, `rhs = 0`
@@ -108,10 +124,17 @@ pub(crate) struct AlsEngine {
     /// building the solver, which is how single-CPU CI drives the
     /// parallel paths deterministically.
     threads: usize,
+    /// Class of every column: columns of one class have bit-identical
+    /// normal matrices in every column sweep.
+    col_class: Vec<usize>,
+    /// One representative column per class, classes numbered by first
+    /// occurrence.
+    class_reps: Vec<usize>,
 }
 
 impl AlsEngine {
-    /// Binds validated inputs to the engine, caching the pool width.
+    /// Binds validated inputs to the engine, caching the pool width and
+    /// the column classes.
     pub(crate) fn new(
         inputs: SolverInputs,
         cfg: UpdaterConfig,
@@ -119,18 +142,56 @@ impl AlsEngine {
         h: Option<Matrix>,
         rank: usize,
     ) -> Self {
-        AlsEngine {
+        let mut engine = AlsEngine {
             inputs,
             cfg,
             g,
             h,
             rank,
             threads: rayon::current_num_threads(),
-        }
+            col_class: Vec::new(),
+            class_reps: Vec::new(),
+        };
+        (engine.col_class, engine.class_reps) = engine.column_classes();
+        engine
     }
 
-    /// Whether a sweep of `count` systems should take the fused serial
-    /// path instead of the phase-split parallel one.
+    /// Partitions the columns by the tuple of every term's
+    /// [`PenaltyTerm::column_key`], numbering classes by first
+    /// occurrence. Keys are taken over all four terms whatever their
+    /// weights: a term that turns out inactive can only split a class,
+    /// never merge two different systems.
+    fn column_classes(&self) -> (Vec<usize>, Vec<usize>) {
+        let ctx = self.ctx();
+        let n = self.inputs.x_b.cols();
+        // Keys never read the weights.
+        let terms = self.build_terms(&TermWeights {
+            fit: 1.0,
+            reference: 1.0,
+            continuity: 1.0,
+            similarity: 1.0,
+        });
+        let mut classes: BTreeMap<Vec<Vec<u64>>, usize> = BTreeMap::new();
+        let mut col_class = Vec::with_capacity(n);
+        let mut reps = Vec::new();
+        for j in 0..n {
+            let key = terms.iter().map(|t| t.column_key(&ctx, j)).collect();
+            let class = *classes.entry(key).or_insert(reps.len());
+            if class == reps.len() {
+                reps.push(j);
+            }
+            col_class.push(class);
+        }
+        (col_class, reps)
+    }
+
+    /// The number of distinct column systems factored per column sweep.
+    pub(crate) fn column_systems(&self) -> usize {
+        self.class_reps.len()
+    }
+
+    /// Whether a batch of `count` systems should run serially instead
+    /// of on the worker pool.
     fn serial_sweep(&self, count: usize) -> bool {
         self.threads == 1 || count * self.rank * self.rank < MIN_PARALLEL_WORK
     }
@@ -140,6 +201,16 @@ impl AlsEngine {
     /// all, and only then does the opt-in matter.
     fn red_black(&self, has_cross: bool) -> bool {
         has_cross && self.cfg.sweep_order == SweepOrder::RedBlack
+    }
+
+    /// Maps `f` over `0..count` in index order, on the worker pool
+    /// unless [`AlsEngine::serial_sweep`] says the batch is too small.
+    fn sweep_map<T: Send>(&self, count: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        if self.serial_sweep(count) {
+            (0..count).map(f).collect()
+        } else {
+            (0..count).into_par_iter().map(f).collect()
+        }
     }
 
     fn ctx(&self) -> TermContext<'_> {
@@ -291,16 +362,16 @@ impl AlsEngine {
         Ok(v)
     }
 
-    /// Phase 1 of a sweep: assemble and LU-factor all `count` systems in
-    /// parallel. `fixed_rows` yields the assembly for one system.
+    /// Phase 1 of a row sweep: assemble and LU-factor all `count`
+    /// systems in parallel. `assemble` builds one system.
     fn assemble_systems(
         &self,
         count: usize,
         assemble: impl Fn(usize, &mut Matrix, &mut [f64]) -> Result<()> + Sync,
-    ) -> Result<Vec<ColumnPlan>> {
+    ) -> Result<Vec<RowPlan>> {
         let r = self.rank;
         let lambda = self.cfg.lambda;
-        let plans: Vec<Result<ColumnPlan>> = (0..count)
+        let plans: Vec<Result<RowPlan>> = (0..count)
             .into_par_iter()
             .map(|idx| {
                 let mut a = Matrix::identity(r);
@@ -308,7 +379,7 @@ impl AlsEngine {
                 let mut rhs = vec![0.0_f64; r];
                 assemble(idx, &mut a, &mut rhs)?;
                 let lu = a.lu()?;
-                Ok(ColumnPlan { lu, rhs })
+                Ok(RowPlan { lu, rhs })
             })
             .collect();
         plans.into_iter().collect()
@@ -332,61 +403,47 @@ impl AlsEngine {
                 .any(|t| t.active() && t.wants_gram())
                 .then(|| l.gram()),
         };
-        let cross_terms: Vec<&Box<dyn PenaltyTerm>> = terms
+        let active: Vec<&Box<dyn PenaltyTerm>> = terms.iter().filter(|t| t.active()).collect();
+        let cross_terms: Vec<&Box<dyn PenaltyTerm>> = active
             .iter()
-            .filter(|t| t.active() && t.has_column_cross())
+            .copied()
+            .filter(|t| t.has_column_cross())
             .collect();
-
         let red_black = self.red_black(!cross_terms.is_empty());
-        if !red_black && self.serial_sweep(n) {
-            // Fused serial sweep: assemble, cross, solve and write per
-            // column in one pass — no plan materialisation, same
-            // numbers as the phase-split path. (Red-black sweeps never
-            // take it: its interleaved writes are inherently
-            // Gauss–Seidel, and red-black results must not depend on
-            // the work-size threshold or the machine width.)
-            let mut a = Matrix::zeros(r, r);
-            let mut rhs = vec![0.0_f64; r];
-            for j in 0..n {
-                reset_system(&mut a, &mut rhs, lambda);
-                for term in terms {
-                    if term.active() {
-                        term.assemble_column(&ctx, j, l, &sweep, &mut a, &mut rhs)?;
-                    }
-                }
-                let lu = a.lu()?;
-                for term in &cross_terms {
-                    term.column_cross(&ctx, j, l, rm, &mut rhs);
-                }
-                let theta = lu.solve(&rhs);
-                rm.set_row(j, &theta);
-            }
-            return Ok(());
-        }
 
-        let plans = self.assemble_systems(n, |j, a, rhs| {
-            for term in terms {
-                if term.active() {
-                    term.assemble_column(&ctx, j, l, &sweep, a, rhs)?;
+        // Phase 1: one LU per column class, one fixed rhs per column.
+        let lus = self
+            .sweep_map(self.class_reps.len(), |class| {
+                let mut a = Matrix::identity(r);
+                a.scale_mut(lambda);
+                for term in &active {
+                    term.column_quadratic(&ctx, self.class_reps[class], l, &sweep, &mut a)?;
                 }
+                Ok(a.lu()?)
+            })
+            .into_iter()
+            .collect::<Result<Vec<Lu>>>()?;
+        let mut rhs = self.sweep_map(n, |j| {
+            let mut c = vec![0.0_f64; r];
+            for term in &active {
+                term.column_linear(&ctx, j, l, &mut c);
             }
-            Ok(())
-        })?;
+            c
+        });
+        let lu_of = |j: usize| &lus[self.col_class[j]];
+
         if cross_terms.is_empty() {
             // Fully independent columns: solve and write in parallel.
-            let rows: Vec<Vec<f64>> = plans
-                .par_iter()
-                .map(|plan| plan.lu.solve(&plan.rhs))
-                .collect();
-            for (j, theta) in rows.iter().enumerate() {
+            let thetas = self.sweep_map(n, |j| lu_of(j).solve(&rhs[j]));
+            for (j, theta) in thetas.iter().enumerate() {
                 rm.set_row(j, theta);
             }
         } else if red_black {
             // Red-black half-sweeps over the (link, cell) checkerboard:
             // column j is cell (j / per, j % per). Each half computes
-            // every update of its colour in parallel from the snapshot
-            // `R` held fixed during the half, then writes — see the
-            // module docs for the colouring invariant.
+            // every update of its colour from the snapshot `R` held
+            // fixed during the half, then writes — see the module docs
+            // for the colouring invariant.
             let per = self.inputs.per;
             for colour in 0..2 {
                 let indices: Vec<usize> = (0..n)
@@ -396,11 +453,11 @@ impl AlsEngine {
                 let thetas: Vec<Vec<f64>> = indices
                     .par_iter()
                     .map(|&j| {
-                        let mut rhs = plans[j].rhs.clone();
+                        let mut c = rhs[j].clone();
                         for term in &cross_terms {
-                            term.column_cross(&ctx, j, l, snapshot, &mut rhs);
+                            term.column_cross(&ctx, j, l, snapshot, &mut c);
                         }
-                        plans[j].lu.solve(&rhs)
+                        lu_of(j).solve(&c)
                     })
                     .collect();
                 for (&j, theta) in indices.iter().zip(&thetas) {
@@ -410,13 +467,11 @@ impl AlsEngine {
         } else {
             // Gauss–Seidel: original ascending order, reading the
             // partially updated factor.
-            for (j, plan) in plans.into_iter().enumerate() {
-                let mut rhs = plan.rhs;
+            for (j, c) in rhs.iter_mut().enumerate() {
                 for term in &cross_terms {
-                    term.column_cross(&ctx, j, l, rm, &mut rhs);
+                    term.column_cross(&ctx, j, l, rm, c);
                 }
-                let theta = plan.lu.solve(&rhs);
-                rm.set_row(j, &theta);
+                rm.set_row(j, &lu_of(j).solve(c));
             }
         }
         Ok(())
@@ -550,5 +605,129 @@ impl AlsEngine {
             iterations,
             weights,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CouplingMode;
+    use crate::solver::validate;
+
+    /// A no-decrease mask that varies *within* links: besides the cells
+    /// near its own link, each column randomly also hides each of the
+    /// two rows two links away, so two cells of one link can have different
+    /// known-row sets.
+    fn varying_mask(m: usize, per: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let hide: Vec<[bool; 2]> = (0..m * per)
+            .map(|_| [rng.gen::<f64>() < 0.5, rng.gen::<f64>() < 0.5])
+            .collect();
+        Matrix::from_fn(m, m * per, |i, j| {
+            let owner = j / per;
+            if owner.abs_diff(i) <= 1
+                || (hide[j][0] && i == (owner + 2) % m)
+                || (hide[j][1] && i == (owner + m - 2) % m)
+            {
+                0.0
+            } else {
+                1.0
+            }
+        })
+    }
+
+    fn engine(b: Matrix, per: usize, coupling: CouplingMode) -> AlsEngine {
+        let (m, n) = b.shape();
+        let inputs = SolverInputs {
+            x_b: Matrix::from_fn(m, n, |i, j| b[(i, j)] * -(60.0 + (i + j) as f64 * 0.1)),
+            b,
+            p: Some(Matrix::from_fn(m, n, |i, j| {
+                -(61.0 + (i * j) as f64 * 0.01)
+            })),
+            per,
+            warm_start: None,
+        };
+        let cfg = UpdaterConfig {
+            rank: Some(4),
+            coupling,
+            ..UpdaterConfig::default()
+        };
+        let (g, h, rank) = validate(&inputs, &cfg).unwrap();
+        AlsEngine::new(inputs, cfg, g, h, rank)
+    }
+
+    /// `λI` plus every term's quadratic for column `j`, from scratch.
+    fn normal_matrix(
+        e: &AlsEngine,
+        terms: &[Box<dyn PenaltyTerm>],
+        j: usize,
+        l: &Matrix,
+        sweep: &SweepCache,
+    ) -> Vec<u64> {
+        let mut a = Matrix::identity(e.rank);
+        a.scale_mut(e.cfg.lambda);
+        for term in terms {
+            term.column_quadratic(&e.ctx(), j, l, sweep, &mut a)
+                .unwrap();
+        }
+        a.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_column_matches_its_class_representative_bitwise() {
+        let (m, per) = (6usize, 9usize);
+        let mut rng = StdRng::seed_from_u64(71);
+        let l = Matrix::from_fn(m, 4, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+        let weights = TermWeights {
+            fit: 1.3,
+            reference: 0.7,
+            continuity: 0.45,
+            similarity: 0.2,
+        };
+        for coupling in [CouplingMode::Exact, CouplingMode::PaperLiteral] {
+            let e = engine(varying_mask(m, per, 72), per, coupling);
+            let terms = e.build_terms(&weights);
+            let sweep = SweepCache {
+                gram: Some(l.gram()),
+            };
+            let reps: Vec<Vec<u64>> = e
+                .class_reps
+                .iter()
+                .map(|&j| normal_matrix(&e, &terms, j, &l, &sweep))
+                .collect();
+            let n = m * per;
+            let k = e.column_systems();
+            assert!(k > m && k < n, "{coupling:?}: {k} classes is degenerate");
+            for j in 0..n {
+                assert_eq!(
+                    normal_matrix(&e, &terms, j, &l, &sweep),
+                    reps[e.col_class[j]],
+                    "{coupling:?}: column {j} differs from its class representative"
+                );
+            }
+            // The mask really varies within links: some same-link,
+            // same-coefficient columns build different matrices, so a
+            // key that ignored the known-row set would fail above.
+            let split = (0..n).any(|j| {
+                (0..n).any(|j2| {
+                    j / per == j2 / per
+                        && e.col_class[j] != e.col_class[j2]
+                        && terms[2].column_key(&e.ctx(), j) == terms[2].column_key(&e.ctx(), j2)
+                        && normal_matrix(&e, &terms, j, &l, &sweep)
+                            != normal_matrix(&e, &terms, j2, &l, &sweep)
+                })
+            });
+            assert!(split, "{coupling:?}: the mask never splits a link");
+        }
+    }
+
+    #[test]
+    fn classes_are_numbered_by_first_occurrence() {
+        let per = 9;
+        let e = engine(varying_mask(6, per, 73), per, CouplingMode::Exact);
+        for (class, &rep) in e.class_reps.iter().enumerate() {
+            assert_eq!(e.col_class[rep], class);
+            assert!(e.col_class[..rep].iter().all(|&c| c < class));
+        }
     }
 }

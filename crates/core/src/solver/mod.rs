@@ -206,6 +206,14 @@ impl Solver {
     pub fn solve(&self) -> Result<SolveReport> {
         self.engine.solve()
     }
+
+    /// The number of distinct column systems the engine assembles and
+    /// LU-factors per column sweep: one per class of columns whose
+    /// normal matrices are bit-identical (at most `N`). Deterministic —
+    /// a function of the mask, `per` and the configuration only.
+    pub fn column_systems(&self) -> usize {
+        self.engine.column_systems()
+    }
 }
 
 #[cfg(test)]
@@ -491,6 +499,62 @@ mod tests {
         let a = Solver::new(mk(), cfg.clone()).unwrap().solve().unwrap();
         let b2 = Solver::new(mk(), cfg).unwrap().solve().unwrap();
         assert!(a.reconstruction().approx_eq(&b2.reconstruction(), 1e-12));
+    }
+
+    #[test]
+    fn column_systems_all_distinct_mask_gives_n() {
+        let (m, per) = (6usize, 8usize);
+        let n = m * per;
+        // Column j's known rows spell j in binary: n distinct sets.
+        let b = Matrix::from_fn(m, n, |i, j| ((j >> i) & 1) as f64);
+        let inputs = SolverInputs {
+            x_b: b.clone(),
+            b,
+            p: None,
+            per,
+            warm_start: None,
+        };
+        let solver = Solver::new(inputs, default_cfg()).unwrap();
+        assert_eq!(solver.column_systems(), n);
+    }
+
+    #[test]
+    fn column_systems_link_constant_mask() {
+        let (m, per) = (6usize, 8usize);
+        let g = continuity_matrix(per).unwrap();
+        let inputs = SolverInputs {
+            x_b: Matrix::zeros(m, m * per),
+            b: mask_no_decrease(m, per),
+            p: None,
+            per,
+            warm_start: None,
+        };
+        for coupling in [CouplingMode::Exact, CouplingMode::PaperLiteral] {
+            let coefficients: std::collections::BTreeSet<u64> = (0..per)
+                .map(|jj| {
+                    let v: f64 = match coupling {
+                        CouplingMode::Exact => (0..per).map(|p| g[(jj, p)] * g[(jj, p)]).sum(),
+                        CouplingMode::PaperLiteral => {
+                            (0..per).map(|u| g[(u, jj)] * g[(u, jj)]).sum()
+                        }
+                    };
+                    v.to_bits()
+                })
+                .collect();
+            assert!(coefficients.len() > 1 && coefficients.len() < per);
+            let cfg = UpdaterConfig {
+                coupling,
+                ..default_cfg()
+            };
+            let solver = Solver::new(inputs.clone(), cfg).unwrap();
+            assert_eq!(solver.column_systems(), m * coefficients.len());
+        }
+        // Without constraint 2 every cell of a link shares one system.
+        let cfg = UpdaterConfig {
+            use_constraint2: false,
+            ..default_cfg()
+        };
+        assert_eq!(Solver::new(inputs, cfg).unwrap().column_systems(), m);
     }
 
     #[test]

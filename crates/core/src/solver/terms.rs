@@ -11,15 +11,24 @@
 //! - [`ContinuityTerm`] — `w_g ‖X_D G‖²` (constraint 2a),
 //! - [`SimilarityTerm`] — `w_h ‖H X_D‖²` (constraint 2b).
 //!
-//! A term's contribution to a column update of `R` splits into a part
-//! that only depends on `L` (the quadratic coefficients and the fixed
-//! linear terms — [`PenaltyTerm::assemble_column`]) and, for
-//! [`CouplingMode::Exact`], a linear *cross* part that reads the
-//! current `R` ([`PenaltyTerm::column_cross`]). The engine exploits
-//! the split: the `R`-independent systems are assembled and factored
-//! in parallel, while the Gauss–Seidel cross terms run in the original
-//! sequential order — so parallel solves are bit-identical to the
-//! historical monolith (see `solver::reference`).
+//! A term's contribution to a column update of `R` splits three ways:
+//!
+//! - the **quadratic** part ([`PenaltyTerm::column_quadratic`]) adds to
+//!   the normal matrix `A_j` and reads only the fixed factor `L`;
+//! - the **linear** part ([`PenaltyTerm::column_linear`]) adds the
+//!   `R`-independent right-hand side `c_j`;
+//! - for [`CouplingMode::Exact`], a linear **cross** part reads the
+//!   current `R` ([`PenaltyTerm::column_cross`]).
+//!
+//! The engine exploits the split twice. The quadratic part of a column
+//! reads `L` only through the few inputs its [`PenaltyTerm::column_key`]
+//! names (the column's known-row set, its link, one `G`/`H`
+//! coefficient), so columns whose keys agree share one normal matrix,
+//! which the engine assembles and factors once per sweep. And the
+//! `R`-independent systems are factored in parallel, while the
+//! Gauss–Seidel cross terms run in the original sequential order — so
+//! parallel solves are bit-identical to the historical monolith (see
+//! `solver::reference`).
 
 use iupdater_linalg::{axpy_slice, Matrix};
 
@@ -53,14 +62,22 @@ pub struct SweepCache {
 
 /// One additive penalty of the solver objective.
 ///
-/// Implementations must keep three contracts:
+/// Implementations must keep four contracts:
 ///
-/// 1. `assemble_*` may depend on the *fixed* factor of the sweep only
-///    (`L` for columns, `R` for rows) — never on the factor being
-///    updated. Everything that reads the updated factor goes into the
-///    `*_cross` hook and must be flagged by `has_*_cross`.
-/// 2. Contributions add into `a` / `rhs`; they never overwrite.
-/// 3. Implementations are `Send + Sync` so sweeps can fan out.
+/// 1. `column_quadratic`, `column_linear` and `assemble_row` may depend
+///    on the *fixed* factor of the sweep only (`L` for columns, `R` for
+///    rows) — never on the factor being updated. Everything that reads
+///    the updated factor goes into the `*_cross` hook and must be
+///    flagged by `has_*_cross`.
+/// 2. **Equal key ⇒ identical operation sequence.** If two columns have
+///    equal [`PenaltyTerm::column_key`]s, `column_quadratic` performs
+///    the same floating-point operations, in the same order, on the
+///    same operands for both (given the same `L`, sweep cache and
+///    weight), so their contributions to `a` are bit-identical. The
+///    engine factors one normal matrix per class of equal keys on this
+///    certificate alone.
+/// 3. Contributions add into `a` / `rhs`; they never overwrite.
+/// 4. Implementations are `Send + Sync` so sweeps can fan out.
 pub trait PenaltyTerm: Send + Sync {
     /// Short identifier used in diagnostics.
     fn name(&self) -> &'static str;
@@ -81,17 +98,26 @@ pub trait PenaltyTerm: Send + Sync {
     /// The term's value at `(L, R)`; `xhat` is the precomputed `L Rᵀ`.
     fn objective(&self, ctx: &TermContext<'_>, xhat: &Matrix) -> Result<f64>;
 
-    /// Adds the `R`-independent part of the term's contribution to the
-    /// normal equations of column `j` (`a θ = rhs`, both `r x r` / `r`).
-    fn assemble_column(
+    /// Names exactly the inputs, besides `L`, the sweep cache and the
+    /// weight, that [`PenaltyTerm::column_quadratic`] reads for column
+    /// `j`: equal keys must mean a bit-identical contribution (contract
+    /// 2 above).
+    fn column_key(&self, ctx: &TermContext<'_>, j: usize) -> Vec<u64>;
+
+    /// Adds the term's contribution to the normal matrix `a` (`r x r`)
+    /// of column `j`: fixed factor only, no right-hand side.
+    fn column_quadratic(
         &self,
         ctx: &TermContext<'_>,
         j: usize,
         l: &Matrix,
         sweep: &SweepCache,
         a: &mut Matrix,
-        rhs: &mut [f64],
     ) -> Result<()>;
+
+    /// Adds the `R`-independent part of the right-hand side (length `r`)
+    /// of column `j`'s normal equations.
+    fn column_linear(&self, _ctx: &TermContext<'_>, _j: usize, _l: &Matrix, _rhs: &mut [f64]) {}
 
     /// Whether [`PenaltyTerm::column_cross`] contributes.
     fn has_column_cross(&self) -> bool {
@@ -172,25 +198,37 @@ impl PenaltyTerm for DataFitTerm {
         Ok(self.weight * sum)
     }
 
-    fn assemble_column(
+    fn column_key(&self, ctx: &TermContext<'_>, j: usize) -> Vec<u64> {
+        // The known-row set: the quadratic adds one outer product per
+        // known row, in ascending row order.
+        (0..ctx.b.rows())
+            .filter(|&i| ctx.b[(i, j)] != 0.0)
+            .map(|i| i as u64)
+            .collect()
+    }
+
+    fn column_quadratic(
         &self,
         ctx: &TermContext<'_>,
         j: usize,
         l: &Matrix,
         _sweep: &SweepCache,
         a: &mut Matrix,
-        rhs: &mut [f64],
     ) -> Result<()> {
         for i in 0..ctx.b.rows() {
-            if ctx.b[(i, j)] == 0.0 {
-                continue;
+            if ctx.b[(i, j)] != 0.0 {
+                a.add_outer(self.weight, l.row(i));
             }
-            let li = l.row(i);
-            let y = ctx.x_b[(i, j)];
-            axpy_slice(self.weight * y, li, rhs);
-            a.add_outer(self.weight, li);
         }
         Ok(())
+    }
+
+    fn column_linear(&self, ctx: &TermContext<'_>, j: usize, l: &Matrix, rhs: &mut [f64]) {
+        for i in 0..ctx.b.rows() {
+            if ctx.b[(i, j)] != 0.0 {
+                axpy_slice(self.weight * ctx.x_b[(i, j)], l.row(i), rhs);
+            }
+        }
     }
 
     fn assemble_row(
@@ -245,16 +283,23 @@ impl PenaltyTerm for ReferenceTerm {
         Ok(self.weight * sum)
     }
 
-    fn assemble_column(
+    fn column_key(&self, _ctx: &TermContext<'_>, _j: usize) -> Vec<u64> {
+        // The quadratic is the shared sweep Gram, the same for every
+        // column.
+        Vec::new()
+    }
+
+    fn column_quadratic(
         &self,
         ctx: &TermContext<'_>,
-        j: usize,
-        l: &Matrix,
+        _j: usize,
+        _l: &Matrix,
         sweep: &SweepCache,
         a: &mut Matrix,
-        rhs: &mut [f64],
     ) -> Result<()> {
-        let Some(p) = ctx.p else { return Ok(()) };
+        if ctx.p.is_none() {
+            return Ok(());
+        }
         let gram = sweep
             .gram
             .as_ref()
@@ -263,6 +308,11 @@ impl PenaltyTerm for ReferenceTerm {
             // TermContext::p is Some only in that configuration.
             .expect("reference term requires the sweep Gram");
         a.axpy(self.weight, gram)?;
+        Ok(())
+    }
+
+    fn column_linear(&self, ctx: &TermContext<'_>, j: usize, l: &Matrix, rhs: &mut [f64]) {
+        let Some(p) = ctx.p else { return };
         for i in 0..l.rows() {
             let pij = p[(i, j)];
             if pij == 0.0 {
@@ -270,7 +320,6 @@ impl PenaltyTerm for ReferenceTerm {
             }
             axpy_slice(self.weight * pij, l.row(i), rhs);
         }
-        Ok(())
     }
 
     fn assemble_row(
@@ -314,6 +363,20 @@ pub struct ContinuityTerm {
     pub coupling: CouplingMode,
 }
 
+impl ContinuityTerm {
+    /// The quadratic coefficient of cell `jj` of a link under the
+    /// configured coupling mode.
+    fn coefficient(&self, g: &Matrix, jj: usize) -> f64 {
+        let per = g.rows();
+        match self.coupling {
+            // Algorithm 1 line 18: column jj of G.
+            CouplingMode::PaperLiteral => (0..per).map(|u| g[(u, jj)] * g[(u, jj)]).sum(),
+            // Row jj of G: the true coefficient of X_D(ii, jj) in X_D G.
+            CouplingMode::Exact => (0..per).map(|p_| g[(jj, p_)] * g[(jj, p_)]).sum(),
+        }
+    }
+}
+
 impl PenaltyTerm for ContinuityTerm {
     fn name(&self) -> &'static str {
         "continuity"
@@ -329,25 +392,23 @@ impl PenaltyTerm for ContinuityTerm {
         Ok(self.weight * xd.matmul(g)?.frobenius_norm_sq())
     }
 
-    fn assemble_column(
+    fn column_key(&self, ctx: &TermContext<'_>, j: usize) -> Vec<u64> {
+        let Some(g) = ctx.g else { return Vec::new() };
+        let per = ctx.per;
+        vec![(j / per) as u64, self.coefficient(g, j % per).to_bits()]
+    }
+
+    fn column_quadratic(
         &self,
         ctx: &TermContext<'_>,
         j: usize,
         l: &Matrix,
         _sweep: &SweepCache,
         a: &mut Matrix,
-        _rhs: &mut [f64],
     ) -> Result<()> {
         let Some(g) = ctx.g else { return Ok(()) };
         let per = ctx.per;
-        let (ii, jj) = (j / per, j % per);
-        let norm_sq: f64 = match self.coupling {
-            // Algorithm 1 line 18: column jj of G.
-            CouplingMode::PaperLiteral => (0..per).map(|u| g[(u, jj)] * g[(u, jj)]).sum(),
-            // Row jj of G: the true coefficient of X_D(ii, jj) in X_D G.
-            CouplingMode::Exact => (0..per).map(|p_| g[(jj, p_)] * g[(jj, p_)]).sum(),
-        };
-        a.add_outer(self.weight * norm_sq, l.row(ii));
+        a.add_outer(self.weight * self.coefficient(g, j % per), l.row(j / per));
         Ok(())
     }
 
@@ -415,7 +476,7 @@ impl PenaltyTerm for ContinuityTerm {
         // no cross terms in any mode.
         let Some(g) = ctx.g else { return Ok(()) };
         let per = ctx.per;
-        let r = rhs_len(a);
+        let r = a.rows();
         let mut m_p = vec![0.0_f64; r];
         for p_ in 0..per {
             m_p.fill(0.0);
@@ -456,23 +517,26 @@ impl PenaltyTerm for SimilarityTerm {
         Ok(self.weight * h.matmul(&xd)?.frobenius_norm_sq())
     }
 
-    fn assemble_column(
+    fn column_key(&self, ctx: &TermContext<'_>, j: usize) -> Vec<u64> {
+        let Some(h) = ctx.h else { return Vec::new() };
+        let ii = j / ctx.per;
+        vec![ii as u64, column_norm_sq(h, ii).to_bits()]
+    }
+
+    fn column_quadratic(
         &self,
         ctx: &TermContext<'_>,
         j: usize,
         l: &Matrix,
         _sweep: &SweepCache,
         a: &mut Matrix,
-        _rhs: &mut [f64],
     ) -> Result<()> {
         let Some(h) = ctx.h else { return Ok(()) };
         let ii = j / ctx.per;
         // Column ii of H is the coefficient of X_D(ii, jj) in H X_D
         // (the dimension-correct reading of Algorithm 1 line 19, whose
         // printed index is a typo).
-        let m = h.rows();
-        let norm_sq: f64 = (0..m).map(|p_| h[(p_, ii)] * h[(p_, ii)]).sum();
-        a.add_outer(self.weight * norm_sq, l.row(ii));
+        a.add_outer(self.weight * column_norm_sq(h, ii), l.row(ii));
         Ok(())
     }
 
@@ -537,8 +601,7 @@ impl PenaltyTerm for SimilarityTerm {
     ) -> Result<()> {
         let Some(h) = ctx.h else { return Ok(()) };
         let per = ctx.per;
-        let m = h.rows();
-        let norm_sq: f64 = (0..m).map(|p_| h[(p_, i)] * h[(p_, i)]).sum();
+        let norm_sq = column_norm_sq(h, i);
         for u in 0..per {
             a.add_outer(self.weight * norm_sq, rm.row(i * per + u));
         }
@@ -590,7 +653,7 @@ impl PenaltyTerm for SimilarityTerm {
     }
 }
 
-/// Rank of the normal-equation system being assembled.
-fn rhs_len(a: &Matrix) -> usize {
-    a.rows()
+/// `Σ_p H(p, i)²`: the squared norm of column `i` of `H`.
+fn column_norm_sq(h: &Matrix, i: usize) -> f64 {
+    (0..h.rows()).map(|p_| h[(p_, i)] * h[(p_, i)]).sum()
 }

@@ -38,63 +38,101 @@ fn structured_fingerprint(m: usize, per: usize, seed: u64) -> Matrix {
     })
 }
 
+/// The `solver_parity` mask that varies within links: each column
+/// randomly also hides each of the rows two links away.
+fn mask_varying_within_links(m: usize, per: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hide: Vec<[bool; 2]> = (0..m * per)
+        .map(|_| [rng.gen::<f64>() < 0.5, rng.gen::<f64>() < 0.5])
+        .collect();
+    Matrix::from_fn(m, m * per, |i, j| {
+        let owner = j / per;
+        if owner.abs_diff(i) <= 1
+            || (hide[j][0] && i == (owner + 2) % m)
+            || (hide[j][1] && i == (owner + m - 2) % m)
+        {
+            0.0
+        } else {
+            1.0
+        }
+    })
+}
+
 #[test]
 fn results_are_bit_identical_at_every_pool_width() {
-    // 8 links x 96 cells at rank 8: the column sweep (96 * 64 = 6144)
-    // clears MIN_PARALLEL_WORK, so widths > 1 really take the
-    // phase-split parallel path.
+    // 8 links x 96 cells at rank 8: the column right-hand sides
+    // (96 * 64 = 6144) clear MIN_PARALLEL_WORK, so widths > 1 really
+    // take the parallel path. The link-constant mask shares its column
+    // systems among 24 classes; the varying mask has enough classes
+    // that their factoring (classes * 64 >= MIN_PARALLEL_WORK) fans out
+    // too.
     let (m, per) = (8usize, 12usize);
     let x = structured_fingerprint(m, per, 51);
-    let b = Matrix::from_fn(m, m * per, |i, j| {
+    let link_constant = Matrix::from_fn(m, m * per, |i, j| {
         if (j / per).abs_diff(i) <= 1 {
             0.0
         } else {
             1.0
         }
     });
-    let x_b = b.hadamard(&x).unwrap();
-    let inputs = SolverInputs {
-        x_b,
-        b,
-        p: Some(x.clone()),
-        per,
-        warm_start: Some(x),
-    };
-
-    let solve = |width: usize, order: SweepOrder| {
-        rayon::set_num_threads_for_tests(width);
-        let cfg = UpdaterConfig {
-            rank: Some(8),
-            max_iter: 20,
-            coupling: CouplingMode::Exact,
-            sweep_order: order,
-            ..UpdaterConfig::default()
+    for (mask, b) in [
+        ("link-constant", link_constant),
+        ("varying", mask_varying_within_links(m, per, 52)),
+    ] {
+        let x_b = b.hadamard(&x).unwrap();
+        let inputs = SolverInputs {
+            x_b,
+            b,
+            p: Some(x.clone()),
+            per,
+            warm_start: Some(x.clone()),
         };
-        let report = Solver::new(inputs.clone(), cfg).unwrap().solve().unwrap();
-        (
-            report.reconstruction(),
-            report.objective_trace().to_vec(),
-            report.iterations(),
-        )
-    };
 
-    for order in [SweepOrder::GaussSeidel, SweepOrder::RedBlack] {
-        let (recon_1, trace_1, iters_1) = solve(1, order);
-        for width in [2usize, 4, 7] {
-            let (recon_w, trace_w, iters_w) = solve(width, order);
-            assert_eq!(
-                iters_w, iters_1,
-                "{order:?}: iteration count changed at width {width}"
-            );
-            assert_eq!(
-                trace_w, trace_1,
-                "{order:?}: objective trace changed at width {width}"
-            );
+        let solve = |width: usize, order: SweepOrder| {
+            rayon::set_num_threads_for_tests(width);
+            let cfg = UpdaterConfig {
+                rank: Some(8),
+                max_iter: 20,
+                coupling: CouplingMode::Exact,
+                sweep_order: order,
+                ..UpdaterConfig::default()
+            };
+            let report = Solver::new(inputs.clone(), cfg).unwrap().solve().unwrap();
+            (
+                report.reconstruction(),
+                report.objective_trace().to_vec(),
+                report.iterations(),
+            )
+        };
+
+        if mask == "varying" {
+            let classes = Solver::new(inputs.clone(), UpdaterConfig::default())
+                .unwrap()
+                .column_systems();
             assert!(
-                recon_w.approx_eq(&recon_1, 0.0),
-                "{order:?}: reconstruction changed at width {width} (max |Δ| = {})",
-                (&recon_w - &recon_1).max_abs()
+                classes * 64 >= 4_096,
+                "{classes} classes no longer fan out their factoring"
             );
+        }
+
+        for order in [SweepOrder::GaussSeidel, SweepOrder::RedBlack] {
+            let (recon_1, trace_1, iters_1) = solve(1, order);
+            for width in [2usize, 4, 7] {
+                let (recon_w, trace_w, iters_w) = solve(width, order);
+                assert_eq!(
+                    iters_w, iters_1,
+                    "{mask} {order:?}: iteration count changed at width {width}"
+                );
+                assert_eq!(
+                    trace_w, trace_1,
+                    "{mask} {order:?}: objective trace changed at width {width}"
+                );
+                assert!(
+                    recon_w.approx_eq(&recon_1, 0.0),
+                    "{mask} {order:?}: reconstruction changed at width {width} (max |Δ| = {})",
+                    (&recon_w - &recon_1).max_abs()
+                );
+            }
         }
     }
     rayon::set_num_threads_for_tests(0);

@@ -41,9 +41,33 @@ fn mask_no_decrease(m: usize, per: usize) -> Matrix {
     })
 }
 
+/// A no-decrease mask that varies *within* links: each column randomly
+/// also hides each of the rows two links away, so cells of one link can have
+/// different known-row sets (and hence different normal matrices).
+fn mask_varying_within_links(m: usize, per: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hide: Vec<[bool; 2]> = (0..m * per)
+        .map(|_| [rng.gen::<f64>() < 0.5, rng.gen::<f64>() < 0.5])
+        .collect();
+    Matrix::from_fn(m, m * per, |i, j| {
+        let owner = j / per;
+        if owner.abs_diff(i) <= 1
+            || (hide[j][0] && i == (owner + 2) % m)
+            || (hide[j][1] && i == (owner + m - 2) % m)
+        {
+            0.0
+        } else {
+            1.0
+        }
+    })
+}
+
 fn inputs(m: usize, per: usize, seed: u64, warm: bool) -> SolverInputs {
+    inputs_with_mask(m, per, seed, warm, mask_no_decrease(m, per))
+}
+
+fn inputs_with_mask(m: usize, per: usize, seed: u64, warm: bool, b: Matrix) -> SolverInputs {
     let x = structured_fingerprint(m, per, seed);
-    let b = mask_no_decrease(m, per);
     let x_b = b.hadamard(&x).unwrap();
     SolverInputs {
         x_b,
@@ -158,6 +182,20 @@ fn parity_constraint1_only() {
         ..UpdaterConfig::with_constraint1_only()
     };
     assert_parity(inputs(6, 6, 46, false), cfg, "constraint1-only");
+}
+
+#[test]
+fn parity_mask_varying_within_links() {
+    for coupling in [CouplingMode::Exact, CouplingMode::PaperLiteral] {
+        let cfg = UpdaterConfig {
+            rank: Some(6),
+            max_iter: 30,
+            coupling,
+            ..UpdaterConfig::default()
+        };
+        let inputs = inputs_with_mask(6, 9, 48, false, mask_varying_within_links(6, 9, 49));
+        assert_parity(inputs, cfg, &format!("varying-mask {coupling:?}"));
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Structured-matrix builders: Toeplitz, diagonal and banded helpers.
+//! Structured-matrix builders: banded Toeplitz and diagonal helpers.
 //!
 //! The adjacent-link similarity constraint uses
 //! `H = Toeplitz(-1, 1, 0)_{M x M}` (Eq. 17): ones on the main diagonal,
@@ -23,25 +23,6 @@ impl Matrix {
                 upper
             } else {
                 0.0
-            }
-        })
-    }
-
-    /// Builds a full Toeplitz matrix from its first column and first row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_col[0] != first_row[0]`.
-    pub fn toeplitz(first_col: &[f64], first_row: &[f64]) -> Matrix {
-        assert!(
-            first_col.is_empty() && first_row.is_empty() || first_col[0] == first_row[0],
-            "Toeplitz corner entries must agree"
-        );
-        Matrix::from_fn(first_col.len(), first_row.len(), |i, j| {
-            if i >= j {
-                first_col[i - j]
-            } else {
-                first_row[j - i]
             }
         })
     }
@@ -85,19 +66,6 @@ mod tests {
             &[0.0, 0.0, -1.0, 1.0],
         ]);
         assert_eq!(h, expected);
-    }
-
-    #[test]
-    fn toeplitz_from_col_row() {
-        let t = Matrix::toeplitz(&[1.0, 2.0, 3.0], &[1.0, 4.0, 5.0]);
-        let expected = Matrix::from_rows(&[&[1.0, 4.0, 5.0], &[2.0, 1.0, 4.0], &[3.0, 2.0, 1.0]]);
-        assert_eq!(t, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "corner entries")]
-    fn toeplitz_corner_mismatch_panics() {
-        let _ = Matrix::toeplitz(&[1.0, 2.0], &[3.0, 4.0]);
     }
 
     #[test]
