@@ -237,7 +237,6 @@ fn bench_simulator(c: &mut Criterion) {
 fn bench_extensions(c: &mut Criterion) {
     use iupdater_core::persist;
     use iupdater_core::tracking::{Tracker, TrackerConfig};
-    use iupdater_linalg::truncated::TruncatedSvdOptions;
     use iupdater_rfsim::trajectory::Trajectory;
 
     let t = Testbed::new(Environment::office(), 1);
@@ -247,15 +246,9 @@ fn bench_extensions(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.sample_size(10);
 
-    // Truncated SVD at a large-deployment size (32 x 1536).
+    // Full SVD at a large-deployment size (32 x 1536).
     let big_env = iupdater_eval::ext_scale::scaled_office(4);
     let big = Testbed::new(big_env, 2).fingerprint_matrix(0.0, 1);
-    group.bench_function("truncated_svd_32x1536_k8", |b| {
-        b.iter(|| {
-            big.truncated_svd(8, &TruncatedSvdOptions::default())
-                .unwrap()
-        })
-    });
     group.bench_function("full_svd_32x1536", |b| b.iter(|| big.svd().unwrap()));
 
     // Viterbi tracking over a 60-epoch walk.
@@ -338,7 +331,6 @@ fn bench_solver(c: &mut Criterion) {
 }
 
 fn bench_solver_scale(c: &mut Criterion) {
-    use iupdater_core::config::SweepOrder;
     use iupdater_core::solver::reference::ReferenceSolver;
     use iupdater_core::solver::{Solver, SolverInputs};
     use iupdater_core::{correlation, mic};
@@ -349,11 +341,9 @@ fn bench_solver_scale(c: &mut Criterion) {
     // on a multicore host the engine rows show the worker-pool win
     // while the reference row stays single-threaded by construction.
     // On a single-CPU host the engine matches the reference instead —
-    // both honest numbers are worth tracking. `redblack` additionally
-    // parallelises the Exact phase 2 (different trajectory, same
-    // stationary quality — see core/tests/exact_convergence.rs).
-    // The iteration budget is capped so one bench iteration stays
-    // bounded; all three variants run the same budget.
+    // both honest numbers are worth tracking. The iteration budget is
+    // capped so one bench iteration stays bounded; both variants run
+    // the same budget.
     let big_env = iupdater_eval::ext_scale::scaled_office(4);
     let t = Testbed::new(big_env, 2);
     let day0 = t.fingerprint_matrix(0.0, 1);
@@ -388,14 +378,6 @@ fn bench_solver_scale(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("engine_exact", |bch| {
         let solver = Solver::new(inputs.clone(), cfg.clone()).unwrap();
-        bch.iter(|| black_box(&solver).solve().unwrap())
-    });
-    group.bench_function("engine_exact_redblack", |bch| {
-        let rb = UpdaterConfig {
-            sweep_order: SweepOrder::RedBlack,
-            ..cfg.clone()
-        };
-        let solver = Solver::new(inputs.clone(), rb).unwrap();
         bch.iter(|| black_box(&solver).solve().unwrap())
     });
     group.bench_function("reference_exact", |bch| {

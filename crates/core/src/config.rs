@@ -16,38 +16,6 @@ pub enum CouplingMode {
     PaperLiteral,
 }
 
-/// The order in which [`CouplingMode::Exact`]'s order-sensitive phase
-/// 2 (cross terms + back-substitution) walks the systems of a sweep.
-///
-/// Phase 1 of every sweep — assembling and LU-factoring the normal
-/// equations — is order-free and always parallel. Phase 2 is
-/// order-sensitive only under Exact coupling, where constraint 2's
-/// cross terms couple a column of `R` to its along-link neighbours
-/// (through `X_D G`) and to the same cell on adjacent links (through
-/// `H X_D`), and a row of `L` to its adjacent links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepOrder {
-    /// The historical ascending Gauss–Seidel order: each update reads
-    /// the partially updated factor. Sequential in Exact mode, and
-    /// bit-identical to `solver::reference` (the golden parity tests
-    /// assert it). The default.
-    #[default]
-    GaussSeidel,
-    /// Red-black order: the (link, cell) grid is 2-coloured like a
-    /// checkerboard (colour = `(link + cell) % 2`) and phase 2 runs as
-    /// two parallel half-sweeps — all of one colour, then all of the
-    /// other, each half reading the factor state from the start of its
-    /// half-sweep. Every distance-1 interaction crosses colours, so it
-    /// stays Gauss–Seidel-fresh; the weaker distance-2 continuity
-    /// interactions inside a colour are handled Jacobi-style. The
-    /// iteration *trajectory* therefore differs from the historical
-    /// order — not worse, just different (`core/tests/
-    /// exact_convergence.rs` proves both orders reach stationarity on
-    /// the golden configs) — which is why this is opt-in. Results are
-    /// deterministic and independent of the worker count.
-    RedBlack,
-}
-
 /// How the constraint terms are scaled relative to the data-fit term.
 ///
 /// The paper notes the three constraint values "may have large
@@ -87,10 +55,6 @@ pub struct UpdaterConfig {
     pub tol: f64,
     /// Cross-term handling (see [`CouplingMode`]).
     pub coupling: CouplingMode,
-    /// Phase-2 sweep order under Exact coupling (see [`SweepOrder`]).
-    /// Ignored when no cross terms are active (constraint 2 off or
-    /// paper-literal coupling), where sweeps are order-free.
-    pub sweep_order: SweepOrder,
     /// Constraint scaling (see [`ScalingMode`]).
     pub scaling: ScalingMode,
     /// Whether constraint 1 (reference-correlation) participates.
@@ -116,7 +80,6 @@ impl Default for UpdaterConfig {
             max_iter: 60,
             tol: 1e-6,
             coupling: CouplingMode::Exact,
-            sweep_order: SweepOrder::GaussSeidel,
             scaling: ScalingMode::Fixed,
             use_constraint1: true,
             use_constraint2: true,
@@ -280,9 +243,6 @@ mod tests {
     fn coupling_default_is_exact() {
         assert_eq!(CouplingMode::default(), CouplingMode::Exact);
         assert_eq!(ScalingMode::default(), ScalingMode::Fixed);
-        // The sweep order must stay Gauss–Seidel until the red-black
-        // trajectory has earned a default flip (see SweepOrder docs).
-        assert_eq!(SweepOrder::default(), SweepOrder::GaussSeidel);
     }
 
     #[test]

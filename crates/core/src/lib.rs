@@ -34,17 +34,12 @@
 //!    Eq. 18 is a [`solver::terms::PenaltyTerm`] implementation; the
 //!    ALS engine composes them and runs *phase-split* sweeps — the
 //!    per-column/per-row systems are assembled and factored in
-//!    parallel, and the Exact-coupling cross terms run in a
-//!    configurable [`config::SweepOrder`]: the default Gauss–Seidel
-//!    order keeps the original sequential walk, making parallel
-//!    solves bit-identical to the retired monolith
-//!    (`solver::reference`, kept as the golden-parity oracle), while the
-//!    opt-in red-black order parallelises phase 2 as checkerboard
-//!    half-sweeps at the cost of a different — not worse — iteration
-//!    trajectory (its own tier, `tests/exact_convergence.rs`, proves
-//!    both orders reach stationarity on the golden configs). Sweeps
-//!    execute on the rayon facade's persistent, work-stealing worker
-//!    pool and are deterministic at any worker count.
+//!    parallel, and the Exact-coupling cross terms run in the original
+//!    ascending Gauss–Seidel order, making parallel solves
+//!    bit-identical to the retired monolith (`solver::reference`, kept
+//!    as the golden-parity oracle). Sweeps execute on the rayon
+//!    facade's persistent, work-stealing worker pool and are
+//!    deterministic at any worker count.
 //! 3. [`service`] batches many deployments behind one API:
 //!    [`service::UpdateService`] runs update cycles across its fleet
 //!    in parallel and owns each deployment's live database.
@@ -168,9 +163,7 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
-    pub use crate::config::{
-        CouplingMode, LocalizerConfig, ScalingMode, SweepOrder, UpdaterConfig,
-    };
+    pub use crate::config::{CouplingMode, LocalizerConfig, ScalingMode, UpdaterConfig};
     pub use crate::fingerprint::FingerprintMatrix;
     pub use crate::gateway::{CycleTicket, FleetGateway, PublishedSnapshot, ShutdownReport};
     pub use crate::localize::{Localizer, LocationEstimate};

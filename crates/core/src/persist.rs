@@ -46,10 +46,6 @@
 //!        tol=<v> coupling=<exact|paper_literal> scaling=<auto|fixed>
 //!        use_constraint1=<bool> use_constraint2=<bool> seed=<n>
 //!        rank_tol=<v>                 (single line, keys in this order)
-//!        [sweep_order=<gauss_seidel|red_black>]
-//!                                     (optional trailing keys, written
-//!                                      only when non-default so older
-//!                                      files and readers keep working)
 //! refs <r> <j_1> ... <j_r>            (the engine's reference locations)
 //! seed <s> <j_1> ... <j_s>            (pre-truncation MIC set; refs is its prefix)
 //! basis <r> <N>                       (warm-start correlation Z, or `basis none`)
@@ -82,7 +78,7 @@ use std::io::{BufRead, Write};
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::{Environment, EnvironmentKind};
 
-use crate::config::{CouplingMode, ScalingMode, SweepOrder, UpdaterConfig};
+use crate::config::{CouplingMode, ScalingMode, UpdaterConfig};
 use crate::fingerprint::FingerprintMatrix;
 use crate::service::{DeploymentSnapshot, ServiceSnapshot};
 use crate::{CoreError, Result};
@@ -615,19 +611,10 @@ fn render_config(cfg: &UpdaterConfig) -> Result<String> {
         ScalingMode::Auto => "auto",
         ScalingMode::Fixed => "fixed",
     };
-    // Keys added after v3 shipped are written only when they carry
-    // non-default content, so default-config snapshots stay
-    // byte-identical across versions and older readers (which reject
-    // unknown keys) keep reading files written by fleets that never
-    // opted in.
-    let sweep_order = match cfg.sweep_order {
-        SweepOrder::GaussSeidel => "",
-        SweepOrder::RedBlack => " sweep_order=red_black",
-    };
     Ok(format!(
         "rank={rank} lambda={} weight_fit={} weight_ref={} weight_continuity={} \
          weight_similarity={} max_iter={} tol={} coupling={coupling} scaling={scaling} \
-         use_constraint1={} use_constraint2={} seed={} rank_tol={}{sweep_order}",
+         use_constraint1={} use_constraint2={} seed={} rank_tol={}",
         cfg.lambda,
         cfg.weight_fit,
         cfg.weight_ref,
@@ -649,11 +636,8 @@ fn parse_config(line: &str) -> Result<UpdaterConfig> {
     if parts.next() != Some("config") {
         return Err(bad("expected a `config` line"));
     }
-    // The first `REQUIRED` keys must all be present (the original v2
-    // set); later keys are optional and default when absent, so files
-    // written before the key existed keep reading.
-    const REQUIRED: usize = 14;
-    const KEYS: [&str; 15] = [
+    // Every key must be present exactly once.
+    const KEYS: [&str; 14] = [
         "rank",
         "lambda",
         "weight_fit",
@@ -668,7 +652,6 @@ fn parse_config(line: &str) -> Result<UpdaterConfig> {
         "use_constraint2",
         "seed",
         "rank_tol",
-        "sweep_order",
     ];
     let mut cfg = UpdaterConfig::default();
     // Bitmask of the distinct keys seen: a duplicated key must not be
@@ -747,20 +730,13 @@ fn parse_config(line: &str) -> Result<UpdaterConfig> {
                     .map_err(|_| bad("non-integer config seed"))?
             }
             "rank_tol" => cfg.rank_tol = f(value)?,
-            "sweep_order" => {
-                cfg.sweep_order = match value {
-                    "gauss_seidel" => SweepOrder::GaussSeidel,
-                    "red_black" => SweepOrder::RedBlack,
-                    _ => return Err(bad("unknown sweep order")),
-                }
-            }
             // invariants: allow(panic-freedom) — the arms mirror the
             // KEYS table the key was already validated against.
             _ => unreachable!("key membership checked against KEYS above"),
         }
     }
-    if seen & ((1 << REQUIRED) - 1) != (1 << REQUIRED) - 1 {
-        return Err(bad("config line must list all 14 required fields"));
+    if seen != (1 << KEYS.len()) - 1 {
+        return Err(bad("config line must list all 14 fields"));
     }
     cfg.validate().map_err(CoreError::InvalidArgument)?;
     Ok(cfg)
@@ -1180,21 +1156,26 @@ mod tests {
             use_constraint2: true,
             seed: 0xdead_beef,
             rank_tol: 0.05,
-            sweep_order: SweepOrder::RedBlack,
         };
         let line = format!("config {}", render_config(&cfg).unwrap());
-        assert!(line.contains("sweep_order=red_black"));
         assert_eq!(parse_config(&line).unwrap(), cfg);
-        // The default sweep order is omitted on write and restored on
-        // read — files written before the key existed stay readable
-        // and default-config snapshots stay byte-identical.
-        let default_order = UpdaterConfig {
-            sweep_order: SweepOrder::GaussSeidel,
-            ..cfg.clone()
-        };
-        let line = format!("config {}", render_config(&default_order).unwrap());
-        assert!(!line.contains("sweep_order"));
-        assert_eq!(parse_config(&line).unwrap(), default_order);
+        // The retired `sweep_order` key is refused, never ignored: a
+        // fleet written with the red-black order must not be restored
+        // onto a different trajectory.
+        let red_black = format!("{line} sweep_order=red_black");
+        assert!(matches!(
+            parse_config(&red_black),
+            Err(CoreError::InvalidArgument(_))
+        ));
+        let mut buf = Vec::new();
+        write_service(&small_fleet().snapshot(), &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let config = text.lines().find(|l| l.starts_with("config ")).unwrap();
+        let tampered = text.replacen(config, &format!("{config} sweep_order=red_black"), 1);
+        assert!(matches!(
+            read_service(tampered.as_bytes()),
+            Err(CoreError::InvalidArgument(_))
+        ));
         let line = format!(
             "config {}",
             render_config(&UpdaterConfig::default()).unwrap()

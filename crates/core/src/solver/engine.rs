@@ -19,50 +19,32 @@
 //!    identical operation sequence" contract). [`AlsEngine::new`]
 //!    partitions the columns into classes once per solver; the 32x1536
 //!    Fresnel-zone mask has 96 classes for 1,536 columns. Row sweeps
-//!    still assemble and factor each of their `M` systems.
+//!    factor each of their `M` systems.
 //! 2. **Cross + solve**: add the cross terms and back-substitute. With
 //!    no active cross terms (paper-literal mode, or constraint 2 off)
-//!    this phase is also parallel; in Exact mode its order is
-//!    configurable ([`SweepOrder`]):
-//!    - `GaussSeidel` (default) walks columns in the original
-//!      ascending order, reading the partially-updated factor exactly
-//!      like the sequential monolith did;
-//!    - `RedBlack` checkerboard-colours the (link, cell) grid by
-//!      `(link + cell) % 2` and runs two *parallel* half-sweeps, each
-//!      half reading the factor snapshot from the start of that half.
-//!      **Colouring invariant:** every distance-1 coupling — along-link
-//!      continuity neighbours via `X_D G`, adjacent links via `H X_D`
-//!      — connects opposite colours, so those reads are as fresh as
-//!      Gauss–Seidel's; only the distance-2 continuity interactions
-//!      inside a colour (cells `u` and `u ± 2` share the `G` column of
-//!      the cell between them) read start-of-half values Jacobi-style.
-//!      Within a half-sweep every update is a pure function of the
-//!      snapshot, so the result is deterministic and identical at any
-//!      worker count — but the *trajectory* differs from the
-//!      historical order, which is why `RedBlack` is opt-in and has
-//!      its own convergence tier (`core/tests/exact_convergence.rs`).
+//!    this phase is also parallel; in Exact mode it walks the systems
+//!    in the original ascending Gauss–Seidel order, each update reading
+//!    the partially-updated factor exactly like the sequential monolith
+//!    did.
 //!
-//! Under the default order both phases preserve the historical
-//! per-element accumulation order, and a shared class factor is
-//! bit-identical to the one each column would have built, so the
-//! refactored engine reproduces `solver::reference` bit-for-bit — the
-//! golden parity tests assert ≤ 1e-9 end to end.
+//! Both phases preserve the historical per-element accumulation order,
+//! and a shared class factor is bit-identical to the one each column
+//! would have built, so the engine reproduces `solver::reference`
+//! bit-for-bit — the golden parity tests assert ≤ 1e-9 end to end.
 //!
 //! # When sweeps fan out
 //!
-//! Parallel sweeps run on the rayon shim's persistent worker pool.
+//! Parallel phases run on the rayon shim's persistent worker pool.
 //! A batch of `count` systems — the class factors or right-hand sides
 //! of a column sweep, the systems of a row sweep — fans out when
 //! `count * r²` reaches [`MIN_PARALLEL_WORK`] and the pool has more
-//! than one thread; below that it runs serially. Row sweeps below the
-//! threshold take a fused serial path (assemble, cross and solve per
-//! row in one pass); column sweeps have none, because their shared
-//! factors must exist before any column solves. Red-black half-sweeps
-//! always use the pool. The pool width is cached at engine construction
-//! ([`AlsEngine::new`]), so the serial/parallel decision is stable for
-//! the life of a solver and costs no per-sweep `current_num_threads()`
-//! query. Both paths produce bit-identical results — the threshold
-//! gates cost only.
+//! than one thread; below that it runs serially. Row and column sweeps
+//! share that one skeleton: factor every system through the same
+//! dispatch, then solve. The pool width is cached at engine
+//! construction ([`AlsEngine::new`]), so the serial/parallel decision
+//! is stable for the life of a solver and costs no per-sweep
+//! `current_num_threads()` query. Both paths produce bit-identical
+//! results — the threshold gates cost only.
 
 use std::collections::BTreeMap;
 
@@ -72,19 +54,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::config::{ScalingMode, SweepOrder, UpdaterConfig};
+use crate::config::{ScalingMode, UpdaterConfig};
 use crate::solver::terms::{
     ContinuityTerm, DataFitTerm, PenaltyTerm, ReferenceTerm, SimilarityTerm, SweepCache,
     TermContext,
 };
 use crate::solver::{SolveReport, SolverInputs, TermWeights};
 use crate::Result;
-
-/// The assembled, factored state of one row's normal-equation system.
-struct RowPlan {
-    lu: Lu,
-    rhs: Vec<f64>,
-}
 
 /// Minimum sweep size, measured as `systems x r²` (the dominant
 /// assembly cost), before a sweep fans out to the worker pool.
@@ -98,16 +74,6 @@ struct RowPlan {
 /// sweeps stay serial. Results are identical either way — see the
 /// parity tests.
 const MIN_PARALLEL_WORK: usize = 4_096;
-
-/// Resets a reusable normal-equation workspace to `A = λI`, `rhs = 0`
-/// (the exact values `Matrix::identity(r).scale(λ)` produces).
-fn reset_system(a: &mut Matrix, rhs: &mut [f64], lambda: f64) {
-    a.as_mut_slice().fill(0.0);
-    for i in 0..a.rows() {
-        a[(i, i)] = 1.0 * lambda;
-    }
-    rhs.fill(0.0);
-}
 
 /// The ALS engine: validated inputs plus derived relationship matrices.
 #[derive(Debug)]
@@ -194,13 +160,6 @@ impl AlsEngine {
     /// of on the worker pool.
     fn serial_sweep(&self, count: usize) -> bool {
         self.threads == 1 || count * self.rank * self.rank < MIN_PARALLEL_WORK
-    }
-
-    /// Whether phase 2 runs as red-black half-sweeps: only under Exact
-    /// coupling with active cross terms is phase 2 order-sensitive at
-    /// all, and only then does the opt-in matter.
-    fn red_black(&self, has_cross: bool) -> bool {
-        has_cross && self.cfg.sweep_order == SweepOrder::RedBlack
     }
 
     /// Maps `f` over `0..count` in index order, on the worker pool
@@ -362,29 +321,6 @@ impl AlsEngine {
         Ok(v)
     }
 
-    /// Phase 1 of a row sweep: assemble and LU-factor all `count`
-    /// systems in parallel. `assemble` builds one system.
-    fn assemble_systems(
-        &self,
-        count: usize,
-        assemble: impl Fn(usize, &mut Matrix, &mut [f64]) -> Result<()> + Sync,
-    ) -> Result<Vec<RowPlan>> {
-        let r = self.rank;
-        let lambda = self.cfg.lambda;
-        let plans: Vec<Result<RowPlan>> = (0..count)
-            .into_par_iter()
-            .map(|idx| {
-                let mut a = Matrix::identity(r);
-                a.scale_mut(lambda);
-                let mut rhs = vec![0.0_f64; r];
-                assemble(idx, &mut a, &mut rhs)?;
-                let lu = a.lu()?;
-                Ok(RowPlan { lu, rhs })
-            })
-            .collect();
-        plans.into_iter().collect()
-    }
-
     /// One sweep of per-column closed-form updates of `R` (the
     /// `MyInverse(..., L̂, ...)` call of Algorithm 1 line 3).
     fn update_columns(
@@ -409,7 +345,6 @@ impl AlsEngine {
             .copied()
             .filter(|t| t.has_column_cross())
             .collect();
-        let red_black = self.red_black(!cross_terms.is_empty());
 
         // Phase 1: one LU per column class, one fixed rhs per column.
         let lus = self
@@ -437,32 +372,6 @@ impl AlsEngine {
             let thetas = self.sweep_map(n, |j| lu_of(j).solve(&rhs[j]));
             for (j, theta) in thetas.iter().enumerate() {
                 rm.set_row(j, theta);
-            }
-        } else if red_black {
-            // Red-black half-sweeps over the (link, cell) checkerboard:
-            // column j is cell (j / per, j % per). Each half computes
-            // every update of its colour from the snapshot `R` held
-            // fixed during the half, then writes — see the module docs
-            // for the colouring invariant.
-            let per = self.inputs.per;
-            for colour in 0..2 {
-                let indices: Vec<usize> = (0..n)
-                    .filter(|j| (j / per + j % per) % 2 == colour)
-                    .collect();
-                let snapshot: &Matrix = rm;
-                let thetas: Vec<Vec<f64>> = indices
-                    .par_iter()
-                    .map(|&j| {
-                        let mut c = rhs[j].clone();
-                        for term in &cross_terms {
-                            term.column_cross(&ctx, j, l, snapshot, &mut c);
-                        }
-                        lu_of(j).solve(&c)
-                    })
-                    .collect();
-                for (&j, theta) in indices.iter().zip(&thetas) {
-                    rm.set_row(j, theta);
-                }
             }
         } else {
             // Gauss–Seidel: original ascending order, reading the
@@ -495,78 +404,39 @@ impl AlsEngine {
                 .any(|t| t.active() && t.wants_gram())
                 .then(|| rm.gram()),
         };
-        let cross_terms: Vec<&Box<dyn PenaltyTerm>> = terms
+        let active: Vec<&Box<dyn PenaltyTerm>> = terms.iter().filter(|t| t.active()).collect();
+        let cross_terms: Vec<&Box<dyn PenaltyTerm>> = active
             .iter()
-            .filter(|t| t.active() && t.has_row_cross())
+            .copied()
+            .filter(|t| t.has_row_cross())
             .collect();
 
-        let red_black = self.red_black(!cross_terms.is_empty());
-        if !red_black && self.serial_sweep(m) {
-            let mut a = Matrix::zeros(r, r);
-            let mut rhs = vec![0.0_f64; r];
-            for i in 0..m {
-                reset_system(&mut a, &mut rhs, lambda);
-                for term in terms {
-                    if term.active() {
-                        term.assemble_row(&ctx, i, rm, &sweep, &mut a, &mut rhs)?;
-                    }
+        // Phase 1: one LU and fixed rhs per row.
+        let plans = self
+            .sweep_map(m, |i| {
+                let mut a = Matrix::identity(r);
+                a.scale_mut(lambda);
+                let mut rhs = vec![0.0_f64; r];
+                for term in &active {
+                    term.assemble_row(&ctx, i, rm, &sweep, &mut a, &mut rhs)?;
                 }
-                let lu = a.lu()?;
-                for term in &cross_terms {
-                    term.row_cross(&ctx, i, l, rm, &mut rhs);
-                }
-                let ell = lu.solve(&rhs);
-                l.set_row(i, &ell);
-            }
-            return Ok(());
-        }
+                Ok((a.lu()?, rhs))
+            })
+            .into_iter()
+            .collect::<Result<Vec<(Lu, Vec<f64>)>>>()?;
 
-        let plans = self.assemble_systems(m, |i, a, rhs| {
-            for term in terms {
-                if term.active() {
-                    term.assemble_row(&ctx, i, rm, &sweep, a, rhs)?;
-                }
-            }
-            Ok(())
-        })?;
         if cross_terms.is_empty() {
-            let rows: Vec<Vec<f64>> = plans
-                .par_iter()
-                .map(|plan| plan.lu.solve(&plan.rhs))
-                .collect();
+            let rows = self.sweep_map(m, |i| plans[i].0.solve(&plans[i].1));
             for (i, ell) in rows.iter().enumerate() {
                 l.set_row(i, ell);
             }
-        } else if red_black {
-            // Red-black half-sweeps down the link axis: row cross
-            // terms only couple adjacent links (`H` is bidiagonal), so
-            // parity colouring is a *proper* 2-colouring here — every
-            // cross read targets the opposite colour.
-            for colour in 0..2 {
-                let indices: Vec<usize> = (0..m).filter(|i| i % 2 == colour).collect();
-                let snapshot: &Matrix = l;
-                let ells: Vec<Vec<f64>> = indices
-                    .par_iter()
-                    .map(|&i| {
-                        let mut rhs = plans[i].rhs.clone();
-                        for term in &cross_terms {
-                            term.row_cross(&ctx, i, snapshot, rm, &mut rhs);
-                        }
-                        plans[i].lu.solve(&rhs)
-                    })
-                    .collect();
-                for (&i, ell) in indices.iter().zip(&ells) {
-                    l.set_row(i, ell);
-                }
-            }
         } else {
-            for (i, plan) in plans.into_iter().enumerate() {
-                let mut rhs = plan.rhs;
+            // Gauss–Seidel, as for the columns.
+            for (i, (lu, mut rhs)) in plans.into_iter().enumerate() {
                 for term in &cross_terms {
                     term.row_cross(&ctx, i, l, rm, &mut rhs);
                 }
-                let ell = plan.lu.solve(&rhs);
-                l.set_row(i, &ell);
+                l.set_row(i, &lu.solve(&rhs));
             }
         }
         Ok(())

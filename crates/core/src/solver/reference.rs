@@ -9,10 +9,8 @@
 //! Not part of the supported API.
 //!
 //! This implementation *is* the Gauss–Seidel sweep-order
-//! specification: it always walks updates in ascending order and
-//! deliberately ignores `UpdaterConfig::sweep_order`. The red-black
-//! order has no monolith to be parity-pinned against — its contract is
-//! convergence (`tests/exact_convergence.rs`), not bit-equality.
+//! specification: it walks updates in ascending order, the one order
+//! the engine runs.
 
 use iupdater_linalg::Matrix;
 use rand::rngs::StdRng;

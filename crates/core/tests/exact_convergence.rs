@@ -1,43 +1,33 @@
-//! Convergence tier for the Exact-coupling sweep orders.
+//! Convergence tier for the Exact-coupling Gauss–Seidel sweeps.
 //!
-//! `SweepOrder::RedBlack` runs phase 2 of each sweep as two parallel
-//! half-sweeps over a checkerboard colouring of the (link, cell) grid.
-//! Its iteration trajectory *differs* from the historical ascending
-//! Gauss–Seidel order, so it cannot be parity-pinned against
-//! `solver::reference`; its contract is convergence instead. This tier
-//! is the gate any future default flip must pass: on every golden
-//! configuration, both orders must
+//! The golden parity tier (`solver_parity.rs`) pins the engine to
+//! `solver::reference` bit-for-bit; this tier pins what both must
+//! achieve. On every golden configuration the solver must
 //!
 //! 1. descend monotonically (ALS block updates never increase Eq. 18),
-//! 2. reach **stationarity to the same tolerance** — the worst
-//!    central-difference gradient of the *independently recomputed*
-//!    objective at each fixed point must vanish relative to the
-//!    objective scale (the `stationarity.rs` criterion, applied to
-//!    both orders with one shared threshold),
-//! 3. land on fixed points of the same quality (matching objectives),
 //!    and
-//! 4. (red-black) be exactly reproducible run-to-run.
+//! 2. reach **stationarity** — the worst central-difference gradient of
+//!    the *independently recomputed* objective at the fixed point must
+//!    vanish relative to the objective scale (the `stationarity.rs`
+//!    criterion).
 //!
 //! The golden configurations are warm-started, like every production
 //! solve (`Updater::update_report` always seeds from the prior): that
 //! is the regime where a 300-iteration budget genuinely converges.
-//! From a random init both orders descend monotonically but are still
-//! mid-descent at any practical budget, so the random-init test
-//! asserts descent only.
 //!
 //! The pool width is pinned to 4 for the whole binary so the parallel
-//! half-sweeps really execute in parallel, even on single-CPU CI.
+//! phases of each sweep really execute in parallel, even on single-CPU
+//! CI.
 
-use iupdater_core::config::{CouplingMode, ScalingMode, SweepOrder, UpdaterConfig};
+use iupdater_core::config::{CouplingMode, ScalingMode, UpdaterConfig};
 use iupdater_core::solver::{SolveReport, Solver, SolverInputs, TermWeights};
 use iupdater_core::{decrease, neighbors, similarity};
 use iupdater_linalg::Matrix;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// One shared stationarity threshold for both orders: worst |∂f| at
-/// the fixed point, relative to the objective scale. Observed values
-/// on the golden configs are ≤ ~4e-5 for *both* orders; 1e-3 matches
-/// the `stationarity.rs` tier.
+/// Stationarity threshold: worst |∂f| at the fixed point, relative to
+/// the objective scale. Observed values on the golden configs are
+/// ≤ ~4e-5; 1e-3 matches the `stationarity.rs` tier.
 const STATIONARITY_TOL: f64 = 1e-3;
 
 /// Pins the worker pool to 4 threads (once; every test uses the same
@@ -89,7 +79,7 @@ fn inputs(m: usize, per: usize, seed: u64, warm: bool) -> SolverInputs {
 }
 
 /// The golden configurations: Exact coupling with constraint 2 active
-/// (the only regime where sweep order matters), warm-started, spanning
+/// (the regime with Gauss–Seidel cross terms), warm-started, spanning
 /// the shapes the parity tier covers — default, a larger office, auto
 /// scaling, heavy constraint-2 weights, a rank override, and an even
 /// `per` (the two-middle-column continuity matrix).
@@ -155,14 +145,6 @@ fn golden_configs() -> Vec<(&'static str, SolverInputs, UpdaterConfig)> {
     ]
 }
 
-fn solve(inputs: &SolverInputs, cfg: &UpdaterConfig, order: SweepOrder) -> SolveReport {
-    let cfg = UpdaterConfig {
-        sweep_order: order,
-        ..cfg.clone()
-    };
-    Solver::new(inputs.clone(), cfg).unwrap().solve().unwrap()
-}
-
 /// Eq. (18) recomputed from its published definition, independently of
 /// the solver internals, at the *effective* (post-scaling) weights.
 fn objective(l: &Matrix, r: &Matrix, inp: &SolverInputs, lambda: f64, w: TermWeights) -> f64 {
@@ -216,11 +198,11 @@ fn worst_gradient(l: &Matrix, r: &Matrix, inp: &SolverInputs, lambda: f64, w: Te
 }
 
 /// Monotone non-increasing trace, within floating-point slack.
-fn assert_descent(label: &str, order: &str, report: &SolveReport) {
+fn assert_descent(label: &str, report: &SolveReport) {
     for (k, w) in report.objective_trace().windows(2).enumerate() {
         assert!(
             w[1] <= w[0] * (1.0 + 1e-8),
-            "{label}/{order}: objective increased at iteration {k}: {} -> {}",
+            "{label}: objective increased at iteration {k}: {} -> {}",
             w[0],
             w[1]
         );
@@ -228,75 +210,25 @@ fn assert_descent(label: &str, order: &str, report: &SolveReport) {
 }
 
 #[test]
-fn both_orders_reach_stationarity_on_all_golden_configs() {
+fn gauss_seidel_reaches_stationarity_on_all_golden_configs() {
     force_pool();
     for (label, inputs, cfg) in golden_configs() {
-        let gs = solve(&inputs, &cfg, SweepOrder::GaussSeidel);
-        let rb = solve(&inputs, &cfg, SweepOrder::RedBlack);
-
-        for (order, report) in [("gauss-seidel", &gs), ("red-black", &rb)] {
-            assert_descent(label, order, report);
-            let f = *report.objective_trace().last().unwrap();
-            let grad = worst_gradient(
-                report.l_factor(),
-                report.r_factor(),
-                &inputs,
-                cfg.lambda,
-                report.weights(),
-            );
-            assert!(
-                grad < STATIONARITY_TOL * f.abs().max(1.0),
-                "{label}/{order}: not stationary — worst |∂f| = {grad:.3e} at objective {f:.3e}"
-            );
-        }
-
-        // Same initialisation, same objective, same per-block
-        // minimisers — only the visit order differs, so the two fixed
-        // points must be of the same quality. (Observed agreement is
-        // ~1e-7 relative on every golden config.)
-        let f_gs = *gs.objective_trace().last().unwrap();
-        let f_rb = *rb.objective_trace().last().unwrap();
-        let gap = (f_gs - f_rb).abs() / f_gs.abs().max(1e-12);
+        let report = Solver::new(inputs.clone(), cfg.clone())
+            .unwrap()
+            .solve()
+            .unwrap();
+        assert_descent(label, &report);
+        let f = *report.objective_trace().last().unwrap();
+        let grad = worst_gradient(
+            report.l_factor(),
+            report.r_factor(),
+            &inputs,
+            cfg.lambda,
+            report.weights(),
+        );
         assert!(
-            gap < 1e-5,
-            "{label}: converged objectives diverge: gauss-seidel {f_gs} vs red-black {f_rb} \
-             (relative gap {gap:.3e})"
+            grad < STATIONARITY_TOL * f.abs().max(1.0),
+            "{label}: not stationary — worst |∂f| = {grad:.3e} at objective {f:.3e}"
         );
     }
-}
-
-#[test]
-fn red_black_descends_from_random_init_too() {
-    // From a random init neither order converges within a practical
-    // budget (slow linear phase), but monotone descent — the ALS
-    // safety property — must hold for the red-black schedule from any
-    // starting point, including one far from a fixed point.
-    force_pool();
-    let inputs = inputs(6, 9, 41, false);
-    let cfg = UpdaterConfig {
-        rank: Some(6),
-        max_iter: 60,
-        tol: 1e-14,
-        coupling: CouplingMode::Exact,
-        ..UpdaterConfig::default()
-    };
-    let rb = solve(&inputs, &cfg, SweepOrder::RedBlack);
-    assert_descent("random-init", "red-black", &rb);
-}
-
-#[test]
-fn red_black_is_deterministic() {
-    force_pool();
-    let (label, inputs, cfg) = golden_configs().swap_remove(0);
-    let a = solve(&inputs, &cfg, SweepOrder::RedBlack);
-    let b = solve(&inputs, &cfg, SweepOrder::RedBlack);
-    assert_eq!(
-        a.objective_trace(),
-        b.objective_trace(),
-        "{label}: red-black traces differ run-to-run"
-    );
-    assert!(
-        a.reconstruction().approx_eq(&b.reconstruction(), 0.0),
-        "{label}: red-black reconstructions differ run-to-run"
-    );
 }

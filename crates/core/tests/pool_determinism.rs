@@ -1,20 +1,20 @@
 //! Thread-count independence of the engine, exercised *actively*: the
 //! solver is run under pool widths 1, 2, 4 and 7 (via the rayon shim's
 //! test-only override) and must produce bit-identical results each
-//! time, for both sweep orders.
+//! time, for both the link-constant and the within-link-varying mask.
 //!
 //! `solver_parity.rs` already proves this passively (exact equality
 //! against the single-threaded reference under whatever pool the test
 //! process has); this tier drives the width directly so the parallel
-//! code paths — persistent pool, chunked stealing scheduler, red-black
-//! half-sweeps — run even on single-CPU CI.
+//! code paths — persistent pool, chunked stealing scheduler, parallel
+//! factor and solve phases — run even on single-CPU CI.
 //!
 //! The override is process-global, so this file contains exactly ONE
 //! test: widths are varied sequentially with no concurrent test able
 //! to observe an intermediate value. (Engines cache the width at
 //! construction; each solve below is built *after* its width is set.)
 
-use iupdater_core::config::{CouplingMode, SweepOrder, UpdaterConfig};
+use iupdater_core::config::{CouplingMode, UpdaterConfig};
 use iupdater_core::solver::{Solver, SolverInputs};
 use iupdater_linalg::Matrix;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -88,13 +88,12 @@ fn results_are_bit_identical_at_every_pool_width() {
             warm_start: Some(x.clone()),
         };
 
-        let solve = |width: usize, order: SweepOrder| {
+        let solve = |width: usize| {
             rayon::set_num_threads_for_tests(width);
             let cfg = UpdaterConfig {
                 rank: Some(8),
                 max_iter: 20,
                 coupling: CouplingMode::Exact,
-                sweep_order: order,
                 ..UpdaterConfig::default()
             };
             let report = Solver::new(inputs.clone(), cfg).unwrap().solve().unwrap();
@@ -115,24 +114,22 @@ fn results_are_bit_identical_at_every_pool_width() {
             );
         }
 
-        for order in [SweepOrder::GaussSeidel, SweepOrder::RedBlack] {
-            let (recon_1, trace_1, iters_1) = solve(1, order);
-            for width in [2usize, 4, 7] {
-                let (recon_w, trace_w, iters_w) = solve(width, order);
-                assert_eq!(
-                    iters_w, iters_1,
-                    "{mask} {order:?}: iteration count changed at width {width}"
-                );
-                assert_eq!(
-                    trace_w, trace_1,
-                    "{mask} {order:?}: objective trace changed at width {width}"
-                );
-                assert!(
-                    recon_w.approx_eq(&recon_1, 0.0),
-                    "{mask} {order:?}: reconstruction changed at width {width} (max |Δ| = {})",
-                    (&recon_w - &recon_1).max_abs()
-                );
-            }
+        let (recon_1, trace_1, iters_1) = solve(1);
+        for width in [2usize, 4, 7] {
+            let (recon_w, trace_w, iters_w) = solve(width);
+            assert_eq!(
+                iters_w, iters_1,
+                "{mask}: iteration count changed at width {width}"
+            );
+            assert_eq!(
+                trace_w, trace_1,
+                "{mask}: objective trace changed at width {width}"
+            );
+            assert!(
+                recon_w.approx_eq(&recon_1, 0.0),
+                "{mask}: reconstruction changed at width {width} (max |Δ| = {})",
+                (&recon_w - &recon_1).max_abs()
+            );
         }
     }
     rayon::set_num_threads_for_tests(0);

@@ -52,7 +52,6 @@ pub mod solve;
 pub mod stats;
 pub mod structured;
 pub mod svd;
-pub mod truncated;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;

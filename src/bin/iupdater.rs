@@ -6,8 +6,75 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use iupdater::cli;
+
+/// A checked command line: the `--flag value` pairs plus the numeric
+/// flags every command shares, parsed.
+struct Args {
+    flags: BTreeMap<String, String>,
+    seed: u64,
+    day: f64,
+    samples: usize,
+}
+
+/// Collects `--flag value` pairs for `command`. A flag the command does
+/// not take, a stray positional argument, or a malformed `--seed`,
+/// `--day` or `--samples` value is an error, never a silent default.
+/// Unknown commands pass through for `main` to report.
+fn parse_args(command: &str, args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let takes: Option<&[&str]> = match command {
+        "survey" => Some(&["env", "seed", "day", "samples"]),
+        "update" => Some(&["env", "prior", "seed", "day", "samples"]),
+        "localize" => Some(&["env", "db", "cell", "seed", "day"]),
+        "replay" => Some(&["env", "db", "seed", "day", "queries-per-cell"]),
+        "info" => Some(&["db"]),
+        "batch" => Some(&[
+            "envs",
+            "days",
+            "seed",
+            "samples",
+            "snapshot-dir",
+            "rebase-every",
+        ]),
+        "serve" => Some(&["envs", "days", "seed", "samples", "queries-per-cell"]),
+        "snapshot" => Some(&["envs", "days", "seed", "samples"]),
+        "restore" => Some(&["snapshot", "days", "samples"]),
+        _ => None,
+    };
+    let mut flags = BTreeMap::new();
+    let mut key: Option<String> = None;
+    for a in args {
+        if let Some(stripped) = a.strip_prefix("--") {
+            if takes.is_some_and(|t| !t.contains(&stripped)) {
+                return Err(format!("{command} does not take --{stripped}"));
+            }
+            key = Some(stripped.to_string());
+            flags.entry(stripped.to_string()).or_default();
+        } else if let Some(k) = key.take() {
+            flags.insert(k, a);
+        } else {
+            return Err(format!("unexpected argument '{a}'"));
+        }
+    }
+    fn number<T: FromStr>(
+        flags: &BTreeMap<String, String>,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        flags.get(name).map_or(Ok(default), |v| {
+            v.parse()
+                .map_err(|_| format!("--{name} must be a number, got '{v}'"))
+        })
+    }
+    Ok(Args {
+        seed: number(&flags, "seed", 42)?,
+        day: number(&flags, "day", 0.0)?,
+        samples: number(&flags, "samples", 5)?,
+        flags,
+    })
+}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -15,24 +82,19 @@ fn main() -> ExitCode {
         eprintln!("{}", cli::usage());
         return ExitCode::from(2);
     };
-    let mut flags: BTreeMap<String, String> = BTreeMap::new();
-    let mut key: Option<String> = None;
-    for a in args {
-        if let Some(stripped) = a.strip_prefix("--") {
-            key = Some(stripped.to_string());
-            flags.entry(stripped.to_string()).or_default();
-        } else if let Some(k) = key.take() {
-            flags.insert(k, a);
-        } else {
-            eprintln!("unexpected argument '{a}'");
+    let Args {
+        flags,
+        seed,
+        day,
+        samples,
+    } = match parse_args(&command, args) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("usage error: {e}");
             return ExitCode::from(2);
         }
-    }
-
+    };
     let get = |name: &str| flags.get(name).cloned();
-    let seed: u64 = get("seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let day: f64 = get("day").and_then(|v| v.parse().ok()).unwrap_or(0.0);
-    let samples: usize = get("samples").and_then(|v| v.parse().ok()).unwrap_or(5);
 
     let result = match command.as_str() {
         "survey" => {
@@ -132,7 +194,6 @@ fn main() -> ExitCode {
                     }
                 },
             };
-            let sweep_order = get("sweep-order");
             cli::cmd_batch(
                 &envs,
                 seed,
@@ -140,7 +201,6 @@ fn main() -> ExitCode {
                 samples,
                 snapshot_dir.as_deref(),
                 rebase_every,
-                sweep_order.as_deref(),
             )
             .map(|r| print!("{r}"))
         }

@@ -255,21 +255,6 @@ fn parse_day_list(days: &str) -> Result<Vec<f64>, CliError> {
         .collect()
 }
 
-/// Parses a sweep-order name (the `--sweep-order` flag of `batch`).
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for unknown names.
-pub fn parse_sweep_order(name: &str) -> Result<SweepOrder, CliError> {
-    match name {
-        "gauss-seidel" => Ok(SweepOrder::GaussSeidel),
-        "red-black" => Ok(SweepOrder::RedBlack),
-        other => Err(CliError::Usage(format!(
-            "unknown sweep order '{other}' (expected gauss-seidel|red-black)"
-        ))),
-    }
-}
-
 /// Registers one deployment per listed environment (comma-separated)
 /// with a fresh [`UpdateService`], each running `config`.
 fn build_fleet(envs: &str, seed: u64, config: &UpdaterConfig) -> Result<UpdateService, CliError> {
@@ -326,17 +311,10 @@ fn render_snapshot(service: &UpdateService) -> Result<String, CliError> {
 /// warm-start rebase path, numerically identical to rebuilding each
 /// engine from scratch.
 ///
-/// `sweep_order` selects the Exact-coupling phase-2 order for every
-/// deployment's solver: `None`/`"gauss-seidel"` is the historical
-/// sequential order, `"red-black"` the parallel checkerboard
-/// half-sweeps (a different — not worse — iteration trajectory; see
-/// [`SweepOrder`]).
-///
 /// # Errors
 ///
-/// Returns [`CliError`] on malformed lists, a zero `rebase_every`, an
-/// unknown sweep order, pipeline failure, or an unwritable snapshot
-/// directory.
+/// Returns [`CliError`] on malformed lists, a zero `rebase_every`,
+/// pipeline failure, or an unwritable snapshot directory.
 pub fn cmd_batch(
     envs: &str,
     seed: u64,
@@ -344,7 +322,6 @@ pub fn cmd_batch(
     samples: usize,
     snapshot_dir: Option<&Path>,
     rebase_every: Option<usize>,
-    sweep_order: Option<&str>,
 ) -> Result<String, CliError> {
     let day_list = parse_day_list(days)?;
     if day_list.is_empty() {
@@ -355,14 +332,7 @@ pub fn cmd_batch(
     if rebase_every == Some(0) {
         return Err(CliError::Usage("--rebase-every must be >= 1".into()));
     }
-    let config = UpdaterConfig {
-        sweep_order: match sweep_order {
-            Some(name) => parse_sweep_order(name)?,
-            None => SweepOrder::default(),
-        },
-        ..UpdaterConfig::default()
-    };
-    let mut service = build_fleet(envs, seed, &config)?;
+    let mut service = build_fleet(envs, seed, &UpdaterConfig::default())?;
     let snap_path = match snapshot_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir)
@@ -618,7 +588,6 @@ pub fn usage() -> &'static str {
        iupdater info     --db <db file>\n\
        iupdater batch    --envs <e1,e2,...> --days <d1,d2,...> [--seed N] [--samples S]\n\
                          [--snapshot-dir DIR] [--rebase-every N]\n\
-                         [--sweep-order gauss-seidel|red-black]\n\
        iupdater serve    --envs <e1,e2,...> --days <d1,d2,...> [--seed N] [--samples S]\n\
                          [--queries-per-cell Q]\n\
        iupdater snapshot --envs <e1,e2,...> [--days <d1,...>] [--seed N] [--samples S]\n\
@@ -633,9 +602,6 @@ pub fn usage() -> &'static str {
      with --snapshot-dir the fleet is checkpointed to DIR/fleet.snap after\n\
      every cycle, and with --rebase-every N every engine is re-anchored on\n\
      its freshest database after every N-th cycle (warm-start rebase).\n\
-     --sweep-order red-black runs the Exact-coupling phase 2 as parallel\n\
-     red-black half-sweeps (different iteration trajectory, same\n\
-     stationary quality — see core/tests/exact_convergence.rs).\n\
      `serve` drills the fleet gateway: the fleet runs on a detached drive\n\
      loop, batches arrive over the bounded ingest channel, each committed\n\
      cycle atomically publishes an epoch-swapped snapshot, and a query storm\n\
@@ -714,7 +680,7 @@ mod tests {
 
     #[test]
     fn batch_runs_fleet_cycles() {
-        let report = cmd_batch("office,library", 3, "5, 15", 2, None, None, None).unwrap();
+        let report = cmd_batch("office,library", 3, "5, 15", 2, None, None).unwrap();
         assert!(
             report.contains("2 deployment(s), 2 cycle day(s)"),
             "{report}"
@@ -729,7 +695,7 @@ mod tests {
 
     #[test]
     fn batch_rebases_on_schedule() {
-        let report = cmd_batch("office,library", 3, "5,15,30", 2, None, Some(2), None).unwrap();
+        let report = cmd_batch("office,library", 3, "5,15,30", 2, None, Some(2)).unwrap();
         // Three cycles, rebase after every second: exactly one rebase
         // line (after day 15), naming both deployments.
         assert_eq!(
@@ -742,7 +708,7 @@ mod tests {
         assert!(report.contains("day  15.0  rebased"), "{report}");
         assert!(report.contains("office-0: 3 cycle(s) completed"));
         // Rebasing every cycle also works.
-        let every = cmd_batch("office", 7, "5,15", 2, None, Some(1), None).unwrap();
+        let every = cmd_batch("office", 7, "5,15", 2, None, Some(1)).unwrap();
         assert_eq!(
             every
                 .matches("rebased 1 deployment(s) (warm start)")
@@ -752,54 +718,27 @@ mod tests {
         );
         // A zero interval is a usage error.
         assert!(matches!(
-            cmd_batch("office", 1, "5", 2, None, Some(0), None),
+            cmd_batch("office", 1, "5", 2, None, Some(0)),
             Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn batch_accepts_sweep_orders() {
-        // Both orders run the fleet to completion; red-black follows a
-        // different (not worse) trajectory, so only structural output
-        // is compared — the convergence tier owns the numerics.
-        for order in ["gauss-seidel", "red-black"] {
-            let report = cmd_batch("office", 3, "5,15", 2, None, None, Some(order)).unwrap();
-            assert!(
-                report.contains("office-0: 2 cycle(s) completed"),
-                "{report}"
-            );
-        }
-        // Explicit gauss-seidel is exactly the default.
-        let explicit = cmd_batch("office", 3, "5", 2, None, None, Some("gauss-seidel")).unwrap();
-        let default = cmd_batch("office", 3, "5", 2, None, None, None).unwrap();
-        assert_eq!(explicit, default);
-        // Unknown names are usage errors.
-        assert!(matches!(
-            cmd_batch("office", 3, "5", 2, None, None, Some("rainbow")),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_sweep_order("red-black"),
-            Ok(SweepOrder::RedBlack)
         ));
     }
 
     #[test]
     fn batch_rejects_bad_lists() {
         assert!(matches!(
-            cmd_batch("", 1, "5", 2, None, None, None),
+            cmd_batch("", 1, "5", 2, None, None),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            cmd_batch("office", 1, "abc", 2, None, None, None),
+            cmd_batch("office", 1, "abc", 2, None, None),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            cmd_batch("office", 1, "", 2, None, None, None),
+            cmd_batch("office", 1, "", 2, None, None),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            cmd_batch("mall", 1, "5", 2, None, None, None),
+            cmd_batch("mall", 1, "5", 2, None, None),
             Err(CliError::Usage(_))
         ));
     }
@@ -890,7 +829,7 @@ mod tests {
             std::process::id(),
             line!()
         ));
-        let report = cmd_batch("office", 3, "5,15", 2, Some(&dir), None, None).unwrap();
+        let report = cmd_batch("office", 3, "5,15", 2, Some(&dir), None).unwrap();
         let path = dir.join("fleet.snap");
         assert!(
             report.contains(&format!("checkpoint written: {}", path.display())),

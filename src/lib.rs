@@ -34,13 +34,10 @@
 //!    correlation, continuity, link similarity) composed by a generic
 //!    ALS engine. Per-column/per-row normal equations are assembled
 //!    and LU-factored in parallel (phase 1); the Exact-coupling cross
-//!    terms (phase 2) default to the historical sequential order —
-//!    bit-identical to the monolith kept in `core::solver::reference`
-//!    and asserted by the golden parity tests — or run as parallel
-//!    red-black half-sweeps under the opt-in
-//!    [`core::config::SweepOrder::RedBlack`] (`--sweep-order
-//!    red-black` on `batch`), whose different-but-equal trajectory has
-//!    its own convergence tier.
+//!    terms (phase 2) run in the historical ascending Gauss–Seidel
+//!    order — bit-identical to the monolith kept in
+//!    `core::solver::reference` and asserted by the golden parity
+//!    tests.
 //! 3. **The batched update service** (`core::service`): an
 //!    [`core::service::UpdateService`] owns N deployments (engine +
 //!    fingerprint store each) and runs update cycles across them in
