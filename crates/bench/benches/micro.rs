@@ -166,6 +166,22 @@ fn bench_matmul(c: &mut Criterion) {
         bch.iter(|| black_box(&x).gram_into(&mut out).unwrap())
     });
 
+    // Weighted Gram over a row list: the data-fit normal matrix of one
+    // row of the 32x1536 solver (rank 32, ~1,400 known cells), seeded
+    // from a non-zero accumulator.
+    let src = mat(1536, 32, 0.9);
+    let rows: Vec<usize> = (0..1536).filter(|j| j % 12 != 0).take(1400).collect();
+    let seed = mat(32, 32, 1.9);
+    let mut acc = seed.clone();
+    group.bench_function("weighted_gram_1400x32", |bch| {
+        bch.iter(|| {
+            acc.copy_from(&seed).unwrap();
+            acc.add_weighted_gram(0.7, black_box(&src), black_box(&rows))
+                .unwrap();
+            black_box(&acc);
+        })
+    });
+
     group.finish();
 }
 

@@ -29,7 +29,7 @@
 //!
 //! 1. `iupdater_linalg` supplies the zero-copy substrate: borrowed
 //!    matrix views and in-place kernels (`matmul_into`, `axpy`,
-//!    `gram_into`, `add_outer`) that the hot paths run on.
+//!    `gram_into`, `add_weighted_gram`) that the hot paths run on.
 //! 2. [`solver`] is the reconstruction engine. Each additive term of
 //!    Eq. 18 is a [`solver::terms::PenaltyTerm`] implementation; the
 //!    ALS engine composes them and runs *phase-split* sweeps — the

@@ -9,6 +9,8 @@
 //! matrix with the self-augmented RSVD (Fingerprint Matrix
 //! Reconstruction Module).
 
+use std::sync::OnceLock;
+
 use iupdater_linalg::Matrix;
 
 use crate::classify::CellClassification;
@@ -16,7 +18,7 @@ use crate::config::UpdaterConfig;
 use crate::correlation::{correlation_matrix, predict, CorrelationMethod};
 use crate::fingerprint::FingerprintMatrix;
 use crate::mic::{extract_mic, update_selection, MicMethod, MicSelection};
-use crate::solver::{SolveReport, Solver, SolverInputs};
+use crate::solver::{warm_factors, SolveReport, Solver, SolverInputs};
 use crate::{CoreError, Result};
 
 /// The iUpdater reconstruction pipeline.
@@ -31,6 +33,10 @@ pub struct Updater {
     /// The full (pre-`config.rank`-truncation) MIC locations, kept as
     /// the seed for [`Updater::warm_start`] re-pivoting.
     seed_locations: Vec<usize>,
+    /// The solver's rank-`r` warm-start factors `(L₀, R₀)` of `prior`,
+    /// computed on the first solve. `prior` and `config` never change
+    /// after construction, so the factors cannot go stale.
+    warm: OnceLock<(Matrix, Matrix)>,
 }
 
 impl Updater {
@@ -97,6 +103,7 @@ impl Updater {
             mic_method,
             corr_method,
             seed_locations,
+            warm: OnceLock::new(),
         })
     }
 
@@ -317,6 +324,7 @@ impl Updater {
             mic_method: MicMethod::default(),
             corr_method: CorrelationMethod::default(),
             seed_locations,
+            warm: OnceLock::new(),
         })
     }
 
@@ -422,14 +430,29 @@ impl Updater {
         } else {
             None
         };
+        // The warm start is the prior, whose factors are cached.
         let inputs = SolverInputs {
             x_b: x_b.clone(),
             b: b.clone(),
             p,
             per: self.prior.locations_per_link(),
-            warm_start: Some(self.prior.matrix().clone()),
+            warm_start: None,
         };
-        Solver::new(inputs, self.config.clone())?.solve()
+        let solver = Solver::new(inputs, self.config.clone())?;
+        solver.solve_warm(self.warm_factors(solver.rank())?)
+    }
+
+    /// The rank-`r` warm-start factors of the prior, computed once.
+    /// `rank` is fixed per `Updater` (it derives from `config` and the
+    /// prior's shape); a cached pair of another rank is refused by
+    /// [`Solver::solve_warm`]'s shape check, never solved from.
+    fn warm_factors(&self, rank: usize) -> Result<&(Matrix, Matrix)> {
+        if let Some(factors) = self.warm.get() {
+            debug_assert_eq!(factors.0.cols(), rank, "warm-start rank changed");
+            return Ok(factors);
+        }
+        let factors = warm_factors(self.prior.matrix(), rank)?;
+        Ok(self.warm.get_or_init(|| factors))
     }
 
     /// Convenience: runs a full update cycle against a simulated testbed
@@ -541,6 +564,40 @@ mod tests {
         let a = updater.update_from_testbed(&t, 15.0, 5).unwrap();
         let b = updater.update_from_testbed(&t, 15.0, 5).unwrap();
         assert!(a.matrix().approx_eq(b.matrix(), 1e-12));
+    }
+
+    #[test]
+    fn cached_warm_start_matches_the_raw_warm_start_bitwise() {
+        // The prior's factors are computed on the first solve and
+        // reused by the second; both must equal a solver warm-started
+        // from the raw prior, with and without a rank override.
+        let t = Testbed::new(Environment::office(), 27);
+        let prior = FingerprintMatrix::survey(&t, 0.0, 20);
+        let b = CellClassification::from_testbed(&t).index_matrix();
+        let x_b = b.hadamard(&t.fingerprint_matrix(30.0, 3)).unwrap();
+        for rank in [None, Some(5)] {
+            let cfg = UpdaterConfig {
+                rank,
+                ..UpdaterConfig::default()
+            };
+            let updater = Updater::new(prior.clone(), cfg.clone()).unwrap();
+            let x_r = t.measure_columns(updater.reference_locations(), 30.0, 3);
+            let inputs = SolverInputs {
+                x_b: x_b.clone(),
+                b: b.clone(),
+                p: cfg
+                    .use_constraint1
+                    .then(|| predict(&x_r, updater.correlation()).unwrap()),
+                per: prior.locations_per_link(),
+                warm_start: Some(prior.matrix().clone()),
+            };
+            let raw = Solver::new(inputs, cfg).unwrap().solve().unwrap();
+            for _ in 0..2 {
+                let got = updater.update_report(&x_r, &x_b, &b).unwrap();
+                assert_eq!(got.reconstruction(), raw.reconstruction());
+                assert_eq!(got.objective_trace(), raw.objective_trace());
+            }
+        }
     }
 
     #[test]

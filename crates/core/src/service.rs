@@ -65,6 +65,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -78,6 +79,17 @@ use crate::localize::{Localizer, LocationEstimate};
 use crate::reconstruct::Updater;
 use crate::solver::SolveReport;
 use crate::{CoreError, Result};
+
+/// The physically plausible RSS range, in dBm, of every `X_R` / `X_B`
+/// entry a [`MeasurementBatch`] accepts (`0`, the unknown-cell
+/// sentinel of `X_B`, lies inside it). No received signal exceeds the
+/// 30 dBm (1 W) Wi-Fi transmit-power ceiling, and no receiver reports
+/// far below the ≈ −101 dBm thermal noise floor of a 20 MHz channel;
+/// the simulated testbeds stay within −110…−20 dBm. Readings outside
+/// the range are rejected at ingest: magnitudes like `-1e150` would
+/// otherwise reach the solver and commit an absurd — or, near
+/// `f64::MAX`, non-finite — database.
+pub const RSS_DBM_RANGE: RangeInclusive<f64> = -150.0..=30.0;
 
 /// Opaque handle to a deployment registered with the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,10 +113,11 @@ impl MeasurementBatch {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidArgument`] for a non-finite `day` or any
+    /// [`CoreError::InvalidArgument`] for a non-finite `day`, any
     /// non-finite matrix entry (a NaN reading would survive the solve
     /// and poison the committed database, which could then never be
-    /// checkpointed again); [`CoreError::DimensionMismatch`] when
+    /// checkpointed again), or an `x_r` / `x_b` reading outside
+    /// [`RSS_DBM_RANGE`]; [`CoreError::DimensionMismatch`] when
     /// `x_b`, `b` and `x_r` disagree on the link count or `x_b` / `b`
     /// on shape.
     pub fn new(day: f64, x_r: Matrix, x_b: Matrix, b: Matrix) -> Result<Self> {
@@ -114,14 +127,17 @@ impl MeasurementBatch {
             ));
         }
         for m in [&x_r, &x_b, &b] {
-            for i in 0..m.rows() {
-                for j in 0..m.cols() {
-                    if !m[(i, j)].is_finite() {
-                        return Err(CoreError::InvalidArgument(
-                            "measurement batch contains a non-finite value",
-                        ));
-                    }
-                }
+            if m.iter().any(|v| !v.is_finite()) {
+                return Err(CoreError::InvalidArgument(
+                    "measurement batch contains a non-finite value",
+                ));
+            }
+        }
+        for m in [&x_r, &x_b] {
+            if m.iter().any(|v| !RSS_DBM_RANGE.contains(v)) {
+                return Err(CoreError::InvalidArgument(
+                    "measurement batch contains an RSS reading outside the physical dBm range",
+                ));
             }
         }
         if x_b.shape() != b.shape() {
@@ -1343,6 +1359,40 @@ mod tests {
             ),
             Err(CoreError::InvalidArgument(_))
         ));
+    }
+
+    #[test]
+    fn ingest_rejects_implausible_rss() {
+        // Every x_r / x_b entry at -v with an all-ones mask: finite, but
+        // -1e150 used to commit a database with |RSS| ≈ 1e150 dBm and
+        // -1.7e308 a non-finite one.
+        let (m, n, refs) = (8, 96, 4);
+        let batch = |x_r: f64, x_b: f64| {
+            MeasurementBatch::new(
+                10.0,
+                Matrix::filled(m, refs, x_r),
+                Matrix::filled(m, n, x_b),
+                Matrix::filled(m, n, 1.0),
+            )
+        };
+        for v in [1e150, 1.7e308, 150.5] {
+            assert!(matches!(
+                batch(-v, -60.0),
+                Err(CoreError::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                batch(-60.0, -v),
+                Err(CoreError::InvalidArgument(_))
+            ));
+        }
+        assert!(matches!(
+            batch(-60.0, 30.5),
+            Err(CoreError::InvalidArgument(_))
+        ));
+        for (lo, hi) in [(*RSS_DBM_RANGE.start(), *RSS_DBM_RANGE.end()), (-60.0, 0.0)] {
+            assert!(batch(lo, hi).is_ok());
+            assert!(batch(hi, lo).is_ok());
+        }
     }
 
     #[test]

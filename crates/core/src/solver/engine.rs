@@ -19,18 +19,33 @@
 //!    identical operation sequence" contract). [`AlsEngine::new`]
 //!    partitions the columns into classes once per solver; the 32x1536
 //!    Fresnel-zone mask has 96 classes for 1,536 columns. Row sweeps
-//!    factor each of their `M` systems.
+//!    factor each of their `M` systems. Every quadratic contribution
+//!    is one weighted Gram accumulation over a list of factor rows
+//!    (`Matrix::add_weighted_gram`, one L1 kernel).
 //! 2. **Cross + solve**: add the cross terms and back-substitute. With
 //!    no active cross terms (paper-literal mode, or constraint 2 off)
 //!    this phase is also parallel; in Exact mode it walks the systems
 //!    in the original ascending Gauss–Seidel order, each update reading
 //!    the partially-updated factor exactly like the sequential monolith
-//!    did.
+//!    did. The cross terms read it through the `X_D` table
+//!    (`M x per`, `X_D(k, u) = ℓ_kᵀ θ_{k·per+u}`), built once per sweep
+//!    only when a cross term is active and refreshed after every solve
+//!    — one entry per column, `per` entries per row — with the same dot
+//!    products of the same operands the terms used to recompute.
 //!
 //! Both phases preserve the historical per-element accumulation order,
 //! and a shared class factor is bit-identical to the one each column
 //! would have built, so the engine reproduces `solver::reference`
 //! bit-for-bit — the golden parity tests assert ≤ 1e-9 end to end.
+//!
+//! # Warm start
+//!
+//! A warm-started solve begins from [`warm_factors`] of the warm start:
+//! its rank-`r` SVD factors `(L₀, R₀)`. A raw
+//! [`SolverInputs::warm_start`] is factored on every solve; an
+//! [`crate::reconstruct::Updater`], whose warm start is always its
+//! prior, factors it once and passes the cached pair to
+//! [`AlsEngine::solve_from`].
 //!
 //! # When sweeps fan out
 //!
@@ -208,21 +223,7 @@ impl AlsEngine {
         let (m, n) = self.inputs.x_b.shape();
         let r = self.rank;
         Ok(match &self.inputs.warm_start {
-            Some(x0) => {
-                let svd = x0.svd()?;
-                let mut l = Matrix::zeros(m, r);
-                let mut rr = Matrix::zeros(n, r);
-                for t in 0..r.min(svd.singular_values.len()) {
-                    let s = svd.singular_values[t].sqrt();
-                    for i in 0..m {
-                        l[(i, t)] = svd.u[(i, t)] * s;
-                    }
-                    for j in 0..n {
-                        rr[(j, t)] = svd.v[(j, t)] * s;
-                    }
-                }
-                (l, rr)
-            }
+            Some(x0) => warm_factors(x0, r)?,
             None => {
                 let mut rng = StdRng::seed_from_u64(self.cfg.seed);
                 // Random L0; scale so L Rᵀ can reach dBm magnitudes fast.
@@ -375,12 +376,16 @@ impl AlsEngine {
             }
         } else {
             // Gauss–Seidel: original ascending order, reading the
-            // partially updated factor.
+            // partially updated factor through the X_D table, whose one
+            // entry of the solved column is refreshed after each solve.
+            let per = self.inputs.per;
+            let mut xd = xd_table(l, rm, per);
             for (j, c) in rhs.iter_mut().enumerate() {
                 for term in &cross_terms {
-                    term.column_cross(&ctx, j, l, rm, c);
+                    term.column_cross(&ctx, j, l, &xd, c);
                 }
                 rm.set_row(j, &lu_of(j).solve(c));
+                xd[(j / per, j % per)] = Matrix::dot(l.row(j / per), rm.row(j));
             }
         }
         Ok(())
@@ -431,12 +436,18 @@ impl AlsEngine {
                 l.set_row(i, ell);
             }
         } else {
-            // Gauss–Seidel, as for the columns.
+            // Gauss–Seidel, as for the columns; a solved row refreshes
+            // its `per` entries of the X_D table.
+            let per = self.inputs.per;
+            let mut xd = xd_table(l, rm, per);
             for (i, (lu, mut rhs)) in plans.into_iter().enumerate() {
                 for term in &cross_terms {
-                    term.row_cross(&ctx, i, l, rm, &mut rhs);
+                    term.row_cross(&ctx, i, rm, &xd, &mut rhs);
                 }
                 l.set_row(i, &lu.solve(&rhs));
+                for (u, x) in xd.row_mut(i).iter_mut().enumerate() {
+                    *x = Matrix::dot(l.row(i), rm.row(i * per + u));
+                }
             }
         }
         Ok(())
@@ -444,8 +455,13 @@ impl AlsEngine {
 
     /// Runs Algorithm 1 to convergence or the iteration budget.
     pub(crate) fn solve(&self) -> Result<SolveReport> {
+        let (l, rm) = self.init_factors()?;
+        self.solve_from(l, rm)
+    }
+
+    /// Runs Algorithm 1 from the initial factors `(L₀, R₀)`.
+    pub(crate) fn solve_from(&self, mut l: Matrix, mut rm: Matrix) -> Result<SolveReport> {
         let (m, n) = self.inputs.x_b.shape();
-        let (mut l, mut rm) = self.init_factors()?;
         let weights = self.effective_weights(&l, &rm)?;
         let terms = self.build_terms(&weights);
 
@@ -476,6 +492,35 @@ impl AlsEngine {
             weights,
         })
     }
+}
+
+/// The rank-`r` warm-start factors of `x0`: `L₀ = U_r Σ_r^{1/2}` and
+/// `R₀ = V_r Σ_r^{1/2}` from its SVD, so `L₀ R₀ᵀ` is the best rank-`r`
+/// approximation of `x0`.
+pub(crate) fn warm_factors(x0: &Matrix, r: usize) -> Result<(Matrix, Matrix)> {
+    let (m, n) = x0.shape();
+    let svd = x0.svd()?;
+    let mut l = Matrix::zeros(m, r);
+    let mut rr = Matrix::zeros(n, r);
+    for t in 0..r.min(svd.singular_values.len()) {
+        let s = svd.singular_values[t].sqrt();
+        for i in 0..m {
+            l[(i, t)] = svd.u[(i, t)] * s;
+        }
+        for j in 0..n {
+            rr[(j, t)] = svd.v[(j, t)] * s;
+        }
+    }
+    Ok((l, rr))
+}
+
+/// The Gauss–Seidel `X_D` table at `(L, R)`: `M x per`, entry
+/// `(k, u) = ℓ_kᵀ θ_{k·per+u}`, the same dot product the cross terms
+/// would otherwise recompute per system.
+fn xd_table(l: &Matrix, rm: &Matrix, per: usize) -> Matrix {
+    Matrix::from_fn(l.rows(), per, |k, u| {
+        Matrix::dot(l.row(k), rm.row(k * per + u))
+    })
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@ use crate::neighbors::continuity_matrix;
 use crate::similarity::similarity_matrix;
 use crate::{CoreError, Result};
 
+pub(crate) use engine::warm_factors;
 use engine::AlsEngine;
 
 /// Inputs to the solver, all shaped `M x N` unless noted.
@@ -205,6 +206,39 @@ impl Solver {
     /// with λ = 0).
     pub fn solve(&self) -> Result<SolveReport> {
         self.engine.solve()
+    }
+
+    /// [`Solver::solve`] from precomputed warm-start factors
+    /// `(L₀, R₀)` — [`warm_factors`] of the warm start at
+    /// [`Solver::rank`] — instead of the inputs' own initialisation.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::DimensionMismatch`] unless `L₀` is `M x r` and `R₀`
+    /// is `N x r` at this solver's rank, so factors computed at another
+    /// rank are refused rather than solved from.
+    pub(crate) fn solve_warm(&self, (l0, r0): &(Matrix, Matrix)) -> Result<SolveReport> {
+        let (m, n) = self.engine.inputs.x_b.shape();
+        let r = self.engine.rank;
+        if l0.shape() != (m, r) || r0.shape() != (n, r) {
+            return Err(CoreError::DimensionMismatch {
+                context: "Solver::solve_warm",
+                expected: format!("L0 {m}x{r}, R0 {n}x{r}"),
+                got: format!(
+                    "L0 {}x{}, R0 {}x{}",
+                    l0.rows(),
+                    l0.cols(),
+                    r0.rows(),
+                    r0.cols()
+                ),
+            });
+        }
+        self.engine.solve_from(l0.clone(), r0.clone())
+    }
+
+    /// The factorisation rank `r` the engine solves at.
+    pub(crate) fn rank(&self) -> usize {
+        self.engine.rank
     }
 
     /// The number of distinct column systems the engine assembles and
@@ -453,6 +487,35 @@ mod tests {
         let xhat = report.reconstruction();
         let rel = (&xhat - &x).frobenius_norm() / x.frobenius_norm();
         assert!(rel < 0.02, "relative error {rel}");
+    }
+
+    #[test]
+    fn solve_warm_refuses_factors_of_another_rank() {
+        let x = structured_fingerprint(8, 12, 4);
+        let b = mask_no_decrease(8, 12);
+        let inputs = SolverInputs {
+            x_b: b.hadamard(&x).unwrap(),
+            b,
+            p: None,
+            per: 12,
+            warm_start: None,
+        };
+        let cfg = UpdaterConfig {
+            rank: Some(4),
+            max_iter: 3,
+            ..UpdaterConfig::default()
+        };
+        let solver = Solver::new(inputs, cfg).unwrap();
+        assert_eq!(solver.rank(), 4);
+        for r in [3, 5] {
+            let factors = warm_factors(&x, r).unwrap();
+            assert!(matches!(
+                solver.solve_warm(&factors),
+                Err(CoreError::DimensionMismatch { .. })
+            ));
+        }
+        let factors = warm_factors(&x, 4).unwrap();
+        assert!(solver.solve_warm(&factors).is_ok());
     }
 
     #[test]

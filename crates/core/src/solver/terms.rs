@@ -18,7 +18,8 @@
 //! - the **linear** part ([`PenaltyTerm::column_linear`]) adds the
 //!   `R`-independent right-hand side `c_j`;
 //! - for [`CouplingMode::Exact`], a linear **cross** part reads the
-//!   current `R` ([`PenaltyTerm::column_cross`]).
+//!   current `R` ([`PenaltyTerm::column_cross`]) through the engine's
+//!   `X_D` table.
 //!
 //! The engine exploits the split twice. The quadratic part of a column
 //! reads `L` only through the few inputs its [`PenaltyTerm::column_key`]
@@ -29,6 +30,10 @@
 //! Gauss–Seidel cross terms run in the original sequential order — so
 //! parallel solves are bit-identical to the historical monolith (see
 //! `solver::reference`).
+//!
+//! Every quadratic contribution is one weighted Gram accumulation over
+//! a list of factor rows ([`Matrix::add_weighted_gram`]), so all
+//! normal-matrix assembly runs on one L1 kernel.
 
 use iupdater_linalg::{axpy_slice, Matrix};
 
@@ -53,7 +58,11 @@ pub struct TermContext<'a> {
 }
 
 /// Per-sweep shared precomputation (currently the Gram matrix `FᵀF` of
-/// the fixed factor, requested via [`PenaltyTerm::wants_gram`]).
+/// the fixed factor, requested via [`PenaltyTerm::wants_gram`]). It is
+/// read-only while the sweep's systems are assembled in parallel. The
+/// Gauss–Seidel `X_D` table is deliberately not part of it: the engine
+/// refreshes that table after every solved system and hands it to the
+/// `*_cross` hooks directly.
 #[derive(Debug, Default)]
 pub struct SweepCache {
     /// `LᵀL` during column sweeps, `RᵀR` during row sweeps.
@@ -67,8 +76,10 @@ pub struct SweepCache {
 /// 1. `column_quadratic`, `column_linear` and `assemble_row` may depend
 ///    on the *fixed* factor of the sweep only (`L` for columns, `R` for
 ///    rows) — never on the factor being updated. Everything that reads
-///    the updated factor goes into the `*_cross` hook and must be
-///    flagged by `has_*_cross`.
+///    the updated factor goes into the `*_cross` hook, reads it only
+///    through the engine's `X_D` table (`M x per`,
+///    `X_D(k, u) = ℓ_kᵀ θ_{k·per+u}` at the current Gauss–Seidel
+///    point), and must be flagged by `has_*_cross`.
 /// 2. **Equal key ⇒ identical operation sequence.** If two columns have
 ///    equal [`PenaltyTerm::column_key`]s, `column_quadratic` performs
 ///    the same floating-point operations, in the same order, on the
@@ -125,13 +136,14 @@ pub trait PenaltyTerm: Send + Sync {
     }
 
     /// Adds the `R`-dependent linear cross contribution for column `j`
-    /// (Gauss–Seidel: reads the current, partially updated `R`).
+    /// (Gauss–Seidel: reads the current, partially updated `R` through
+    /// the `X_D` table `xd`).
     fn column_cross(
         &self,
         _ctx: &TermContext<'_>,
         _j: usize,
         _l: &Matrix,
-        _rm: &Matrix,
+        _xd: &Matrix,
         _rhs: &mut [f64],
     ) {
     }
@@ -153,13 +165,15 @@ pub trait PenaltyTerm: Send + Sync {
         false
     }
 
-    /// Adds the `L`-dependent linear cross contribution for row `i`.
+    /// Adds the `L`-dependent linear cross contribution for row `i`
+    /// (Gauss–Seidel: reads the current, partially updated `L` through
+    /// the `X_D` table `xd`).
     fn row_cross(
         &self,
         _ctx: &TermContext<'_>,
         _i: usize,
-        _l: &Matrix,
         _rm: &Matrix,
+        _xd: &Matrix,
         _rhs: &mut [f64],
     ) {
     }
@@ -215,11 +229,10 @@ impl PenaltyTerm for DataFitTerm {
         _sweep: &SweepCache,
         a: &mut Matrix,
     ) -> Result<()> {
-        for i in 0..ctx.b.rows() {
-            if ctx.b[(i, j)] != 0.0 {
-                a.add_outer(self.weight, l.row(i));
-            }
-        }
+        let known: Vec<usize> = (0..ctx.b.rows())
+            .filter(|&i| ctx.b[(i, j)] != 0.0)
+            .collect();
+        a.add_weighted_gram(self.weight, l, &known)?;
         Ok(())
     }
 
@@ -240,15 +253,13 @@ impl PenaltyTerm for DataFitTerm {
         a: &mut Matrix,
         rhs: &mut [f64],
     ) -> Result<()> {
-        for j in 0..ctx.b.cols() {
-            if ctx.b[(i, j)] == 0.0 {
-                continue;
-            }
-            let tj = rm.row(j);
-            let y = ctx.x_b[(i, j)];
-            axpy_slice(self.weight * y, tj, rhs);
-            a.add_outer(self.weight, tj);
+        let known: Vec<usize> = (0..ctx.b.cols())
+            .filter(|&j| ctx.b[(i, j)] != 0.0)
+            .collect();
+        for &j in &known {
+            axpy_slice(self.weight * ctx.x_b[(i, j)], rm.row(j), rhs);
         }
+        a.add_weighted_gram(self.weight, rm, &known)?;
         Ok(())
     }
 }
@@ -408,7 +419,7 @@ impl PenaltyTerm for ContinuityTerm {
     ) -> Result<()> {
         let Some(g) = ctx.g else { return Ok(()) };
         let per = ctx.per;
-        a.add_outer(self.weight * self.coefficient(g, j % per), l.row(j / per));
+        a.add_weighted_gram(self.weight * self.coefficient(g, j % per), l, &[j / per])?;
         Ok(())
     }
 
@@ -421,24 +432,13 @@ impl PenaltyTerm for ContinuityTerm {
         ctx: &TermContext<'_>,
         j: usize,
         l: &Matrix,
-        rm: &Matrix,
+        xd: &Matrix,
         rhs: &mut [f64],
     ) {
         let Some(g) = ctx.g else { return };
         let per = ctx.per;
         let (ii, jj) = (j / per, j % per);
-        let lrow = l.row(ii);
-        // Current X_D(ii, u) values of this link's row, computed once
-        // (the monolith recomputed each dot product per (p, u) pair).
-        let xd_row: Vec<f64> = (0..per)
-            .map(|u| {
-                if u == jj {
-                    0.0
-                } else {
-                    Matrix::dot(lrow, rm.row(ii * per + u))
-                }
-            })
-            .collect();
+        let xd_row = xd.row(ii);
         let mut cross = 0.0;
         for p_ in 0..per {
             let gjp = g[(jj, p_)];
@@ -459,7 +459,7 @@ impl PenaltyTerm for ContinuityTerm {
             }
             cross += c_p * gjp;
         }
-        axpy_slice(-self.weight * cross, lrow, rhs);
+        axpy_slice(-self.weight * cross, l.row(ii), rhs);
     }
 
     fn assemble_row(
@@ -473,22 +473,23 @@ impl PenaltyTerm for ContinuityTerm {
     ) -> Result<()> {
         // Row i of X_D is wholly owned by ℓ_i, so the term is a clean
         // quadratic Σ_p (ℓᵀ m_p)² with m_p = Σ_u G(u, p) θ_{i*per+u}:
-        // no cross terms in any mode.
+        // no cross terms in any mode. The m_p are gathered as the rows
+        // of one per x r slab.
         let Some(g) = ctx.g else { return Ok(()) };
         let per = ctx.per;
-        let r = a.rows();
-        let mut m_p = vec![0.0_f64; r];
+        let mut slab = Matrix::zeros(per, a.rows());
         for p_ in 0..per {
-            m_p.fill(0.0);
+            let m_p = slab.row_mut(p_);
             for u in 0..per {
                 let gup = g[(u, p_)];
                 if gup == 0.0 {
                     continue;
                 }
-                axpy_slice(gup, rm.row(i * per + u), &mut m_p);
+                axpy_slice(gup, rm.row(i * per + u), m_p);
             }
-            a.add_outer(self.weight, &m_p);
         }
+        let rows: Vec<usize> = (0..per).collect();
+        a.add_weighted_gram(self.weight, &slab, &rows)?;
         Ok(())
     }
 }
@@ -536,7 +537,7 @@ impl PenaltyTerm for SimilarityTerm {
         // Column ii of H is the coefficient of X_D(ii, jj) in H X_D
         // (the dimension-correct reading of Algorithm 1 line 19, whose
         // printed index is a typo).
-        a.add_outer(self.weight * column_norm_sq(h, ii), l.row(ii));
+        a.add_weighted_gram(self.weight * column_norm_sq(h, ii), l, &[ii])?;
         Ok(())
     }
 
@@ -549,24 +550,13 @@ impl PenaltyTerm for SimilarityTerm {
         ctx: &TermContext<'_>,
         j: usize,
         l: &Matrix,
-        rm: &Matrix,
+        xd: &Matrix,
         rhs: &mut [f64],
     ) {
         let Some(h) = ctx.h else { return };
         let per = ctx.per;
         let (ii, jj) = (j / per, j % per);
-        let lrow = l.row(ii);
         let m = h.rows();
-        // Current X_D(k, jj) for every other link, computed once.
-        let xd_col: Vec<f64> = (0..m)
-            .map(|k| {
-                if k == ii {
-                    0.0
-                } else {
-                    Matrix::dot(l.row(k), rm.row(k * per + jj))
-                }
-            })
-            .collect();
         let mut cross = 0.0;
         for p_ in 0..m {
             let hpi = h[(p_, ii)];
@@ -575,7 +565,7 @@ impl PenaltyTerm for SimilarityTerm {
             }
             // e_p = Σ_{k≠ii} H(p, k) X_D(k, jj).
             let mut e_p = 0.0;
-            for (k, &xdk) in xd_col.iter().enumerate() {
+            for k in 0..m {
                 if k == ii {
                     continue;
                 }
@@ -583,11 +573,11 @@ impl PenaltyTerm for SimilarityTerm {
                 if hpk == 0.0 {
                     continue;
                 }
-                e_p += xdk * hpk;
+                e_p += xd[(k, jj)] * hpk;
             }
             cross += e_p * hpi;
         }
-        axpy_slice(-self.weight * cross, lrow, rhs);
+        axpy_slice(-self.weight * cross, l.row(ii), rhs);
     }
 
     fn assemble_row(
@@ -601,10 +591,8 @@ impl PenaltyTerm for SimilarityTerm {
     ) -> Result<()> {
         let Some(h) = ctx.h else { return Ok(()) };
         let per = ctx.per;
-        let norm_sq = column_norm_sq(h, i);
-        for u in 0..per {
-            a.add_outer(self.weight * norm_sq, rm.row(i * per + u));
-        }
+        let rows: Vec<usize> = (i * per..(i + 1) * per).collect();
+        a.add_weighted_gram(self.weight * column_norm_sq(h, i), rm, &rows)?;
         Ok(())
     }
 
@@ -612,22 +600,18 @@ impl PenaltyTerm for SimilarityTerm {
         self.coupling == CouplingMode::Exact
     }
 
-    fn row_cross(&self, ctx: &TermContext<'_>, i: usize, l: &Matrix, rm: &Matrix, rhs: &mut [f64]) {
+    fn row_cross(
+        &self,
+        ctx: &TermContext<'_>,
+        i: usize,
+        rm: &Matrix,
+        xd: &Matrix,
+        rhs: &mut [f64],
+    ) {
         let Some(h) = ctx.h else { return };
         let per = ctx.per;
         let m = h.rows();
         for u in 0..per {
-            let tj = rm.row(i * per + u);
-            // Current X_D(k, u) for every other link, computed once per u.
-            let xd_col: Vec<f64> = (0..m)
-                .map(|k| {
-                    if k == i {
-                        0.0
-                    } else {
-                        Matrix::dot(l.row(k), rm.row(k * per + u))
-                    }
-                })
-                .collect();
             // Σ_p H(p, i) e_{p,u},  e_{p,u} = Σ_{k≠i} H(p, k) X_D(k, u).
             let mut cross = 0.0;
             for p_ in 0..m {
@@ -636,7 +620,7 @@ impl PenaltyTerm for SimilarityTerm {
                     continue;
                 }
                 let mut e_pu = 0.0;
-                for (k, &xdk) in xd_col.iter().enumerate() {
+                for k in 0..m {
                     if k == i {
                         continue;
                     }
@@ -644,11 +628,11 @@ impl PenaltyTerm for SimilarityTerm {
                     if hpk == 0.0 {
                         continue;
                     }
-                    e_pu += hpk * xdk;
+                    e_pu += hpk * xd[(k, u)];
                 }
                 cross += hpi * e_pu;
             }
-            axpy_slice(-self.weight * cross, tj, rhs);
+            axpy_slice(-self.weight * cross, rm.row(i * per + u), rhs);
         }
     }
 }

@@ -22,8 +22,9 @@ pub const RULE: &str = "doc-drift";
 /// when the gateway's publication/backpressure pair
 /// (`GATEWAY_CHANNEL_CAPACITY`, `EPOCH_SLOTS`) did. Lowered to 9 when
 /// the epoch double buffer collapsed to a single lock and
-/// `EPOCH_SLOTS` was deleted.
-pub const MIN_CITED_CONSTANTS: usize = 9;
+/// `EPOCH_SLOTS` was deleted. Raised to 10 when the ingest boundary's
+/// `RSS_DBM_RANGE` joined the watched list.
+pub const MIN_CITED_CONSTANTS: usize = 10;
 
 /// One `NAME = value` citation found in the markdown.
 #[derive(Clone, Debug)]
@@ -43,8 +44,10 @@ fn is_const_name(s: &str) -> bool {
             .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
+/// `=` belongs to a value so that an inclusive range such as
+/// `-150.0..=30.0` is cited whole.
 fn is_value_char(c: char) -> bool {
-    c.is_ascii_digit() || matches!(c, '.' | '_' | 'e' | 'E' | '-' | '+')
+    c.is_ascii_digit() || matches!(c, '.' | '_' | 'e' | 'E' | '-' | '+' | '=')
 }
 
 /// Extracts every `NAME = value` citation from the markdown text.
@@ -225,7 +228,8 @@ mod tests {
                   | `TinyInner` | `k ≤ TINY_INNER_MAX = 16` |\n\
                   (`BLOCK = 64`) and `MIN_PARALLEL_WORK` without a value\n\
                   a window of `PIVOT_TIE_TOL = 1.0` and span\n\
-                  `PIVOT_TIE_SPAN_TOL = 1e-12` (squared relative)\n";
+                  `PIVOT_TIE_SPAN_TOL = 1e-12` (squared relative)\n\
+                  readings in `RSS_DBM_RANGE = -150.0..=30.0` dBm\n";
         let c = citations(md);
         let names: Vec<&str> = c.iter().map(|x| x.name.as_str()).collect();
         assert_eq!(
@@ -235,7 +239,8 @@ mod tests {
                 "TINY_INNER_MAX",
                 "BLOCK",
                 "PIVOT_TIE_TOL",
-                "PIVOT_TIE_SPAN_TOL"
+                "PIVOT_TIE_SPAN_TOL",
+                "RSS_DBM_RANGE"
             ]
         );
         assert_eq!(c[0].value, "1e-8");
@@ -243,6 +248,7 @@ mod tests {
         assert_eq!(c[2].value, "64");
         assert_eq!(c[3].value, "1.0");
         assert_eq!(c[4].value, "1e-12");
+        assert_eq!(c[5].value, "-150.0..=30.0");
     }
 
     #[test]

@@ -9,3 +9,4 @@ pub const PIVOT_TIE_TOL: f64 = 1.0;
 pub const PIVOT_TIE_SPAN_TOL: f64 = 1e-12;
 pub const QUERY_CHOL_TOL: f64 = 1e-8;
 pub const GATEWAY_CHANNEL_CAPACITY: usize = 64;
+pub const RSS_DBM_RANGE: std::ops::RangeInclusive<f64> = -150.0..=30.0;

@@ -158,25 +158,81 @@ pub(crate) fn matmul_bt_rows<'r, A, B>(
     }
 }
 
-/// `out = Xᵀ X` (`rows x n` input, `out` fully overwritten `n x n`).
-/// The Gram entry point: dispatches on the *inner* dimension (`rows`),
-/// exactly like a matmul of `Xᵀ · X` would.
-pub(crate) fn gram_rows<'r, X>(x_row: &X, out: &mut [f64], rows: usize, n: usize)
-where
+/// `out += α · Σ_{p < count} x_p x_pᵀ` (`out` row-major `n x n`,
+/// accumulated into, never overwritten) with `x_p` the first `n`
+/// entries of `x_row(p)`, summed in ascending `p`: the one Gram entry
+/// point. [`crate::Matrix::gram_into`] calls it with `α = 1` onto a
+/// zero-filled `out` over every row; every normal-matrix assembly of
+/// the ALS engine ([`crate::Matrix::add_weighted_gram`]) calls it with
+/// `x_row` mapping positions onto an index list of rows.
+///
+/// Each element receives `out[a][b] += (α·x_p[a])·x_p[b]` once per
+/// position, in ascending `p` — the sequence of one rank-1 update
+/// `out += α·x_p x_pᵀ` per row, so the result is bit-identical to
+/// that sequential loop (and, with `α = 1` onto zeros, to the naive
+/// `Xᵀ X`: `1·x == x` exactly, and seeding from `+0.0` equals starting
+/// from a literal zero). Positions are walked in ≤[`TINY_INNER_MAX`]-deep
+/// slabs whose accumulators are seeded from `out` (every slab,
+/// including the first), and the coefficient file is `α·x_p[a]`.
+pub(crate) fn weighted_gram_rows<'r, X>(
+    x_row: &X,
+    count: usize,
+    alpha: f64,
+    out: &mut [f64],
+    n: usize,
+) where
     X: Fn(usize) -> &'r [f64],
 {
     if n == 0 {
         return;
     }
-    if rows == 0 {
-        out.fill(0.0);
-        return;
-    }
     let mut kb = 0;
-    while kb < rows {
-        let klen = (rows - kb).min(TINY_INNER_MAX);
-        dispatch_k!(klen, gram_chunk, [_], (x_row, out, n, kb, kb > 0));
+    while kb < count {
+        let klen = (count - kb).min(TINY_INNER_MAX);
+        dispatch_k!(klen, weighted_gram_chunk, [_], (x_row, kb, alpha, out, n));
         kb += klen;
+    }
+}
+
+/// One `K`-deep slab of [`weighted_gram_rows`] (positions `kb..kb+K`):
+/// the matmul `Xᵀ · X` with the coefficient file gathered from column
+/// `a` (a `K`-element strided gather per output row, amortised over an
+/// `n`-wide [`tiny_row`] pass, seeded from `out`). With AVX, output
+/// rows run four at a time through a `4 x 8` accumulator tile (each
+/// fetched `x_p` segment feeds four rows); the remaining rows — and
+/// every row of the scalar build — take the seeded row pass.
+fn weighted_gram_chunk<'r, const K: usize, X>(
+    x_row: &X,
+    kb: usize,
+    alpha: f64,
+    out: &mut [f64],
+    n: usize,
+) where
+    X: Fn(usize) -> &'r [f64],
+{
+    let x: [&[f64]; K] = core::array::from_fn(|p| &x_row(kb + p)[..n]);
+    let coefficients = |a: usize| -> [f64; K] { core::array::from_fn(|p| alpha * x[p][a]) };
+    let mut a = 0;
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd::avx_available() {
+        while a + 4 <= n {
+            let c = [
+                coefficients(a),
+                coefficients(a + 1),
+                coefficients(a + 2),
+                coefficients(a + 3),
+            ];
+            simd::gram4_avx(&c, &x, &mut out[a * n..(a + 4) * n]);
+            a += 4;
+        }
+        while a < n {
+            simd::tiny_row_avx(&coefficients(a), &x, &mut out[a * n..(a + 1) * n], true);
+            a += 1;
+        }
+    }
+    while a < n {
+        tiny_row::<K>(&coefficients(a), &x, &mut out[a * n..(a + 1) * n], true);
+        a += 1;
     }
 }
 
@@ -529,36 +585,6 @@ where
     }
 }
 
-/// One `K`-deep Gram slab: `out[a][:] (+)= Σ_p X[kb+p][a] · X[kb+p][:]`
-/// — the matmul `Xᵀ · X` with the coefficient file gathered from
-/// column `a` (a `K`-element strided gather per output row, amortised
-/// over an `n`-wide [`tiny_row`] pass). Slabs after the first seed the
-/// accumulators from `out`, keeping each element a single
-/// ascending-row sum.
-fn gram_chunk<'r, const K: usize, X>(
-    x_row: &X,
-    out: &mut [f64],
-    n: usize,
-    kb: usize,
-    accumulate: bool,
-) where
-    X: Fn(usize) -> &'r [f64],
-{
-    let x: [&[f64]; K] = core::array::from_fn(|p| x_row(kb + p));
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let use_avx = simd::avx_available();
-    for a in 0..n {
-        let c: [f64; K] = core::array::from_fn(|p| x[p][a]);
-        let orow = &mut out[a * n..(a + 1) * n];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if use_avx {
-            simd::tiny_row_avx(&c, &x, orow, accumulate);
-            continue;
-        }
-        tiny_row::<K>(&c, &x, orow, accumulate);
-    }
-}
-
 /// AVX (`std::arch`) variants behind runtime feature detection. The
 /// only unsafe code in the crate, compiled only with the `simd` cargo
 /// feature (without it the crate keeps `#![forbid(unsafe_code)]`).
@@ -647,6 +673,70 @@ mod simd {
             }
             orow[j] = s;
             j += 1;
+        }
+    }
+
+    /// Four seeded output rows of the weighted Gram slab at once:
+    /// `out4` holds rows `a..a+4` (`4 x n`, `n = out4.len() / 4`),
+    /// `c[r]` the coefficient file of row `a + r` and every `x[p]` is
+    /// at least `n` long. Each 8-column step keeps a `4 x 8` tile of
+    /// accumulators (eight registers) in flight and loads each `x[p]`
+    /// segment once for all four rows; the last `n % 8` columns take
+    /// [`tiny_row_avx`] per row. Every lane is one ascending-`p`
+    /// mul-then-add chain seeded from `out4`.
+    ///
+    /// Callers must have verified [`avx_available`].
+    pub(super) fn gram4_avx<const K: usize>(c: &[[f64; K]; 4], x: &[&[f64]; K], out4: &mut [f64]) {
+        let n = out4.len() / 4;
+        assert_eq!(out4.len(), 4 * n);
+        assert!(x.iter().all(|xp| xp.len() >= n));
+        let n8 = n - n % 8;
+        // SAFETY: AVX support is checked by the caller via
+        // `avx_available`; the asserts above bound every access the
+        // inner function makes below column `n8 <= n`.
+        unsafe { gram4_avx_inner(c, x, out4, n, n8) }
+        if n8 < n {
+            let tail: [&[f64]; K] = core::array::from_fn(|p| &x[p][n8..]);
+            for (cr, row) in c.iter().zip(out4.chunks_exact_mut(n)) {
+                tiny_row_avx(cr, &tail, &mut row[n8..], true);
+            }
+        }
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx_available()` first (the
+    // safe wrapper above does). `out4` is `4 * n` long, every `x[p]` at
+    // least `n` long and `n8 <= n` a multiple of 8, so row `r`'s
+    // offsets `r * n + j .. r * n + j + 8` and the `x[p]` offsets
+    // `j .. j + 8` stay in bounds for every `j < n8`.
+    #[target_feature(enable = "avx")]
+    unsafe fn gram4_avx_inner<const K: usize>(
+        c: &[[f64; K]; 4],
+        x: &[&[f64]; K],
+        out4: &mut [f64],
+        n: usize,
+        n8: usize,
+    ) {
+        let o = out4.as_mut_ptr();
+        for j in (0..n8).step_by(8) {
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                accr[0] = _mm256_loadu_pd(o.add(r * n + j));
+                accr[1] = _mm256_loadu_pd(o.add(r * n + j + 4));
+            }
+            for (p, xp) in x.iter().enumerate() {
+                let x0 = _mm256_loadu_pd(xp.as_ptr().add(j));
+                let x1 = _mm256_loadu_pd(xp.as_ptr().add(j + 4));
+                for (accr, cr) in acc.iter_mut().zip(c) {
+                    let cv = _mm256_set1_pd(cr[p]);
+                    accr[0] = _mm256_add_pd(accr[0], _mm256_mul_pd(cv, x0));
+                    accr[1] = _mm256_add_pd(accr[1], _mm256_mul_pd(cv, x1));
+                }
+            }
+            for (r, accr) in acc.iter().enumerate() {
+                _mm256_storeu_pd(o.add(r * n + j), accr[0]);
+                _mm256_storeu_pd(o.add(r * n + j + 4), accr[1]);
+            }
         }
     }
 }

@@ -10,11 +10,11 @@
 //! - in-place kernels on `Matrix`: [`Matrix::matmul_into`],
 //!   [`Matrix::add_assign_matrix`], [`Matrix::axpy`],
 //!   [`Matrix::scale_mut`], [`Matrix::gram_into`],
-//!   [`Matrix::add_outer`] (Gram-accumulation) and slice helpers
+//!   [`Matrix::add_weighted_gram`] (Gram accumulation) and slice helpers
 //!   ([`axpy_slice`], [`scale_slice`]);
 //! - dispatch into the shape-aware microkernel layer ([`crate::kernels`])
-//!   shared by `matmul`, `matmul_into`, `matmul_bt_into` and
-//!   `gram_into`. Every kernel arm tiles loops only — per-element
+//!   shared by `matmul`, `matmul_into`, `matmul_bt_into`, `gram_into`
+//!   and `add_weighted_gram`. Every kernel arm tiles loops only — per-element
 //!   accumulation order stays ascending over the inner dimension, so
 //!   results are bit-identical to the naive kernel (see the
 //!   accumulation-order contract in [`crate::kernels`]).
@@ -497,30 +497,51 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        let rows = self.rows();
-        kernels::gram_rows(&|i| self.row(i), out.as_mut_slice(), rows, n);
+        out.as_mut_slice().fill(0.0);
+        kernels::weighted_gram_rows(&|p| self.row(p), self.rows(), 1.0, out.as_mut_slice(), n);
         Ok(())
     }
 
-    /// Rank-one Gram accumulation `self += alpha * v vᵀ` (the
-    /// normal-equation assembly primitive of the solver engine).
+    /// Weighted Gram accumulation over a row list:
+    /// `self += alpha · Σ_{p ∈ rows} src.row(p) · src.row(p)ᵀ`, summed in
+    /// list order (repeats and any order allowed) — the normal-equation
+    /// assembly primitive of the solver engine, routed through
+    /// [`crate::kernels`].
     ///
-    /// # Panics
+    /// Every element receives `self[a][b] += (alpha·x_p[a])·x_p[b]` once
+    /// per listed row, in list order: bit-identical to one sequential
+    /// rank-1 update per row. The result is well defined for any input,
+    /// but the solver's bit-parity with its historical rank-1 loop —
+    /// which skipped zero `alpha·x_p[a]` coefficients — holds on finite
+    /// inputs only (`0 · ∞` is a NaN the skip hid).
     ///
-    /// Panics if `self` is not `v.len() x v.len()`.
-    pub fn add_outer(&mut self, alpha: f64, v: &[f64]) {
-        let n = v.len();
-        assert_eq!(self.shape(), (n, n), "add_outer shape mismatch");
-        for (a, &va) in v.iter().enumerate() {
-            let row = self.row_mut(a);
-            let f = alpha * va;
-            if f == 0.0 {
-                continue;
-            }
-            for (b, &vb) in v.iter().enumerate() {
-                row[b] += f * vb;
-            }
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] if `self` is not
+    /// `src.cols() x src.cols()`; [`LinalgError::InvalidArgument`] if an
+    /// index in `rows` is out of range.
+    pub fn add_weighted_gram(&mut self, alpha: f64, src: &Matrix, rows: &[usize]) -> Result<()> {
+        let n = src.cols();
+        if self.shape() != (n, n) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "add_weighted_gram",
+                lhs: (n, n),
+                rhs: self.shape(),
+            });
         }
+        if rows.iter().any(|&p| p >= src.rows()) {
+            return Err(LinalgError::InvalidArgument(
+                "add_weighted_gram row index out of range",
+            ));
+        }
+        kernels::weighted_gram_rows(
+            &|p| src.row(rows[p]),
+            rows.len(),
+            alpha,
+            self.as_mut_slice(),
+            n,
+        );
+        Ok(())
     }
 }
 
@@ -624,18 +645,6 @@ mod tests {
         a.gram_into(&mut g).unwrap();
         assert_eq!(g, a.gram());
         assert!(a.gram_into(&mut Matrix::zeros(3, 3)).is_err());
-    }
-
-    #[test]
-    fn add_outer_accumulates_rank_one() {
-        let mut a = Matrix::zeros(3, 3);
-        let v = [1.0, -2.0, 0.5];
-        a.add_outer(2.0, &v);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((a[(i, j)] - 2.0 * v[i] * v[j]).abs() < 1e-15);
-            }
-        }
     }
 
     #[test]

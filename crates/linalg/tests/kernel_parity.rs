@@ -16,7 +16,11 @@
 //! - a reimplementation of the legacy cache-blocked `i-k-j` kernel
 //!   (the exact code `blocked_multiply` shipped before the dispatcher)
 //!   proves below-threshold shapes — and every other finite-input
-//!   shape — produce the same bits as before the refactor.
+//!   shape — produce the same bits as before the refactor;
+//! - the weighted Gram entry point (`Matrix::add_weighted_gram`, the
+//!   solver's normal-matrix assembly) equals one sequential rank-1
+//!   update per listed row, bit for bit, across the 4-/8-lane edges,
+//!   the 4-row tile and the 16-row slab seams.
 //!
 //! Any future kernel that cannot preserve the accumulation order must
 //! downgrade the affected assertions to a `<= 1e-12` relative bound
@@ -199,6 +203,69 @@ proptest! {
         let b = Matrix::from_fn(k, n, |i, j| ((i * n + j) as f64).cos() / denom);
         assert_bitwise_eq(&a.matmul(&b).unwrap(), &legacy_blocked_multiply(&a, &b));
     }
+}
+
+/// The sequential rank-1 reference for `add_weighted_gram`: for each
+/// listed row `v`, in list order, `acc[a][b] += (alpha·v[a])·v[b]` —
+/// no zero skip, no tiling.
+fn naive_weighted_gram(acc: &Matrix, alpha: f64, src: &Matrix, rows: &[usize]) -> Matrix {
+    let mut out = acc.clone();
+    let r = src.cols();
+    for &p in rows {
+        let v = src.row(p);
+        for a in 0..r {
+            let f = alpha * v[a];
+            for b in 0..r {
+                out[(a, b)] += f * v[b];
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    /// Row lists of every slab shape — empty, one row, just under, at
+    /// and over the 16-row slab, two slabs plus one, and a data-fit row
+    /// of ~1,400 — drawn as prefixes of one unsorted list with repeats,
+    /// onto a seeded non-zero accumulator, for every rank 1..=40.
+    #[test]
+    fn weighted_gram_matches_sequential_rank_one_bitwise(
+        (src, rows, acc) in (1usize..=40, 1usize..=48).prop_flat_map(|(r, src_rows)| (
+            matrix_of(src_rows, r),
+            prop::collection::vec(0..src_rows, 1400..=1400),
+            matrix_of(r, r),
+        )),
+        alpha in -3.0f64..3.0,
+    ) {
+        for len in [0, 1, 15, 16, 17, 33, 1400] {
+            let mut got = acc.clone();
+            got.add_weighted_gram(alpha, &src, &rows[..len]).unwrap();
+            assert_bitwise_eq(&got, &naive_weighted_gram(&acc, alpha, &src, &rows[..len]));
+        }
+        // One row onto a zero accumulator is the outer product of the
+        // coefficient file α·v with v.
+        let v = src.row(rows[0]);
+        let c: Vec<f64> = v.iter().map(|x| alpha * x).collect();
+        let mut one = Matrix::zeros(v.len(), v.len());
+        one.add_weighted_gram(alpha, &src, &rows[..1]).unwrap();
+        assert_bitwise_eq(&one, &Matrix::outer(&c, v));
+        // gram_into runs the same kernel (α = 1 over every row onto a
+        // zero-filled output): up to three slabs, r up to 40 columns.
+        let r = src.cols();
+        let mut g = Matrix::filled(r, r, f64::NAN);
+        src.gram_into(&mut g).unwrap();
+        assert_bitwise_eq(&g, &naive_matmul(&src.transpose(), &src));
+    }
+}
+
+#[test]
+fn weighted_gram_rejects_bad_shapes_and_indices() {
+    let src = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f64 - 7.0);
+    let mut wrong = Matrix::zeros(2, 2);
+    assert!(wrong.add_weighted_gram(1.0, &src, &[0]).is_err());
+    let mut acc = Matrix::zeros(3, 3);
+    assert!(acc.add_weighted_gram(1.0, &src, &[0, 5]).is_err());
+    assert_eq!(acc, Matrix::zeros(3, 3), "a rejected call must not write");
 }
 
 /// The monomorphised tiny-inner kernel, called directly with explicit

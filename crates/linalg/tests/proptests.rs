@@ -244,14 +244,6 @@ proptest! {
     }
 
     #[test]
-    fn add_outer_matches_outer_product(v in prop::collection::vec(-5.0f64..5.0, 1..8), alpha in -2.0f64..2.0) {
-        let mut acc = iupdater_linalg::Matrix::zeros(v.len(), v.len());
-        acc.add_outer(alpha, &v);
-        let expected = iupdater_linalg::Matrix::outer(&v, &v).scale(alpha);
-        prop_assert!(acc.approx_eq(&expected, 1e-12));
-    }
-
-    #[test]
     fn sub_of_add_roundtrips(m in matrix_strategy(6), scale in -3.0f64..3.0) {
         let n = m.scale(scale);
         let back = m.checked_add(&n).unwrap().checked_sub(&n).unwrap();

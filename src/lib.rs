@@ -26,7 +26,7 @@
 //!    [`linalg::Matrix`] plus borrowed [`linalg::MatrixView`] /
 //!    [`linalg::MatrixViewMut`] row/column blocks, in-place kernels
 //!    (`matmul_into`, `matmul_bt_into`, `axpy`, `gram_into`,
-//!    `add_outer`) and a cache-blocked multiply. SVD, QR and LU run on
+//!    `add_weighted_gram`) and a cache-blocked multiply. SVD, QR and LU run on
 //!    row-contiguous working storage instead of strided column walks.
 //! 2. **The solver engine** (`core::solver`): the self-augmented RSVD
 //!    objective is an ordered list of pluggable
