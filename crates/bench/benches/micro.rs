@@ -625,6 +625,25 @@ fn bench_query(c: &mut Criterion) {
                     .unwrap()
             })
         });
+        // One binary scan per call (the default `max_atoms = 1`): the
+        // single-query pursuit on its distance row, and one
+        // BINARY_LANES-query block (an 8-query slab is one serial
+        // chunk) on the blocked distance table.
+        if tag != "16x384" {
+            let mut scan_scratch = QueryScratch::new();
+            group.bench_function(&format!("binary_scan_row_{tag}"), |b| {
+                b.iter(|| {
+                    loc.prepared()
+                        .pursue(black_box(&queries[17]), loc.config(), &mut scan_scratch)
+                        .unwrap()
+                })
+            });
+        }
+        if tag == "32x1536" {
+            group.bench_function("binary_scan_block_32x1536", |b| {
+                b.iter(|| loc.localize_batch(black_box(&queries[..8])).unwrap())
+            });
+        }
     }
     group.finish();
 }

@@ -13,13 +13,14 @@
 //! path is kept verbatim as [`Localizer::localize_unprepared`] — the
 //! golden oracle the `query_parity` tier pins every fast path against.
 
+use iupdater_linalg::kernels::BINARY_LANES;
 use iupdater_linalg::Matrix;
 use rayon::prelude::*;
 
 use crate::config::{AtomSelection, LocalizerConfig};
 use crate::fingerprint::FingerprintMatrix;
 use crate::omp::{orthogonal_matching_pursuit, OmpSolution};
-use crate::query::{PreparedDictionary, QueryScratch, BINARY_LANES, QUERY_CHUNK};
+use crate::query::{PreparedDictionary, QueryScratch, QUERY_CHUNK};
 use crate::{CoreError, Result};
 
 /// A grid-location estimate.

@@ -41,11 +41,17 @@
 //! would break bit-identical selection.
 //!
 //! The binary-residual mode (the default, Eq. 26's `W ∈ {0,1}`
-//! model) has no least-squares step; its win is pure layout: distances
-//! scan the transposed dictionary's contiguous atom rows in the same
-//! ascending order the strided column walk used, so the scan
-//! vectorises without changing a single bit.
+//! model) has no least-squares step: each step is one squared-distance
+//! scan `‖r − x_j‖²` over every atom, run by the L1 distance kernels
+//! (`kernels::sq_dist_row` for one query over the links x cells
+//! dictionary, `kernels::sq_dist_block` for [`BINARY_LANES`]
+//! lane-interleaved queries over the contiguous atom rows). Both
+//! compute every distance as the same ascending-link chain as the
+//! strided column walk of the unprepared path, so the pursuit keeps
+//! only the argmin, the selected mask and the residual guard — and
+//! changes no bit.
 
+use iupdater_linalg::kernels::{sq_dist_block, sq_dist_row, BINARY_LANES};
 use iupdater_linalg::Matrix;
 
 use crate::config::{AtomSelection, LocalizerConfig};
@@ -66,16 +72,6 @@ pub const QUERY_CHOL_TOL: f64 = 1e-8;
 /// pool. Fixed chunk boundaries plus the pool's input-order
 /// reassembly keep batch results identical at any worker count.
 pub const QUERY_CHUNK: usize = 64;
-
-/// Queries interleaved per blocked binary-distance pass: the batch
-/// path lays this many residuals out lane-interleaved (`[i * LANES +
-/// l]`) so one sweep over the atom rows advances every lane's
-/// distance chain together — independent chains vectorise and hide
-/// FP-add latency, while each lane's sum remains the exact
-/// ascending-index accumulation of the scalar loop (bit-identical
-/// selections per query). Fixed blocking, so answers are
-/// layout-independent.
-pub(crate) const BINARY_LANES: usize = 8;
 
 /// Publish-once query structures over one fingerprint database.
 #[derive(Debug, Clone)]
@@ -211,11 +207,11 @@ impl PreparedDictionary {
         }
     }
 
-    /// [`BINARY_LANES`] binary pursuits advanced in lockstep over one
-    /// sweep of the atom rows per step. Residuals are lane-interleaved
-    /// so the per-atom inner loop advances all lanes' distance chains
-    /// together; every lane's chain is the exact ascending-link sum of
-    /// [`Self::binary_pursuit`], so each query's selections, support,
+    /// [`BINARY_LANES`] binary pursuits advanced in lockstep: each step
+    /// is one [`sq_dist_block`] pass over the atom rows into an
+    /// `n x BINARY_LANES` distance table, then a per-lane argmin.
+    /// Every table entry is the exact ascending-link chain of
+    /// [`Self::binary_pursuit`], so each query's selections, support
     /// and residual are bit-identical to its single-query run.
     ///
     /// `ys` must hold exactly [`BINARY_LANES`] queries of dictionary
@@ -230,15 +226,17 @@ impl PreparedDictionary {
         debug_assert_eq!(ys.len(), L);
         let m = self.dictionary.rows();
         let n = self.dictionary.cols();
-        let residual = &mut scratch.block_residual;
-        if residual.len() < m * L {
-            residual.resize(m * L, 0.0);
-        }
-        let selected = &mut scratch.block_selected;
-        if selected.len() < n * L {
-            selected.resize(n * L, false);
-        }
-        selected[..n * L].fill(false);
+        let QueryScratch {
+            block_residual,
+            block_selected,
+            dist,
+            ..
+        } = scratch;
+        block_residual.resize(m * L, 0.0);
+        block_selected.clear();
+        block_selected.resize(n * L, false);
+        dist.resize(n * L, 0.0);
+        let (residual, selected) = (&mut block_residual[..], &mut block_selected[..]);
         // Centre straight into the interleaved layout — the same
         // per-element subtraction as the scalar path.
         for i in 0..m {
@@ -266,21 +264,17 @@ impl PreparedDictionary {
             if !active.iter().any(|&a| a) {
                 break;
             }
+            sq_dist_block(residual, self.atoms.as_slice(), dist);
             let mut best_dist = [f64::INFINITY; L];
             let mut best_j = [usize::MAX; L];
-            for j in 0..n {
-                let row = self.atoms.row(j);
-                let mut dist = [0.0f64; L];
-                for (res_i, &a) in residual[..m * L].chunks_exact(L).zip(row) {
-                    for l in 0..L {
-                        let d = res_i[l] - a;
-                        dist[l] += d * d;
-                    }
-                }
-                let sel_base = j * L;
+            for (j, (d, sel)) in dist
+                .chunks_exact(L)
+                .zip(selected.chunks_exact(L))
+                .enumerate()
+            {
                 for l in 0..L {
-                    if active[l] && !selected[sel_base + l] && dist[l] < best_dist[l] {
-                        best_dist[l] = dist[l];
+                    if active[l] && !sel[l] && d[l] < best_dist[l] {
+                        best_dist[l] = d[l];
                         best_j[l] = j;
                     }
                 }
@@ -290,21 +284,18 @@ impl PreparedDictionary {
                     continue;
                 }
                 let j_star = best_j[l];
-                if j_star == usize::MAX {
-                    active[l] = false;
-                    continue;
-                }
-                // Only keep the atom if it actually reduces the
-                // residual (the scalar guard, per lane).
-                let current = lane_sq(residual, l);
-                if best_dist[l] >= current && !support[l].is_empty() {
+                // Stop when nothing is selectable, or when the best
+                // atom does not reduce the residual (the unprepared
+                // guard; `residual_sq[l]` is its `Σ r²` bit for bit).
+                if j_star == usize::MAX
+                    || (best_dist[l] >= residual_sq[l] && !support[l].is_empty())
+                {
                     active[l] = false;
                     continue;
                 }
                 support[l].push(j_star);
                 selected[j_star * L + l] = true;
-                let row = self.atoms.row(j_star);
-                for (i, &a) in row.iter().enumerate() {
+                for (i, &a) in self.atoms.row(j_star).iter().enumerate() {
                     residual[i * L + l] -= a;
                 }
                 residual_sq[l] = lane_sq(residual, l);
@@ -327,17 +318,18 @@ impl PreparedDictionary {
             .collect()
     }
 
-    /// Greedy binary pursuit (Eq. 26's unit-coefficient model) over
-    /// the contiguous atom rows: per-step `argmin_j ‖r − x_j‖₂²`,
-    /// computed in the same ascending-link order as the strided column
-    /// walk of the unprepared path — bit-identical selections.
+    /// Greedy binary pursuit (Eq. 26's unit-coefficient model): each
+    /// step is one [`sq_dist_row`] pass over the links x cells
+    /// dictionary — `‖r − x_j‖₂²` for every atom in the ascending-link
+    /// order of the unprepared path's column walk — then the argmin
+    /// over unselected atoms. Bit-identical selections.
     fn binary_pursuit(&self, config: &LocalizerConfig, scratch: &mut QueryScratch) -> OmpSolution {
-        let m = self.dictionary.rows();
         let n = self.dictionary.cols();
         let QueryScratch {
             centered,
             residual_row: residual,
             selected,
+            dist,
             ..
         } = scratch;
         residual.as_mut_slice().copy_from_slice(centered);
@@ -345,37 +337,31 @@ impl PreparedDictionary {
         let mut support = Vec::new();
         let mut residual_sq: f64 = residual.as_slice().iter().map(|r| r * r).sum();
         for _ in 0..config.max_atoms.min(n) {
-            let r = residual.as_slice();
+            sq_dist_row(
+                residual.as_slice(),
+                self.dictionary.as_slice(),
+                &mut dist[..n],
+            );
             let mut best = None;
             let mut best_dist = f64::INFINITY;
-            for (j, &sel) in selected[..n].iter().enumerate() {
-                if sel {
-                    continue;
-                }
-                let row = self.atoms.row(j);
-                let mut dist = 0.0;
-                for i in 0..m {
-                    let d = r[i] - row[i];
-                    dist += d * d;
-                }
-                if dist < best_dist {
-                    best_dist = dist;
+            for (j, (&d, &sel)) in dist[..n].iter().zip(&selected[..n]).enumerate() {
+                if !sel && d < best_dist {
+                    best_dist = d;
                     best = Some(j);
                 }
             }
             let Some(j_star) = best else { break };
-            // Only keep the atom if it actually reduces the residual
-            // (same guard expression as the unprepared pursuit).
-            let current: f64 = r.iter().map(|v| v * v).sum();
-            if best_dist >= current && !support.is_empty() {
+            // Only keep the atom if it actually reduces the residual:
+            // the unprepared guard, whose `Σ r²` over the current
+            // residual is bitwise `residual_sq`.
+            if best_dist >= residual_sq && !support.is_empty() {
                 break;
             }
             support.push(j_star);
             selected[j_star] = true;
-            let row = self.atoms.row(j_star);
             let rm = residual.as_mut_slice();
-            for i in 0..m {
-                rm[i] -= row[i];
+            for (r, &a) in rm.iter_mut().zip(self.atoms.row(j_star)) {
+                *r -= a;
             }
             residual_sq = rm.iter().map(|r| r * r).sum();
             if residual_sq < config.residual_threshold {
@@ -574,6 +560,9 @@ pub struct QueryScratch {
     block_residual: Vec<f64>,
     /// Lane-interleaved selected-atom masks (`n * BINARY_LANES`).
     block_selected: Vec<bool>,
+    /// Squared distances of one binary scan: `n` for the single-query
+    /// pursuit, the `n x BINARY_LANES` table for the blocked one.
+    dist: Vec<f64>,
     /// How many ill-conditioned Cholesky extensions fell back to the
     /// from-scratch solve through this scratch (observability for the
     /// `query_parity` tier: the fallback must demonstrably fire).
@@ -608,6 +597,9 @@ impl QueryScratch {
         }
         if self.selected.len() < n {
             self.selected.resize(n, false);
+        }
+        if self.dist.len() < n {
+            self.dist.resize(n, 0.0);
         }
         if self.chol.len() < kmax * kmax {
             self.chol.resize(kmax * kmax, 0.0);

@@ -577,9 +577,10 @@ impl UpdateService {
     /// Fails atomically: if any deployment's solve fails (the error is
     /// wrapped in [`CoreError::Deployment`] naming the culprit), no
     /// database is replaced and every drained batch returns to its
-    /// queue. Also rejects a non-finite `day`, or a `day` earlier than
-    /// the last committed cycle of any deployment that would fall back
-    /// to a pull.
+    /// queue. A reconstruction with a non-finite entry counts as a
+    /// failed solve. Also rejects a non-finite `day`, or a `day`
+    /// earlier than the last committed cycle of any deployment that
+    /// would fall back to a pull.
     pub fn run_cycle(&mut self, day: f64, samples: usize) -> Result<Vec<UpdateOutcome>> {
         if !day.is_finite() {
             return Err(CoreError::InvalidArgument("update day must be finite"));
@@ -1019,10 +1020,26 @@ fn run_deployment_cycle(
         let report = dep
             .updater
             .update_report(&batch.x_r, &batch.x_b, &batch.b)?;
-        let db = dep.updater.prior().with_matrix(report.reconstruction())?;
+        let reconstruction = report.reconstruction();
+        guard_committable(&reconstruction)?;
+        let db = dep.updater.prior().with_matrix(reconstruction)?;
         out.push((batch.day, db, report));
     }
     Ok(out)
+}
+
+/// The commit-time guard: a reconstructed database with any
+/// non-finite entry fails its deployment's solve, so
+/// [`UpdateService::run_cycle`] returns the error through its atomic
+/// path (nothing commits, every drained batch is requeued) and the
+/// database never reaches a committed state or a reader.
+fn guard_committable(reconstruction: &Matrix) -> Result<()> {
+    if reconstruction.iter().any(|v| !v.is_finite()) {
+        return Err(CoreError::InvalidArgument(
+            "reconstructed database contains a non-finite value",
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1392,6 +1409,23 @@ mod tests {
         for (lo, hi) in [(*RSS_DBM_RANGE.start(), *RSS_DBM_RANGE.end()), (-60.0, 0.0)] {
             assert!(batch(lo, hi).is_ok());
             assert!(batch(hi, lo).is_ok());
+        }
+    }
+
+    #[test]
+    fn commit_guard_refuses_non_finite_reconstructions() {
+        let finite = Matrix::from_fn(3, 4, |i, j| -60.0 - (i * 4 + j) as f64);
+        assert!(guard_committable(&finite).is_ok());
+        assert!(guard_committable(&Matrix::zeros(0, 0)).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [(0, 0), (1, 2), (2, 3)] {
+                let mut db = finite.clone();
+                db[at] = bad;
+                assert!(
+                    matches!(guard_committable(&db), Err(CoreError::InvalidArgument(_))),
+                    "{bad} at {at:?} must not commit"
+                );
+            }
         }
     }
 

@@ -3,8 +3,11 @@
 //! Every dense multiply in this crate — [`crate::Matrix::matmul`],
 //! [`crate::Matrix::matmul_into`], [`crate::Matrix::matmul_bt_into`],
 //! [`crate::Matrix::gram_into`] and the [`crate::MatrixView`] variants —
-//! funnels into this module. The hot shapes of the iUpdater workload are
-//! *small in one dimension* (rank ≤ 16, links ≈ 8–32, cells ≤ 1536):
+//! funnels into this module, and so do the binary read path's
+//! squared-distance scans ([`sq_dist_block`], [`sq_dist_row`]). The hot
+//! shapes of the iUpdater workload are *small in one dimension* (rank ≤
+//! 8 on the paper's 6- and 8-link presets and r = 32 on the 32x1536
+//! storm site, links ≈ 6–32, cells ≤ 1536):
 //! short-fat and tall-thin products, tiny-inner Gram/projection
 //! products, and the solver's `L·Rᵀ` reconstruction. A one-size
 //! cache-blocked kernel loses on those shapes (BENCH_PR1 measured 0.88x
@@ -50,10 +53,27 @@
 //! an AVX `std::arch` path that performs the same per-lane ascending-`p`
 //! sums with 256-bit mul + add (never FMA — contraction would change
 //! the bits); the scalar fallback stays compiled and tested either way.
+//!
+//! # The distance kernels
+//!
+//! [`sq_dist_block`] and [`sq_dist_row`] compute `Σ_i (r_i − x_i)²` for
+//! every atom as one ascending-`i` chain of `t = r − x; s += t * t`:
+//! sub, mul, add, never FMA. They are not rewritten as
+//! `‖r‖² − 2⟨r, x⟩ + ‖x‖²`, which would turn the scan into a product
+//! the dispatcher already runs, because that expansion rounds
+//! differently (and cancels catastrophically when `r ≈ x`, exactly the
+//! best match), so it would change which atom wins. The chains match
+//! the naive loop bit for bit on every input, ±0.0 and ±∞ included;
+//! only the sign and payload of a NaN result are left unspecified by
+//! Rust (the naive loop itself differs between debug and release
+//! builds), and a NaN distance never wins the pursuit's strict `<`.
 
 /// Largest shared dimension `k` routed to the monomorphised
-/// tiny-inner kernels ([`matmul_rk`]). Chosen to cover every fixed
-/// rank the solver produces (rank ≤ 16 across all paper configs).
+/// tiny-inner kernels ([`matmul_rk`]). It covers every rank the solver
+/// produces on the paper's presets (rank ≤ 8: at most 8 links); the
+/// 32x1536 storm site solves at r = 32, whose products walk `k` in two
+/// 16-deep slabs of the same row kernel (the short-fat and general
+/// arms).
 pub const TINY_INNER_MAX: usize = 16;
 
 /// Row/column threshold for the short-fat (`m ≤ THIN_EDGE`) and
@@ -585,21 +605,119 @@ where
     }
 }
 
+/// Residuals interleaved per [`sq_dist_block`] pass: the block layout
+/// is `residuals[i * BINARY_LANES + l]` (link `i`, lane `l`), so one
+/// sweep over the atom rows advances this many independent distance
+/// chains together — exactly two 256-bit registers per link.
+pub const BINARY_LANES: usize = 8;
+
+/// The blocked squared-distance kernel of the binary read path:
+/// `out[j * BINARY_LANES + l] = Σ_i (residuals[i * BINARY_LANES + l] −
+/// atoms[j * m + i])²` for every atom `j` and lane `l`, with
+/// `m = residuals.len() / BINARY_LANES` links and
+/// `n = out.len() / BINARY_LANES` contiguous atom rows of length `m`.
+/// `out` is fully overwritten.
+///
+/// Each output is one ascending-`i` chain of `t = r − a; s += t * t`
+/// from `s = +0.0`, built from sub, mul and add (never an FMA, never
+/// the norm expansion: see the module docs), so it is bit-identical to
+/// the naive per-pair loop, non-finite inputs included. With AVX, four atoms (eight accumulator
+/// registers) are in flight per step; the scalar body runs otherwise.
+///
+/// # Panics
+///
+/// If `residuals.len()` or `out.len()` is not a multiple of
+/// [`BINARY_LANES`], or `atoms.len() != n * m`.
+pub fn sq_dist_block(residuals: &[f64], atoms: &[f64], out: &mut [f64]) {
+    const L: usize = BINARY_LANES;
+    let m = residuals.len() / L;
+    let n = out.len() / L;
+    assert_eq!(residuals.len(), m * L, "residuals must be lane-interleaved");
+    assert_eq!(out.len(), n * L, "the distance table is n x BINARY_LANES");
+    assert_eq!(
+        Some(atoms.len()),
+        n.checked_mul(m),
+        "atoms must be n rows of m links"
+    );
+    if m == 0 {
+        out.fill(0.0); // every distance is an empty sum
+        return;
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd::avx_available() {
+        simd::sq_dist_block_avx(residuals, atoms, m, out);
+        return;
+    }
+    for (atom, dist) in atoms.chunks_exact(m).zip(out.chunks_exact_mut(L)) {
+        let mut acc = [0.0_f64; L];
+        for (r, &a) in residuals.chunks_exact(L).zip(atom) {
+            for (s, &rl) in acc.iter_mut().zip(r) {
+                let t = rl - a;
+                *s += t * t;
+            }
+        }
+        dist.copy_from_slice(&acc);
+    }
+}
+
+/// The single-query squared-distance kernel of the binary read path:
+/// `out[j] = Σ_i (residual[i] − dictionary[i * n + j])²` for the
+/// `m x n` row-major `dictionary` (links x cells), `m =
+/// residual.len()`, `n = out.len()`. `out` is fully overwritten.
+///
+/// Same contract as [`sq_dist_block`]: every output is one
+/// ascending-`i` chain of `t = r − d; s += t * t` from `s = +0.0`,
+/// sub, mul and add only, bit-identical to the naive per-cell loop
+/// (non-finite inputs included). The cells are the vector lanes, so no
+/// chain is ever reassociated: with AVX, sixteen cells (four
+/// accumulator registers) stay in flight over every link; the scalar
+/// body adds one link row at a time into `out`.
+///
+/// # Panics
+///
+/// If `dictionary.len() != m * n`.
+pub fn sq_dist_row(residual: &[f64], dictionary: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    assert_eq!(
+        Some(dictionary.len()),
+        residual.len().checked_mul(n),
+        "dictionary must be m rows of n cells"
+    );
+    if n == 0 {
+        return;
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd::avx_available() {
+        simd::sq_dist_row_avx(residual, dictionary, out);
+        return;
+    }
+    out.fill(0.0);
+    for (&r, row) in residual.iter().zip(dictionary.chunks_exact(n)) {
+        for (s, &d) in out.iter_mut().zip(row) {
+            let t = r - d;
+            *s += t * t;
+        }
+    }
+}
+
 /// AVX (`std::arch`) variants behind runtime feature detection. The
 /// only unsafe code in the crate, compiled only with the `simd` cargo
 /// feature (without it the crate keeps `#![forbid(unsafe_code)]`).
 /// Every intrinsic sequence performs the same per-lane ascending-`p`
 /// mul-then-add sums as the scalar kernels — `_mm256_mul_pd` followed
 /// by `_mm256_add_pd`, never an FMA, so the results are bit-identical
-/// to the scalar path and the parity tier covers both.
+/// to the scalar path and the parity tier covers both. The distance
+/// kernels add one `_mm256_sub_pd` in front of the same mul-then-add.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
     #![allow(unsafe_code)]
 
     use core::arch::x86_64::{
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd,
+        _mm256_storeu_pd, _mm256_sub_pd,
     };
+
+    use super::BINARY_LANES;
 
     /// Runtime AVX capability (cached by `std`).
     #[inline]
@@ -737,6 +855,144 @@ mod simd {
                 _mm256_storeu_pd(o.add(r * n + j), accr[0]);
                 _mm256_storeu_pd(o.add(r * n + j + 4), accr[1]);
             }
+        }
+    }
+
+    /// Atoms in flight per step of [`sq_dist_block_avx`], two
+    /// registers of eight lanes each: eight independent accumulator
+    /// chains hide the add latency. On a Xeon (Sapphire Rapids) 2-vCPU
+    /// host, one 8-query pass over 1,536 atoms of 32 links took about
+    /// 46 µs at two, three, four or six atoms and 50 µs at one; four
+    /// was never slower.
+    const BLOCK_ATOMS: usize = 4;
+
+    /// Cells in flight per step of [`sq_dist_row_avx`]: four 4-wide
+    /// accumulator registers, held over every link in one pass. At
+    /// 32x1536 the 12 KiB row stride maps all 32 link rows of a cell
+    /// chunk to one L1 set, but walking the links in 8- or 4-row slabs
+    /// seeded from `out` measured slower (11.0 and 11.6 µs against
+    /// 10.6 µs on the host above), so there is no slabbing.
+    const ROW_CELLS: usize = 16;
+
+    /// [`super::sq_dist_block`] with 256-bit lanes. `m > 0`,
+    /// `residuals.len() == m * BINARY_LANES`, `out.len() == n *
+    /// BINARY_LANES` and `atoms.len() == n * m` (checked by the caller).
+    ///
+    /// Callers must have verified [`avx_available`].
+    pub(super) fn sq_dist_block_avx(residuals: &[f64], atoms: &[f64], m: usize, out: &mut [f64]) {
+        let n = out.len() / BINARY_LANES;
+        assert!(m > 0 && residuals.len() == m * BINARY_LANES);
+        assert_eq!(Some(atoms.len()), n.checked_mul(m));
+        let mut j = 0;
+        while j + BLOCK_ATOMS <= n {
+            // SAFETY: AVX support is checked by the caller via
+            // `avx_available`; atoms `j..j + BLOCK_ATOMS` lie inside
+            // `atoms` and their table rows inside `out` (asserted
+            // above, `j + BLOCK_ATOMS <= n`).
+            unsafe { block_atoms::<BLOCK_ATOMS>(residuals, atoms, m, out, j) };
+            j += BLOCK_ATOMS;
+        }
+        while j < n {
+            // SAFETY: as above, for the single atom `j < n`.
+            unsafe { block_atoms::<1>(residuals, atoms, m, out, j) };
+            j += 1;
+        }
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx_available()` first. The
+    // caller guarantees `residuals.len() == m * 8`, atoms `j..j + A`
+    // exist (`(j + A) * m <= atoms.len()`) and `(j + A) * 8 <=
+    // out.len()`, so every load and store below stays in bounds.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn block_atoms<const A: usize>(
+        residuals: &[f64],
+        atoms: &[f64],
+        m: usize,
+        out: &mut [f64],
+        j: usize,
+    ) {
+        let r = residuals.as_ptr();
+        let a = atoms.as_ptr().add(j * m);
+        let mut acc = [[_mm256_setzero_pd(); 2]; A];
+        for i in 0..m {
+            let r0 = _mm256_loadu_pd(r.add(i * BINARY_LANES));
+            let r1 = _mm256_loadu_pd(r.add(i * BINARY_LANES + 4));
+            for (q, accq) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_pd(*a.add(q * m + i));
+                let t0 = _mm256_sub_pd(r0, av);
+                let t1 = _mm256_sub_pd(r1, av);
+                accq[0] = _mm256_add_pd(accq[0], _mm256_mul_pd(t0, t0));
+                accq[1] = _mm256_add_pd(accq[1], _mm256_mul_pd(t1, t1));
+            }
+        }
+        let o = out.as_mut_ptr().add(j * BINARY_LANES);
+        for (q, accq) in acc.iter().enumerate() {
+            _mm256_storeu_pd(o.add(q * BINARY_LANES), accq[0]);
+            _mm256_storeu_pd(o.add(q * BINARY_LANES + 4), accq[1]);
+        }
+    }
+
+    /// [`super::sq_dist_row`] with 256-bit lanes (`out` fully
+    /// overwritten): [`ROW_CELLS`] cells at a time, then 4-wide, then
+    /// scalar tail cells, each one ascending-link chain from `+0.0`.
+    ///
+    /// Callers must have verified [`avx_available`].
+    pub(super) fn sq_dist_row_avx(residual: &[f64], dictionary: &[f64], out: &mut [f64]) {
+        let n = out.len();
+        assert_eq!(Some(dictionary.len()), residual.len().checked_mul(n));
+        let mut j = 0;
+        while j + ROW_CELLS <= n {
+            // SAFETY: AVX support is checked by the caller via
+            // `avx_available`; cells `j..j + ROW_CELLS` of `out` and of
+            // every dictionary row lie in bounds (asserted above).
+            unsafe { row_cells::<{ ROW_CELLS / 4 }>(residual, dictionary, out, j) };
+            j += ROW_CELLS;
+        }
+        while j + 4 <= n {
+            // SAFETY: as above, for cells `j..j + 4`.
+            unsafe { row_cells::<1>(residual, dictionary, out, j) };
+            j += 4;
+        }
+        for (jj, s) in out.iter_mut().enumerate().skip(j) {
+            let mut acc = 0.0;
+            for (i, &r) in residual.iter().enumerate() {
+                let t = r - dictionary[i * n + jj];
+                acc += t * t;
+            }
+            *s = acc;
+        }
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx_available()` first. The
+    // caller guarantees `dictionary.len() == residual.len() *
+    // out.len()` and `j + 4 * W <= out.len()`, so the loads at row
+    // offsets `i * n + j .. i * n + j + 4 * W` and the `out` stores
+    // stay in bounds.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn row_cells<const W: usize>(
+        residual: &[f64],
+        dictionary: &[f64],
+        out: &mut [f64],
+        j: usize,
+    ) {
+        let n = out.len();
+        let o = out.as_mut_ptr().add(j);
+        let d = dictionary.as_ptr().add(j);
+        let mut acc = [_mm256_setzero_pd(); W];
+        for (i, &r) in residual.iter().enumerate() {
+            let rv = _mm256_set1_pd(r);
+            let row = d.add(i * n);
+            for (w, s) in acc.iter_mut().enumerate() {
+                let t = _mm256_sub_pd(rv, _mm256_loadu_pd(row.add(4 * w)));
+                *s = _mm256_add_pd(*s, _mm256_mul_pd(t, t));
+            }
+        }
+        for (w, s) in acc.iter().enumerate() {
+            _mm256_storeu_pd(o.add(4 * w), *s);
         }
     }
 }

@@ -20,13 +20,24 @@
 //! - the weighted Gram entry point (`Matrix::add_weighted_gram`, the
 //!   solver's normal-matrix assembly) equals one sequential rank-1
 //!   update per listed row, bit for bit, across the 4-/8-lane edges,
-//!   the 4-row tile and the 16-row slab seams.
+//!   the 4-row tile and the 16-row slab seams;
+//! - both squared-distance kernels of the binary read path
+//!   (`sq_dist_block`, `sq_dist_row`) equal the naive
+//!   `t = r − x; s += t * t` chain bit for bit — here on *every* input,
+//!   ±0.0, ±∞ and NaN included, since a distance chain has no skipped
+//!   term to excuse a non-finite divergence — across every atom, lane
+//!   and 16-/4-cell tail. The one thing compared by class rather than
+//!   by bits is a NaN result's sign and payload, which Rust leaves
+//!   unspecified (see `dist_bits`).
 //!
 //! Any future kernel that cannot preserve the accumulation order must
 //! downgrade the affected assertions to a `<= 1e-12` relative bound
 //! (see ARCHITECTURE.md, "Kernel dispatch") — never silently loosen.
 
-use iupdater_linalg::kernels::{classify, matmul_rk, KernelArm, THIN_EDGE, TINY_INNER_MAX};
+use iupdater_linalg::kernels::{
+    classify, matmul_rk, sq_dist_block, sq_dist_row, KernelArm, BINARY_LANES, THIN_EDGE,
+    TINY_INNER_MAX,
+};
 use iupdater_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -323,5 +334,166 @@ fn degenerate_shapes() {
         let mut out = Matrix::filled(m, n, f64::NAN);
         a.matmul_into(&b, &mut out).unwrap();
         assert_eq!(out, want, "matmul_into shape ({m},{k},{n})");
+    }
+}
+
+/// The naive squared-distance chain both distance kernels must
+/// reproduce: `s = +0.0`, then `t = r_i − x_i; s += t * t` in
+/// ascending `i`.
+fn naive_sq_dist(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
+    let mut s = 0.0;
+    for (r, x) in pairs {
+        let t = r - x;
+        s += t * t;
+    }
+    s
+}
+
+/// Naive `n x BINARY_LANES` distance table of lane-interleaved
+/// residuals against contiguous atom rows of length `m`.
+fn naive_block(residuals: &[f64], atoms: &[f64], m: usize, n: usize) -> Vec<f64> {
+    const L: usize = BINARY_LANES;
+    let mut out = vec![0.0; n * L];
+    for j in 0..n {
+        for l in 0..L {
+            out[j * L + l] =
+                naive_sq_dist((0..m).map(|i| (residuals[i * L + l], atoms[j * m + i])));
+        }
+    }
+    out
+}
+
+/// Naive per-cell distances of one residual against the `m x n`
+/// links x cells dictionary.
+fn naive_row(residual: &[f64], dictionary: &[f64], n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|j| {
+            naive_sq_dist(
+                residual
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &r)| (r, dictionary[i * n + j])),
+            )
+        })
+        .collect()
+}
+
+/// The bits a distance is compared by: its exact bits, except that
+/// every NaN maps to one value. Which NaN an add of two NaNs returns
+/// is not a property of the chain: Rust leaves the sign and payload of
+/// a NaN result unspecified, and LLVM may commute an add. The naive
+/// chain itself returns `0xfff8…` for one input in a debug build and
+/// `0x7ff8…` in release. So a NaN must stay a NaN (it can never win
+/// the pursuit's strict `<` argmin) and everything else must match bit
+/// for bit: finite values, `+∞` and the sign of zero.
+fn dist_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+fn assert_dist_bits_eq(got: &[f64], want: &[f64], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(dist_bits(*g), dist_bits(*w), "{ctx}: entry {k}: {g} vs {w}");
+    }
+}
+
+/// The non-finite and signed-zero values laced into distance inputs.
+/// Both NaN signs appear, and `∞ − ∞` makes NaNs of its own.
+const SPECIAL: [f64; 6] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+];
+
+/// `len` finite values with up to six [`SPECIAL`] values overwriting
+/// random positions (zero specials keeps whole chains finite).
+fn laced(len: usize) -> impl Strategy<Value = Vec<f64>> {
+    (
+        prop::collection::vec(-10.0f64..10.0, len),
+        prop::collection::vec((0..len.max(1), 0..SPECIAL.len()), 0usize..=6),
+    )
+        .prop_map(move |(vals, sprinkle)| {
+            let mut v: Vec<f64> = vals.iter().map(|x| x / 3.0).collect();
+            if len > 0 {
+                for (i, k) in sprinkle {
+                    v[i] = SPECIAL[k];
+                }
+            }
+            v
+        })
+}
+
+/// `n` values: 0, 1, every residue mod 16 (row kernel's 16-/4-cell
+/// tails) and mod 4 (block kernel's atoms in flight), odd and even.
+fn distance_n() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), Just(1usize), 2usize..=49]
+}
+
+proptest! {
+    #[test]
+    fn sq_dist_block_matches_naive_chain_bitwise(
+        (m, n, residuals, atoms) in (1usize..=40, distance_n()).prop_flat_map(|(m, n)| {
+            (laced(m * BINARY_LANES), laced(n * m)).prop_map(move |(r, a)| (m, n, r, a))
+        }),
+    ) {
+        let mut out = vec![f64::NAN; n * BINARY_LANES]; // fully overwritten
+        sq_dist_block(&residuals, &atoms, &mut out);
+        assert_dist_bits_eq(&out, &naive_block(&residuals, &atoms, m, n), &format!("block {m}x{n}"));
+    }
+
+    #[test]
+    fn sq_dist_row_matches_naive_chain_bitwise(
+        (n, residual, dictionary) in (1usize..=40, distance_n()).prop_flat_map(|(m, n)| {
+            (laced(m), laced(m * n)).prop_map(move |(r, d)| (n, r, d))
+        }),
+    ) {
+        let mut out = vec![f64::NAN; n]; // fully overwritten
+        sq_dist_row(&residual, &dictionary, &mut out);
+        let m = residual.len();
+        assert_dist_bits_eq(&out, &naive_row(&residual, &dictionary, n), &format!("row {m}x{n}"));
+    }
+}
+
+/// Every tail of both distance kernels at fixed shapes that never
+/// shrink away: `n` in `0..=33` (each residue mod 16 twice) against
+/// link counts around the 4-/8-lane and 16-cell edges, `m = 0` (empty
+/// chains are `+0.0`) included, with a special value laced in at a
+/// shape-dependent position.
+#[test]
+fn distance_kernels_cover_every_tail_bitwise() {
+    for m in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 40] {
+        for n in 0usize..=33 {
+            let value = |k: usize| ((k as f64) * 0.37 + m as f64).sin() * 7.0 / 3.0;
+            let mut residuals: Vec<f64> = (0..m * BINARY_LANES).map(value).collect();
+            let mut atoms: Vec<f64> = (0..n * m).map(|k| value(k + 1000)).collect();
+            if m * n > 0 {
+                atoms[(m * 7 + n) % (m * n)] = SPECIAL[(m + n) % SPECIAL.len()];
+                residuals[(n * 5) % (m * BINARY_LANES)] = SPECIAL[(m * n) % SPECIAL.len()];
+            }
+            let mut block = vec![f64::NAN; n * BINARY_LANES];
+            sq_dist_block(&residuals, &atoms, &mut block);
+            assert_dist_bits_eq(
+                &block,
+                &naive_block(&residuals, &atoms, m, n),
+                &format!("block {m}x{n}"),
+            );
+
+            let residual = &residuals[..m];
+            let dictionary: Vec<f64> = (0..m * n).map(|k| atoms[(k % n) * m + k / n]).collect();
+            let mut row = vec![f64::NAN; n];
+            sq_dist_row(residual, &dictionary, &mut row);
+            assert_dist_bits_eq(
+                &row,
+                &naive_row(residual, &dictionary, n),
+                &format!("row {m}x{n}"),
+            );
+        }
     }
 }
