@@ -2,11 +2,27 @@
 //! target stands at grid location `j`, together with the deployment
 //! metadata the constraints need (which link each location belongs to).
 
+use std::ops::RangeInclusive;
+
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::target::ObstructionEffect;
 use iupdater_rfsim::Testbed;
 
 use crate::{CoreError, Result};
+
+/// The physically plausible RSS range, in dBm, of every reading the
+/// system accepts: each `X_R` / `X_B` entry of a
+/// [`crate::MeasurementBatch`] (`0`, the unknown-cell sentinel of
+/// `X_B`, lies inside it) and each link of a localization query. No
+/// received signal exceeds the 30 dBm (1 W) Wi-Fi transmit-power
+/// ceiling, and no receiver reports far below the ≈ −101 dBm thermal
+/// noise floor of a 20 MHz channel; the simulated testbeds stay within
+/// −110…−20 dBm. Readings outside the range are rejected where they
+/// enter: magnitudes like `-1e150` would otherwise reach the solver
+/// and commit an absurd — or, near `f64::MAX`, non-finite — database,
+/// or reach the pursuit and surface as a misleading error about the
+/// database.
+pub const RSS_DBM_RANGE: RangeInclusive<f64> = -150.0..=30.0;
 
 /// A fingerprint database organised as an `M x N` matrix (Def. 1) plus
 /// the grid geometry (`M` links, `N/M` locations per link).

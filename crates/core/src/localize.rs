@@ -18,7 +18,7 @@ use iupdater_linalg::Matrix;
 use rayon::prelude::*;
 
 use crate::config::{AtomSelection, LocalizerConfig};
-use crate::fingerprint::FingerprintMatrix;
+use crate::fingerprint::{FingerprintMatrix, RSS_DBM_RANGE};
 use crate::omp::{orthogonal_matching_pursuit, OmpSolution};
 use crate::query::{PreparedDictionary, QueryScratch, QUERY_CHUNK};
 use crate::{CoreError, Result};
@@ -41,8 +41,7 @@ pub struct LocationEstimate {
 pub struct Localizer {
     fingerprint: FingerprintMatrix,
     config: LocalizerConfig,
-    /// Publish-time query structures (centred dictionary, atom rows,
-    /// column norms, optional Gram cache).
+    /// Publish-time query structures (centred dictionary, atom rows).
     prepared: PreparedDictionary,
 }
 
@@ -70,8 +69,9 @@ impl Localizer {
     ///
     /// - [`CoreError::DimensionMismatch`] if `y.len()` differs from the
     ///   link count.
-    /// - [`CoreError::InvalidArgument`] if OMP selects no atom (zero
-    ///   dictionary).
+    /// - [`CoreError::InvalidArgument`] if a reading lies outside
+    ///   [`RSS_DBM_RANGE`] (NaN and ±∞ included), or if OMP selects no
+    ///   atom (zero dictionary).
     pub fn localize(&self, y: &[f64]) -> Result<LocationEstimate> {
         let mut scratch = QueryScratch::new();
         self.localize_with_scratch(y, &mut scratch)
@@ -90,13 +90,7 @@ impl Localizer {
         y: &[f64],
         scratch: &mut QueryScratch,
     ) -> Result<LocationEstimate> {
-        if y.len() != self.fingerprint.num_links() {
-            return Err(CoreError::DimensionMismatch {
-                context: "Localizer::localize",
-                expected: format!("{} link measurements", self.fingerprint.num_links()),
-                got: format!("{}", y.len()),
-            });
-        }
+        self.check_query(y)?;
         let sol = self.prepared.pursue(y, &self.config, scratch)?;
         self.estimate_from(sol)
     }
@@ -114,8 +108,9 @@ impl Localizer {
     ///
     /// # Errors
     ///
-    /// A per-query error (dimension mismatch or degenerate selection),
-    /// as for [`Self::localize`], if any query in the slab fails.
+    /// A per-query error (dimension mismatch, out-of-range reading or
+    /// degenerate selection), as for [`Self::localize`], if any query
+    /// in the slab fails.
     pub fn localize_batch(&self, queries: &[Vec<f64>]) -> Result<Vec<LocationEstimate>> {
         let n_chunks = queries.len().div_ceil(QUERY_CHUNK);
         let per_chunk: Vec<Result<Vec<LocationEstimate>>> = (0..n_chunks)
@@ -152,13 +147,7 @@ impl Localizer {
         let mut blocks = queries.chunks_exact(BINARY_LANES);
         for block in blocks.by_ref() {
             for y in block {
-                if y.len() != self.fingerprint.num_links() {
-                    return Err(CoreError::DimensionMismatch {
-                        context: "Localizer::localize",
-                        expected: format!("{} link measurements", self.fingerprint.num_links()),
-                        got: format!("{}", y.len()),
-                    });
-                }
+                self.check_query(y)?;
             }
             for sol in self
                 .prepared
@@ -184,13 +173,7 @@ impl Localizer {
     ///
     /// As for [`Self::localize`].
     pub fn localize_unprepared(&self, y: &[f64]) -> Result<LocationEstimate> {
-        if y.len() != self.fingerprint.num_links() {
-            return Err(CoreError::DimensionMismatch {
-                context: "Localizer::localize",
-                expected: format!("{} link measurements", self.fingerprint.num_links()),
-                got: format!("{}", y.len()),
-            });
-        }
+        self.check_query(y)?;
         let centered = self.prepared.center_query(y);
         let sol = match self.config.selection {
             AtomSelection::Correlation => orthogonal_matching_pursuit(
@@ -202,6 +185,27 @@ impl Localizer {
             AtomSelection::BinaryResidual => self.binary_pursuit(&centered),
         };
         self.estimate_from(sol)
+    }
+
+    /// The read boundary shared by every localization entry point: one
+    /// reading per link, each inside [`RSS_DBM_RANGE`]. A non-finite or
+    /// absurd reading is the query's fault, so it is refused here
+    /// rather than surfacing from the pursuit as an error about the
+    /// database.
+    fn check_query(&self, y: &[f64]) -> Result<()> {
+        if y.len() != self.fingerprint.num_links() {
+            return Err(CoreError::DimensionMismatch {
+                context: "Localizer::localize",
+                expected: format!("{} link measurements", self.fingerprint.num_links()),
+                got: format!("{}", y.len()),
+            });
+        }
+        if y.iter().any(|v| !RSS_DBM_RANGE.contains(v)) {
+            return Err(CoreError::InvalidArgument(
+                "localization query contains an RSS reading outside the physical dBm range",
+            ));
+        }
+        Ok(())
     }
 
     /// The location estimate from a pursuit solution: the first atom
@@ -402,6 +406,81 @@ mod tests {
         assert!(loc.localize(&[0.0; 5]).is_err());
         assert!(loc.localize_unprepared(&[0.0; 5]).is_err());
         assert!(loc.localize_batch(&[vec![0.0; 5]]).is_err());
+    }
+
+    fn is_query_error<T>(r: Result<T>) -> bool {
+        matches!(r, Err(CoreError::InvalidArgument(msg)) if msg.contains("query"))
+    }
+
+    /// Every entry point refuses a query with one bad reading, with an
+    /// error that blames the query; the range's edges are accepted.
+    fn assert_bad_readings_rejected(config: LocalizerConfig) {
+        let t = Testbed::new(Environment::office(), 14);
+        let loc = Localizer::new(FingerprintMatrix::survey(&t, 0.0, 20), config);
+        let good = t.online_measurement(40, 0.0, 7);
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e200,
+            1e300,
+            -1e300,
+            30.5,
+            -150.5,
+        ] {
+            let mut y = good.clone();
+            y[3] = bad;
+            assert!(is_query_error(loc.localize(&y)), "localize({bad})");
+            assert!(
+                is_query_error(loc.localize_unprepared(&y)),
+                "localize_unprepared({bad})"
+            );
+            assert!(
+                is_query_error(loc.localize_batch(&[y])),
+                "localize_batch({bad})"
+            );
+        }
+        for edge in [*RSS_DBM_RANGE.start(), *RSS_DBM_RANGE.end()] {
+            let mut y = good.clone();
+            y[3] = edge;
+            assert_eq!(
+                loc.localize(&y).unwrap(),
+                loc.localize_unprepared(&y).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_reading_rejected_binary() {
+        assert_bad_readings_rejected(LocalizerConfig::default());
+    }
+
+    #[test]
+    fn out_of_range_reading_rejected_correlation() {
+        assert_bad_readings_rejected(LocalizerConfig {
+            selection: AtomSelection::Correlation,
+            max_atoms: 3,
+            ..LocalizerConfig::default()
+        });
+    }
+
+    #[test]
+    fn batch_with_one_bad_query_rejected() {
+        // 19 queries: two 8-lane blocks and a 3-query tail. The bad
+        // query sits inside a block, then in the tail.
+        let (t, loc) = office_localizer(21);
+        let queries: Vec<Vec<f64>> = (0..19)
+            .map(|j| t.online_measurement(j * 5, 0.0, 300 + j as u64))
+            .collect();
+        assert!(loc.localize_batch(&queries).is_ok());
+        for at in [5, 17] {
+            let mut slab = queries.clone();
+            slab[at][0] = f64::NAN;
+            assert!(
+                is_query_error(loc.localize_batch(&slab)),
+                "bad query at {at}"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct OmpSolution {
 /// the same failure class as the absolute append stop floor fixed in
 /// the incremental QR. A zero dictionary yields a zero floor, so
 /// all-zero columns stay excluded.
-pub(crate) fn dead_atom_floor(col_norms: &[f64]) -> f64 {
+fn dead_atom_floor(col_norms: &[f64]) -> f64 {
     f64::EPSILON * col_norms.iter().fold(0.0_f64, |a, &b| a.max(b))
 }
 

@@ -65,7 +65,6 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -74,22 +73,11 @@ use iupdater_linalg::Matrix;
 use iupdater_rfsim::{Environment, Testbed};
 
 use crate::config::{LocalizerConfig, UpdaterConfig};
-use crate::fingerprint::FingerprintMatrix;
+use crate::fingerprint::{FingerprintMatrix, RSS_DBM_RANGE};
 use crate::localize::{Localizer, LocationEstimate};
 use crate::reconstruct::Updater;
 use crate::solver::SolveReport;
 use crate::{CoreError, Result};
-
-/// The physically plausible RSS range, in dBm, of every `X_R` / `X_B`
-/// entry a [`MeasurementBatch`] accepts (`0`, the unknown-cell
-/// sentinel of `X_B`, lies inside it). No received signal exceeds the
-/// 30 dBm (1 W) Wi-Fi transmit-power ceiling, and no receiver reports
-/// far below the ≈ −101 dBm thermal noise floor of a 20 MHz channel;
-/// the simulated testbeds stay within −110…−20 dBm. Readings outside
-/// the range are rejected at ingest: magnitudes like `-1e150` would
-/// otherwise reach the solver and commit an absurd — or, near
-/// `f64::MAX`, non-finite — database.
-pub const RSS_DBM_RANGE: RangeInclusive<f64> = -150.0..=30.0;
 
 /// Opaque handle to a deployment registered with the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,25 +1,19 @@
 //! **query_parity** — the read-path golden-parity tier.
 //!
-//! Pins every prepared fast path (PR 9: prepared dictionaries,
-//! kernel-routed batch-OMP selection, incremental-Cholesky re-fits,
-//! chunked batch fan-out) to the unprepared scalar path
-//! (`Localizer::localize_unprepared`, per-step
-//! `select_cols`/`gram`/`solve` rebuilds): bit-identical supports and
-//! grid estimates, coefficients within 1e-12 — including degenerate
-//! dictionaries (zero columns, rank-deficient supports, near-tied
-//! correlations) and a constructed ill-conditioned case proving the
-//! `QUERY_CHOL_TOL` fallback actually fires.
+//! Pins every prepared path (prepared dictionaries, the single-query
+//! and lane-blocked binary pursuits, the correlation routing through
+//! `orthogonal_matching_pursuit`, chunked batch fan-out) to the
+//! unprepared scalar path (`Localizer::localize_unprepared`):
+//! bit-identical estimates, coefficients and residuals included — on
+//! degenerate dictionaries too (zero columns, rank-deficient supports,
+//! near-tied correlations, two nearly parallel atoms).
 
 use iupdater_core::config::{AtomSelection, LocalizerConfig};
 use iupdater_core::omp::{orthogonal_matching_pursuit, OmpSolution};
-use iupdater_core::query::{PreparedDictionary, QueryScratch, QUERY_CHOL_TOL};
+use iupdater_core::query::{PreparedDictionary, QueryScratch};
 use iupdater_core::{FingerprintMatrix, Localizer, Result};
 use iupdater_linalg::Matrix;
 use proptest::prelude::*;
-
-/// Coefficient tolerance: the incremental Cholesky re-fit may differ
-/// from the LU rebuild in the last bits.
-const COEFF_TOL: f64 = 1e-12;
 
 fn corr_config(max_atoms: usize, center: bool) -> LocalizerConfig {
     LocalizerConfig {
@@ -30,30 +24,17 @@ fn corr_config(max_atoms: usize, center: bool) -> LocalizerConfig {
     }
 }
 
-/// Fast and slow pursuits must agree: bit-identical support, close
-/// coefficients, close residual.
-fn assert_solution_parity(fast: &OmpSolution, slow: &OmpSolution) {
-    assert_eq!(fast.support, slow.support, "support must be bit-identical");
-    assert_eq!(fast.coefficients.len(), slow.coefficients.len());
-    for (a, b) in fast.coefficients.iter().zip(&slow.coefficients) {
-        assert!(
-            (a - b).abs() <= COEFF_TOL * (1.0 + b.abs()),
-            "coefficient drift: {a} vs {b}"
-        );
-    }
-    assert!(
-        (fast.residual_sq - slow.residual_sq).abs() <= COEFF_TOL * (1.0 + slow.residual_sq),
-        "residual drift: {} vs {}",
-        fast.residual_sq,
-        slow.residual_sq
-    );
-}
-
 /// Both paths may legitimately error (e.g. a singular support Gram on
-/// a rank-deficient dictionary) — but they must error *together*.
+/// a rank-deficient dictionary) — but they must error *together*, and
+/// otherwise agree in every bit.
 fn assert_result_parity(fast: Result<OmpSolution>, slow: Result<OmpSolution>) {
     match (fast, slow) {
-        (Ok(f), Ok(s)) => assert_solution_parity(&f, &s),
+        (Ok(f), Ok(s)) => {
+            assert_eq!(f.support, s.support, "support must be bit-identical");
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&f.coefficients), bits(&s.coefficients));
+            assert_eq!(f.residual_sq.to_bits(), s.residual_sq.to_bits());
+        }
         (Err(_), Err(_)) => {}
         (f, s) => panic!("path divergence: fast={f:?} slow={s:?}"),
     }
@@ -89,7 +70,7 @@ proptest! {
     })]
 
     #[test]
-    fn batch_omp_matches_scalar_omp((x, y) in fingerprint_and_query(), k in 1usize..5) {
+    fn correlation_pursuit_matches_scalar_omp((x, y) in fingerprint_and_query(), k in 1usize..5) {
         let config = corr_config(k, false);
         let prep = PreparedDictionary::prepare(&x, &config);
         let mut scratch = QueryScratch::new();
@@ -118,11 +99,8 @@ proptest! {
         let loc = Localizer::new(fp, corr_config(k, true));
         match (loc.localize(&y), loc.localize_unprepared(&y)) {
             (Ok(fast), Ok(slow)) => {
-                prop_assert_eq!(fast.grid, slow.grid, "grid estimates must be identical");
-                prop_assert_eq!(&fast.support, &slow.support);
-                for (a, b) in fast.coefficients.iter().zip(&slow.coefficients) {
-                    prop_assert!((a - b).abs() <= COEFF_TOL * (1.0 + b.abs()));
-                }
+                prop_assert_eq!(&fast, &slow);
+                prop_assert_eq!(fast.residual_sq.to_bits(), slow.residual_sq.to_bits());
             }
             (Err(_), Err(_)) => {}
             (f, s) => panic!("path divergence: fast={f:?} slow={s:?}"),
@@ -183,10 +161,9 @@ fn zero_columns_are_skipped_identically() {
 
 #[test]
 fn duplicate_columns_stay_in_lockstep() {
-    // A rank-deficient dictionary (exact duplicate columns): the
-    // second extension has a zero Schur pivot, so the Cholesky path
-    // falls back — and from there both paths run the same LU on the
-    // same singular support Gram, succeeding or failing together.
+    // A rank-deficient dictionary (exact duplicate columns): both
+    // paths run the same LU on the same singular support Gram,
+    // succeeding or failing together.
     let u = [2.0, -1.0, 0.5, 3.0];
     let x = Matrix::from_fn(4, 2, |i, _| u[i]);
     // y = u + w with w orthogonal to u (w = [1, 2, 0, 0] projected out).
@@ -257,55 +234,29 @@ fn near_tied_scores_break_ties_identically() {
 }
 
 #[test]
-fn ill_conditioned_update_fires_cholesky_fallback() {
-    // Constructed so OMP selects two nearly-parallel atoms: the
-    // incremental extension's relative Schur pivot is ~1e-10, below
-    // QUERY_CHOL_TOL = 1e-8, so the factor is abandoned — while the
-    // from-scratch LU (pivot 1e-10, still far above its own
-    // scale-relative floor) succeeds. The fallback path is the
-    // unprepared arithmetic, so the answers match exactly.
+fn ill_conditioned_two_atom_dictionary_matches_oracle() {
+    // Two nearly parallel atoms (relative Schur pivot ~1e-10) beside
+    // two dead columns: OMP selects both live atoms, and the
+    // from-scratch LU (pivot 1e-10, far above its scale-relative
+    // floor) recovers the coefficients 2 and 1. The served read must
+    // equal the unprepared oracle in every bit.
     let eps = 1e-5;
-    let x = Matrix::from_fn(4, 2, |i, j| match (i, j) {
+    let x = Matrix::from_fn(4, 4, |i, j| match (i, j) {
         (0, 0) => 1.0,
         (0, 1) => 1.0,
         (1, 1) => eps,
         _ => 0.0,
     });
-    let y = vec![3.0, eps, 0.0, 0.0];
-    let config = corr_config(2, false);
-    let prep = PreparedDictionary::prepare(&x, &config);
-    let mut scratch = QueryScratch::new();
-    let fast = prep.pursue(&y, &config, &mut scratch).unwrap();
-    let slow = orthogonal_matching_pursuit(&x, &y, 2, 1e-12).unwrap();
-
-    // Sanity: the relative pivot really is below the tolerance.
-    let g01: f64 = 1.0;
-    let g11 = 1.0 + eps * eps;
-    let d = g11 - g01 * g01;
-    assert!(d <= QUERY_CHOL_TOL * g11, "test must exercise the fallback");
-
-    assert_eq!(
-        scratch.chol_fallbacks(),
-        1,
-        "the ill-conditioned extension must fire the fallback"
-    );
-    assert_eq!(fast.support, slow.support);
-    assert_eq!(fast.support, vec![0, 1]);
-    for (a, b) in fast.coefficients.iter().zip(&slow.coefficients) {
-        assert_eq!(a.to_bits(), b.to_bits(), "fallback must be bit-identical");
-    }
+    let loc = Localizer::new(FingerprintMatrix::new(x, 1).unwrap(), corr_config(2, false));
+    let y = [3.0, eps, 0.0, 0.0];
+    let fast = loc.localize(&y).unwrap();
+    let slow = loc.localize_unprepared(&y).unwrap();
+    assert_eq!(fast, slow);
     assert_eq!(fast.residual_sq.to_bits(), slow.residual_sq.to_bits());
+    assert_eq!(fast.support, vec![0, 1]);
+    assert_eq!(fast.grid, 0);
     assert!((fast.coefficients[0] - 2.0).abs() < 1e-6);
     assert!((fast.coefficients[1] - 1.0).abs() < 1e-6);
-
-    // A well-conditioned query through the same scratch must not
-    // increment the counter further.
-    let x2 = Matrix::from_fn(4, 3, |i, j| ((i * 7 + j * 3) % 5) as f64 - 2.0 + j as f64);
-    let prep2 = PreparedDictionary::prepare(&x2, &config);
-    let fast2 = prep2.pursue(&[1.0, -1.0, 2.0, 0.5], &config, &mut scratch);
-    let slow2 = orthogonal_matching_pursuit(&x2, &[1.0, -1.0, 2.0, 0.5], 2, 1e-12);
-    assert_result_parity(fast2, slow2);
-    assert_eq!(scratch.chol_fallbacks(), 1);
 }
 
 #[test]

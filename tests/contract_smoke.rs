@@ -1,15 +1,19 @@
 //! Contract smoke: the read path's headline parity assertion at a
 //! small configuration, so the plain `cargo test -q` exercises the
-//! prepared pursuits and their squared-distance kernels.
+//! prepared pursuits, their squared-distance kernels and the
+//! correlation routing.
 //!
 //! Over a 16x384 site (`ext_scale::scaled_office(2)`), every query is
 //! answered three ways — the single-query prepared path
-//! (`Localizer::localize`), the chunked, lane-blocked batch path
-//! (`Localizer::localize_batch`) and the unprepared scalar oracle
-//! (`Localizer::localize_unprepared`) — and the three estimates must
-//! agree bit for bit, the residual's bits included. The full tier
-//! lives in `crates/core/tests/query_parity.rs`.
+//! (`Localizer::localize`), the chunked batch path
+//! (`Localizer::localize_batch`, lane-blocked under the binary model)
+//! and the unprepared scalar oracle (`Localizer::localize_unprepared`)
+//! — and the three estimates must agree bit for bit, the residual's
+//! bits included. That holds for the default binary model and for
+//! classic correlation OMP with three atoms. The full tier lives in
+//! `crates/core/tests/query_parity.rs`.
 
+use iupdater::core::config::AtomSelection;
 use iupdater::core::prelude::*;
 use iupdater::core::query::QUERY_CHUNK;
 use iupdater::eval::ext_scale::scaled_office;
@@ -32,13 +36,14 @@ fn assert_same_bits(got: &LocationEstimate, want: &LocationEstimate, what: &str,
     );
 }
 
-#[test]
-fn single_batch_and_unprepared_reads_agree_bitwise() {
+/// Answers a 16x384 slab through all three read paths under `config`
+/// and asserts they agree bit for bit.
+fn assert_reads_agree(config: LocalizerConfig) {
     let testbed = Testbed::new(scaled_office(2), 2);
     let fp = FingerprintMatrix::survey(&testbed, 0.0, 3);
     let (links, cells) = (fp.num_links(), fp.num_locations());
     assert_eq!((links, cells), (16, 384));
-    let loc = Localizer::new(fp, LocalizerConfig::default());
+    let loc = Localizer::new(fp, config);
 
     // Two full chunks plus a tail of one 8-lane block and three
     // single-query leftovers: not a multiple of 8 or of QUERY_CHUNK.
@@ -56,4 +61,18 @@ fn single_batch_and_unprepared_reads_agree_bitwise() {
         assert_same_bits(&loc.localize(y).unwrap(), &oracle, "localize", q);
         assert_same_bits(b, &oracle, "localize_batch", q);
     }
+}
+
+#[test]
+fn single_batch_and_unprepared_reads_agree_bitwise() {
+    assert_reads_agree(LocalizerConfig::default());
+}
+
+#[test]
+fn correlation_reads_agree_bitwise() {
+    assert_reads_agree(LocalizerConfig {
+        selection: AtomSelection::Correlation,
+        max_atoms: 3,
+        ..LocalizerConfig::default()
+    });
 }

@@ -100,14 +100,23 @@ fn extreme_online_measurements_do_not_crash() {
     let (testbed, updater) = setup();
     let fresh = updater.update_from_testbed(&testbed, 3.0, 5).unwrap();
     let localizer = Localizer::new(fresh, LocalizerConfig::default());
+    // Extreme readings at or inside the physical dBm range localize.
     for y in [
         vec![0.0; 8],
-        vec![-200.0; 8],
+        vec![-150.0; 8],
+        vec![30.0; 8],
         vec![f64::MIN_POSITIVE; 8],
         vec![-60.0, -61.0, -62.0, -63.0, -64.0, -65.0, -66.0, -67.0],
     ] {
         let est = localizer.localize(&y).unwrap();
         assert!(est.grid < testbed.deployment().num_locations());
+    }
+    // Readings beyond it are refused cleanly as a bad query.
+    for y in [vec![-200.0; 8], vec![f64::NAN; 8], vec![1e300; 8]] {
+        assert!(matches!(
+            localizer.localize(&y),
+            Err(CoreError::InvalidArgument(msg)) if msg.contains("query")
+        ));
     }
 }
 
