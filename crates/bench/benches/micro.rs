@@ -628,7 +628,7 @@ fn bench_query(c: &mut Criterion) {
         // One binary scan per call (the default `max_atoms = 1`): the
         // single-query pursuit on its distance row, and one
         // BINARY_LANES-query block (an 8-query slab is one serial
-        // chunk) on the blocked distance table.
+        // chunk) on the fused nearest-atom kernel.
         if tag != "16x384" {
             let mut scan_scratch = QueryScratch::new();
             group.bench_function(&format!("binary_scan_row_{tag}"), |b| {

@@ -23,6 +23,10 @@ use crate::omp::{orthogonal_matching_pursuit, OmpSolution};
 use crate::query::{PreparedDictionary, QueryScratch, QUERY_CHUNK};
 use crate::{CoreError, Result};
 
+/// The error message of a pursuit that selected no atom.
+pub(crate) const NO_ATOM_SELECTED: &str =
+    "matching selected no atom (degenerate fingerprint matrix)";
+
 /// A grid-location estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocationEstimate {
@@ -192,7 +196,7 @@ impl Localizer {
     /// absurd reading is the query's fault, so it is refused here
     /// rather than surfacing from the pursuit as an error about the
     /// database.
-    fn check_query(&self, y: &[f64]) -> Result<()> {
+    pub(crate) fn check_query(&self, y: &[f64]) -> Result<()> {
         if y.len() != self.fingerprint.num_links() {
             return Err(CoreError::DimensionMismatch {
                 context: "Localizer::localize",
@@ -221,9 +225,7 @@ impl Localizer {
                 .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
                 .map(|(&j, _)| j),
         }
-        .ok_or(CoreError::InvalidArgument(
-            "matching selected no atom (degenerate fingerprint matrix)",
-        ))?;
+        .ok_or(CoreError::InvalidArgument(NO_ATOM_SELECTED))?;
         Ok(LocationEstimate {
             grid,
             support: sol.support,

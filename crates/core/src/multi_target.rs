@@ -9,9 +9,10 @@
 //! this directly; this module adds the multi-estimate API, assignment
 //! metrics and tests.
 
-use crate::config::LocalizerConfig;
-use crate::localize::Localizer;
-use crate::Result;
+use crate::config::{AtomSelection, LocalizerConfig};
+use crate::localize::{Localizer, NO_ATOM_SELECTED};
+use crate::query::QueryScratch;
+use crate::{CoreError, Result};
 use iupdater_rfsim::Deployment;
 
 /// A multi-target estimate: one grid cell per detected target, in
@@ -26,21 +27,27 @@ impl Localizer {
     /// Estimates up to `max_targets` target locations from one online
     /// measurement. Uses the binary-residual greedy pursuit regardless
     /// of the configured selection rule (the `{0,1}` model is what makes
-    /// superposed targets separable).
+    /// superposed targets separable). It runs on this localizer's
+    /// prepared dictionary, which depends only on the database and on
+    /// centring, so it answers exactly as a binary localizer built with
+    /// `max_atoms = max_targets` would.
     ///
     /// # Errors
     ///
-    /// Propagates [`Localizer::localize`] errors (shape mismatch,
-    /// degenerate dictionary).
+    /// The [`Localizer::localize`] errors: a malformed query, or no
+    /// atom selected (`max_targets == 0`, degenerate dictionary).
     pub fn localize_multi(&self, y: &[f64], max_targets: usize) -> Result<MultiTargetEstimate> {
+        self.check_query(y)?;
         let cfg = LocalizerConfig {
             max_atoms: max_targets,
-            selection: crate::config::AtomSelection::BinaryResidual,
+            selection: AtomSelection::BinaryResidual,
             ..self.config().clone()
         };
-        let tmp = Localizer::new(self.fingerprint().clone(), cfg);
-        let est = tmp.localize(y)?;
-        Ok(MultiTargetEstimate { grids: est.support })
+        let sol = self.prepared().pursue(y, &cfg, &mut QueryScratch::new())?;
+        if sol.support.is_empty() {
+            return Err(CoreError::InvalidArgument(NO_ATOM_SELECTED));
+        }
+        Ok(MultiTargetEstimate { grids: sol.support })
     }
 }
 
@@ -132,6 +139,45 @@ mod tests {
             20 / 12,
             "first atom should find the right link row"
         );
+    }
+
+    #[test]
+    fn multi_matches_a_fresh_binary_oracle() {
+        // Under either configured selection rule, every target count
+        // answers exactly as a freshly built binary localizer's oracle,
+        // and zero targets is still the "selected no atom" error.
+        let t = Testbed::new(Environment::office(), 61);
+        let fp = FingerprintMatrix::survey(&t, 0.0, 20);
+        let y = t.online_measurement_multi(&[14, 70], 0.0, 5);
+        for base in [
+            LocalizerConfig::default(),
+            LocalizerConfig {
+                selection: AtomSelection::Correlation,
+                max_atoms: 3,
+                ..LocalizerConfig::default()
+            },
+        ] {
+            let loc = Localizer::new(fp.clone(), base.clone());
+            for k in 0..=4 {
+                let fresh = Localizer::new(
+                    fp.clone(),
+                    LocalizerConfig {
+                        selection: AtomSelection::BinaryResidual,
+                        max_atoms: k,
+                        ..base.clone()
+                    },
+                );
+                match (loc.localize_multi(&y, k), fresh.localize_unprepared(&y)) {
+                    (Ok(multi), Ok(oracle)) => assert_eq!(multi.grids, oracle.support, "k = {k}"),
+                    (Err(CoreError::InvalidArgument(a)), Err(CoreError::InvalidArgument(b))) => {
+                        assert_eq!(k, 0);
+                        assert_eq!(a, b);
+                        assert!(a.contains("selected no atom"), "{a}");
+                    }
+                    (multi, oracle) => panic!("k = {k}: {multi:?} vs {oracle:?}"),
+                }
+            }
+        }
     }
 
     #[test]

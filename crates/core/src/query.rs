@@ -14,21 +14,23 @@
 //!
 //! The binary-residual mode (the default, Eq. 26's `W ∈ {0,1}`
 //! model) has no least-squares step: each step is one squared-distance
-//! scan `‖r − x_j‖²` over every atom, run by the L1 distance kernels
+//! scan `‖r − x_j‖²` over every atom, run by the L1 kernels
 //! (`kernels::sq_dist_row` for one query over the links x cells
-//! dictionary, `kernels::sq_dist_block` for [`BINARY_LANES`]
-//! lane-interleaved queries over the contiguous atom rows). Both
-//! compute every distance as the same ascending-link chain as the
-//! strided column walk of the unprepared path, so the pursuit keeps
-//! only the argmin, the selected mask and the residual guard — and
-//! changes no bit.
+//! dictionary, then an argmin over the distances; the fused
+//! `kernels::nearest_block` for [`BINARY_LANES`] lane-interleaved
+//! queries over the contiguous atom rows, which returns each lane's
+//! first minimum directly). Both compute every distance as the same
+//! ascending-link chain as the strided column walk of the unprepared
+//! path and pick the first strict-`<` minimum, so the pursuit keeps
+//! only the selected masks and the residual guard — and changes no
+//! bit.
 //!
 //! Classic correlation matching (`AtomSelection::Correlation`) has no
 //! prepared twin: [`PreparedDictionary::pursue`] centres the query and
 //! hands it to `orthogonal_matching_pursuit`, the oracle itself, so it
 //! answers identically by construction.
 
-use iupdater_linalg::kernels::{sq_dist_block, sq_dist_row, BINARY_LANES};
+use iupdater_linalg::kernels::{nearest_block, sq_dist_row, BINARY_LANES};
 use iupdater_linalg::Matrix;
 
 use crate::config::{AtomSelection, LocalizerConfig};
@@ -146,10 +148,11 @@ impl PreparedDictionary {
     }
 
     /// [`BINARY_LANES`] binary pursuits advanced in lockstep: each step
-    /// is one [`sq_dist_block`] pass over the atom rows into an
-    /// `n x BINARY_LANES` distance table, then a per-lane argmin.
-    /// Every table entry is the exact ascending-link chain of
-    /// [`Self::binary_pursuit`], so each query's selections, support
+    /// is one [`nearest_block`] pass over the atom rows, which returns
+    /// every lane's nearest atom not yet selected by that lane (bit
+    /// `l` of `block_excluded[j]`). Every distance is the exact
+    /// ascending-link chain of [`Self::binary_pursuit`] and the minimum
+    /// is its first strict-`<` one, so each query's selections, support
     /// and residual are bit-identical to its single-query run.
     ///
     /// `ys` must hold exactly [`BINARY_LANES`] queries of dictionary
@@ -166,15 +169,13 @@ impl PreparedDictionary {
         let n = self.dictionary.cols();
         let QueryScratch {
             block_residual,
-            block_selected,
-            dist,
+            block_excluded,
             ..
         } = scratch;
         block_residual.resize(m * L, 0.0);
-        block_selected.clear();
-        block_selected.resize(n * L, false);
-        dist.resize(n * L, 0.0);
-        let (residual, selected) = (&mut block_residual[..], &mut block_selected[..]);
+        block_excluded.clear();
+        block_excluded.resize(n, 0);
+        let (residual, excluded) = (&mut block_residual[..], &mut block_excluded[..]);
         // Centre straight into the interleaved layout — the same
         // per-element subtraction as the scalar path.
         for i in 0..m {
@@ -202,21 +203,7 @@ impl PreparedDictionary {
             if !active.iter().any(|&a| a) {
                 break;
             }
-            sq_dist_block(residual, self.atoms.as_slice(), dist);
-            let mut best_dist = [f64::INFINITY; L];
-            let mut best_j = [usize::MAX; L];
-            for (j, (d, sel)) in dist
-                .chunks_exact(L)
-                .zip(selected.chunks_exact(L))
-                .enumerate()
-            {
-                for l in 0..L {
-                    if active[l] && !sel[l] && d[l] < best_dist[l] {
-                        best_dist[l] = d[l];
-                        best_j[l] = j;
-                    }
-                }
-            }
+            let (best_dist, best_j) = nearest_block(residual, self.atoms.as_slice(), excluded);
             for l in 0..L {
                 if !active[l] {
                     continue;
@@ -232,7 +219,7 @@ impl PreparedDictionary {
                     continue;
                 }
                 support[l].push(j_star);
-                selected[j_star * L + l] = true;
+                excluded[j_star] |= 1 << l;
                 for (i, &a) in self.atoms.row(j_star).iter().enumerate() {
                     residual[i * L + l] -= a;
                 }
@@ -324,10 +311,11 @@ pub struct QueryScratch {
     /// Lane-interleaved residuals for the blocked binary pursuit
     /// (`m * BINARY_LANES`, element `[i * LANES + l]`).
     block_residual: Vec<f64>,
-    /// Lane-interleaved selected-atom masks (`n * BINARY_LANES`).
-    block_selected: Vec<bool>,
-    /// Squared distances of one binary scan: `n` for the single-query
-    /// pursuit, the `n x BINARY_LANES` table for the blocked one.
+    /// Per-atom lane masks of the blocked binary pursuit (length n):
+    /// bit `l` is set once lane `l` has selected that atom.
+    block_excluded: Vec<u8>,
+    /// Squared distances of one single-query binary scan (length n);
+    /// the blocked pursuit keeps its distances in registers.
     dist: Vec<f64>,
 }
 

@@ -11,7 +11,7 @@
 use iupdater_core::config::{AtomSelection, LocalizerConfig};
 use iupdater_core::omp::{orthogonal_matching_pursuit, OmpSolution};
 use iupdater_core::query::{PreparedDictionary, QueryScratch};
-use iupdater_core::{FingerprintMatrix, Localizer, Result};
+use iupdater_core::{FingerprintMatrix, Localizer, LocationEstimate, Result};
 use iupdater_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -111,24 +111,57 @@ proptest! {
     fn batch_matches_per_query_loop((x, y) in fingerprint_and_query(), seed_step in 1usize..5) {
         // A slab larger than one QUERY_CHUNK exercises chunked
         // fan-out and scratch reuse across many queries.
-        let per = x.cols() / x.rows();
-        let m = x.rows();
-        let fp = FingerprintMatrix::new(x, per).unwrap();
-        let loc = Localizer::new(fp, LocalizerConfig::default());
-        let queries: Vec<Vec<f64>> = (0..70usize)
-            .map(|q| {
-                (0..m)
-                    .map(|i| y[i] + ((q * seed_step + i) % 13) as f64 * 0.37 - 2.0)
-                    .collect()
-            })
-            .collect();
-        let batch = loc.localize_batch(&queries).unwrap();
-        prop_assert_eq!(batch.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batch) {
-            let oracle = loc.localize_unprepared(q).unwrap();
-            prop_assert_eq!(b, &oracle);
-        }
+        batch_against_oracle(x, &y, seed_step, 1);
     }
+
+    #[test]
+    fn multi_atom_batch_matches_oracle(
+        (x, y) in fingerprint_and_query(),
+        seed_step in 1usize..5,
+        max_atoms in 2usize..=4,
+    ) {
+        // Steps 2 and later of the lane-blocked pursuit: each lane's
+        // exclusion of the atoms it already selected, and its residual
+        // guard, against the oracle's `support.contains` and guard.
+        let batch = batch_against_oracle(x, &y, seed_step, max_atoms);
+        prop_assert!(batch.iter().any(|b| b.support.len() > 1), "no lane took a second step");
+    }
+}
+
+/// Answers a 70-query slab around `y` through `localize_batch` under
+/// the binary model with `max_atoms`, asserts every answer equals the
+/// unprepared oracle's bit for bit, and returns the batch. 70 queries
+/// are eight full 8-lane blocks in the first `QUERY_CHUNK` and a
+/// 6-query single-path tail in the second.
+fn batch_against_oracle(
+    x: Matrix,
+    y: &[f64],
+    seed_step: usize,
+    max_atoms: usize,
+) -> Vec<LocationEstimate> {
+    let per = x.cols() / x.rows();
+    let m = x.rows();
+    let fp = FingerprintMatrix::new(x, per).unwrap();
+    let config = LocalizerConfig {
+        max_atoms,
+        ..LocalizerConfig::default()
+    };
+    let loc = Localizer::new(fp, config);
+    let queries: Vec<Vec<f64>> = (0..70usize)
+        .map(|q| {
+            (0..m)
+                .map(|i| y[i] + ((q * seed_step + i) % 13) as f64 * 0.37 - 2.0)
+                .collect()
+        })
+        .collect();
+    let batch = loc.localize_batch(&queries).unwrap();
+    assert_eq!(batch.len(), queries.len());
+    for (q, b) in queries.iter().zip(&batch) {
+        let oracle = loc.localize_unprepared(q).unwrap();
+        assert_eq!(b, &oracle);
+        assert_eq!(b.residual_sq.to_bits(), oracle.residual_sq.to_bits());
+    }
+    batch
 }
 
 #[test]

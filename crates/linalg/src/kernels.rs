@@ -4,7 +4,7 @@
 //! [`crate::Matrix::matmul_into`], [`crate::Matrix::matmul_bt_into`],
 //! [`crate::Matrix::gram_into`] and the [`crate::MatrixView`] variants —
 //! funnels into this module, and so do the binary read path's
-//! squared-distance scans ([`sq_dist_block`], [`sq_dist_row`]). The hot
+//! squared-distance scans ([`nearest_block`], [`sq_dist_row`]). The hot
 //! shapes of the iUpdater workload are *small in one dimension* (rank ≤
 //! 8 on the paper's 6- and 8-link presets and r = 32 on the 32x1536
 //! storm site, links ≈ 6–32, cells ≤ 1536):
@@ -56,7 +56,7 @@
 //!
 //! # The distance kernels
 //!
-//! [`sq_dist_block`] and [`sq_dist_row`] compute `Σ_i (r_i − x_i)²` for
+//! [`nearest_block`] and [`sq_dist_row`] compute `Σ_i (r_i − x_i)²` for
 //! every atom as one ascending-`i` chain of `t = r − x; s += t * t`:
 //! sub, mul, add, never FMA. They are not rewritten as
 //! `‖r‖² − 2⟨r, x⟩ + ‖x‖²`, which would turn the scan into a product
@@ -67,6 +67,18 @@
 //! only the sign and payload of a NaN result are left unspecified by
 //! Rust (the naive loop itself differs between debug and release
 //! builds), and a NaN distance never wins the pursuit's strict `<`.
+//!
+//! [`sq_dist_row`] writes one query's `n` distances for the caller's
+//! argmin. [`nearest_block`] serves [`BINARY_LANES`] queries at once
+//! and writes no distances at all: it folds each atom's eight chains
+//! into a per-lane running minimum held in registers, one atom at a
+//! time in ascending order with an ordered `<` (`_CMP_LT_OQ`), so it
+//! returns exactly the first strict-`<` minimum a scalar scan would.
+//! Atoms a lane has already selected are skipped through one `u8` per
+//! atom, bit `l` for lane `l`. It dispatches at runtime to AVX-512F
+//! (the eight lanes in one register; the inverted exclusion byte is
+//! the compare's write mask), else AVX (two registers; compare, mask,
+//! `blendv`), else the scalar body.
 
 /// Largest shared dimension `k` routed to the monomorphised
 /// tiny-inner kernels ([`matmul_rk`]). It covers every rank the solver
@@ -605,59 +617,92 @@ where
     }
 }
 
-/// Residuals interleaved per [`sq_dist_block`] pass: the block layout
+/// Queries advanced together by [`nearest_block`]: the block layout
 /// is `residuals[i * BINARY_LANES + l]` (link `i`, lane `l`), so one
 /// sweep over the atom rows advances this many independent distance
-/// chains together — exactly two 256-bit registers per link.
+/// chains together — one 512-bit or two 256-bit registers per link.
+/// It is also the width of one exclusion byte: bit `l` of
+/// `excluded[j]` belongs to lane `l`.
 pub const BINARY_LANES: usize = 8;
 
-/// The blocked squared-distance kernel of the binary read path:
-/// `out[j * BINARY_LANES + l] = Σ_i (residuals[i * BINARY_LANES + l] −
-/// atoms[j * m + i])²` for every atom `j` and lane `l`, with
-/// `m = residuals.len() / BINARY_LANES` links and
-/// `n = out.len() / BINARY_LANES` contiguous atom rows of length `m`.
-/// `out` is fully overwritten.
+// One `u8` per atom (one AVX-512 `__mmask8`) carries every lane's
+// exclusion bit.
+const _: () = assert!(BINARY_LANES == u8::BITS as usize);
+
+/// Per-lane nearest atoms of one [`nearest_block`] pass: the smallest
+/// squared distance of each lane and the atom index that attains it.
+pub type NearestLanes = ([f64; BINARY_LANES], [usize; BINARY_LANES]);
+
+/// The fused nearest-atom kernel of the blocked binary read path. For
+/// every lane `l` it scans the `n = excluded.len()` contiguous atom
+/// rows of length `m = residuals.len() / BINARY_LANES` in ascending
+/// order and returns the first minimum (strict `<`) of
+/// `Σ_i (residuals[i * BINARY_LANES + l] − atoms[j * m + i])²` over
+/// the atoms `j` whose `excluded[j]` has bit `l` clear, with its
+/// index. A lane with no selectable atom (all excluded, `n = 0`, or
+/// every distance NaN or `+∞`) returns `(+∞, usize::MAX)`.
 ///
-/// Each output is one ascending-`i` chain of `t = r − a; s += t * t`
+/// Each distance is one ascending-`i` chain of `t = r − a; s += t * t`
 /// from `s = +0.0`, built from sub, mul and add (never an FMA, never
-/// the norm expansion: see the module docs), so it is bit-identical to
-/// the naive per-pair loop, non-finite inputs included. With AVX, four atoms (eight accumulator
-/// registers) are in flight per step; the scalar body runs otherwise.
+/// the norm expansion: see the module docs), and the running minimum
+/// is updated one atom at a time in ascending `j` with an ordered
+/// `<`, so a NaN distance is never selected. The result is therefore
+/// bit-identical to the naive per-pair loop followed by a strict-`<`
+/// argmin, non-finite inputs included. No distance table is written:
+/// the chains and the per-lane minimum stay in registers. Dispatch is
+/// AVX-512F (one 512-bit register per atom), then AVX (two 256-bit
+/// registers per atom, `cmp` + `blendv`), then the scalar body.
 ///
 /// # Panics
 ///
-/// If `residuals.len()` or `out.len()` is not a multiple of
-/// [`BINARY_LANES`], or `atoms.len() != n * m`.
-pub fn sq_dist_block(residuals: &[f64], atoms: &[f64], out: &mut [f64]) {
-    const L: usize = BINARY_LANES;
-    let m = residuals.len() / L;
-    let n = out.len() / L;
-    assert_eq!(residuals.len(), m * L, "residuals must be lane-interleaved");
-    assert_eq!(out.len(), n * L, "the distance table is n x BINARY_LANES");
+/// If `residuals.len()` is not a multiple of [`BINARY_LANES`], or
+/// `atoms.len() != n * m`.
+pub fn nearest_block(residuals: &[f64], atoms: &[f64], excluded: &[u8]) -> NearestLanes {
+    let m = residuals.len() / BINARY_LANES;
+    assert_eq!(
+        residuals.len(),
+        m * BINARY_LANES,
+        "residuals must be lane-interleaved"
+    );
     assert_eq!(
         Some(atoms.len()),
-        n.checked_mul(m),
-        "atoms must be n rows of m links"
+        excluded.len().checked_mul(m),
+        "atoms must be one row of m links per exclusion byte"
     );
-    if m == 0 {
-        out.fill(0.0); // every distance is an empty sum
-        return;
-    }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::avx_available() {
-        simd::sq_dist_block_avx(residuals, atoms, m, out);
-        return;
+    {
+        if simd::avx512f_available() {
+            return simd::nearest_block_avx512(residuals, atoms, excluded);
+        }
+        if simd::avx_available() {
+            return simd::nearest_block_avx(residuals, atoms, excluded);
+        }
     }
-    for (atom, dist) in atoms.chunks_exact(m).zip(out.chunks_exact_mut(L)) {
+    nearest_block_scalar(residuals, atoms, excluded)
+}
+
+/// The scalar arm of [`nearest_block`] (shapes checked by the caller):
+/// one atom at a time, eight chains, then the per-lane update.
+fn nearest_block_scalar(residuals: &[f64], atoms: &[f64], excluded: &[u8]) -> NearestLanes {
+    const L: usize = BINARY_LANES;
+    let m = residuals.len() / L;
+    let (mut best, mut best_j) = ([f64::INFINITY; L], [usize::MAX; L]);
+    for (j, &ex) in excluded.iter().enumerate() {
         let mut acc = [0.0_f64; L];
-        for (r, &a) in residuals.chunks_exact(L).zip(atom) {
+        for (r, &a) in residuals.chunks_exact(L).zip(&atoms[j * m..(j + 1) * m]) {
             for (s, &rl) in acc.iter_mut().zip(r) {
                 let t = rl - a;
                 *s += t * t;
             }
         }
-        dist.copy_from_slice(&acc);
+        for (l, &d) in acc.iter().enumerate() {
+            if ex & (1 << l) == 0 && d < best[l] {
+                best[l] = d;
+                best_j[l] = j;
+            }
+        }
     }
+    (best, best_j)
 }
 
 /// The single-query squared-distance kernel of the binary read path:
@@ -665,7 +710,7 @@ pub fn sq_dist_block(residuals: &[f64], atoms: &[f64], out: &mut [f64]) {
 /// `m x n` row-major `dictionary` (links x cells), `m =
 /// residual.len()`, `n = out.len()`. `out` is fully overwritten.
 ///
-/// Same contract as [`sq_dist_block`]: every output is one
+/// Same chain as [`nearest_block`]: every output is one
 /// ascending-`i` chain of `t = r − d; s += t * t` from `s = +0.0`,
 /// sub, mul and add only, bit-identical to the naive per-cell loop
 /// (non-finite inputs included). The cells are the vector lanes, so no
@@ -700,29 +745,41 @@ pub fn sq_dist_row(residual: &[f64], dictionary: &[f64], out: &mut [f64]) {
     }
 }
 
-/// AVX (`std::arch`) variants behind runtime feature detection. The
-/// only unsafe code in the crate, compiled only with the `simd` cargo
-/// feature (without it the crate keeps `#![forbid(unsafe_code)]`).
-/// Every intrinsic sequence performs the same per-lane ascending-`p`
-/// mul-then-add sums as the scalar kernels — `_mm256_mul_pd` followed
-/// by `_mm256_add_pd`, never an FMA, so the results are bit-identical
-/// to the scalar path and the parity tier covers both. The distance
-/// kernels add one `_mm256_sub_pd` in front of the same mul-then-add.
+/// AVX and AVX-512F (`std::arch`) variants behind runtime feature
+/// detection. The only unsafe code in the crate, compiled only with
+/// the `simd` cargo feature (without it the crate keeps
+/// `#![forbid(unsafe_code)]`). Every intrinsic sequence performs the
+/// same per-lane ascending-`p` mul-then-add sums as the scalar kernels
+/// — `_mm256_mul_pd` (or `_mm512_mul_pd`) followed by the matching
+/// add, never an FMA, so the results are bit-identical to the scalar
+/// path and the parity tier covers both. The distance kernels add one
+/// sub in front of the same mul-then-add; the nearest-atom arms select
+/// with ordered compares and blends, which copy bits unchanged.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
     #![allow(unsafe_code)]
 
     use core::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm256_sub_pd,
+        __m256d, __m512d, __m512i, _mm256_add_pd, _mm256_andnot_pd, _mm256_blendv_pd,
+        _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_epi64x,
+        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd,
+        _mm512_loadu_pd, _mm512_mask_cmp_pd_mask, _mm512_mask_mov_pd, _mm512_mask_set1_epi64,
+        _mm512_mul_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_epi64,
+        _mm512_storeu_pd, _mm512_sub_pd, _CMP_LT_OQ,
     };
 
-    use super::BINARY_LANES;
+    use super::{NearestLanes, BINARY_LANES};
 
     /// Runtime AVX capability (cached by `std`).
     #[inline]
     pub(super) fn avx_available() -> bool {
         std::arch::is_x86_feature_detected!("avx")
+    }
+
+    /// Runtime AVX-512F capability (cached by `std`).
+    #[inline]
+    pub(super) fn avx512f_available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
     }
 
     /// One tiny-inner output row with 256-bit lanes: 8 output elements
@@ -858,12 +915,15 @@ mod simd {
         }
     }
 
-    /// Atoms in flight per step of [`sq_dist_block_avx`], two
-    /// registers of eight lanes each: eight independent accumulator
-    /// chains hide the add latency. On a Xeon (Sapphire Rapids) 2-vCPU
-    /// host, one 8-query pass over 1,536 atoms of 32 links took about
-    /// 46 µs at two, three, four or six atoms and 50 µs at one; four
-    /// was never slower.
+    /// Atoms in flight per step of both [`super::nearest_block`]
+    /// arms: their distance chains run together, then the per-lane
+    /// minimum takes them one at a time in ascending order. With AVX
+    /// that is eight 256-bit accumulators, with AVX-512F four 512-bit
+    /// ones. On a Xeon (Sapphire Rapids) 2-vCPU host, one 8-query
+    /// AVX-512F pass over 1,536 atoms of 32 links took about 48 µs at
+    /// two atoms, 41 µs at four and 43 µs at eight (median over 4,096
+    /// random queries); the AVX arm, which has only sixteen registers,
+    /// took 65 µs at four, as fast as the unfused scan and argmin.
     const BLOCK_ATOMS: usize = 4;
 
     /// Cells in flight per step of [`sq_dist_row_avx`]: four 4-wide
@@ -874,44 +934,96 @@ mod simd {
     /// 10.6 µs on the host above), so there is no slabbing.
     const ROW_CELLS: usize = 16;
 
-    /// [`super::sq_dist_block`] with 256-bit lanes. `m > 0`,
-    /// `residuals.len() == m * BINARY_LANES`, `out.len() == n *
-    /// BINARY_LANES` and `atoms.len() == n * m` (checked by the caller).
+    /// All-ones 64-bit lanes for each 4-bit half of an exclusion
+    /// byte: entry `e` has lane `b` set when bit `b` of `e` is, the
+    /// 256-bit mask the AVX arm clears its selections with.
+    static EXCLUDE_LANES: [[u64; 4]; 16] = {
+        let mut table = [[0; 4]; 16];
+        let mut e = 0;
+        while e < 16 {
+            let mut b = 0;
+            while b < 4 {
+                if (e >> b) & 1 == 1 {
+                    table[e][b] = u64::MAX;
+                }
+                b += 1;
+            }
+            e += 1;
+        }
+        table
+    };
+
+    /// [`super::nearest_block`] with 256-bit lanes: lanes 0–3 and 4–7
+    /// each hold a running minimum and its index (the index's bits
+    /// stored in a `__m256d`, starting at all-ones = `usize::MAX`),
+    /// updated with an ordered `<` compare, the exclusion mask and two
+    /// `blendv`s per half. Shapes as checked by the caller.
     ///
     /// Callers must have verified [`avx_available`].
-    pub(super) fn sq_dist_block_avx(residuals: &[f64], atoms: &[f64], m: usize, out: &mut [f64]) {
-        let n = out.len() / BINARY_LANES;
-        assert!(m > 0 && residuals.len() == m * BINARY_LANES);
-        assert_eq!(Some(atoms.len()), n.checked_mul(m));
-        let mut j = 0;
-        while j + BLOCK_ATOMS <= n {
-            // SAFETY: AVX support is checked by the caller via
-            // `avx_available`; atoms `j..j + BLOCK_ATOMS` lie inside
-            // `atoms` and their table rows inside `out` (asserted
-            // above, `j + BLOCK_ATOMS <= n`).
-            unsafe { block_atoms::<BLOCK_ATOMS>(residuals, atoms, m, out, j) };
-            j += BLOCK_ATOMS;
-        }
-        while j < n {
-            // SAFETY: as above, for the single atom `j < n`.
-            unsafe { block_atoms::<1>(residuals, atoms, m, out, j) };
-            j += 1;
-        }
+    pub(super) fn nearest_block_avx(
+        residuals: &[f64],
+        atoms: &[f64],
+        excluded: &[u8],
+    ) -> NearestLanes {
+        let m = residuals.len() / BINARY_LANES;
+        assert!(residuals.len() == m * BINARY_LANES);
+        assert_eq!(Some(atoms.len()), excluded.len().checked_mul(m));
+        // SAFETY: AVX support is checked by the caller via
+        // `avx_available`; the asserts above are the inner function's
+        // shape contract.
+        unsafe { nearest_block_avx_inner(residuals, atoms, excluded, m) }
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
     // call — callers must have verified `avx_available()` first. The
-    // caller guarantees `residuals.len() == m * 8`, atoms `j..j + A`
-    // exist (`(j + A) * m <= atoms.len()`) and `(j + A) * 8 <=
-    // out.len()`, so every load and store below stays in bounds.
-    #[inline]
+    // caller guarantees `residuals.len() == m * 8` and `atoms.len() ==
+    // excluded.len() * m`, so every atom group `j..j + A` below
+    // `excluded.len()` lies in bounds, and the stores fill local
+    // 8-element arrays.
     #[target_feature(enable = "avx")]
-    unsafe fn block_atoms<const A: usize>(
+    unsafe fn nearest_block_avx_inner(
         residuals: &[f64],
         atoms: &[f64],
+        excluded: &[u8],
         m: usize,
-        out: &mut [f64],
+    ) -> NearestLanes {
+        let n = excluded.len();
+        let mut best = [_mm256_set1_pd(f64::INFINITY); 2];
+        let mut best_j = [_mm256_castsi256_pd(_mm256_set1_epi64x(-1)); 2];
+        let mut j = 0;
+        while j + BLOCK_ATOMS <= n {
+            avx_atoms::<BLOCK_ATOMS>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
+            j += BLOCK_ATOMS;
+        }
+        while j < n {
+            avx_atoms::<1>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
+            j += 1;
+        }
+        let mut dist = [0.0; BINARY_LANES];
+        let mut idx = [0_u64; BINARY_LANES];
+        for h in 0..2 {
+            _mm256_storeu_pd(dist.as_mut_ptr().add(4 * h), best[h]);
+            _mm256_storeu_pd(idx.as_mut_ptr().add(4 * h).cast::<f64>(), best_j[h]);
+        }
+        (dist, idx.map(|i| i as usize))
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx_available()` first. The
+    // caller guarantees `residuals.len() == m * 8`, `j + A <=
+    // excluded.len()` and `atoms.len() == excluded.len() * m`, so the
+    // residual loads and the atom reads `(j + q) * m + i` stay in
+    // bounds.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn avx_atoms<const A: usize>(
+        residuals: &[f64],
+        atoms: &[f64],
+        excluded: &[u8],
+        m: usize,
         j: usize,
+        best: &mut [__m256d; 2],
+        best_j: &mut [__m256d; 2],
     ) {
         let r = residuals.as_ptr();
         let a = atoms.as_ptr().add(j * m);
@@ -927,10 +1039,99 @@ mod simd {
                 accq[1] = _mm256_add_pd(accq[1], _mm256_mul_pd(t1, t1));
             }
         }
-        let o = out.as_mut_ptr().add(j * BINARY_LANES);
         for (q, accq) in acc.iter().enumerate() {
-            _mm256_storeu_pd(o.add(q * BINARY_LANES), accq[0]);
-            _mm256_storeu_pd(o.add(q * BINARY_LANES + 4), accq[1]);
+            let ex = usize::from(excluded[j + q]);
+            let jv = _mm256_castsi256_pd(_mm256_set1_epi64x((j + q) as i64));
+            for h in 0..2 {
+                let lanes = EXCLUDE_LANES[(ex >> (4 * h)) & 15].as_ptr().cast::<f64>();
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(accq[h], best[h]);
+                let take = _mm256_andnot_pd(_mm256_loadu_pd(lanes), lt);
+                best[h] = _mm256_blendv_pd(best[h], accq[h], take);
+                best_j[h] = _mm256_blendv_pd(best_j[h], jv, take);
+            }
+        }
+    }
+
+    /// [`super::nearest_block`] with 512-bit lanes: all eight lanes of
+    /// an atom's chains in one register, the running minimum in a
+    /// second and its indices in a third (starting at all-ones =
+    /// `usize::MAX`). The exclusion byte, inverted, is the write mask
+    /// of the ordered `<` compare, so the update is one masked compare,
+    /// one masked move and one masked broadcast per atom. Shapes as
+    /// checked by the caller.
+    ///
+    /// Callers must have verified [`avx512f_available`].
+    pub(super) fn nearest_block_avx512(
+        residuals: &[f64],
+        atoms: &[f64],
+        excluded: &[u8],
+    ) -> NearestLanes {
+        let m = residuals.len() / BINARY_LANES;
+        assert!(residuals.len() == m * BINARY_LANES);
+        assert_eq!(Some(atoms.len()), excluded.len().checked_mul(m));
+        // SAFETY: AVX-512F support is checked by the caller via
+        // `avx512f_available`; the asserts above are the inner
+        // function's shape contract.
+        unsafe { nearest_block_avx512_inner(residuals, atoms, excluded, m) }
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx512f_available()` first.
+    // Same shape contract as `nearest_block_avx_inner`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn nearest_block_avx512_inner(
+        residuals: &[f64],
+        atoms: &[f64],
+        excluded: &[u8],
+        m: usize,
+    ) -> NearestLanes {
+        let n = excluded.len();
+        let mut best = _mm512_set1_pd(f64::INFINITY);
+        let mut best_j = _mm512_set1_epi64(-1);
+        let mut j = 0;
+        while j + BLOCK_ATOMS <= n {
+            avx512_atoms::<BLOCK_ATOMS>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
+            j += BLOCK_ATOMS;
+        }
+        while j < n {
+            avx512_atoms::<1>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
+            j += 1;
+        }
+        let mut dist = [0.0; BINARY_LANES];
+        let mut idx = [0_u64; BINARY_LANES];
+        _mm512_storeu_pd(dist.as_mut_ptr(), best);
+        _mm512_storeu_epi64(idx.as_mut_ptr().cast::<i64>(), best_j);
+        (dist, idx.map(|i| i as usize))
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx512f_available()` first.
+    // Same bounds contract as `avx_atoms`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn avx512_atoms<const A: usize>(
+        residuals: &[f64],
+        atoms: &[f64],
+        excluded: &[u8],
+        m: usize,
+        j: usize,
+        best: &mut __m512d,
+        best_j: &mut __m512i,
+    ) {
+        let r = residuals.as_ptr();
+        let a = atoms.as_ptr().add(j * m);
+        let mut acc = [_mm512_setzero_pd(); A];
+        for i in 0..m {
+            let rv = _mm512_loadu_pd(r.add(i * BINARY_LANES));
+            for (q, accq) in acc.iter_mut().enumerate() {
+                let t = _mm512_sub_pd(rv, _mm512_set1_pd(*a.add(q * m + i)));
+                *accq = _mm512_add_pd(*accq, _mm512_mul_pd(t, t));
+            }
+        }
+        for (q, &accq) in acc.iter().enumerate() {
+            let take = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(!excluded[j + q], accq, *best);
+            *best = _mm512_mask_mov_pd(*best, take, accq);
+            *best_j = _mm512_mask_set1_epi64(*best_j, take, (j + q) as i64);
         }
     }
 
@@ -1062,6 +1263,100 @@ mod tests {
             let mut out = Matrix::zeros(m, n);
             a.matmul_bt_into(&b, &mut out).unwrap();
             assert_eq!(out, naive(&a, &b.transpose()));
+        }
+    }
+
+    /// The naive chains and a strict-`<` first-minimum argmin over the
+    /// atoms a lane has not excluded: what every [`nearest_block`] arm
+    /// must return.
+    fn naive_nearest(residuals: &[f64], atoms: &[f64], excluded: &[u8]) -> NearestLanes {
+        const L: usize = BINARY_LANES;
+        let m = residuals.len() / L;
+        let (mut best, mut best_j) = ([f64::INFINITY; L], [usize::MAX; L]);
+        for (j, &ex) in excluded.iter().enumerate() {
+            for l in (0..L).filter(|l| ex & (1 << l) == 0) {
+                let mut s = 0.0;
+                for i in 0..m {
+                    let t = residuals[i * L + l] - atoms[j * m + i];
+                    s += t * t;
+                }
+                if s < best[l] {
+                    best[l] = s;
+                    best_j[l] = j;
+                }
+            }
+        }
+        (best, best_j)
+    }
+
+    type NearestArm = fn(&[f64], &[f64], &[u8]) -> NearestLanes;
+
+    /// Every [`nearest_block`] arm this build and host can run, called
+    /// directly, so the AVX arm stays pinned on a host whose dispatch
+    /// always takes AVX-512F.
+    fn nearest_arms() -> Vec<(&'static str, NearestArm)> {
+        let arms: Vec<(&'static str, NearestArm)> = vec![
+            ("scalar", nearest_block_scalar),
+            ("dispatch", nearest_block),
+        ];
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        let arms = {
+            let mut arms = arms;
+            if simd::avx_available() {
+                arms.push(("avx", simd::nearest_block_avx));
+            }
+            if simd::avx512f_available() {
+                arms.push(("avx512f", simd::nearest_block_avx512));
+            }
+            arms
+        };
+        arms
+    }
+
+    #[test]
+    fn every_nearest_arm_matches_naive_bitwise() {
+        const L: usize = BINARY_LANES;
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for m in [0usize, 1, 3, 8, 32, 33] {
+            for n in 0usize..=19 {
+                let value = |k: usize| ((k as f64) * 0.37 + m as f64).sin() * 7.0 / 3.0;
+                let mut atoms: Vec<f64> = (0..n * m).map(|k| value(k + 1000)).collect();
+                // Atoms 4, 9, 14, … repeat their predecessor, across
+                // and inside 2-, 4- and 8-atom groups.
+                for j in (4..n).step_by(5) {
+                    atoms.copy_within((j - 1) * m..j * m, j * m);
+                }
+                // Lane `l` sits exactly on atom `(3l) % n`, so a
+                // duplicate pair ties at `+0.0` and the first must win.
+                let mut residuals: Vec<f64> = (0..m * L).map(value).collect();
+                if n > 0 {
+                    for l in 0..L {
+                        let j = (3 * l) % n;
+                        for i in 0..m {
+                            residuals[i * L + l] = atoms[j * m + i];
+                        }
+                    }
+                }
+                if m * n > 0 {
+                    atoms[(m * 7 + n) % (m * n)] = specials[(m + n) % specials.len()];
+                    residuals[(n * 5) % (m * L)] = specials[(m * n) % specials.len()];
+                }
+                // Lane 7 is excluded everywhere; the rest vary by atom.
+                let excluded: Vec<u8> = (0..n)
+                    .map(|j| 0x80 | [0x00, 0x00, 0x0f, 0x25, 0x7f, 0x10][j % 6])
+                    .collect();
+                let want = naive_nearest(&residuals, &atoms, &excluded);
+                assert_eq!((want.0[7], want.1[7]), (f64::INFINITY, usize::MAX));
+                for (name, arm) in nearest_arms() {
+                    let got = arm(&residuals, &atoms, &excluded);
+                    assert_eq!(got.1, want.1, "{name} {m}x{n}: indices");
+                    assert_eq!(
+                        got.0.map(f64::to_bits),
+                        want.0.map(f64::to_bits),
+                        "{name} {m}x{n}: distances"
+                    );
+                }
+            }
         }
     }
 

@@ -21,22 +21,28 @@
 //!   solver's normal-matrix assembly) equals one sequential rank-1
 //!   update per listed row, bit for bit, across the 4-/8-lane edges,
 //!   the 4-row tile and the 16-row slab seams;
-//! - both squared-distance kernels of the binary read path
-//!   (`sq_dist_block`, `sq_dist_row`) equal the naive
+//! - both distance kernels of the binary read path equal the naive
 //!   `t = r − x; s += t * t` chain bit for bit — here on *every* input,
 //!   ±0.0, ±∞ and NaN included, since a distance chain has no skipped
-//!   term to excuse a non-finite divergence — across every atom, lane
-//!   and 16-/4-cell tail. The one thing compared by class rather than
-//!   by bits is a NaN result's sign and payload, which Rust leaves
-//!   unspecified (see `dist_bits`).
+//!   term to excuse a non-finite divergence. `sq_dist_row` is compared
+//!   entry by entry across every 16-/4-cell tail; the one thing
+//!   compared by class rather than by bits is a NaN result's sign and
+//!   payload, which Rust leaves unspecified (see `dist_bits`).
+//!   `nearest_block` is compared with the naive chains followed by a
+//!   strict-`<` first-minimum argmin over the atoms a lane has not
+//!   excluded: the same index and distance bits per lane, across every
+//!   tail of the atoms in flight, duplicate atoms, exclusion masks
+//!   (a fully excluded lane returns `(+∞, usize::MAX)`) and `m = 0`.
+//!   The kernel's unit tests call every compiled arm (scalar, AVX,
+//!   AVX-512F) directly, since dispatch reaches only the widest.
 //!
 //! Any future kernel that cannot preserve the accumulation order must
 //! downgrade the affected assertions to a `<= 1e-12` relative bound
 //! (see ARCHITECTURE.md, "Kernel dispatch") — never silently loosen.
 
 use iupdater_linalg::kernels::{
-    classify, matmul_rk, sq_dist_block, sq_dist_row, KernelArm, BINARY_LANES, THIN_EDGE,
-    TINY_INNER_MAX,
+    classify, matmul_rk, nearest_block, sq_dist_row, KernelArm, NearestLanes, BINARY_LANES,
+    THIN_EDGE, TINY_INNER_MAX,
 };
 use iupdater_linalg::Matrix;
 use proptest::prelude::*;
@@ -349,18 +355,28 @@ fn naive_sq_dist(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
     s
 }
 
-/// Naive `n x BINARY_LANES` distance table of lane-interleaved
-/// residuals against contiguous atom rows of length `m`.
-fn naive_block(residuals: &[f64], atoms: &[f64], m: usize, n: usize) -> Vec<f64> {
+/// The naive nearest atoms of lane-interleaved residuals against
+/// contiguous atom rows of length `m`: per lane, the naive chain of
+/// every atom whose exclusion bit is clear, then the first strict-`<`
+/// minimum in ascending atom order, `(+∞, usize::MAX)` when none is.
+fn naive_nearest(residuals: &[f64], atoms: &[f64], excluded: &[u8]) -> NearestLanes {
     const L: usize = BINARY_LANES;
-    let mut out = vec![0.0; n * L];
-    for j in 0..n {
-        for l in 0..L {
-            out[j * L + l] =
-                naive_sq_dist((0..m).map(|i| (residuals[i * L + l], atoms[j * m + i])));
+    let m = residuals.len() / L;
+    let mut best = [f64::INFINITY; L];
+    let mut best_j = [usize::MAX; L];
+    for l in 0..L {
+        for (j, &ex) in excluded.iter().enumerate() {
+            if ex & (1 << l) != 0 {
+                continue;
+            }
+            let d = naive_sq_dist((0..m).map(|i| (residuals[i * L + l], atoms[j * m + i])));
+            if d < best[l] {
+                best[l] = d;
+                best_j[l] = j;
+            }
         }
     }
-    out
+    (best, best_j)
 }
 
 /// Naive per-cell distances of one residual against the `m x n`
@@ -401,6 +417,20 @@ fn assert_dist_bits_eq(got: &[f64], want: &[f64], ctx: &str) {
     }
 }
 
+/// Nearest atoms must agree exactly: the same index per lane and the
+/// same distance bits. A returned distance is never a NaN (a NaN loses
+/// every `<`), so no NaN class comparison is needed.
+fn assert_nearest_eq(got: NearestLanes, want: NearestLanes, ctx: &str) {
+    assert_eq!(got.1, want.1, "{ctx}: indices");
+    assert_eq!(
+        got.0.map(f64::to_bits),
+        want.0.map(f64::to_bits),
+        "{ctx}: distances {:?} vs {:?}",
+        got.0,
+        want.0
+    );
+}
+
 /// The non-finite and signed-zero values laced into distance inputs.
 /// Both NaN signs appear, and `∞ − ∞` makes NaNs of its own.
 const SPECIAL: [f64; 6] = [
@@ -431,21 +461,66 @@ fn laced(len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 /// `n` values: 0, 1, every residue mod 16 (row kernel's 16-/4-cell
-/// tails) and mod 4 (block kernel's atoms in flight), odd and even.
+/// tails) and mod 8, 4 and 2 (atoms in flight per nearest-atom step),
+/// odd and even.
 fn distance_n() -> impl Strategy<Value = usize> {
     prop_oneof![Just(0usize), Just(1usize), 2usize..=49]
 }
 
+/// `n` exclusion bytes: none, all lanes, or a random lane set.
+fn exclusions(n: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(prop_oneof![Just(0u32), Just(255u32), 0u32..256], n)
+        .prop_map(|v| v.into_iter().map(|b| b as u8).collect())
+}
+
+/// Makes ties the first index must win: each `(dst, src)` pair copies
+/// atom row `src` over row `dst`, and each lane in `on_atom` moves its
+/// residual exactly onto an atom row, so a copied pair ties at `+0.0`.
+fn plant_ties(
+    residuals: &mut [f64],
+    atoms: &mut [f64],
+    m: usize,
+    n: usize,
+    copies: &[(usize, usize)],
+    on_atom: &[(usize, usize)],
+) {
+    if n == 0 {
+        return;
+    }
+    for &(dst, src) in copies {
+        let (dst, src) = (dst % n, src % n);
+        atoms.copy_within(src * m..(src + 1) * m, dst * m);
+    }
+    for &(l, j) in on_atom {
+        let (l, j) = (l % BINARY_LANES, j % n);
+        for i in 0..m {
+            residuals[i * BINARY_LANES + l] = atoms[j * m + i];
+        }
+    }
+}
+
 proptest! {
     #[test]
-    fn sq_dist_block_matches_naive_chain_bitwise(
-        (m, n, residuals, atoms) in (1usize..=40, distance_n()).prop_flat_map(|(m, n)| {
-            (laced(m * BINARY_LANES), laced(n * m)).prop_map(move |(r, a)| (m, n, r, a))
-        }),
+    fn nearest_block_matches_naive_first_minimum(
+        (m, n, residuals, atoms, excluded, copies, on_atom) in (0usize..=40, distance_n())
+            .prop_flat_map(|(m, n)| {
+                (
+                    laced(m * BINARY_LANES),
+                    laced(n * m),
+                    exclusions(n),
+                    prop::collection::vec((0usize..64, 0usize..64), 0usize..=6),
+                    prop::collection::vec((0usize..8, 0usize..64), 0usize..=8),
+                )
+                    .prop_map(move |(r, a, e, c, o)| (m, n, r, a, e, c, o))
+            }),
     ) {
-        let mut out = vec![f64::NAN; n * BINARY_LANES]; // fully overwritten
-        sq_dist_block(&residuals, &atoms, &mut out);
-        assert_dist_bits_eq(&out, &naive_block(&residuals, &atoms, m, n), &format!("block {m}x{n}"));
+        let (mut residuals, mut atoms) = (residuals, atoms);
+        plant_ties(&mut residuals, &mut atoms, m, n, &copies, &on_atom);
+        assert_nearest_eq(
+            nearest_block(&residuals, &atoms, &excluded),
+            naive_nearest(&residuals, &atoms, &excluded),
+            &format!("nearest {m}x{n}"),
+        );
     }
 
     #[test]
@@ -462,27 +537,49 @@ proptest! {
 }
 
 /// Every tail of both distance kernels at fixed shapes that never
-/// shrink away: `n` in `0..=33` (each residue mod 16 twice) against
-/// link counts around the 4-/8-lane and 16-cell edges, `m = 0` (empty
-/// chains are `+0.0`) included, with a special value laced in at a
-/// shape-dependent position.
+/// shrink away: `n` in `0..=33` (each residue mod 16, 8, 4 and 2 at
+/// least twice) against link counts around the 4-/8-lane and 16-cell
+/// edges, `m = 0` (empty chains are `+0.0`, so the first selectable
+/// atom wins) included, with a special value laced in at a
+/// shape-dependent position. The nearest-atom kernel also sees
+/// duplicate atoms on both sides of every 2-, 4- and 8-atom group
+/// boundary and at the same position, residual lanes sitting exactly
+/// on a duplicated atom (a `+0.0` tie the first index must win),
+/// varying exclusion masks and one lane excluded from every atom,
+/// which must come back `(+∞, usize::MAX)`.
 #[test]
 fn distance_kernels_cover_every_tail_bitwise() {
+    const L: usize = BINARY_LANES;
     for m in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 40] {
         for n in 0usize..=33 {
             let value = |k: usize| ((k as f64) * 0.37 + m as f64).sin() * 7.0 / 3.0;
-            let mut residuals: Vec<f64> = (0..m * BINARY_LANES).map(value).collect();
+            let mut residuals: Vec<f64> = (0..m * L).map(value).collect();
             let mut atoms: Vec<f64> = (0..n * m).map(|k| value(k + 1000)).collect();
+            // Atom j + 1 repeats atom j for every j ≡ 3 (mod 4) (the
+            // pairs 3|4, 7|8, … straddle each group boundary), and
+            // atom j repeats atom j − 5 for every j ≡ 6 (mod 8).
+            let copies: Vec<(usize, usize)> = (0..n)
+                .filter(|j| j % 4 == 3 && j + 1 < n)
+                .map(|j| (j + 1, j))
+                .chain((5..n).filter(|j| j % 8 == 6).map(|j| (j, j - 5)))
+                .collect();
+            let on_atom: Vec<(usize, usize)> = (0..L - 1).map(|l| (l, 4 * l + 3)).collect();
+            plant_ties(&mut residuals, &mut atoms, m, n, &copies, &on_atom);
             if m * n > 0 {
                 atoms[(m * 7 + n) % (m * n)] = SPECIAL[(m + n) % SPECIAL.len()];
-                residuals[(n * 5) % (m * BINARY_LANES)] = SPECIAL[(m * n) % SPECIAL.len()];
+                residuals[(n * 5) % (m * L)] = SPECIAL[(m * n) % SPECIAL.len()];
             }
-            let mut block = vec![f64::NAN; n * BINARY_LANES];
-            sq_dist_block(&residuals, &atoms, &mut block);
-            assert_dist_bits_eq(
-                &block,
-                &naive_block(&residuals, &atoms, m, n),
-                &format!("block {m}x{n}"),
+            // Lane 7 is excluded from every atom; lanes 0–6 see a
+            // pattern that changes with the atom and the shape.
+            let excluded: Vec<u8> = (0..n)
+                .map(|j| 0x80 | [0x00, 0x01, 0x0f, 0x00, 0x52, 0x7f, 0x30][(j + m) % 7])
+                .collect();
+            let want = naive_nearest(&residuals, &atoms, &excluded);
+            assert_eq!((want.0[L - 1], want.1[L - 1]), (f64::INFINITY, usize::MAX));
+            assert_nearest_eq(
+                nearest_block(&residuals, &atoms, &excluded),
+                want,
+                &format!("nearest {m}x{n}"),
             );
 
             let residual = &residuals[..m];

@@ -9,8 +9,10 @@
 //! (`Localizer::localize_batch`, lane-blocked under the binary model)
 //! and the unprepared scalar oracle (`Localizer::localize_unprepared`)
 //! — and the three estimates must agree bit for bit, the residual's
-//! bits included. That holds for the default binary model and for
-//! classic correlation OMP with three atoms. The full tier lives in
+//! bits included. That holds for the default binary model, for the
+//! binary model with three atoms (so the lane-blocked pursuit's
+//! per-lane exclusion and residual guard run) and for classic
+//! correlation OMP with three atoms. The full tier lives in
 //! `crates/core/tests/query_parity.rs`.
 
 use iupdater::core::config::AtomSelection;
@@ -66,6 +68,14 @@ fn assert_reads_agree(config: LocalizerConfig) {
 #[test]
 fn single_batch_and_unprepared_reads_agree_bitwise() {
     assert_reads_agree(LocalizerConfig::default());
+}
+
+#[test]
+fn multi_atom_binary_reads_agree_bitwise() {
+    assert_reads_agree(LocalizerConfig {
+        max_atoms: 3,
+        ..LocalizerConfig::default()
+    });
 }
 
 #[test]
