@@ -12,8 +12,6 @@ use iupdater_linalg::Matrix;
 use iupdater_rfsim::target::ObstructionEffect;
 use iupdater_rfsim::Testbed;
 
-use crate::{CoreError, Result};
-
 /// Classification of every fingerprint cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellClassification {
@@ -38,28 +36,6 @@ impl CellClassification {
         }
     }
 
-    /// Builds a classification directly from per-cell effects
-    /// (row-major).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] if
-    /// `effects.len() != rows * cols`.
-    pub fn from_effects(effects: Vec<ObstructionEffect>, rows: usize, cols: usize) -> Result<Self> {
-        if effects.len() != rows * cols {
-            return Err(CoreError::DimensionMismatch {
-                context: "CellClassification::from_effects",
-                expected: format!("{} effects", rows * cols),
-                got: format!("{}", effects.len()),
-            });
-        }
-        Ok(CellClassification {
-            effects,
-            rows,
-            cols,
-        })
-    }
-
     /// The effect class of cell `(i, j)`.
     ///
     /// # Panics
@@ -82,16 +58,6 @@ impl CellClassification {
         })
     }
 
-    /// Fraction of cells that are no-decrease (free to measure).
-    pub fn free_fraction(&self) -> f64 {
-        let free = self
-            .effects
-            .iter()
-            .filter(|e| **e == ObstructionEffect::NoDecrease)
-            .count();
-        free as f64 / self.effects.len() as f64
-    }
-
     /// Number of links (rows).
     pub fn num_links(&self) -> usize {
         self.rows
@@ -106,15 +72,6 @@ impl CellClassification {
 /// Shortcut: the index matrix `B` for a testbed.
 pub fn index_matrix(testbed: &Testbed) -> Matrix {
     CellClassification::from_testbed(testbed).index_matrix()
-}
-
-/// Applies the mask: `X_B = B ∘ X` (Eq. 8).
-///
-/// # Errors
-///
-/// Returns a shape-mismatch error if `b` and `x` differ in shape.
-pub fn mask_known(b: &Matrix, x: &Matrix) -> Result<Matrix> {
-    Ok(b.hadamard(x)?)
 }
 
 #[cfg(test)]
@@ -169,28 +126,9 @@ mod tests {
         // With parallel links spaced >1 m apart, most (link, location)
         // pairs are unaffected — that is the economic premise of Eq. (8).
         let t = Testbed::new(Environment::office(), 3);
-        let c = CellClassification::from_testbed(&t);
-        let f = c.free_fraction();
+        let b = CellClassification::from_testbed(&t).index_matrix();
+        let f = b.mean();
         assert!(f > 0.5, "free fraction {f} too small");
         assert!(f < 1.0, "some cells must be affected");
-    }
-
-    #[test]
-    fn mask_known_zeroes_unknown() {
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let x = Matrix::from_rows(&[&[-60.0, -61.0], &[-62.0, -63.0]]);
-        let xb = mask_known(&b, &x).unwrap();
-        assert_eq!(xb[(0, 0)], -60.0);
-        assert_eq!(xb[(0, 1)], 0.0);
-        assert_eq!(xb[(1, 0)], 0.0);
-        assert_eq!(xb[(1, 1)], -63.0);
-    }
-
-    #[test]
-    fn from_effects_validates_length() {
-        let effects = vec![ObstructionEffect::NoDecrease; 5];
-        assert!(CellClassification::from_effects(effects, 2, 3).is_err());
-        let effects = vec![ObstructionEffect::NoDecrease; 6];
-        assert!(CellClassification::from_effects(effects, 2, 3).is_ok());
     }
 }

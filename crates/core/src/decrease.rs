@@ -56,17 +56,6 @@ pub fn write_back(x: &mut Matrix, xd: &Matrix) -> Result<()> {
     Ok(())
 }
 
-/// The fingerprint column index `j` that `X_D` entry `(i, u)` maps to.
-pub fn column_of(i: usize, u: usize, per: usize) -> usize {
-    i * per + u
-}
-
-/// The `X_D` coordinates `(i, u)` of a fingerprint column `j` (every
-/// column belongs to exactly one link row).
-pub fn coords_of(j: usize, per: usize) -> (usize, usize) {
-    (j / per, j % per)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,21 +109,12 @@ mod tests {
         write_back(&mut x2, &zeros).unwrap();
         for i in 0..4 {
             for j in 0..12 {
-                let (row, _) = coords_of(j, 3);
-                if row == i {
+                if j / 3 == i {
                     assert_eq!(x2[(i, j)], 0.0);
                 } else {
                     assert_eq!(x2[(i, j)], x[(i, j)]);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn coords_roundtrip() {
-        for j in 0..12 {
-            let (i, u) = coords_of(j, 3);
-            assert_eq!(column_of(i, u, 3), j);
         }
     }
 

@@ -155,19 +155,9 @@ impl FingerprintMatrix {
         &self.data
     }
 
-    /// Consumes `self` and returns the underlying matrix.
-    pub fn into_matrix(self) -> Matrix {
-        self.data
-    }
-
     /// RSS of link `i` with a target at location `j`.
     pub fn rss(&self, i: usize, j: usize) -> f64 {
         self.data[(i, j)]
-    }
-
-    /// The fingerprint column (all links) for a target at location `j`.
-    pub fn column(&self, j: usize) -> Vec<f64> {
-        self.data.col(j)
     }
 
     /// Replaces the payload matrix, keeping the geometry.
@@ -237,12 +227,6 @@ mod tests {
         assert_eq!(xb[(0, d.location_index(0, 5))], 0.0);
         // A far-away cell is a no-decrease cell: must carry RSS.
         assert!(xb[(0, d.location_index(7, 5))] < -20.0);
-    }
-
-    #[test]
-    fn column_extraction() {
-        let fp = sample();
-        assert_eq!(fp.column(2), vec![fp.rss(0, 2), fp.rss(1, 2)]);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! ([`solver`]) that combines:
 //!
 //! 1. the basic RSVD data-fit on the no-decrease cells that can be
-//!    measured without a target ([`rsvd`], [`classify`]);
+//!    measured without a target ([`solver`], [`classify`]); Eq. 11
+//!    alone is [`UpdaterConfig::basic_rsvd`];
 //! 2. **Constraint 1**: the historical correlation `Z` between the MIC
 //!    columns and the whole matrix ([`correlation`]);
 //! 3. **Constraint 2**: neighbouring-location continuity ([`neighbors`])
@@ -136,14 +137,12 @@ pub mod gateway;
 pub mod localize;
 pub mod metrics;
 pub mod mic;
-pub mod monitor;
 pub mod multi_target;
 pub mod neighbors;
 pub mod omp;
 pub mod persist;
 pub mod query;
 pub mod reconstruct;
-pub mod rsvd;
 pub mod service;
 pub mod similarity;
 pub mod solver;

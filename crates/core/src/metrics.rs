@@ -1,7 +1,7 @@
 //! Evaluation metrics (Sec. VI-A): per-element reconstruction error in
-//! dB and Euclidean localization error in metres, plus CDF helpers.
+//! dB and Euclidean localization error in metres.
 
-use iupdater_linalg::stats::{median, Ecdf};
+use iupdater_linalg::stats::median;
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::Deployment;
 
@@ -61,29 +61,6 @@ pub fn localization_error_m(deployment: &Deployment, true_grid: usize, est_grid:
         .distance(deployment.location(est_grid))
 }
 
-/// Builds the empirical CDF of an error sample set (the curves of
-/// Figs. 14, 18, 21, 23).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidArgument`] for an empty sample set.
-pub fn error_cdf(errors: &[f64]) -> Result<Ecdf> {
-    if errors.is_empty() {
-        return Err(CoreError::InvalidArgument("empty error sample set"));
-    }
-    Ok(Ecdf::new(errors))
-}
-
-/// Fraction of samples at or below `threshold` (e.g. "90 % of NLC values
-/// are below 0.2", Fig. 8).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidArgument`] for an empty sample set.
-pub fn fraction_below(errors: &[f64], threshold: f64) -> Result<f64> {
-    Ok(error_cdf(errors)?.eval(threshold))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +103,5 @@ mod tests {
             localization_error_m(&d, 3, 40),
             localization_error_m(&d, 40, 3)
         );
-    }
-
-    #[test]
-    fn cdf_and_fraction() {
-        let errors = [0.5, 1.0, 1.5, 2.0];
-        let cdf = error_cdf(&errors).unwrap();
-        assert_eq!(cdf.eval(1.0), 0.5);
-        assert_eq!(fraction_below(&errors, 1.75).unwrap(), 0.75);
-        assert!(error_cdf(&[]).is_err());
     }
 }

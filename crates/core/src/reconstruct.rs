@@ -56,12 +56,7 @@ impl Updater {
     }
 
     /// [`Updater::new`] with explicit MIC and correlation methods.
-    ///
-    /// # Errors
-    ///
-    /// Propagates config validation, MIC extraction and correlation
-    /// errors.
-    pub fn with_methods(
+    fn with_methods(
         prior: FingerprintMatrix,
         config: UpdaterConfig,
         mic_method: MicMethod,

@@ -217,12 +217,6 @@ impl IngestQueue {
         self.batches.drain(..).collect()
     }
 
-    fn clear(&mut self) -> usize {
-        let n = self.batches.len();
-        self.batches.clear();
-        n
-    }
-
     fn requeue(&mut self, batches: Vec<MeasurementBatch>) {
         for b in batches.into_iter().rev() {
             self.batches.push_front(b);
@@ -467,28 +461,15 @@ impl UpdateService {
         Ok(&self.get(id)?.queue)
     }
 
-    /// Discards every pending batch for the deployment, returning how
-    /// many were dropped. This is the operator's escape hatch for a
-    /// poison batch: [`UpdateService::run_cycle`] requeues drained
-    /// batches on failure (atomicity), so a batch whose solve fails
-    /// deterministically would otherwise wedge every subsequent cycle.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidArgument`] for an unknown id.
-    pub fn clear_ingest_queue(&mut self, id: DeploymentId) -> Result<usize> {
-        self.deployments
-            .get_mut(id.0)
-            .ok_or(CoreError::InvalidArgument("unknown deployment id"))
-            .map(|dep| dep.queue.clear())
-    }
-
     /// Removes and returns every pending batch for the deployment, in
-    /// queue (day) order. Unlike [`UpdateService::clear_ingest_queue`]
-    /// the batches are handed back, not discarded — this is what lets
-    /// a shutting-down gateway *drain* its accepted-but-uncommitted
-    /// ingest instead of silently dropping it (see
-    /// [`crate::gateway::FleetGateway::shutdown`]).
+    /// queue (day) order. The batches are handed back, not discarded —
+    /// this is what lets a shutting-down gateway *drain* its
+    /// accepted-but-uncommitted ingest instead of silently dropping it
+    /// (see [`crate::gateway::FleetGateway::shutdown`]). Dropping the
+    /// returned batches is the operator's escape hatch for a poison
+    /// batch: [`UpdateService::run_cycle`] requeues drained batches on
+    /// failure (atomicity), so a batch whose solve fails
+    /// deterministically would otherwise wedge every subsequent cycle.
     ///
     /// # Errors
     ///
@@ -890,7 +871,7 @@ impl UpdateService {
     /// a rebase that would *change* that set while batches are pending
     /// is rejected (it would silently misinterpret every queued `X_R`).
     /// Drain the queue with a cycle — or discard it with
-    /// [`UpdateService::clear_ingest_queue`] — and rebase again.
+    /// [`UpdateService::drain_ingest_queue`] — and rebase again.
     /// Tie-keeping makes this refusal rarer: a selection that would
     /// previously have flickered among near-duplicate columns (and so
     /// blocked the rebase) now certifies with the set unchanged.
@@ -1418,7 +1399,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_ingest_queue_evicts_pending_batches() {
+    fn drain_ingest_queue_hands_back_pending_batches() {
         let mut s = fleet();
         let id = s.ids()[0];
         for day in [5.0, 10.0] {
@@ -1431,10 +1412,16 @@ mod tests {
             .unwrap();
             s.ingest(id, b).unwrap();
         }
-        assert_eq!(s.clear_ingest_queue(id).unwrap(), 2);
+        let days: Vec<f64> = s
+            .drain_ingest_queue(id)
+            .unwrap()
+            .iter()
+            .map(MeasurementBatch::day)
+            .collect();
+        assert_eq!(days, [5.0, 10.0]);
         assert!(s.ingest_queue(id).unwrap().is_empty());
-        assert_eq!(s.clear_ingest_queue(id).unwrap(), 0);
-        assert!(s.clear_ingest_queue(DeploymentId(99)).is_err());
+        assert!(s.drain_ingest_queue(id).unwrap().is_empty());
+        assert!(s.drain_ingest_queue(DeploymentId(99)).is_err());
     }
 
     #[test]

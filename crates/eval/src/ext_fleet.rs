@@ -31,22 +31,6 @@ pub fn standard_fleet(seed: u64) -> UpdateService {
     service
 }
 
-/// Twin testbeds for the standard fleet, in registration order: the
-/// same `(environment, seed)` pairs [`standard_fleet`] registers, for
-/// callers that hand the fleet to a [`FleetGateway`] (which owns the
-/// service, testbeds included, on its drive loop) but still need the
-/// deterministic simulators to generate query traffic and ground truth.
-pub fn standard_testbeds(seed: u64) -> Vec<(String, Testbed)> {
-    Environment::all_presets()
-        .into_iter()
-        .enumerate()
-        .map(|(i, env)| {
-            let name = format!("{:?}", env.kind).to_lowercase();
-            (name, Testbed::new(env, seed.wrapping_add(i as u64)))
-        })
-        .collect()
-}
-
 /// Runs the fleet campaign: one update cycle per paper timestamp, one
 /// reconstruction-error series per deployment.
 pub fn run() -> FigureResult {

@@ -7,7 +7,9 @@
 //! what factor, where crossovers fall).
 //!
 //! The `experiments` binary runs any or all of them and prints
-//! markdown/CSV.
+//! markdown/CSV. [`drill`] is the one serving drill (gateway ingest,
+//! cycle, oracle-checked query storm per published epoch) that
+//! `ext-qps` and the `iupdater serve` command both run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +18,7 @@ pub mod report;
 pub mod scenario;
 
 pub mod ablations;
+pub mod drill;
 pub mod ext_durability;
 pub mod ext_fleet;
 pub mod ext_qps;

@@ -473,6 +473,20 @@ impl Lexed {
         }
     }
 
+    /// `(name, line)` of every `pub fn` in the masked code, in source
+    /// order; `pub(crate) fn` and friends are not public and not listed.
+    pub fn pub_fns(&self) -> Vec<(&str, usize)> {
+        let mut out = Vec::new();
+        let mut prev: [&str; 2] = ["", ""];
+        for (ident, off) in self.idents() {
+            if prev == ["pub", "fn"] {
+                out.push((ident, self.line_of(off)));
+            }
+            prev = [prev[1], ident];
+        }
+        out
+    }
+
     /// True if the contiguous comment block ending just above `line`
     /// (attribute-only lines may sit in between) — or a comment on
     /// `line` itself — satisfies `pred`.
@@ -556,6 +570,13 @@ mod tests {
             .iter()
             .find(|s| s.start <= at && at < s.end)
             .map(|s| s.kind)
+    }
+
+    #[test]
+    fn finds_pub_fns() {
+        let l =
+            lex("pub fn alpha() {}\nfn private() {}\npub(crate) fn hidden() {}\n// pub fn gone\n");
+        assert_eq!(l.pub_fns(), vec![("alpha", 1)]);
     }
 
     #[test]

@@ -18,28 +18,6 @@ const ENTRY_FILES: [&str; 2] = ["crates/linalg/src/kernels.rs", "crates/linalg/s
 /// Directory whose test files count as parity-tier coverage.
 const TIER_DIR: &str = "crates/linalg/tests/";
 
-/// Collects `(name, line)` for every `pub fn` in masked code.
-fn pub_fns(masked: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let bytes = masked.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = masked[from..].find("pub fn ") {
-        let at = from + pos;
-        let before_ok =
-            at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_');
-        let mut i = at + "pub fn ".len();
-        let start = i;
-        while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-            i += 1;
-        }
-        if before_ok && i > start {
-            out.push((masked[start..i].to_string(), at));
-        }
-        from = i.max(at + 1);
-    }
-    out
-}
-
 /// Runs the rule over the workspace.
 pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let tier_files: Vec<_> = ws
@@ -51,8 +29,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if !ENTRY_FILES.contains(&file.path.as_str()) {
             continue;
         }
-        for (name, off) in pub_fns(&file.lex.masked) {
-            let line = file.lex.line_of(off);
+        for (name, line) in file.lex.pub_fns() {
             if file.lex.in_test(line) {
                 continue;
             }
@@ -71,17 +48,5 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                 });
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn finds_pub_fns() {
-        let fns = pub_fns("pub fn alpha() {}\nfn private() {}\npub(crate) fn hidden() {}\n");
-        assert_eq!(fns.len(), 1);
-        assert_eq!(fns[0].0, "alpha");
     }
 }

@@ -136,6 +136,42 @@ fn parity_coverage_sees_references_in_tier_files() {
 }
 
 #[test]
+fn unreferenced_library_pub_fn_is_flagged() {
+    let ws = ws_of(vec![
+        SourceFile::new(
+            "crates/core/src/dead.rs",
+            include_str!("fixtures/dead_pub.rs"),
+        ),
+        SourceFile::new(
+            "crates/core/tests/caller.rs",
+            "// never_called() in a comment is not a use\n\
+             #[test]\nfn calls() { assert_eq!(called_elsewhere(), 1); }\n",
+        ),
+    ]);
+    let analysis = analyze(&ws);
+    let dead: Vec<String> = analysis
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "dead-pub")
+        .map(|d| d.render())
+        .collect();
+    // A same-file caller does not count; the waived fn and the
+    // test-only helper are not reported.
+    assert_eq!(dead.len(), 2, "{dead:?}");
+    assert!(
+        dead[0].starts_with("crates/core/src/dead.rs:7:"),
+        "{dead:?}"
+    );
+    assert!(dead[0].contains("never_called"));
+    assert!(
+        dead[1].starts_with("crates/core/src/dead.rs:11:"),
+        "{dead:?}"
+    );
+    assert!(dead[1].contains("only_called_here"));
+    assert_eq!(analysis.waived, 1);
+}
+
+#[test]
 fn the_workspace_lints_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ws = invariants::workspace::collect(&root).expect("workspace is readable");

@@ -1,9 +1,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use rand::distributions::Distribution;
-use rand::Rng;
-
 use crate::{LinalgError, Result};
 
 /// A dense, row-major, `f64` matrix.
@@ -109,38 +106,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Creates a column vector (`n x 1`) from a slice.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
-    /// Creates a row vector (`1 x n`) from a slice.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
-    /// Creates a matrix with entries drawn i.i.d. from `dist`.
-    pub fn random<D: Distribution<f64>, R: Rng + ?Sized>(
-        rows: usize,
-        cols: usize,
-        dist: &D,
-        rng: &mut R,
-    ) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: (0..rows * cols).map(|_| dist.sample(rng)).collect(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -181,12 +146,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its row-major backing storage.
-    #[inline]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Returns the element at `(row, col)`, or `None` if out of bounds.
@@ -386,29 +345,6 @@ impl Matrix {
         }
         Ok(m)
     }
-
-    /// Vertically concatenates `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the column counts differ.
-    pub fn vcat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vcat",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut data = Vec::with_capacity((self.rows + other.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -580,17 +516,13 @@ mod tests {
     }
 
     #[test]
-    fn hcat_vcat() {
+    fn hcat() {
         let a = Matrix::from_rows(&[&[1.0], &[2.0]]);
         let b = Matrix::from_rows(&[&[3.0], &[4.0]]);
         let h = a.hcat(&b).unwrap();
         assert_eq!(h.shape(), (2, 2));
         assert_eq!(h.as_slice(), &[1.0, 3.0, 2.0, 4.0]);
-        let v = a.vcat(&b).unwrap();
-        assert_eq!(v.shape(), (4, 1));
-        assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
         assert!(a.hcat(&Matrix::zeros(3, 1)).is_err());
-        assert!(a.vcat(&Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Matrix {
             .sum()
     }
 
-    /// l1 norm: sum of absolute values of all elements.
-    pub fn l1_norm(&self) -> f64 {
-        self.iter().map(|&x| x.abs()).sum()
-    }
-
     /// Nuclear norm `‖·‖_*`: the sum of singular values (Eq. 12).
     ///
     /// # Panics
@@ -98,13 +93,6 @@ impl Matrix {
         }
         acc
     }
-
-    /// Euclidean norms of each row.
-    pub fn row_norms(&self) -> Vec<f64> {
-        (0..self.rows())
-            .map(|i| self.row(i).iter().map(|&x| x * x).sum::<f64>().sqrt())
-            .collect()
-    }
 }
 
 /// Euclidean norm of a slice.
@@ -137,12 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn l1_norm_abs_sum() {
-        let m = Matrix::from_rows(&[&[-1.0, 2.0], &[3.0, -4.0]]);
-        assert_eq!(m.l1_norm(), 10.0);
-    }
-
-    #[test]
     fn nuclear_norm_of_diagonal() {
         let m = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]);
         assert!((m.nuclear_norm() - 5.0).abs() < 1e-9);
@@ -150,14 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn col_row_norms() {
+    fn col_norms_basic() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[4.0, 1.0]]);
         let cn = m.col_norms();
         assert!((cn[0] - 5.0).abs() < 1e-12);
         assert!((cn[1] - 1.0).abs() < 1e-12);
-        let rn = m.row_norms();
-        assert!((rn[0] - 3.0).abs() < 1e-12);
-        assert!((rn[1] - (17.0f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -587,7 +587,8 @@ impl PivotedQr {
 
     /// Number of pivot steps the greedy loop completed (rows of `r`
     /// beyond this are zero; the numerical rank is at most this).
-    pub fn chain_len(&self) -> usize {
+    #[cfg(test)]
+    fn chain_len(&self) -> usize {
         self.chain
     }
 

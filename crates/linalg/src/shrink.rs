@@ -6,7 +6,7 @@ use crate::{Matrix, Result};
 
 /// Soft-thresholds a scalar: `sign(x) * max(|x| - tau, 0)`.
 #[inline]
-pub fn soft_threshold(x: f64, tau: f64) -> f64 {
+fn soft_threshold(x: f64, tau: f64) -> f64 {
     if x > tau {
         x - tau
     } else if x < -tau {

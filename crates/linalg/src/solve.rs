@@ -16,8 +16,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row index now at row `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (`+1.0` or `-1.0`), used by `det`.
-    perm_sign: f64,
 }
 
 impl Matrix {
@@ -37,7 +35,6 @@ impl Matrix {
         let n = self.rows();
         let mut lu = self.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Partial pivot: largest |value| in column k at/below row k.
@@ -63,7 +60,6 @@ impl Matrix {
                 let (a, b) = lu.rows_pair_mut(k, pivot_row);
                 a.swap_with_slice(b);
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -74,11 +70,7 @@ impl Matrix {
                 crate::view::axpy_slice(-factor, &row_k[k + 1..], &mut row_i[k + 1..]);
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(Lu { lu, perm })
     }
 
     /// Solves `self * x = b` for a single right-hand side.
@@ -129,31 +121,6 @@ impl Matrix {
     /// [`LinalgError::Singular`]).
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.rows()))
-    }
-
-    /// Determinant via LU.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input. A singular
-    /// matrix returns `Ok(0.0)`.
-    pub fn det(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                shape: self.shape(),
-            });
-        }
-        match self.lu() {
-            Ok(lu) => {
-                let mut d = lu.perm_sign;
-                for i in 0..self.rows() {
-                    d *= lu.lu[(i, i)];
-                }
-                Ok(d)
-            }
-            Err(LinalgError::Singular) => Ok(0.0),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -217,7 +184,6 @@ mod tests {
     fn singular_detected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(matches!(a.inverse(), Err(LinalgError::Singular)));
-        assert_eq!(a.det().unwrap(), 0.0);
         assert!(matches!(
             Matrix::zeros(3, 3).solve(&[1.0, 1.0, 1.0]),
             Err(LinalgError::Singular)
@@ -238,18 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn det_with_permutation_sign() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!((a.det().unwrap() + 1.0).abs() < 1e-12);
-        let b = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 2.0]]);
-        assert!((b.det().unwrap() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn non_square_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(a.lu(), Err(LinalgError::NotSquare { .. })));
-        assert!(matches!(a.det(), Err(LinalgError::NotSquare { .. })));
     }
 
     #[test]

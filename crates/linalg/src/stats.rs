@@ -121,11 +121,6 @@ impl Ecdf {
             })
             .collect()
     }
-
-    /// Sorted sample values.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.values
-    }
 }
 
 #[cfg(test)]
@@ -194,6 +189,9 @@ mod tests {
     #[test]
     fn ecdf_handles_unsorted_input() {
         let e = Ecdf::new(&[3.0, 1.0, 2.0]);
-        assert_eq!(e.sorted_values(), &[1.0, 2.0, 3.0]);
+        assert_eq!(e.eval(0.5), 0.0);
+        assert_eq!(e.eval(1.0), 1.0 / 3.0);
+        assert_eq!(e.eval(2.5), 2.0 / 3.0);
+        assert_eq!(e.eval(3.0), 1.0);
     }
 }

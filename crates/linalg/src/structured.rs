@@ -39,7 +39,7 @@ impl Matrix {
     }
 
     /// Extracts the main diagonal.
-    pub fn diagonal(&self) -> Vec<f64> {
+    fn diagonal(&self) -> Vec<f64> {
         (0..self.rows().min(self.cols()))
             .map(|i| self[(i, i)])
             .collect()

@@ -5,8 +5,8 @@
 //! hot path clone-bound. This module adds the borrowed layer the
 //! engine now runs on:
 //!
-//! - [`MatrixView`] / [`MatrixViewMut`]: strided row/column blocks of a
-//!   [`Matrix`] without copying;
+//! - [`MatrixView`]: strided row/column blocks of a [`Matrix`] without
+//!   copying;
 //! - in-place kernels on `Matrix`: [`Matrix::matmul_into`],
 //!   [`Matrix::add_assign_matrix`], [`Matrix::axpy`],
 //!   [`Matrix::scale_mut`], [`Matrix::gram_into`],
@@ -55,28 +55,6 @@ pub struct MatrixView<'a> {
 }
 
 impl<'a> MatrixView<'a> {
-    /// Wraps raw parts. `data` must hold the last element of the block:
-    /// `(rows-1) * row_stride + cols <= data.len()` (checked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry exceeds `data`.
-    pub fn from_parts(data: &'a [f64], rows: usize, cols: usize, row_stride: usize) -> Self {
-        if rows > 0 {
-            assert!(cols <= row_stride, "view cols exceed stride");
-            assert!(
-                (rows - 1) * row_stride + cols <= data.len(),
-                "view geometry exceeds backing storage"
-            );
-        }
-        MatrixView {
-            data,
-            rows,
-            cols,
-            row_stride,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -202,109 +180,6 @@ impl<'a> MatrixView<'a> {
     }
 }
 
-/// A mutable, possibly strided view of a block of a [`Matrix`].
-#[derive(Debug)]
-pub struct MatrixViewMut<'a> {
-    data: &'a mut [f64],
-    rows: usize,
-    cols: usize,
-    row_stride: usize,
-}
-
-impl<'a> MatrixViewMut<'a> {
-    /// Wraps raw parts (see [`MatrixView::from_parts`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry exceeds `data`.
-    pub fn from_parts(data: &'a mut [f64], rows: usize, cols: usize, row_stride: usize) -> Self {
-        if rows > 0 {
-            assert!(cols <= row_stride, "view cols exceed stride");
-            assert!(
-                (rows - 1) * row_stride + cols <= data.len(),
-                "view geometry exceeds backing storage"
-            );
-        }
-        MatrixViewMut {
-            data,
-            rows,
-            cols,
-            row_stride,
-        }
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Reborrows as an immutable view.
-    pub fn as_view(&self) -> MatrixView<'_> {
-        MatrixView {
-            data: self.data,
-            rows: self.rows,
-            cols: self.cols,
-            row_stride: self.row_stride,
-        }
-    }
-
-    /// Mutable row `i` as a contiguous slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "view row out of bounds");
-        &mut self.data[i * self.row_stride..i * self.row_stride + self.cols]
-    }
-
-    /// Two distinct mutable rows at once (for in-place rotations/swaps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either is out of bounds.
-    pub fn rows_pair_mut(&mut self, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
-        assert!(a != b, "rows_pair_mut needs distinct rows");
-        assert!(a < self.rows && b < self.rows, "view row out of bounds");
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let (head, tail) = self.data.split_at_mut(hi * self.row_stride);
-        let lo_slice = &mut head[lo * self.row_stride..lo * self.row_stride + self.cols];
-        let hi_slice = &mut tail[..self.cols];
-        if a < b {
-            (lo_slice, hi_slice)
-        } else {
-            (hi_slice, lo_slice)
-        }
-    }
-
-    /// Adds `alpha * other` element-wise.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if shapes differ.
-    pub fn axpy(&mut self, alpha: f64, other: &MatrixView<'_>) -> Result<()> {
-        if (self.rows, self.cols) != other.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "view axpy",
-                lhs: (self.rows, self.cols),
-                rhs: other.shape(),
-            });
-        }
-        for i in 0..self.rows {
-            axpy_slice(alpha, other.row(i), self.row_mut(i));
-        }
-        Ok(())
-    }
-}
-
 impl Matrix {
     /// Borrows the whole matrix as a view.
     pub fn view(&self) -> MatrixView<'_> {
@@ -314,35 +189,6 @@ impl Matrix {
             cols: self.cols(),
             row_stride: self.cols(),
         }
-    }
-
-    /// Mutably borrows the whole matrix as a view.
-    pub fn view_mut(&mut self) -> MatrixViewMut<'_> {
-        let (rows, cols) = self.shape();
-        MatrixViewMut {
-            data: self.as_mut_slice(),
-            rows,
-            cols,
-            row_stride: cols,
-        }
-    }
-
-    /// A view of rows `range` (all columns), without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the row count.
-    pub fn rows_view(&self, range: std::ops::Range<usize>) -> MatrixView<'_> {
-        self.view().block(range, 0..self.cols())
-    }
-
-    /// A view of columns `range` (all rows), without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the column count.
-    pub fn cols_view(&self, range: std::ops::Range<usize>) -> MatrixView<'_> {
-        self.view().block(0..self.rows(), range)
     }
 
     /// A rectangular sub-block view, without copying.
@@ -579,17 +425,6 @@ mod tests {
         let owned = b.to_matrix();
         assert_eq!(owned.shape(), (3, 4));
         assert_eq!(owned[(2, 3)], m[(3, 5)]);
-    }
-
-    #[test]
-    fn rows_and_cols_views() {
-        let m = sample(6, 4);
-        let r = m.rows_view(2..5);
-        assert_eq!(r.shape(), (3, 4));
-        assert_eq!(r.row(0), m.row(2));
-        let c = m.cols_view(1..3);
-        assert_eq!(c.shape(), (6, 2));
-        assert_eq!(c.at(5, 1), m[(5, 2)]);
     }
 
     #[test]

@@ -10,25 +10,26 @@ use std::str::FromStr;
 
 use iupdater::cli;
 
-/// A checked command line: the `--flag value` pairs plus the numeric
-/// flags every command shares, parsed.
+/// A checked command line: the `--flag value` pairs plus every numeric
+/// flag, parsed.
 struct Args {
     flags: BTreeMap<String, String>,
     seed: u64,
     day: f64,
     samples: usize,
+    queries_per_cell: usize,
+    rebase_every: Option<usize>,
 }
 
 /// Collects `--flag value` pairs for `command`. A flag the command does
-/// not take, a stray positional argument, or a malformed `--seed`,
-/// `--day` or `--samples` value is an error, never a silent default.
+/// not take, a stray positional argument, or a malformed number
+/// (including a non-finite `--day`) is an error, never a silent default.
 /// Unknown commands pass through for `main` to report.
 fn parse_args(command: &str, args: impl Iterator<Item = String>) -> Result<Args, String> {
     let takes: Option<&[&str]> = match command {
         "survey" => Some(&["env", "seed", "day", "samples"]),
         "update" => Some(&["env", "prior", "seed", "day", "samples"]),
         "localize" => Some(&["env", "db", "cell", "seed", "day"]),
-        "replay" => Some(&["env", "db", "seed", "day", "queries-per-cell"]),
         "info" => Some(&["db"]),
         "batch" => Some(&[
             "envs",
@@ -61,17 +62,25 @@ fn parse_args(command: &str, args: impl Iterator<Item = String>) -> Result<Args,
     fn number<T: FromStr>(
         flags: &BTreeMap<String, String>,
         name: &str,
-        default: T,
-    ) -> Result<T, String> {
-        flags.get(name).map_or(Ok(default), |v| {
-            v.parse()
-                .map_err(|_| format!("--{name} must be a number, got '{v}'"))
-        })
+    ) -> Result<Option<T>, String> {
+        flags
+            .get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name} must be a number, got '{v}'"))
+            })
+            .transpose()
+    }
+    let day: f64 = number(&flags, "day")?.unwrap_or(0.0);
+    if !day.is_finite() {
+        return Err(format!("--day must be a finite number, got '{day}'"));
     }
     Ok(Args {
-        seed: number(&flags, "seed", 42)?,
-        day: number(&flags, "day", 0.0)?,
-        samples: number(&flags, "samples", 5)?,
+        seed: number(&flags, "seed")?.unwrap_or(42),
+        day,
+        samples: number(&flags, "samples")?.unwrap_or(5),
+        queries_per_cell: number(&flags, "queries-per-cell")?.unwrap_or(4),
+        rebase_every: number(&flags, "rebase-every")?,
         flags,
     })
 }
@@ -87,6 +96,8 @@ fn main() -> ExitCode {
         seed,
         day,
         samples,
+        queries_per_cell,
+        rebase_every,
     } = match parse_args(&command, args) {
         Ok(args) => args,
         Err(e) => {
@@ -140,31 +151,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "replay" => {
-            let (Some(env), Some(db_path)) = (get("env"), get("db")) else {
-                eprintln!("replay requires --env and --db");
-                return ExitCode::from(2);
-            };
-            let queries_per_cell = match get("queries-per-cell") {
-                None => 4,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--queries-per-cell must be an integer");
-                        return ExitCode::from(2);
-                    }
-                },
-            };
-            match fs::read_to_string(&db_path) {
-                Ok(db) => {
-                    cli::cmd_replay(&env, seed, &db, day, queries_per_cell).map(|r| print!("{r}"))
-                }
-                Err(e) => {
-                    eprintln!("cannot read {db_path}: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-        }
         "info" => {
             let Some(db_path) = get("db") else {
                 eprintln!("info requires --db");
@@ -184,16 +170,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             };
             let snapshot_dir = get("snapshot-dir").map(std::path::PathBuf::from);
-            let rebase_every = match get("rebase-every") {
-                None => None,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) => Some(n),
-                    Err(_) => {
-                        eprintln!("--rebase-every must be an integer");
-                        return ExitCode::from(2);
-                    }
-                },
-            };
             cli::cmd_batch(
                 &envs,
                 seed,
@@ -208,16 +184,6 @@ fn main() -> ExitCode {
             let (Some(envs), Some(days)) = (get("envs"), get("days")) else {
                 eprintln!("serve requires --envs and --days (comma-separated lists)");
                 return ExitCode::from(2);
-            };
-            let queries_per_cell = match get("queries-per-cell") {
-                None => 4,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--queries-per-cell must be an integer");
-                        return ExitCode::from(2);
-                    }
-                },
             };
             cli::cmd_serve(&envs, seed, &days, samples, queries_per_cell).map(|(snap, report)| {
                 eprint!("{report}");

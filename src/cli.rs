@@ -8,6 +8,7 @@ use std::path::Path;
 
 use crate::core::persist;
 use crate::core::prelude::*;
+use crate::eval::drill::run_drill;
 use crate::rfsim::{Environment, Testbed};
 
 /// CLI-level errors: argument problems or pipeline failures.
@@ -138,84 +139,6 @@ pub fn cmd_localize(
     Ok(out)
 }
 
-/// `replay`: a heavy-traffic read-path drill. Generates
-/// `queries_per_cell` online measurements for every grid cell, serves
-/// the whole slab through [`Localizer::localize_batch`] (the prepared,
-/// pool-fanned path), and cross-checks every estimate against the
-/// unprepared scalar matcher. Reports slab size, the parity outcome,
-/// mean localization error and the exact-cell hit rate.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] on malformed input and
-/// [`CliError::Pipeline`] on matching failure or — the reason this
-/// command exists — any batched estimate deviating from the unprepared
-/// path.
-pub fn cmd_replay(
-    env: &str,
-    seed: u64,
-    db_text: &str,
-    day: f64,
-    queries_per_cell: usize,
-) -> Result<String, CliError> {
-    let testbed = Testbed::new(parse_environment(env)?, seed);
-    let db = persist::read_fingerprint(db_text.as_bytes())
-        .map_err(|e| CliError::Pipeline(format!("cannot read database: {e}")))?;
-    let d = testbed.deployment();
-    if db.num_links() != d.num_links() {
-        return Err(CliError::Usage(format!(
-            "database has {} links but environment '{env}' has {}",
-            db.num_links(),
-            d.num_links()
-        )));
-    }
-    let n = d.num_locations();
-    let per_cell = queries_per_cell.max(1);
-    let queries: Vec<Vec<f64>> = (0..n * per_cell)
-        .map(|q| testbed.online_measurement(q % n, day, 0xbee + q as u64))
-        .collect();
-
-    let localizer = Localizer::new(db, LocalizerConfig::default());
-    let estimates = localizer
-        .localize_batch(&queries)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let mut err_sum = 0.0;
-    let mut hits = 0usize;
-    for (q, (y, est)) in queries.iter().zip(&estimates).enumerate() {
-        let oracle = localizer
-            .localize_unprepared(y)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if est != &oracle {
-            return Err(CliError::Pipeline(format!(
-                "batched estimate for query {q} (cell {}) deviates from the \
-                 unprepared matcher — prepared read path parity violation",
-                q % n
-            )));
-        }
-        let cell = q % n;
-        err_sum += d.location(cell).distance(d.location(est.grid));
-        hits += usize::from(est.grid == cell);
-    }
-
-    let total = queries.len();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "replayed {total} queries ({per_cell} per cell, {n} cells) through the batched read path"
-    );
-    let _ = writeln!(
-        out,
-        "exact parity with the unprepared matcher: {total}/{total} queries"
-    );
-    let _ = writeln!(
-        out,
-        "mean error: {:.2} m | exact-cell rate: {:.1}%",
-        err_sum / total as f64,
-        100.0 * hits as f64 / total as f64
-    );
-    Ok(out)
-}
-
 /// `info`: summarises a serialised database.
 ///
 /// # Errors
@@ -292,11 +215,19 @@ fn fleet_summary(service: &UpdateService, out: &mut String) -> Result<(), CliErr
     Ok(())
 }
 
-/// Serialises the service's current snapshot to the v2 text format.
-fn render_snapshot(service: &UpdateService) -> Result<String, CliError> {
+/// One report line per committed cycle outcome.
+fn outcome_line(out: &mut String, o: &UpdateOutcome) {
+    let _ = writeln!(
+        out,
+        "day {:>5.1}  {:<12} refs={:<2} iters={:<3} objective={:.3e}",
+        o.day, o.name, o.reference_count, o.iterations, o.final_objective
+    );
+}
+
+/// Serialises a service snapshot to the v3 text format.
+fn render_snapshot(snapshot: &ServiceSnapshot) -> Result<String, CliError> {
     let mut buf = Vec::new();
-    persist::write_service(&service.snapshot(), &mut buf)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
+    persist::write_service(snapshot, &mut buf).map_err(|e| CliError::Pipeline(e.to_string()))?;
     String::from_utf8(buf).map_err(|e| CliError::Pipeline(e.to_string()))
 }
 
@@ -353,12 +284,8 @@ pub fn cmd_batch(
         let outcomes = service
             .run_cycle(day, samples.max(1))
             .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        for o in outcomes {
-            let _ = writeln!(
-                out,
-                "day {day:>5.1}  {:<12} refs={:<2} iters={:<3} objective={:.3e}",
-                o.name, o.reference_count, o.iterations, o.final_objective
-            );
+        for o in &outcomes {
+            outcome_line(&mut out, o);
         }
         if rebase_every.is_some_and(|n| (cycle + 1) % n == 0) {
             for id in service.ids() {
@@ -398,7 +325,7 @@ pub fn cmd_snapshot(envs: &str, seed: u64, days: &str, samples: usize) -> Result
             .run_cycle(day, samples.max(1))
             .map_err(|e| CliError::Pipeline(e.to_string()))?;
     }
-    render_snapshot(&service)
+    render_snapshot(&service.snapshot())
 }
 
 /// `restore`: rebuilds a fleet from a serialised v2 snapshot, runs
@@ -425,32 +352,23 @@ pub fn cmd_restore(
         let outcomes = service
             .run_cycle(day, samples.max(1))
             .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        for o in outcomes {
-            let _ = writeln!(
-                report,
-                "day {day:>5.1}  {:<12} refs={:<2} iters={:<3} objective={:.3e}",
-                o.name, o.reference_count, o.iterations, o.final_objective
-            );
+        for o in &outcomes {
+            outcome_line(&mut report, o);
         }
     }
     fleet_summary(&service, &mut report)?;
-    Ok((render_snapshot(&service)?, report))
+    Ok((render_snapshot(&service.snapshot())?, report))
 }
 
-/// `serve`: the fleet-gateway drill. Builds a fleet (one deployment
-/// per listed environment), hands it to a [`FleetGateway`] — the
-/// read/write-separated serving layer: the service lives on a detached
-/// drive loop, measurement batches arrive over the bounded ingest
-/// channel, and every committed cycle atomically publishes a new
-/// epoch-swapped snapshot per deployment. For each listed day the
-/// drill ingests a fresh batch per deployment through the channel,
-/// runs the cycle, then storms the published snapshot with
-/// `queries_per_cell` queries per grid cell, cross-checking every
-/// estimate against the unprepared oracle on **that snapshot's**
-/// database (a parity violation is a hard error). Ends with an orderly
-/// shutdown — the drain report must come back empty, proving every
-/// acknowledged batch was committed — and returns the durable fleet
-/// snapshot plus the human-readable report.
+/// `serve`: the fleet-gateway drill ([`crate::eval::drill::run_drill`]).
+/// Builds a fleet (one deployment per listed environment) and hands it
+/// to a [`FleetGateway`]: for each listed day a fresh batch per
+/// deployment arrives over the bounded ingest channel, the cycle
+/// commits and publishes a new epoch, and `queries_per_cell` queries
+/// per grid cell are served from it, each checked against the
+/// unprepared oracle on that epoch's database. Ends with a
+/// drain-checked shutdown and returns the durable fleet snapshot plus
+/// the human-readable report.
 ///
 /// # Errors
 ///
@@ -470,109 +388,35 @@ pub fn cmd_serve(
             "serve requires at least one --days value".into(),
         ));
     }
-    let samples = samples.max(1);
-    let per_cell = queries_per_cell.max(1);
-    let pipeline = |e: iupdater_core::CoreError| CliError::Pipeline(e.to_string());
-
-    // Twin testbeds + per-deployment reference sets, captured before
-    // the gateway takes ownership of the fleet: the drive loop owns
-    // the real simulators, so query traffic and ingest batches come
-    // from deterministic twins.
     let service = build_fleet(envs, seed, &UpdaterConfig::default())?;
-    let ids = service.ids();
-    let mut twins = Vec::new();
-    for (k, &id) in ids.iter().enumerate() {
-        let name = service.name(id).map_err(pipeline)?.to_string();
-        let env = parse_environment(name.split('-').next().unwrap_or(&name))?;
-        let refs = service
-            .updater(id)
-            .map_err(pipeline)?
-            .reference_locations()
-            .to_vec();
-        twins.push((name, Testbed::new(env, seed.wrapping_add(k as u64)), refs));
-    }
-
-    let gw = FleetGateway::launch(service).map_err(pipeline)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "fleet gateway: {} deployment(s) behind the epoch-swapped read path, {} cycle day(s)",
-        gw.len(),
+        service.len(),
         day_list.len()
     );
-
-    for &day in &day_list {
-        // Ingest one fresh batch per deployment over the bounded
-        // channel (acknowledged sends; day-order validation happens on
-        // the drive loop before the ack).
-        for (&id, (_, twin, refs)) in ids.iter().zip(&twins) {
-            let batch = MeasurementBatch::collect(twin, refs, day, samples).map_err(pipeline)?;
-            gw.ingest(id, batch).map_err(pipeline)?;
+    let drill =
+        run_drill(service, &day_list, samples, queries_per_cell).map_err(CliError::Pipeline)?;
+    for day in &drill.days {
+        for o in &day.outcomes {
+            outcome_line(&mut out, o);
         }
-        let outcomes = gw.run_cycle(day, samples).map_err(pipeline)?;
-        for o in &outcomes {
+        for storm in &day.storms {
             let _ = writeln!(
                 out,
-                "day {day:>5.1}  {:<12} refs={:<2} iters={:<3} objective={:.3e}",
-                o.name, o.reference_count, o.iterations, o.final_objective
+                "day {:>5.1}  {:<12} epoch {}: {} queries served, exact oracle parity, \
+                 mean error {:.2} m",
+                day.day, storm.name, storm.epoch, storm.queries, storm.mean_error_m
             );
         }
-
-        // Query storm against the published snapshots: every estimate
-        // must equal the unprepared oracle on the epoch the reader
-        // observed.
-        for (&id, (name, twin, _)) in ids.iter().zip(&twins) {
-            let snap = gw.published(id).map_err(pipeline)?;
-            let d = twin.deployment();
-            let n = d.num_locations();
-            let queries: Vec<Vec<f64>> = (0..n * per_cell)
-                .map(|q| twin.online_measurement(q % n, day, 0x5e7e + q as u64))
-                .collect();
-            let estimates = snap.localize_batch(&queries).map_err(pipeline)?;
-            let oracle = Localizer::new(snap.fingerprint().clone(), LocalizerConfig::default());
-            let mut err_sum = 0.0;
-            for (q, (y, est)) in queries.iter().zip(&estimates).enumerate() {
-                let truth = oracle.localize_unprepared(y).map_err(pipeline)?;
-                if est != &truth {
-                    return Err(CliError::Pipeline(format!(
-                        "gateway estimate for query {q} ({name}, epoch {}) deviates \
-                         from the unprepared oracle — epoch-publication parity violation",
-                        snap.epoch()
-                    )));
-                }
-                err_sum += d.location(q % n).distance(d.location(est.grid));
-            }
-            let _ = writeln!(
-                out,
-                "day {day:>5.1}  {name:<12} epoch {}: {} queries served, exact oracle \
-                 parity, mean error {:.2} m",
-                snap.epoch(),
-                queries.len(),
-                err_sum / queries.len() as f64
-            );
-        }
-    }
-
-    // Durable snapshot of the live gateway, then an orderly shutdown:
-    // the drain report proves no acknowledged batch was dropped.
-    let snapshot = gw.snapshot().map_err(pipeline)?;
-    let mut buf = Vec::new();
-    persist::write_service(&snapshot, &mut buf).map_err(pipeline)?;
-    let snapshot_text = String::from_utf8(buf).map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let report = gw.shutdown().map_err(pipeline)?;
-    if !report.pending.is_empty() {
-        return Err(CliError::Pipeline(format!(
-            "{} acknowledged batch(es) were still pending at shutdown — every \
-             ingested day should have been committed by its cycle",
-            report.pending.len()
-        )));
     }
     let _ = writeln!(
         out,
         "shutdown: drain report empty — every acknowledged batch committed"
     );
-    fleet_summary(&report.service, &mut out)?;
-    Ok((snapshot_text, out))
+    fleet_summary(&drill.service, &mut out)?;
+    Ok((render_snapshot(&drill.snapshot)?, out))
 }
 
 /// Top-level usage text for the binary.
@@ -583,8 +427,6 @@ pub fn usage() -> &'static str {
        iupdater survey   --env <office|library|hall> [--seed N] [--day D] [--samples S]\n\
        iupdater update   --env <...> --prior <db file> [--seed N] [--day D] [--samples S]\n\
        iupdater localize --env <...> --db <db file> --cell J [--seed N] [--day D]\n\
-       iupdater replay   --env <...> --db <db file> [--seed N] [--day D]\n\
-                         [--queries-per-cell Q]\n\
        iupdater info     --db <db file>\n\
        iupdater batch    --envs <e1,e2,...> --days <d1,d2,...> [--seed N] [--samples S]\n\
                          [--snapshot-dir DIR] [--rebase-every N]\n\
@@ -594,9 +436,6 @@ pub fn usage() -> &'static str {
        iupdater restore  --snapshot <snap file> [--days <d1,...>] [--samples S]\n\
      \n\
      `survey` and `update` print the database to stdout (redirect to a file).\n\
-     `replay` drills the batched read path: Q queries per grid cell served\n\
-     through the prepared localizer, every estimate cross-checked against\n\
-     the unprepared scalar matcher (a parity violation is a hard error).\n\
      `batch` runs an update-service fleet: one deployment per environment,\n\
      update cycles across all deployments in parallel at each listed day;\n\
      with --snapshot-dir the fleet is checkpointed to DIR/fleet.snap after\n\
@@ -634,38 +473,6 @@ mod tests {
         let report = cmd_localize("library", 5, &updated, 30, 45.0).unwrap();
         assert!(report.contains("estimated:"));
         assert!(report.contains("error:"));
-    }
-
-    #[test]
-    fn replay_reports_exact_parity_over_updated_database() {
-        let db = cmd_survey("office", 9, 0.0, 5).unwrap();
-        let (updated, _) = cmd_update("office", 9, &db, 15.0, 5).unwrap();
-        let report = cmd_replay("office", 9, &updated, 15.0, 3).unwrap();
-        assert!(
-            report.contains("replayed 288 queries (3 per cell, 96 cells)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("exact parity with the unprepared matcher: 288/288"),
-            "{report}"
-        );
-        assert!(report.contains("exact-cell rate:"), "{report}");
-        // Zero queries-per-cell is clamped to one, not an error.
-        let min = cmd_replay("office", 9, &updated, 15.0, 0).unwrap();
-        assert!(min.contains("replayed 96 queries (1 per cell"), "{min}");
-    }
-
-    #[test]
-    fn replay_rejects_mismatched_database() {
-        let db = cmd_survey("library", 5, 0.0, 2).unwrap(); // 6 links
-        assert!(matches!(
-            cmd_replay("office", 5, &db, 0.0, 2),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            cmd_replay("office", 5, "garbage", 0.0, 2),
-            Err(CliError::Pipeline(_))
-        ));
     }
 
     #[test]
@@ -765,7 +572,9 @@ mod tests {
         );
         assert!(report.contains("last update day 15"), "{report}");
         // The gateway path persists the same durable form the plain
-        // service produces for the same campaign: `restore` accepts it.
+        // service produces for the same campaign: the same bytes as
+        // `snapshot`, and `restore` accepts it.
+        assert_eq!(snap, cmd_snapshot("office,library", 3, "5, 15", 2).unwrap());
         let (_, restored) = cmd_restore(&snap, "", 2).unwrap();
         assert!(restored.contains("restored fleet: 2 deployment(s)"));
     }

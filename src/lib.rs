@@ -23,8 +23,8 @@
 //! talks to the one below it:
 //!
 //! 1. **Zero-copy linear algebra** (`linalg`): the dense row-major
-//!    [`linalg::Matrix`] plus borrowed [`linalg::MatrixView`] /
-//!    [`linalg::MatrixViewMut`] row/column blocks, in-place kernels
+//!    [`linalg::Matrix`] plus borrowed [`linalg::MatrixView`]
+//!    row/column blocks, in-place kernels
 //!    (`matmul_into`, `matmul_bt_into`, `axpy`, `gram_into`,
 //!    `add_weighted_gram`) and a cache-blocked multiply. SVD, QR and LU run on
 //!    row-contiguous working storage instead of strided column walks.

@@ -25,6 +25,25 @@ fn malformed_numbers_are_usage_errors() {
     assert_usage_error("survey --env office --seed abc", "--seed");
     assert_usage_error("survey --env office --day soon", "--day");
     assert_usage_error("survey --env office --samples -3", "--samples");
+    for day in ["nan", "inf", "-inf"] {
+        assert_usage_error(&format!("survey --env office --day {day}"), "--day");
+        assert_usage_error(
+            &format!("update --env office --prior db.txt --day {day}"),
+            "--day",
+        );
+        assert_usage_error(
+            &format!("localize --env office --db db.txt --cell 3 --day {day}"),
+            "--day",
+        );
+    }
+    assert_usage_error(
+        "serve --envs office --days 5 --queries-per-cell many",
+        "--queries-per-cell",
+    );
+    assert_usage_error(
+        "batch --envs office --days 5 --rebase-every x",
+        "--rebase-every",
+    );
 }
 
 #[test]
