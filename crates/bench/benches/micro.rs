@@ -54,6 +54,17 @@ fn bench_linalg(c: &mut Criterion) {
             )
         })
     });
+    // One normal-matrix factor of the 32x1536 solver (rank 32): a
+    // diagonally dominant system, so partial pivoting never swaps and
+    // the row passes time elimination plus the singularity floor.
+    let normal = Matrix::from_fn(32, 32, |i, j| {
+        if i == j {
+            40.0
+        } else {
+            ((i * 32 + j) as f64 * 0.37).sin()
+        }
+    });
+    group.bench_function("lu_32x32", |b| b.iter(|| black_box(&normal).lu().unwrap()));
     group.bench_function("certify_pivot_seed_8x96", |b| {
         b.iter(|| {
             black_box(&x)
@@ -388,15 +399,15 @@ fn bench_solver_scale(c: &mut Criterion) {
         ..UpdaterConfig::default()
     };
 
-    let mut group = c.benchmark_group("solver_32x1536");
+    let mut group = c.benchmark_group("solver");
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.sample_size(10);
-    group.bench_function("engine_exact", |bch| {
+    group.bench_function("engine_exact_32x1536", |bch| {
         let solver = Solver::new(inputs.clone(), cfg.clone()).unwrap();
         bch.iter(|| black_box(&solver).solve().unwrap())
     });
-    group.bench_function("reference_exact", |bch| {
+    group.bench_function("reference_exact_32x1536", |bch| {
         let solver = ReferenceSolver::new(inputs.clone(), cfg.clone()).unwrap();
         bch.iter(|| black_box(&solver).solve().unwrap())
     });

@@ -28,8 +28,6 @@ pub struct Updater {
     config: UpdaterConfig,
     mic: MicSelection,
     z: Matrix,
-    mic_method: MicMethod,
-    corr_method: CorrelationMethod,
     /// The full (pre-`config.rank`-truncation) MIC locations, kept as
     /// the seed for [`Updater::warm_start`] re-pivoting.
     seed_locations: Vec<usize>,
@@ -47,25 +45,9 @@ impl Updater {
     ///
     /// Propagates config validation, MIC extraction and LRR errors.
     pub fn new(prior: FingerprintMatrix, config: UpdaterConfig) -> Result<Self> {
-        Self::with_methods(
-            prior,
-            config,
-            MicMethod::default(),
-            CorrelationMethod::default(),
-        )
-    }
-
-    /// [`Updater::new`] with explicit MIC and correlation methods.
-    fn with_methods(
-        prior: FingerprintMatrix,
-        config: UpdaterConfig,
-        mic_method: MicMethod,
-        corr_method: CorrelationMethod,
-    ) -> Result<Self> {
         config.validate().map_err(CoreError::InvalidArgument)?;
-        let x = prior.matrix();
-        let mic = extract_mic(x, mic_method, config.rank_tol)?;
-        Self::assemble(prior, config, mic, mic_method, corr_method)
+        let mic = extract_mic(prior.matrix(), MicMethod::default(), config.rank_tol)?;
+        Self::assemble(prior, config, mic)
     }
 
     /// The shared tail of every constructor that has a fresh MIC
@@ -77,8 +59,6 @@ impl Updater {
         prior: FingerprintMatrix,
         config: UpdaterConfig,
         mut mic: MicSelection,
-        mic_method: MicMethod,
-        corr_method: CorrelationMethod,
     ) -> Result<Self> {
         let seed_locations = mic.locations.clone();
         // If a rank override is configured, honour it (take the leading
@@ -89,14 +69,12 @@ impl Updater {
                 mic.vectors = prior.matrix().select_cols(&mic.locations);
             }
         }
-        let z = correlation_matrix(&mic.vectors, prior.matrix(), corr_method)?;
+        let z = correlation_matrix(&mic.vectors, prior.matrix(), CorrelationMethod::default())?;
         Ok(Updater {
             prior,
             config,
             mic,
             z,
-            mic_method,
-            corr_method,
             seed_locations,
             warm: OnceLock::new(),
         })
@@ -184,16 +162,10 @@ impl Updater {
         let upd = update_selection(
             &prev.seed_locations,
             new_prior.matrix(),
-            prev.mic_method,
+            MicMethod::default(),
             prev.config.rank_tol,
         )?;
-        Self::assemble(
-            new_prior,
-            prev.config.clone(),
-            upd.selection,
-            prev.mic_method,
-            prev.corr_method,
-        )
+        Self::assemble(new_prior, prev.config.clone(), upd.selection)
     }
 
     /// Rebuilds an updater from a *recorded* warm-start basis — the
@@ -215,9 +187,7 @@ impl Updater {
     /// a `Z` of matching shape with finite entries that roughly spans
     /// the prior) but is otherwise trusted — the point is to *skip*
     /// the expensive re-derivation. Snapshots without a recorded basis
-    /// take the slow path through [`Updater::new`] instead. Assumes
-    /// the default MIC and correlation methods, like every
-    /// snapshot-built engine.
+    /// take the slow path through [`Updater::new`] instead.
     ///
     /// # Errors
     ///
@@ -316,8 +286,6 @@ impl Updater {
             config,
             mic: MicSelection { locations, vectors },
             z,
-            mic_method: MicMethod::default(),
-            corr_method: CorrelationMethod::default(),
             seed_locations,
             warm: OnceLock::new(),
         })
@@ -351,12 +319,6 @@ impl Updater {
     /// truncated the reference set.
     pub fn seed_locations(&self) -> &[usize] {
         &self.seed_locations
-    }
-
-    /// The configured MIC extraction method (for in-crate callers that
-    /// pre-compute a selection the way [`Updater::warm_start`] would).
-    pub(crate) fn mic_method(&self) -> MicMethod {
-        self.mic_method
     }
 
     /// Reconstructs the up-to-date fingerprint matrix from fresh

@@ -19,7 +19,8 @@
 //!    identical operation sequence" contract). [`AlsEngine::new`]
 //!    partitions the columns into classes once per solver; the 32x1536
 //!    Fresnel-zone mask has 96 classes for 1,536 columns. Row sweeps
-//!    factor each of their `M` systems. Every quadratic contribution
+//!    factor each of their `M` systems, their data-fit quadratics built
+//!    from shared prefixes (below). Every quadratic contribution
 //!    is one weighted Gram accumulation over a list of factor rows
 //!    (`Matrix::add_weighted_gram`, one L1 kernel).
 //! 2. **Cross + solve**: add the cross terms and back-substitute. With
@@ -37,6 +38,24 @@
 //! and a shared class factor is bit-identical to the one each column
 //! would have built, so the engine reproduces `solver::reference`
 //! bit-for-bit — the golden parity tests assert ≤ 1e-9 end to end.
+//!
+//! # Shared row prefixes
+//!
+//! A row's data-fit quadratic is one rank-1 update `θ_jθ_jᵀ` per known
+//! column, in ascending order, and rows of a typical mask share long
+//! prefixes of that order: on the 32x1536 storm layout, where row `i`
+//! hides exactly link `i`'s 48 cells, a row sweep does 47,616 updates
+//! of which only 25,296 are distinct prefix-tree nodes.
+//! [`AlsEngine::new`] picks the *spine* row (the largest total longest
+//! common prefix with the other rows, ties to the lowest index) and
+//! caches every row's known list as a prefix depth on the spine's plus
+//! its own suffix. A row sweep then folds `λI + w_fit Σ θ_jθ_jᵀ` along
+//! the spine once, keeping a checkpoint at each distinct depth, and
+//! every row clones its checkpoint, folds its own suffix and adds the
+//! other terms in the canonical order. `Matrix::add_weighted_gram` seeds
+//! every slab from its output, so a fold split at any position runs
+//! the same operation sequence: the result is bit-identical to a
+//! from-scratch fold per row.
 //!
 //! # Warm start
 //!
@@ -111,11 +130,81 @@ pub(crate) struct AlsEngine {
     /// One representative column per class, classes numbered by first
     /// occurrence.
     class_reps: Vec<usize>,
+    /// Every row's known-column list, split into the spine's shared
+    /// prefix and the row's own suffix.
+    rows: RowPrefixes,
+}
+
+/// The shared-prefix plan of the data-fit row Gram (see the module
+/// docs). Row `i`'s known-column list, ascending — the data-fit row
+/// quadratic folds one rank-1 update per entry, in this order — is
+/// `spine[..depths[depth[i]]]` followed by `suffix[i]`.
+#[derive(Debug, Default)]
+struct RowPrefixes {
+    /// The spine row's known-column list: the row whose list shares the
+    /// most prefix with the others' in total (ties to the lowest index).
+    spine: Vec<usize>,
+    /// The distinct depths, ascending, at which some row's list leaves
+    /// the spine's: the checkpoints of the spine fold.
+    depths: Vec<usize>,
+    /// Per row, the index into `depths` of its longest common prefix
+    /// with the spine.
+    depth: Vec<usize>,
+    /// Per row, its known columns past that prefix.
+    suffix: Vec<Vec<usize>>,
+}
+
+impl RowPrefixes {
+    /// Plans the fold for mask `b`: each row's known list, the spine,
+    /// and each row's prefix depth with the spine.
+    fn new(b: &Matrix) -> Self {
+        let known: Vec<Vec<usize>> = (0..b.rows())
+            .map(|i| (0..b.cols()).filter(|&j| b[(i, j)] != 0.0).collect())
+            .collect();
+        let lcp = |i: usize, k: usize| {
+            known[i]
+                .iter()
+                .zip(&known[k])
+                .take_while(|(a, b)| a == b)
+                .count()
+        };
+        let m = known.len();
+        let mut shared = vec![0_usize; m];
+        for i in 0..m {
+            for k in i + 1..m {
+                let d = lcp(i, k);
+                shared[i] += d;
+                shared[k] += d;
+            }
+        }
+        // `max_by_key` keeps the last maximum; scanning in reverse
+        // makes that the lowest index.
+        let Some(spine) = (0..m).rev().max_by_key(|&i| shared[i]) else {
+            return RowPrefixes::default();
+        };
+        let row_lcp: Vec<usize> = (0..m).map(|i| lcp(spine, i)).collect();
+        let mut depths = row_lcp.clone();
+        depths.sort_unstable();
+        depths.dedup();
+        RowPrefixes {
+            depth: row_lcp
+                .iter()
+                .map(|d| depths.partition_point(|x| x < d))
+                .collect(),
+            suffix: known
+                .iter()
+                .zip(&row_lcp)
+                .map(|(list, &d)| list[d..].to_vec())
+                .collect(),
+            spine: known[spine].clone(),
+            depths,
+        }
+    }
 }
 
 impl AlsEngine {
-    /// Binds validated inputs to the engine, caching the pool width and
-    /// the column classes.
+    /// Binds validated inputs to the engine, caching the pool width, the
+    /// column classes and the row prefix plan.
     pub(crate) fn new(
         inputs: SolverInputs,
         cfg: UpdaterConfig,
@@ -123,6 +212,7 @@ impl AlsEngine {
         h: Option<Matrix>,
         rank: usize,
     ) -> Self {
+        let rows = RowPrefixes::new(&inputs.b);
         let mut engine = AlsEngine {
             inputs,
             cfg,
@@ -132,6 +222,7 @@ impl AlsEngine {
             threads: rayon::current_num_threads(),
             col_class: Vec::new(),
             class_reps: Vec::new(),
+            rows,
         };
         (engine.col_class, engine.class_reps) = engine.column_classes();
         engine
@@ -164,6 +255,43 @@ impl AlsEngine {
             col_class.push(class);
         }
         (col_class, reps)
+    }
+
+    /// Stage 1 of the data-fit row Gram: `λI + w_fit Σ θ_jθ_jᵀ` folded
+    /// along the spine's known list once, one checkpoint per prefix
+    /// depth. With the data-fit term inactive every checkpoint is `λI`.
+    fn fit_checkpoints(&self, fit: f64, rm: &Matrix) -> Result<Vec<Matrix>> {
+        let mut a = Matrix::identity(self.rank);
+        a.scale_mut(self.cfg.lambda);
+        let mut done = 0;
+        let mut checkpoints = Vec::with_capacity(self.rows.depths.len());
+        for &d in &self.rows.depths {
+            if fit > 0.0 {
+                a.add_weighted_gram(fit, rm, &self.rows.spine[done..d])?;
+            }
+            done = d;
+            checkpoints.push(a.clone());
+        }
+        Ok(checkpoints)
+    }
+
+    /// Stage 2: row `i`'s `λI + w_fit Σ_{j known} θ_jθ_jᵀ`, its
+    /// checkpoint plus its own suffix. `add_weighted_gram` seeds every
+    /// slab from its output, so a fold split at any position runs the
+    /// same operation sequence: this equals one from-scratch call over
+    /// the whole known list, bit for bit.
+    fn fit_row_normal(
+        &self,
+        checkpoints: &[Matrix],
+        fit: f64,
+        i: usize,
+        rm: &Matrix,
+    ) -> Result<Matrix> {
+        let mut a = checkpoints[self.rows.depth[i]].clone();
+        if fit > 0.0 {
+            a.add_weighted_gram(fit, rm, &self.rows.suffix[i])?;
+        }
+        Ok(a)
     }
 
     /// The number of distinct column systems factored per column sweep.
@@ -396,12 +524,12 @@ impl AlsEngine {
     fn update_rows(
         &self,
         terms: &[Box<dyn PenaltyTerm>],
+        fit: f64,
         l: &mut Matrix,
         rm: &Matrix,
     ) -> Result<()> {
         let m = self.inputs.x_b.rows();
         let r = self.rank;
-        let lambda = self.cfg.lambda;
         let ctx = self.ctx();
         let sweep = SweepCache {
             gram: terms
@@ -416,11 +544,12 @@ impl AlsEngine {
             .filter(|t| t.has_row_cross())
             .collect();
 
-        // Phase 1: one LU and fixed rhs per row.
+        // Phase 1: one LU and fixed rhs per row. The data-fit quadratic
+        // comes first, from the shared spine checkpoints.
+        let checkpoints = self.fit_checkpoints(fit, rm)?;
         let plans = self
             .sweep_map(m, |i| {
-                let mut a = Matrix::identity(r);
-                a.scale_mut(lambda);
+                let mut a = self.fit_row_normal(&checkpoints, fit, i, rm)?;
                 let mut rhs = vec![0.0_f64; r];
                 for term in &active {
                     term.assemble_row(&ctx, i, rm, &sweep, &mut a, &mut rhs)?;
@@ -471,7 +600,7 @@ impl AlsEngine {
         let mut iterations = 0;
         for _ in 0..self.cfg.max_iter {
             self.update_columns(&terms, &l, &mut rm)?;
-            self.update_rows(&terms, &mut l, &rm)?;
+            self.update_rows(&terms, weights.fit, &mut l, &rm)?;
             iterations += 1;
             let v = self.objective(&terms, &l, &rm, &mut xhat)?;
             // invariants: allow(panic-freedom) — the initial
@@ -634,6 +763,85 @@ mod tests {
             });
             assert!(split, "{coupling:?}: the mask never splits a link");
         }
+    }
+
+    /// The storm layout: row `i` hides exactly link `i`'s own cells,
+    /// so row lists share prefixes of `per · min(i, k)` entries.
+    fn own_link_mask(m: usize, per: usize) -> Matrix {
+        Matrix::from_fn(m, m * per, |i, j| if j / per == i { 0.0 } else { 1.0 })
+    }
+
+    #[test]
+    fn shared_prefix_row_normals_match_per_row_folds_bitwise() {
+        let per = 9;
+        let base = own_link_mask(6, per);
+        let n = base.cols();
+        let mut full_row = base.clone();
+        full_row.set_row(2, &vec![1.0; n]);
+        let mut empty_row = base.clone();
+        empty_row.set_row(3, &vec![0.0; n]);
+        let mut duplicates = varying_mask(6, per, 75);
+        let row1 = duplicates.row(1).to_vec();
+        duplicates.set_row(4, &row1);
+        let mut rng = StdRng::seed_from_u64(76);
+        let single = Matrix::from_fn(1, per, |_, _| f64::from(rng.gen::<f64>() < 0.7));
+        let masks = [
+            ("own-link", base),
+            ("varying", varying_mask(6, per, 74)),
+            ("full row", full_row),
+            ("empty row", empty_row),
+            ("duplicate rows", duplicates),
+            ("m = 1", single),
+        ];
+        let bits = |a: &Matrix| -> Vec<u64> { a.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for (name, b) in masks {
+            let e = engine(b.clone(), per, CouplingMode::Exact);
+            let (m, n) = b.shape();
+            let rm = Matrix::from_fn(n, e.rank, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+            for fit in [1.3, 0.0] {
+                let checkpoints = e.fit_checkpoints(fit, &rm).unwrap();
+                for i in 0..m {
+                    let known: Vec<usize> = (0..n).filter(|&j| b[(i, j)] != 0.0).collect();
+                    let mut want = Matrix::identity(e.rank);
+                    want.scale_mut(e.cfg.lambda);
+                    if fit > 0.0 {
+                        want.add_weighted_gram(fit, &rm, &known).unwrap();
+                    }
+                    let got = e.fit_row_normal(&checkpoints, fit, i, &rm).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "{name}, fit {fit}: row {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spine_shares_the_longest_prefixes_lowest_index_first() {
+        let per = 9;
+        let b = own_link_mask(6, per);
+        let e = engine(b.clone(), per, CouplingMode::Exact);
+        // Rows 4 and 5 tie on total shared prefix; the lower wins.
+        let row4: Vec<usize> = (0..b.cols()).filter(|&j| b[(4, j)] != 0.0).collect();
+        assert_eq!(e.rows.spine, row4);
+        assert_eq!(e.rows.depths, [0, 9, 18, 27, 36, 45]);
+        assert_eq!(e.rows.depth, [0, 1, 2, 3, 5, 4]);
+        assert!(e.rows.suffix[4].is_empty());
+        assert_eq!(e.rows.suffix[5], (36..45).collect::<Vec<_>>());
+    }
+
+    /// Rank-1 updates one row sweep folds on the storm layout: 32 rows
+    /// of 1,488 known cells, of which 25,296 are distinct prefix-tree
+    /// nodes.
+    #[test]
+    fn storm_mask_folds_each_prefix_once() {
+        let (m, per) = (32, 48);
+        let e = engine(own_link_mask(m, per), per, CouplingMode::Exact);
+        let rows = &e.rows;
+        let total: usize = (0..m)
+            .map(|i| rows.depths[rows.depth[i]] + rows.suffix[i].len())
+            .sum();
+        let folded = rows.spine.len() + rows.suffix.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(total, 47_616);
+        assert_eq!(folded, 25_296);
     }
 
     #[test]

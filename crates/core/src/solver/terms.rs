@@ -33,7 +33,12 @@
 //!
 //! Every quadratic contribution is one weighted Gram accumulation over
 //! a list of factor rows ([`Matrix::add_weighted_gram`]), so all
-//! normal-matrix assembly runs on one L1 kernel.
+//! normal-matrix assembly runs on one L1 kernel. The one quadratic no
+//! term adds itself is the data-fit row quadratic: rows share long
+//! prefixes of their known-column lists, so the engine folds it once
+//! per shared prefix and hands each row's normal matrix to the terms
+//! with it already added; [`DataFitTerm`]'s `assemble_row` adds only
+//! the right-hand side.
 
 use iupdater_linalg::{axpy_slice, Matrix};
 
@@ -244,22 +249,23 @@ impl PenaltyTerm for DataFitTerm {
         }
     }
 
+    /// The right-hand side only: the engine assembles the row
+    /// quadratic `w Σ_{j known} θ_jθ_jᵀ` itself, from prefixes shared
+    /// across rows, before any term's `assemble_row`.
     fn assemble_row(
         &self,
         ctx: &TermContext<'_>,
         i: usize,
         rm: &Matrix,
         _sweep: &SweepCache,
-        a: &mut Matrix,
+        _a: &mut Matrix,
         rhs: &mut [f64],
     ) -> Result<()> {
-        let known: Vec<usize> = (0..ctx.b.cols())
-            .filter(|&j| ctx.b[(i, j)] != 0.0)
-            .collect();
-        for &j in &known {
-            axpy_slice(self.weight * ctx.x_b[(i, j)], rm.row(j), rhs);
+        for j in 0..ctx.b.cols() {
+            if ctx.b[(i, j)] != 0.0 {
+                axpy_slice(self.weight * ctx.x_b[(i, j)], rm.row(j), rhs);
+            }
         }
-        a.add_weighted_gram(self.weight, rm, &known)?;
         Ok(())
     }
 }

@@ -33,6 +33,12 @@ impl Matrix {
             });
         }
         let n = self.rows();
+        // Scale-relative singularity floor: relative to the largest
+        // input entry, so a uniformly tiny-scaled but well-conditioned
+        // system still solves (an absolute `max(1.0)` floor rejected
+        // e.g. 1e-10-scaled Gram systems as singular). It reads the
+        // input, not the working copy, so it is computed once.
+        let floor = f64::EPSILON * (n as f64) * self.max_abs();
         let mut lu = self.clone();
         let mut perm: Vec<usize> = (0..n).collect();
 
@@ -47,13 +53,8 @@ impl Matrix {
                     pivot_row = i;
                 }
             }
-            // Scale-relative singularity floor: relative to the
-            // largest input entry, so a uniformly tiny-scaled but
-            // well-conditioned system still solves (an absolute
-            // `max(1.0)` floor rejected e.g. 1e-10-scaled Gram
-            // systems as singular). `<=` keeps the all-zero matrix
-            // singular (both sides zero).
-            if pivot_val <= f64::EPSILON * (n as f64) * self.max_abs() {
+            // `<=` keeps the all-zero matrix singular (both sides zero).
+            if pivot_val <= floor {
                 return Err(LinalgError::Singular);
             }
             if pivot_row != k {

@@ -20,7 +20,8 @@
 //! - the weighted Gram entry point (`Matrix::add_weighted_gram`, the
 //!   solver's normal-matrix assembly) equals one sequential rank-1
 //!   update per listed row, bit for bit, across the 4-/8-lane edges,
-//!   the 4-row tile and the 16-row slab seams;
+//!   the 4-row tile and the 16-row slab seams, and a fold split at
+//!   any position equals the unsplit fold;
 //! - both distance kernels of the binary read path equal the naive
 //!   `t = r − x; s += t * t` chain bit for bit — here on *every* input,
 //!   ±0.0, ±∞ and NaN included, since a distance chain has no skipped
@@ -272,6 +273,32 @@ proptest! {
         let mut g = Matrix::filled(r, r, f64::NAN);
         src.gram_into(&mut g).unwrap();
         assert_bitwise_eq(&g, &naive_matmul(&src.transpose(), &src));
+    }
+}
+
+proptest! {
+    /// A fold split anywhere is the same fold: `add_weighted_gram` over
+    /// `rows[..k]` and then over `rows[k..]` onto one accumulator equals
+    /// one call over `rows`, bit for bit, for every `k` — the slab
+    /// seams 15/16/17/33 included. The ALS row sweep shares prefixes
+    /// of its data-fit Gram across rows on exactly this property.
+    #[test]
+    fn weighted_gram_split_anywhere_matches_one_call_bitwise(
+        (src, rows, acc) in (1usize..=40, 1usize..=48).prop_flat_map(|(r, src_rows)| (
+            matrix_of(src_rows, r),
+            prop::collection::vec(0..src_rows, 50..=50),
+            matrix_of(r, r),
+        )),
+        alpha in -3.0f64..3.0,
+    ) {
+        let mut whole = acc.clone();
+        whole.add_weighted_gram(alpha, &src, &rows).unwrap();
+        for k in 0..=rows.len() {
+            let mut split = acc.clone();
+            split.add_weighted_gram(alpha, &src, &rows[..k]).unwrap();
+            split.add_weighted_gram(alpha, &src, &rows[k..]).unwrap();
+            assert_bitwise_eq(&split, &whole);
+        }
     }
 }
 

@@ -1,10 +1,17 @@
-//! Contract smoke: the read path's headline parity assertion at a
-//! small configuration, so the plain `cargo test -q` exercises the
-//! prepared pursuits, their squared-distance kernels and the
-//! correlation routing.
+//! Contract smoke: each path's headline parity assertion at a small
+//! configuration, so the plain `cargo test -q` exercises the solver
+//! engine, the prepared pursuits, their squared-distance kernels and
+//! the correlation routing.
 //!
-//! Over a 16x384 site (`ext_scale::scaled_office(2)`), every query is
-//! answered three ways — the single-query prepared path
+//! Write path: on the smallest within-link-varying mask (6 links x 9
+//! cells, so the engine's column classes and shared row prefixes both
+//! split), the layered ALS engine under Exact coupling must equal the
+//! frozen single-threaded `ReferenceSolver` at tolerance 0: the same
+//! iteration count, objective trace and reconstruction, bit for bit.
+//! The full tier lives in `crates/core/tests/solver_parity.rs`.
+//!
+//! Read path: over a 16x384 site (`ext_scale::scaled_office(2)`), every
+//! query is answered three ways — the single-query prepared path
 //! (`Localizer::localize`), the chunked batch path
 //! (`Localizer::localize_batch`, lane-blocked under the binary model)
 //! and the unprepared scalar oracle (`Localizer::localize_unprepared`)
@@ -15,12 +22,75 @@
 //! correlation OMP with three atoms. The full tier lives in
 //! `crates/core/tests/query_parity.rs`.
 
-use iupdater::core::config::AtomSelection;
+use iupdater::core::config::{AtomSelection, CouplingMode};
 use iupdater::core::prelude::*;
 use iupdater::core::query::QUERY_CHUNK;
+use iupdater::core::solver::reference::ReferenceSolver;
+use iupdater::core::solver::{Solver, SolverInputs};
 use iupdater::eval::ext_scale::scaled_office;
 use iupdater::linalg::kernels::BINARY_LANES;
+use iupdater::linalg::Matrix;
 use iupdater::rfsim::Testbed;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+#[test]
+fn engine_equals_reference_solver_bitwise() {
+    let (m, per) = (6, 9);
+    let mut rng = StdRng::seed_from_u64(48);
+    let base: Vec<f64> = (0..m)
+        .map(|_| -62.0 + (rng.gen::<f64>() - 0.5) * 4.0)
+        .collect();
+    // Each link dips over its own cells; neighbours see a 1 dB shadow.
+    let x = Matrix::from_fn(m, m * per, |i, j| {
+        let (owner, u) = (j / per, (j % per) as f64 / (per - 1) as f64);
+        match owner.abs_diff(i) {
+            0 => base[i] - (4.0 + 5.0 * (2.0 * u - 1.0).powi(2)),
+            1 => base[i] - 1.0,
+            _ => base[i],
+        }
+    });
+    // Beyond the cells near its own link, each column randomly hides
+    // each of the rows two links away.
+    let hide: Vec<[bool; 2]> = (0..m * per).map(|_| [rng.gen(), rng.gen()]).collect();
+    let b = Matrix::from_fn(m, m * per, |i, j| {
+        let owner = j / per;
+        let hidden = owner.abs_diff(i) <= 1
+            || (hide[j][0] && i == (owner + 2) % m)
+            || (hide[j][1] && i == (owner + m - 2) % m);
+        if hidden {
+            0.0
+        } else {
+            1.0
+        }
+    });
+    let inputs = SolverInputs {
+        x_b: b.hadamard(&x).unwrap(),
+        b,
+        p: Some(x),
+        per,
+        warm_start: None,
+    };
+    let cfg = UpdaterConfig {
+        rank: Some(6),
+        max_iter: 30,
+        coupling: CouplingMode::Exact,
+        ..UpdaterConfig::default()
+    };
+    let engine = Solver::new(inputs.clone(), cfg.clone()).unwrap();
+    assert!(engine.column_systems() > m, "the mask must split links");
+    let engine = engine.solve().unwrap();
+    let reference = ReferenceSolver::new(inputs, cfg).unwrap().solve().unwrap();
+    assert_eq!(engine.iterations(), reference.iterations());
+    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(engine.objective_trace()),
+        bits(reference.objective_trace())
+    );
+    assert_eq!(
+        bits(engine.reconstruction().as_slice()),
+        bits(reference.reconstruction().as_slice())
+    );
+}
 
 fn assert_same_bits(got: &LocationEstimate, want: &LocationEstimate, what: &str, q: usize) {
     assert_eq!(got.grid, want.grid, "{what}: query {q} grid");
