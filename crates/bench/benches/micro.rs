@@ -258,6 +258,15 @@ fn bench_simulator(c: &mut Criterion) {
     group.bench_function("online_measurement", |b| {
         b.iter(|| t.online_measurement(17, 45.0, 7))
     });
+    // The pooled site survey `UpdateService::register` runs: the storm
+    // site at iUpdater's 5 readings, the office at a traditional 50.
+    let big = Testbed::new(iupdater_eval::ext_scale::scaled_office(4), 1);
+    group.bench_function("survey_32x1536_s5", |b| {
+        b.iter(|| FingerprintMatrix::survey(&big, 0.0, 5))
+    });
+    group.bench_function("survey_office_s50", |b| {
+        b.iter(|| FingerprintMatrix::survey(&t, 0.0, 50))
+    });
     group.finish();
 }
 

@@ -7,6 +7,7 @@ use std::ops::RangeInclusive;
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::target::ObstructionEffect;
 use iupdater_rfsim::Testbed;
+use rayon::prelude::*;
 
 use crate::{CoreError, Result};
 
@@ -73,10 +74,20 @@ impl FingerprintMatrix {
     ///
     /// Panics if `samples == 0`.
     pub fn survey(testbed: &Testbed, day: f64, samples: usize) -> Self {
-        let data = testbed.fingerprint_matrix(day, samples);
+        assert!(samples > 0, "need at least one sample per element");
+        let deployment = testbed.deployment();
+        let n = deployment.num_locations();
+        let mut data = Matrix::zeros(deployment.num_links(), n);
+        // Each link draws from its own seeded noise process, so the rows
+        // fan out across the pool and are written in place, bit-identical
+        // to the serial `Testbed::fingerprint_matrix`.
+        data.as_mut_slice()
+            .par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(i, row)| testbed.survey_row(i, day, samples, row));
         FingerprintMatrix {
             data,
-            locations_per_link: testbed.deployment().locations_per_link(),
+            locations_per_link: deployment.locations_per_link(),
         }
     }
 

@@ -7,7 +7,10 @@
 //! against the single-threaded reference under whatever pool the test
 //! process has); this tier drives the width directly so the parallel
 //! code paths — persistent pool, chunked stealing scheduler, parallel
-//! factor and solve phases — run even on single-CPU CI.
+//! factor and solve phases — run even on single-CPU CI. The same
+//! widths drive `FingerprintMatrix::survey`, which fans a site survey's
+//! links across the pool: it must equal the serial
+//! `Testbed::fingerprint_matrix` bit for bit.
 //!
 //! The override is process-global, so this file contains exactly ONE
 //! test: widths are varied sequentially with no concurrent test able
@@ -16,7 +19,9 @@
 
 use iupdater_core::config::{CouplingMode, UpdaterConfig};
 use iupdater_core::solver::{Solver, SolverInputs};
+use iupdater_core::FingerprintMatrix;
 use iupdater_linalg::Matrix;
+use iupdater_rfsim::{Environment, EnvironmentKind, Testbed};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn structured_fingerprint(m: usize, per: usize, seed: u64) -> Matrix {
@@ -131,6 +136,34 @@ fn results_are_bit_identical_at_every_pool_width() {
                 (&recon_w - &recon_1).max_abs()
             );
         }
+    }
+
+    // A 16-link site, so at widths 2 and 4 the stealing scheduler's
+    // chunks hold several rows, and at width 7 some hold one.
+    let office = Environment::office();
+    let site = Environment {
+        kind: EnvironmentKind::Custom,
+        width_m: office.width_m * 2.0,
+        height_m: office.height_m * 2.0,
+        num_links: office.num_links * 2,
+        locations_per_link: office.locations_per_link * 2,
+        ..office
+    };
+    let testbed = Testbed::new(site, 53);
+    let serial = testbed.fingerprint_matrix(45.0, 5);
+    for width in [1usize, 2, 4, 7] {
+        rayon::set_num_threads_for_tests(width);
+        let survey = FingerprintMatrix::survey(&testbed, 45.0, 5);
+        let same = survey
+            .matrix()
+            .as_slice()
+            .iter()
+            .zip(serial.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same && survey.matrix().shape() == serial.shape(),
+            "survey changed at width {width}"
+        );
     }
     rayon::set_num_threads_for_tests(0);
 }

@@ -1,8 +1,8 @@
 //! **dead-pub** — the library crates carry no public API that nothing
-//! calls. Every non-test `pub fn` under `crates/core/src/` and
-//! `crates/linalg/src/` must be named as a code identifier in some
-//! *other* `.rs` file of the walk (tests, examples, benches and the
-//! campaign benchmark count as callers). Comments are masked, so a doc
+//! calls. Every non-test `pub fn` under `crates/core/src/`,
+//! `crates/linalg/src/` and `crates/rfsim/src/` must be named as a code
+//! identifier in some *other* `.rs` file of the walk (tests, examples,
+//! benches and the campaign benchmark count as callers). Comments are masked, so a doc
 //! link or a doc-test is not a use. A function only its own file calls
 //! should be private; one nobody calls should be deleted.
 
@@ -15,7 +15,11 @@ use crate::workspace::Workspace;
 pub const RULE: &str = "dead-pub";
 
 /// Directories whose `pub fn`s must have an outside caller.
-const LIBRARY_DIRS: [&str; 2] = ["crates/core/src/", "crates/linalg/src/"];
+const LIBRARY_DIRS: [&str; 3] = [
+    "crates/core/src/",
+    "crates/linalg/src/",
+    "crates/rfsim/src/",
+];
 
 /// Runs the rule over the workspace.
 pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {

@@ -172,6 +172,22 @@ fn unreferenced_library_pub_fn_is_flagged() {
 }
 
 #[test]
+fn unreferenced_simulator_pub_fn_is_flagged() {
+    let ws = ws_of(vec![SourceFile::new(
+        "crates/rfsim/src/dead.rs",
+        "pub fn never_called() {}\n",
+    )]);
+    let dead: Vec<String> = analyze(&ws)
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "dead-pub")
+        .map(|d| d.render())
+        .collect();
+    assert_eq!(dead.len(), 1, "{dead:?}");
+    assert!(dead[0].contains("never_called"), "{dead:?}");
+}
+
+#[test]
 fn the_workspace_lints_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ws = invariants::workspace::collect(&root).expect("workspace is readable");

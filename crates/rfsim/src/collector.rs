@@ -9,7 +9,8 @@ use rand::{Rng, SeedableRng};
 use crate::deployment::Deployment;
 use crate::drift::DriftProcess;
 use crate::environment::Environment;
-use crate::multipath::MultipathField;
+use crate::geometry::Segment;
+use crate::multipath::{LinkMultipath, MultipathField};
 use crate::noise::{quantize, NoiseModel, NoiseProcess};
 use crate::pathloss::wavelength;
 use crate::target::ObstructionEffect;
@@ -111,28 +112,12 @@ impl Testbed {
     /// location `j`, at day offset `day`. This is the ground-truth mean
     /// the fingerprint tries to capture.
     pub fn expected_rss(&self, i: usize, j: usize, day: f64) -> f64 {
-        let link = self.deployment.link(i);
-        let pos = self.deployment.location(j);
-        let attenuation = self.env.target.attenuation_db(link, pos, self.lambda);
-        let multipath = self.multipath.with_target_db(link, pos, day);
-        self.baseline_rss[i] + self.link_gain_db[i] - attenuation
-            + multipath
-            + self.drift.drift_db(i, day)
+        self.field_rss(&self.link_field(i, day), j)
     }
 
     /// The noiseless empty-room RSS of link `i` at day `day` (no target).
     pub fn expected_rss_empty(&self, i: usize, day: f64) -> f64 {
-        let link = self.deployment.link(i);
-        let multipath = self.multipath.ambient_db(link, day);
-        self.baseline_rss[i] + self.link_gain_db[i] + multipath + self.drift.drift_db(i, day)
-    }
-
-    /// One noisy RSS sample of link `i` with a target at `j`, at `day`,
-    /// using the supplied noise process.
-    pub fn sample_rss(&self, i: usize, j: usize, day: f64, noise: &mut NoiseProcess) -> f64 {
-        let clean = self.expected_rss(i, j, day);
-        let sample = clean + noise.next_sample();
-        noise.quantize(sample)
+        self.link_field(i, day).empty_rss()
     }
 
     /// Collects a full fingerprint matrix at day offset `day`, averaging
@@ -148,18 +133,35 @@ impl Testbed {
         let n = self.deployment.num_locations();
         let mut out = Matrix::zeros(m, n);
         for i in 0..m {
-            // Independent noise process per link, re-seeded per survey so
-            // different days see different noise.
-            let mut noise = self.noise_process(i, day);
-            for j in 0..n {
-                let mut acc = 0.0;
-                for _ in 0..samples {
-                    acc += self.sample_rss(i, j, day, &mut noise);
-                }
-                out[(i, j)] = quantize(acc / samples as f64, 0.0);
-            }
+            self.survey_row(i, day, samples, out.row_mut(i));
         }
         out
+    }
+
+    /// Surveys link `i`'s row of the fingerprint matrix at `day` into
+    /// `out`, one averaged entry per grid location — row `i` of
+    /// [`Self::fingerprint_matrix`]. Each link draws from its own seeded
+    /// noise process, so rows can be surveyed in any order or in
+    /// parallel with identical results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples == 0` or `out` is not one entry per grid
+    /// location.
+    pub fn survey_row(&self, i: usize, day: f64, samples: usize, out: &mut [f64]) {
+        assert!(samples > 0, "need at least one sample per element");
+        assert_eq!(
+            out.len(),
+            self.deployment.num_locations(),
+            "survey row length"
+        );
+        let field = self.link_field(i, day);
+        // Independent noise process per link, re-seeded per survey so
+        // different days see different noise.
+        let mut noise = self.noise_process(i, day);
+        for (j, x) in out.iter_mut().enumerate() {
+            *x = mean_reading(self.field_rss(&field, j), samples, &mut noise);
+        }
     }
 
     /// The noiseless expected fingerprint matrix at `day` (used as the
@@ -167,7 +169,14 @@ impl Testbed {
     pub fn expected_fingerprint_matrix(&self, day: f64) -> Matrix {
         let m = self.deployment.num_links();
         let n = self.deployment.num_locations();
-        Matrix::from_fn(m, n, |i, j| self.expected_rss(i, j, day))
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            let field = self.link_field(i, day);
+            for (j, x) in out.row_mut(i).iter_mut().enumerate() {
+                *x = self.field_rss(&field, j);
+            }
+        }
+        out
     }
 
     /// Collects fresh measurement columns for the given grid locations at
@@ -178,13 +187,10 @@ impl Testbed {
         let m = self.deployment.num_links();
         let mut out = Matrix::zeros(m, locations.len());
         for i in 0..m {
+            let field = self.link_field(i, day);
             let mut noise = self.noise_process(i, day);
-            for (k, &j) in locations.iter().enumerate() {
-                let mut acc = 0.0;
-                for _ in 0..samples {
-                    acc += self.sample_rss(i, j, day, &mut noise);
-                }
-                out[(i, k)] = acc / samples as f64;
+            for (x, &j) in out.row_mut(i).iter_mut().zip(locations) {
+                *x = mean_reading(self.field_rss(&field, j), samples, &mut noise);
             }
         }
         out
@@ -200,13 +206,7 @@ impl Testbed {
     pub fn measure_empty(&self, i: usize, day: f64, samples: usize) -> f64 {
         assert!(samples > 0, "need at least one sample");
         let mut noise = self.noise_process(i, day + 0.003); // offset: separate survey pass
-        let clean = self.expected_rss_empty(i, day);
-        let mut acc = 0.0;
-        for _ in 0..samples {
-            let s = clean + noise.next_sample();
-            acc += noise.quantize(s);
-        }
-        acc / samples as f64
+        mean_reading(self.expected_rss_empty(i, day), samples, &mut noise)
     }
 
     /// A single online measurement vector `y` with a target at grid `j`
@@ -226,7 +226,9 @@ impl Testbed {
                 for _ in 0..8 {
                     noise.next_sample();
                 }
-                self.sample_rss(i, j, day, &mut noise)
+                let clean = self.expected_rss(i, j, day);
+                let sample = clean + noise.next_sample();
+                noise.quantize(sample)
             })
             .collect()
     }
@@ -237,12 +239,12 @@ impl Testbed {
     /// attenuations and multipath signatures superpose in dB — the
     /// standard first-order approximation for well-separated bodies.
     pub fn expected_rss_multi(&self, i: usize, targets: &[usize], day: f64) -> f64 {
-        let link = self.deployment.link(i);
-        let mut rss = self.expected_rss_empty(i, day);
+        let field = self.link_field(i, day);
+        let mut rss = field.empty_rss();
         for &j in targets {
             let pos = self.deployment.location(j);
-            rss -= self.env.target.attenuation_db(link, pos, self.lambda);
-            rss += self.multipath.target_db(link, pos, day);
+            rss -= self.env.target.attenuation_db(field.link, pos, self.lambda);
+            rss += self.multipath.target_db(&field.multipath, pos);
         }
         rss
     }
@@ -278,16 +280,6 @@ impl Testbed {
         self.env.target.effect(link, pos, self.lambda)
     }
 
-    /// RSS trace of link `i` with the target parked at grid `j`:
-    /// `n` consecutive samples at the survey sampling rate (Fig. 1's
-    /// 100 s trace is `n = 200` at 0.5 s).
-    pub fn rss_trace(&self, i: usize, j: usize, day: f64, n: usize) -> Vec<f64> {
-        let mut noise = self.noise_process(i, day);
-        (0..n)
-            .map(|_| self.sample_rss(i, j, day, &mut noise))
-            .collect()
-    }
-
     /// Samples several (link, grid) cells at the *same* instants for `n`
     /// ticks: per-link AR(1) jitter plus an interference-burst process
     /// shared across links (RF interference is broadcast, which is why
@@ -319,6 +311,10 @@ impl Testbed {
             .collect();
         let mut burst_rng =
             StdRng::seed_from_u64(self.seed ^ 0xb0b5_7ead ^ ((day * 64.0).round() as i64 as u64));
+        let clean: Vec<f64> = cells
+            .iter()
+            .map(|&(i, j)| self.expected_rss(i, j, day))
+            .collect();
         let mut traces = Matrix::zeros(cells.len(), n);
         for tick in 0..n {
             // Shared burst for this instant.
@@ -327,13 +323,12 @@ impl Testbed {
             } else {
                 0.0
             };
-            for (k, &(i, j)) in cells.iter().enumerate() {
-                let clean = self.expected_rss(i, j, day);
+            for (k, &(i, _)) in cells.iter().enumerate() {
                 let jitter = link_noise
                     .get_mut(&i)
                     .expect("process inserted above")
                     .next_sample();
-                traces[(k, tick)] = quantize(clean + jitter + burst, self.env.noise.quantize_db);
+                traces[(k, tick)] = quantize(clean[k] + jitter + burst, self.env.noise.quantize_db);
             }
         }
         traces
@@ -350,10 +345,56 @@ impl Testbed {
         )
     }
 
-    /// The noise model in force (useful for building custom processes).
-    pub fn noise_model(&self) -> NoiseModel {
-        self.env.noise
+    /// Link `i`'s field at `day`: every term of the expected RSS that
+    /// does not depend on where the target stands.
+    fn link_field(&self, i: usize, day: f64) -> LinkField {
+        let link = self.deployment.link(i);
+        LinkField {
+            link,
+            base_db: self.baseline_rss[i] + self.link_gain_db[i],
+            multipath: self.multipath.link_field(link, day),
+            drift_db: self.drift.drift_db(i, day),
+        }
     }
+
+    /// The expected RSS on `field`'s link with a target at grid `j`:
+    /// the one formula behind every survey and measurement.
+    fn field_rss(&self, field: &LinkField, j: usize) -> f64 {
+        let pos = self.deployment.location(j);
+        let attenuation = self.env.target.attenuation_db(field.link, pos, self.lambda);
+        let multipath =
+            field.multipath.ambient_db + self.multipath.target_db(&field.multipath, pos);
+        field.base_db - attenuation + multipath + field.drift_db
+    }
+}
+
+/// The part of the noiseless field that depends only on one link and
+/// one day, built once per link so a survey evaluates it once rather
+/// than once per reading.
+struct LinkField {
+    link: Segment,
+    /// `baseline_rss[i] + link_gain_db[i]`.
+    base_db: f64,
+    multipath: LinkMultipath,
+    drift_db: f64,
+}
+
+impl LinkField {
+    /// The noiseless empty-room RSS of the link.
+    fn empty_rss(&self) -> f64 {
+        self.base_db + self.multipath.ambient_db + self.drift_db
+    }
+}
+
+/// The mean of `samples` quantized readings of the noiseless value
+/// `clean`, drawing the noise from `noise` in order.
+fn mean_reading(clean: f64, samples: usize, noise: &mut NoiseProcess) -> f64 {
+    let mut acc = 0.0;
+    for _ in 0..samples {
+        let sample = clean + noise.next_sample();
+        acc += noise.quantize(sample);
+    }
+    acc / samples as f64
 }
 
 #[cfg(test)]
@@ -502,7 +543,8 @@ mod tests {
     #[test]
     fn trace_has_short_term_variation() {
         let t = bed();
-        let trace = t.rss_trace(0, 5, 0.0, 200);
+        let traces = t.synced_traces(&[(0, 5)], 0.0, 200);
+        let trace = traces.row(0);
         let max = trace.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let min = trace.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(

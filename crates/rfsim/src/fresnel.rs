@@ -7,8 +7,6 @@
 //! target as a knife-edge obstruction and use the standard approximation
 //! of the diffraction integral for the loss.
 
-use crate::geometry::{Point, Segment};
-
 /// Radius of the first Fresnel zone at a point splitting the link into
 /// distances `d1`, `d2` (metres), for wavelength `lambda` (metres):
 /// `r1 = sqrt(lambda d1 d2 / (d1 + d2))`.
@@ -20,14 +18,6 @@ pub fn first_zone_radius(lambda: f64, d1: f64, d2: f64) -> f64 {
         return 0.0;
     }
     (lambda * d1 * d2 / (d1 + d2)).sqrt()
-}
-
-/// Whether a point `p` lies within the first Fresnel zone of `link`
-/// (projected onto the 2-D plane).
-pub fn in_first_zone(link: Segment, p: Point, lambda: f64) -> bool {
-    let (d1, d2) = link.split_distances(p);
-    let clearance = link.distance_to(p);
-    clearance <= first_zone_radius(lambda, d1, d2)
 }
 
 /// Fresnel-Kirchhoff diffraction parameter
@@ -66,16 +56,6 @@ pub fn knife_edge_loss_db(v: f64) -> f64 {
     }
 }
 
-/// Combined helper: diffraction loss in dB caused by an obstruction whose
-/// edge has perpendicular clearance `h_eff` from the LoS of `link` at the
-/// plane of point `p` (2-D projection). `h_eff` follows the knife-edge
-/// sign convention (positive = protrudes past the LoS).
-pub fn obstruction_loss_db(link: Segment, p: Point, h_eff: f64, lambda: f64) -> f64 {
-    let (d1, d2) = link.split_distances(p);
-    let v = knife_edge_v(h_eff, lambda, d1, d2);
-    knife_edge_loss_db(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,20 +86,6 @@ mod tests {
     fn zone_radius_zero_at_endpoints() {
         assert_eq!(first_zone_radius(lambda(), 0.0, 10.0), 0.0);
         assert_eq!(first_zone_radius(lambda(), 10.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn in_first_zone_classification() {
-        let link = Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
-        let l = lambda();
-        // On the path: inside.
-        assert!(in_first_zone(link, Point::new(5.0, 0.0), l));
-        // 0.3 m off-path at midpoint: inside (r1 ~ 0.557 m).
-        assert!(in_first_zone(link, Point::new(5.0, 0.3), l));
-        // 1 m off-path: outside.
-        assert!(!in_first_zone(link, Point::new(5.0, 1.0), l));
-        // 0.3 m off-path but very close to the TX: outside (zone narrows).
-        assert!(!in_first_zone(link, Point::new(0.2, 0.3), l));
     }
 
     #[test]
@@ -154,11 +120,10 @@ mod tests {
         // transceivers and smaller at the link midpoint. For a fixed
         // physical protrusion h, v grows as d1*d2 shrinks, so the
         // knife-edge model reproduces exactly this.
-        let link = Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
         let l = lambda();
         let h = 0.25;
-        let near_tx = obstruction_loss_db(link, Point::new(1.0, 0.0), h, l);
-        let mid = obstruction_loss_db(link, Point::new(5.0, 0.0), h, l);
+        let near_tx = knife_edge_loss_db(knife_edge_v(h, l, 1.0, 9.0));
+        let mid = knife_edge_loss_db(knife_edge_v(h, l, 5.0, 5.0));
         assert!(
             near_tx > mid,
             "near-transceiver loss {near_tx} should exceed midpoint loss {mid}"

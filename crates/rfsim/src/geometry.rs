@@ -68,7 +68,7 @@ impl Segment {
     }
 
     /// The point on the segment at parameter `t` in `[0, 1]`.
-    pub fn point_at(&self, t: f64) -> Point {
+    fn point_at(&self, t: f64) -> Point {
         Point::new(
             self.a.x + t * (self.b.x - self.a.x),
             self.a.y + t * (self.b.y - self.a.y),

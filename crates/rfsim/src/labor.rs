@@ -48,18 +48,6 @@ impl LaborModel {
     pub fn survey_time_hours(&self, locations: usize, samples_per_location: usize) -> f64 {
         self.survey_time_s(locations, samples_per_location) / 3600.0
     }
-
-    /// Relative saving of survey `a` (locations, samples) versus survey
-    /// `b`: `1 - cost(a)/cost(b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if survey `b` has zero cost.
-    pub fn saving(&self, a: (usize, usize), b: (usize, usize)) -> f64 {
-        let cb = self.survey_time_s(b.0, b.1);
-        assert!(cb > 0.0, "reference survey must have positive cost");
-        1.0 - self.survey_time_s(a.0, a.1) / cb
-    }
 }
 
 /// Scales a deployment to `k` times the paper's office edge length
@@ -100,6 +88,12 @@ impl AreaScaling {
 mod tests {
     use super::*;
 
+    /// Relative saving of survey `a` (locations, samples) versus survey
+    /// `b`: `1 - cost(a)/cost(b)`.
+    fn saving(m: &LaborModel, a: (usize, usize), b: (usize, usize)) -> f64 {
+        1.0 - m.survey_time_s(a.0, a.1) / m.survey_time_s(b.0, b.1)
+    }
+
     #[test]
     fn paper_traditional_cost() {
         // 93 * 5 s + 50 * 0.5 s * 94 = 465 + 2350 = 2815 s = 46.9 min.
@@ -120,10 +114,10 @@ mod tests {
     fn paper_savings() {
         let m = LaborModel::default();
         // 97.9 % vs the 50-sample traditional survey.
-        let s50 = m.saving((8, 5), (94, 50));
+        let s50 = saving(&m, (8, 5), (94, 50));
         assert!((s50 - 0.979).abs() < 5e-3, "saving {s50}");
         // 92.1 % vs a 5-sample traditional survey.
-        let s5 = m.saving((8, 5), (94, 5));
+        let s5 = saving(&m, (8, 5), (94, 5));
         assert!((s5 - 0.921).abs() < 5e-3, "saving {s5}");
     }
 
@@ -143,7 +137,7 @@ mod tests {
         // iUpdater's advantage grows with area: saving at k=10 exceeds
         // saving at k=2.
         let m = LaborModel::default();
-        let saving_at = |k: usize| m.saving((s.links_at(k), 5), (s.locations_at(k), 50));
+        let saving_at = |k: usize| saving(&m, (s.links_at(k), 5), (s.locations_at(k), 50));
         assert!(saving_at(10) > saving_at(2));
         assert!(saving_at(10) > 0.99);
     }

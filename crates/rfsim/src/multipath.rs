@@ -1,14 +1,12 @@
 //! Static multipath field: a per-environment set of scatterers that
 //! shapes the RSS two ways.
 //!
-//! 1. **Ambient field** ([`MultipathField::ambient_db`]): each scatterer
-//!    adds a link-dependent perturbation to the empty-room RSS, with a
-//!    slow temporal component (furniture shifts, doors, humidity on
-//!    reflectors).
-//! 2. **Target coupling** ([`MultipathField::target_db`]): a person
-//!    standing at a grid location perturbs the reflection paths of every
-//!    scatterer near them, leaving a *multi-link, position-dependent
-//!    signature* of a dB or two. This is what makes real RSS
+//! 1. **Ambient field**: each scatterer adds a link-dependent
+//!    perturbation to the empty-room RSS, with a slow temporal component
+//!    (furniture shifts, doors, humidity on reflectors).
+//! 2. **Target coupling**: a person standing at a grid location perturbs
+//!    the reflection paths of every scatterer near them, leaving a
+//!    *multi-link, position-dependent signature* of a dB or two. This is what makes real RSS
 //!    fingerprints unique per location (and is why fingerprinting works
 //!    at all): the direct-path obstruction alone is symmetric along a
 //!    link and single-link, but the multipath signature breaks both
@@ -111,6 +109,17 @@ pub struct MultipathField {
     temporal_phase: f64,
 }
 
+/// The part of a [`MultipathField`] that depends only on one link and
+/// one day (see [`MultipathField::link_field`]).
+pub(crate) struct LinkMultipath {
+    /// Ambient (empty-room) perturbation of the link, dB.
+    pub(crate) ambient_db: f64,
+    /// Each scatterer's link weight `exp(-d_link / link_decay_m)`.
+    weights: Vec<f64>,
+    /// The environment-wide temporal factor of the day.
+    temporal: f64,
+}
+
 impl MultipathField {
     /// Generates a field for the given area dimensions (metres).
     pub fn generate(model: MultipathModel, width: f64, height: f64, seed: u64) -> Self {
@@ -131,56 +140,57 @@ impl MultipathField {
         }
     }
 
-    /// Ambient (empty-room) multipath perturbation (dB) for a link at
-    /// day offset `day`.
-    pub fn ambient_db(&self, link: Segment, day: f64) -> f64 {
+    /// The link- and day-only part of the field for `link` at day
+    /// offset `day`: every scatterer's link weight, the day's temporal
+    /// factor and the ambient perturbation. A survey builds it once per
+    /// link, so each cell then costs one `exp`/`sin` pair per scatterer.
+    pub(crate) fn link_field(&self, link: Segment, day: f64) -> LinkMultipath {
         let m = &self.model;
-        let mut total = 0.0;
+        // Temperature and humidity drive all reflectors together, so the
+        // temporal factor is one value per day.
+        let temporal =
+            (self.temporal_phase + 2.0 * std::f64::consts::PI * day / m.temporal_period_days).sin();
+        let mut weights = Vec::with_capacity(self.scatterers.len());
+        let mut ambient_db = 0.0;
         for s in &self.scatterers {
             let d_link = link.distance_to(s.pos);
             let weight = (-d_link / m.link_decay_m).exp();
+            weights.push(weight);
             if weight < 1e-6 {
                 continue;
             }
             let spatial = (s.phase + 3.1 * d_link).sin();
-            let temporal = (self.temporal_phase
-                + 2.0 * std::f64::consts::PI * day / m.temporal_period_days)
-                .sin();
             let mix =
                 (1.0 - m.temporal_fraction) * spatial + m.temporal_fraction * spatial * temporal;
-            total += s.amp_db * weight * mix;
+            ambient_db += s.amp_db * weight * mix;
         }
-        total
+        LinkMultipath {
+            ambient_db,
+            weights,
+            temporal,
+        }
     }
 
     /// Additional perturbation (dB) a target standing at `target`
-    /// imposes on `link` through the scatterer field at `day`. Stable
-    /// over time except for the temporal fraction; rapidly varying in
-    /// the target position (the fingerprint signature).
-    pub fn target_db(&self, link: Segment, target: Point, day: f64) -> f64 {
+    /// imposes, through the scatterer field, on the link `field` was
+    /// built for. Stable over time except for the temporal fraction;
+    /// rapidly varying in the target position (the fingerprint
+    /// signature).
+    pub(crate) fn target_db(&self, field: &LinkMultipath, target: Point) -> f64 {
         let m = &self.model;
         let mut total = 0.0;
-        for s in &self.scatterers {
-            let d_link = link.distance_to(s.pos);
+        for (s, &w_link) in self.scatterers.iter().zip(&field.weights) {
             let d_target = s.pos.distance(target);
-            let weight = (-d_link / m.link_decay_m).exp() * (-d_target / m.target_decay_m).exp();
+            let weight = w_link * (-d_target / m.target_decay_m).exp();
             if weight < 1e-6 {
                 continue;
             }
             let signature = (s.target_phase + m.ripple_rad_per_m * d_target).sin();
-            let temporal = (self.temporal_phase
-                + 2.0 * std::f64::consts::PI * day / m.temporal_period_days)
-                .sin();
             let mix = (1.0 - m.temporal_fraction) * signature
-                + m.temporal_fraction * signature * temporal;
+                + m.temporal_fraction * signature * field.temporal;
             total += s.amp_db * m.target_gain * weight * mix;
         }
         total
-    }
-
-    /// Total perturbation with a target present: ambient + coupling.
-    pub fn with_target_db(&self, link: Segment, target: Point, day: f64) -> f64 {
-        self.ambient_db(link, day) + self.target_db(link, target, day)
     }
 
     /// The model parameters.
@@ -192,6 +202,18 @@ impl MultipathField {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ambient_db(f: &MultipathField, link: Segment, day: f64) -> f64 {
+        f.link_field(link, day).ambient_db
+    }
+
+    fn target_db(f: &MultipathField, link: Segment, target: Point, day: f64) -> f64 {
+        f.target_db(&f.link_field(link, day), target)
+    }
+
+    fn with_target_db(f: &MultipathField, link: Segment, target: Point, day: f64) -> f64 {
+        ambient_db(f, link, day) + target_db(f, link, target, day)
+    }
 
     fn link() -> Segment {
         Segment::new(Point::new(0.0, 3.0), Point::new(10.0, 3.0))
@@ -209,7 +231,7 @@ mod tests {
             let trials = 60;
             for seed in 0..trials {
                 let f = MultipathField::generate(model, 10.0, 12.0, seed);
-                let v = f.with_target_db(link(), probe, 0.0);
+                let v = with_target_db(&f, link(), probe, 0.0);
                 acc += v * v;
             }
             (acc / trials as f64).sqrt()
@@ -226,7 +248,7 @@ mod tests {
         // a distant link — the property that makes columns unique.
         let f = MultipathField::generate(MultipathModel::medium(), 10.0, 12.0, 3);
         let probe = Point::new(5.0, 3.0);
-        let sig_far = f.target_db(far_link(), probe, 0.0);
+        let sig_far = target_db(&f, far_link(), probe, 0.0);
         assert!(
             sig_far.abs() > 1e-4,
             "target signature should reach distant links, got {sig_far}"
@@ -247,8 +269,8 @@ mod tests {
                         Point::new(0.0, 1.5 * k as f64),
                         Point::new(10.0, 1.5 * k as f64),
                     );
-                    (f.target_db(l, Point::new(2.0, 3.0), 0.0)
-                        - f.target_db(l, Point::new(8.0, 3.0), 0.0))
+                    (target_db(&f, l, Point::new(2.0, 3.0), 0.0)
+                        - target_db(&f, l, Point::new(8.0, 3.0), 0.0))
                     .abs()
                 })
                 .sum();
@@ -265,16 +287,16 @@ mod tests {
     #[test]
     fn signature_varies_between_neighboring_cells() {
         let f = MultipathField::generate(MultipathModel::medium(), 10.0, 12.0, 5);
-        let a = f.target_db(link(), Point::new(4.25, 3.0), 0.0);
-        let b = f.target_db(link(), Point::new(5.0, 3.0), 0.0);
+        let a = target_db(&f, link(), Point::new(4.25, 3.0), 0.0);
+        let b = target_db(&f, link(), Point::new(5.0, 3.0), 0.0);
         assert!((a - b).abs() > 1e-3, "neighbouring cells should differ");
     }
 
     #[test]
     fn ambient_varies_slowly_with_time() {
         let f = MultipathField::generate(MultipathModel::medium(), 10.0, 12.0, 4);
-        let day0 = f.ambient_db(link(), 0.0);
-        let hour_later = f.ambient_db(link(), 1.0 / 24.0);
+        let day0 = ambient_db(&f, link(), 0.0);
+        let hour_later = ambient_db(&f, link(), 1.0 / 24.0);
         assert!(
             (day0 - hour_later).abs() < 0.2,
             "hours-scale change too fast"
@@ -287,8 +309,8 @@ mod tests {
         let b = MultipathField::generate(MultipathModel::medium(), 10.0, 12.0, 9);
         let p = Point::new(4.0, 2.0);
         assert_eq!(
-            a.with_target_db(link(), p, 3.0),
-            b.with_target_db(link(), p, 3.0)
+            with_target_db(&a, link(), p, 3.0),
+            with_target_db(&b, link(), p, 3.0)
         );
     }
 
@@ -297,7 +319,7 @@ mod tests {
         let f = MultipathField::generate(MultipathModel::high(), 10.0, 12.0, 11);
         for i in 0..50 {
             let p = Point::new(i as f64 * 0.2, (i % 12) as f64);
-            let v = f.with_target_db(link(), p, i as f64);
+            let v = with_target_db(&f, link(), p, i as f64);
             assert!(v.abs() < 15.0, "implausible multipath magnitude {v}");
         }
     }

@@ -16,18 +16,6 @@ pub fn wavelength(freq_hz: f64) -> f64 {
     SPEED_OF_LIGHT / freq_hz
 }
 
-/// Free-space path loss in dB at distance `d` metres and frequency
-/// `freq_hz` (the `d = d0 = 1 m` anchor of the log-distance model).
-///
-/// # Panics
-///
-/// Panics if `d <= 0` or `freq_hz <= 0`.
-pub fn free_space_loss_db(d: f64, freq_hz: f64) -> f64 {
-    assert!(d > 0.0, "distance must be positive");
-    let lambda = wavelength(freq_hz);
-    20.0 * (4.0 * std::f64::consts::PI * d / lambda).log10()
-}
-
 /// Log-distance path-loss model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogDistanceModel {
@@ -49,13 +37,16 @@ impl LogDistanceModel {
         }
     }
 
-    /// Path loss in dB at distance `d` metres.
+    /// Path loss in dB at distance `d` metres: the free-space loss at
+    /// the reference distance `d0`, plus `10 n log10(d / d0)`.
     ///
     /// Distances below `d0` are clamped to `d0` (near-field is out of
     /// scope for this model).
     pub fn loss_db(&self, d: f64) -> f64 {
         let d = d.max(self.d0);
-        free_space_loss_db(self.d0, self.freq_hz) + 10.0 * self.exponent * (d / self.d0).log10()
+        let lambda = wavelength(self.freq_hz);
+        let free_space_d0 = 20.0 * (4.0 * std::f64::consts::PI * self.d0 / lambda).log10();
+        free_space_d0 + 10.0 * self.exponent * (d / self.d0).log10()
     }
 
     /// Received power in dBm given transmit power `tx_dbm`.
@@ -98,8 +89,9 @@ mod tests {
 
     #[test]
     fn free_space_loss_at_1m_24ghz() {
-        // Known figure: ~40.05 dB at 1 m, 2.4 GHz.
-        let loss = free_space_loss_db(1.0, WIFI_24_GHZ);
+        // Known figure: ~40.05 dB at 1 m, 2.4 GHz — the model's anchor
+        // at its 1 m reference distance.
+        let loss = LogDistanceModel::default().loss_db(1.0);
         assert!((loss - 40.1).abs() < 0.3, "loss = {loss}");
     }
 
@@ -139,7 +131,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "positive")]
-    fn zero_distance_panics() {
-        let _ = free_space_loss_db(0.0, WIFI_24_GHZ);
+    fn zero_frequency_panics() {
+        let _ = wavelength(0.0);
     }
 }

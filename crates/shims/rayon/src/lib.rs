@@ -6,6 +6,8 @@
 //! - `(0..n).into_par_iter().map(f).collect::<Vec<_>>()` and
 //!   `.for_each(f)` over `Range<usize>`,
 //! - `items.par_iter().map(f).collect::<Vec<_>>()` over slices,
+//! - `slice.par_chunks_mut(k).enumerate().for_each(f)`, which hands
+//!   each chunk of a mutable slice to exactly one call,
 //! - [`join`] for two-way fork-join,
 //! - [`spawn`] for detached fire-and-forget tasks (on a separate
 //!   long-lived task executor, so blocking tasks cannot starve the
@@ -652,15 +654,90 @@ impl<'a, T: Sync, F> ParSliceMap<'a, T, F> {
     }
 }
 
+/// Mutable chunking of slices (subset of rayon's `ParallelSliceMut`).
+pub trait ParallelSliceMut<T: Send> {
+    /// Splits the slice into mutable chunks of `chunk_size` elements
+    /// (the last may be shorter) for processing across the worker pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_size` is 0.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
+        assert!(chunk_size != 0, "chunk_size must not be zero");
+        ParChunksMut {
+            slice: self,
+            chunk_size,
+        }
+    }
+}
+
+/// Parallel iterator over the mutable chunks of a slice.
+pub struct ParChunksMut<'a, T> {
+    slice: &'a mut [T],
+    chunk_size: usize,
+}
+
+impl<'a, T: Send> ParChunksMut<'a, T> {
+    /// Pairs each chunk with its index.
+    pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
+        EnumerateChunksMut { chunks: self }
+    }
+}
+
+/// Index-paired adapter over [`ParChunksMut`].
+pub struct EnumerateChunksMut<'a, T> {
+    chunks: ParChunksMut<'a, T>,
+}
+
+impl<T: Send> EnumerateChunksMut<'_, T> {
+    /// Runs `f` on every `(index, chunk)` pair across the worker pool.
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn((usize, &mut [T])) + Sync,
+    {
+        let ParChunksMut { slice, chunk_size } = self.chunks;
+        // Each index is visited exactly once, so every lock is
+        // uncontended: it only carries the chunk's exclusive borrow to
+        // whichever thread claims the index.
+        let chunks: Vec<Mutex<&mut [T]>> = slice.chunks_mut(chunk_size).map(Mutex::new).collect();
+        run_indexed(chunks.len(), |i| {
+            let mut chunk = chunks[i].lock().expect("chunk mutex poisoned");
+            f((i, &mut **chunk));
+        });
+    }
+}
+
 /// The rayon prelude: import `rayon::prelude::*` at call sites.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serialises the tests that call `super::spawn`: they share the
+    /// process-wide task executor, so a concurrent test's spawn could
+    /// take the parked worker another test expects to be handed.
+    fn spawn_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many task workers are parked in the executor's idle list.
+    fn parked_workers() -> usize {
+        super::TaskExecutor::global()
+            .idle
+            .lock()
+            .expect("task executor mutex poisoned")
+            .len()
+    }
 
     /// Pins the pool width to 4 (once, same value from every test) so
     /// the parallel paths are exercised even on single-CPU CI.
@@ -697,7 +774,20 @@ mod tests {
     }
 
     #[test]
+    fn chunks_mut_hand_each_chunk_to_one_call() {
+        force_pool();
+        let mut data = vec![0usize; 103];
+        data.par_chunks_mut(10).enumerate().for_each(|(i, chunk)| {
+            for (k, x) in chunk.iter_mut().enumerate() {
+                *x += i * 10 + k;
+            }
+        });
+        assert!(data.iter().enumerate().all(|(i, &x)| x == i));
+    }
+
+    #[test]
     fn spawn_runs_detached_tasks() {
+        let _serial = spawn_lock();
         let (tx, rx) = std::sync::mpsc::channel();
         for i in 0..8 {
             let tx = tx.clone();
@@ -711,6 +801,8 @@ mod tests {
     #[test]
     fn spawn_reuses_parked_task_workers() {
         use std::thread::ThreadId;
+        use std::time::{Duration, Instant};
+        let _serial = spawn_lock();
         let run = |tag: &'static str| -> ThreadId {
             let (tx, rx) = std::sync::mpsc::channel();
             super::spawn(move || {
@@ -720,16 +812,25 @@ mod tests {
             rx.recv().unwrap_or_else(|_| panic!("{tag} task never ran"))
         };
         // The first task parks its worker on completion; sequential
-        // spawns must then land on a recycled thread at least once
-        // (several attempts, since another test's spawn may race for
-        // the parked worker).
+        // spawns must then land on a recycled thread at least once.
+        // `spawn` recycles a parked worker when there is one and starts
+        // a new thread otherwise, so the first worker is parked again
+        // once the idle list is back to its earlier length (and holds
+        // at least one worker). It re-parks only after its task has
+        // sent the id, so poll for that, bounded, before retrying.
+        let parked = parked_workers();
         let first = run("first");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while parked_workers() < parked.max(1) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let reused = (0..16).any(|_| run("retry") == first);
         assert!(reused, "no spawn ever reused a parked task worker");
     }
 
     #[test]
     fn spawn_survives_a_panicking_task() {
+        let _serial = spawn_lock();
         let (panicked_tx, panicked_rx) = std::sync::mpsc::channel::<()>();
         super::spawn(move || {
             // Dropping the sender signals "the task ran" even though

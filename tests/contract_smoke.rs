@@ -21,6 +21,12 @@
 //! per-lane exclusion and residual guard run) and for classic
 //! correlation OMP with three atoms. The full tier lives in
 //! `crates/core/tests/query_parity.rs`.
+//!
+//! Survey path: the simulator evaluates the noiseless field once per
+//! cell and `FingerprintMatrix::survey` fans the links across the
+//! worker pool; the office field and pooled survey must hash to the
+//! digests recorded when every reading re-evaluated the whole field.
+//! The full tier lives in `crates/rfsim/tests/survey_parity.rs`.
 
 use iupdater::core::config::{AtomSelection, CouplingMode};
 use iupdater::core::prelude::*;
@@ -30,7 +36,7 @@ use iupdater::core::solver::{Solver, SolverInputs};
 use iupdater::eval::ext_scale::scaled_office;
 use iupdater::linalg::kernels::BINARY_LANES;
 use iupdater::linalg::Matrix;
-use iupdater::rfsim::Testbed;
+use iupdater::rfsim::{Environment, Testbed};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
@@ -155,4 +161,28 @@ fn correlation_reads_agree_bitwise() {
         max_atoms: 3,
         ..LocalizerConfig::default()
     });
+}
+
+#[test]
+fn pooled_survey_matches_the_recorded_per_reading_digests() {
+    // FNV-1a over the little-endian bits of every entry.
+    let fnv1a = |m: &Matrix| {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for v in m.as_slice() {
+            for byte in v.to_bits().to_le_bytes() {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        digest
+    };
+    let testbed = Testbed::new(Environment::office(), 7);
+    let field = FingerprintMatrix::expected(&testbed, 45.0);
+    assert_eq!(fnv1a(field.matrix()), 0xc9bc_5293_b1e0_1dd4, "field moved");
+    let survey = FingerprintMatrix::survey(&testbed, 45.0, 5);
+    assert_eq!(
+        fnv1a(survey.matrix()),
+        0xf0e9_0291_e389_5b47,
+        "survey moved"
+    );
 }
