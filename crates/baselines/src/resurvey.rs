@@ -3,7 +3,6 @@
 //! averaging ~50 samples per cell to beat the short-term noise.
 
 use iupdater_core::FingerprintMatrix;
-use iupdater_rfsim::labor::LaborModel;
 use iupdater_rfsim::Testbed;
 
 /// The traditional updater: re-survey all `N` locations.
@@ -35,18 +34,13 @@ impl FullResurvey {
     pub fn update(&self, testbed: &Testbed, day: f64) -> FingerprintMatrix {
         FingerprintMatrix::survey(testbed, day, self.samples_per_location)
     }
-
-    /// Labor cost in seconds for a deployment with `locations` grid
-    /// cells.
-    pub fn labor_cost_s(&self, labor: &LaborModel, locations: usize) -> f64 {
-        labor.survey_time_s(locations, self.samples_per_location)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iupdater_core::metrics::mean_reconstruction_error;
+    use iupdater_rfsim::labor::LaborModel;
     use iupdater_rfsim::Environment;
 
     #[test]
@@ -64,10 +58,8 @@ mod tests {
         let labor = LaborModel::default();
         let trad = FullResurvey::traditional();
         let quick = FullResurvey::quick();
-        assert!(
-            trad.labor_cost_s(&labor, 94) > quick.labor_cost_s(&labor, 94),
-            "50-sample survey must cost more"
-        );
+        let cost = |s: FullResurvey| labor.survey_time_s(94, s.samples_per_location);
+        assert!(cost(trad) > cost(quick), "50-sample survey must cost more");
         let truth = t.expected_fingerprint_matrix(10.0);
         // Average over a few runs to avoid seed luck.
         let err_of = |s: FullResurvey, salt: u64| {
@@ -81,16 +73,6 @@ mod tests {
         assert!(
             e_trad < e_quick,
             "traditional ({e_trad} dB) should measure cleaner than quick ({e_quick} dB)"
-        );
-    }
-
-    #[test]
-    fn paper_cost_figures() {
-        let labor = LaborModel::default();
-        let trad = FullResurvey::traditional().labor_cost_s(&labor, 94);
-        assert!(
-            (trad / 60.0 - 46.9).abs() < 0.1,
-            "traditional cost {trad} s"
         );
     }
 }

@@ -210,11 +210,6 @@ impl SvrModel {
         }
         v
     }
-
-    /// Number of support vectors retained.
-    pub fn num_support_vectors(&self) -> usize {
-        self.support.rows()
-    }
 }
 
 fn mean(v: &[f64]) -> f64 {
@@ -285,9 +280,9 @@ mod tests {
         };
         let model = SvrModel::train(&x, &y, params);
         assert!(
-            model.num_support_vectors() <= 4,
+            model.support.rows() <= 4,
             "constant data in a wide tube needs few SVs, got {}",
-            model.num_support_vectors()
+            model.support.rows()
         );
         assert!((model.predict(&[0.4]) - 1.0).abs() < 0.5 + 0.05);
     }

@@ -45,7 +45,7 @@ pub struct LocationEstimate {
 pub struct Localizer {
     fingerprint: FingerprintMatrix,
     config: LocalizerConfig,
-    /// Publish-time query structures (centred dictionary, atom rows).
+    /// Publish-time query structures (centred dictionary, atom norms).
     prepared: PreparedDictionary,
 }
 
@@ -107,8 +107,8 @@ impl Localizer {
     /// output is identical at any worker count — and element-for-element
     /// identical to calling [`Self::localize`] in a loop. Under the
     /// binary-residual model, each chunk additionally advances
-    /// `BINARY_LANES` queries per sweep of the atom rows (interleaved
-    /// distance chains — same bits, vectorised cost).
+    /// `BINARY_LANES` queries per pass of the certified nearest-atom
+    /// scan over the dictionary (same bits, vectorised cost).
     ///
     /// # Errors
     ///
@@ -116,21 +116,40 @@ impl Localizer {
     /// degenerate selection), as for [`Self::localize`], if any query
     /// in the slab fails.
     pub fn localize_batch(&self, queries: &[Vec<f64>]) -> Result<Vec<LocationEstimate>> {
+        self.localize_batch_counted(queries).map(|(out, _)| out)
+    }
+
+    /// [`Self::localize_batch`], also returning how many lanes of the
+    /// lane-blocked pursuit failed their nearest-atom certificate and
+    /// took the exact fallback scan (the sum of every chunk's
+    /// [`QueryScratch::uncertified_lanes`]). Chunking is fixed, so the
+    /// count is identical at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::localize_batch`].
+    pub fn localize_batch_counted(
+        &self,
+        queries: &[Vec<f64>],
+    ) -> Result<(Vec<LocationEstimate>, usize)> {
         let n_chunks = queries.len().div_ceil(QUERY_CHUNK);
-        let per_chunk: Vec<Result<Vec<LocationEstimate>>> = (0..n_chunks)
+        let per_chunk: Vec<Result<(Vec<LocationEstimate>, usize)>> = (0..n_chunks)
             .into_par_iter()
             .map(|ci| {
                 let start = ci * QUERY_CHUNK;
                 let end = (start + QUERY_CHUNK).min(queries.len());
                 let mut scratch = QueryScratch::new();
-                self.localize_chunk(&queries[start..end], &mut scratch)
+                let chunk = self.localize_chunk(&queries[start..end], &mut scratch)?;
+                Ok((chunk, scratch.uncertified_lanes()))
             })
             .collect();
-        let mut out = Vec::with_capacity(queries.len());
+        let (mut out, mut uncertified) = (Vec::with_capacity(queries.len()), 0);
         for chunk in per_chunk {
-            out.extend(chunk?);
+            let (estimates, count) = chunk?;
+            out.extend(estimates);
+            uncertified += count;
         }
-        Ok(out)
+        Ok((out, uncertified))
     }
 
     /// One batch chunk: blocked lane-interleaved pursuit for the
@@ -238,8 +257,8 @@ impl Localizer {
     /// coefficients are fixed at 1, so each step picks the column that
     /// minimises the residual `‖r − x_j‖₂²` and subtracts it. This is
     /// the oracle-side loop (strided column walks, `support.contains`);
-    /// the prepared twin scans contiguous atom rows in the same
-    /// ascending-link order, so both produce identical bits.
+    /// the prepared twins return the same ascending-link chains and the
+    /// same first strict-`<` minimum, so both produce identical bits.
     fn binary_pursuit(&self, y: &[f64]) -> OmpSolution {
         let dictionary: &Matrix = self.prepared.dictionary();
         let m = dictionary.rows();

@@ -2,7 +2,7 @@
 //! localization queries (Sec. V, Eq. 26–27).
 //!
 //! Every structure a query needs — the centred dictionary and its
-//! per-atom contiguous rows — depends only on the published fingerprint
+//! per-atom squared norms — depends only on the published fingerprint
 //! database, so [`PreparedDictionary`] computes them once per publish
 //! and every query after that runs against a reusable [`QueryScratch`].
 //!
@@ -13,24 +13,26 @@
 //! identical estimates, residual bits included.
 //!
 //! The binary-residual mode (the default, Eq. 26's `W ∈ {0,1}`
-//! model) has no least-squares step: each step is one squared-distance
-//! scan `‖r − x_j‖²` over every atom, run by the L1 kernels
-//! (`kernels::sq_dist_row` for one query over the links x cells
-//! dictionary, then an argmin over the distances; the fused
-//! `kernels::nearest_block` for [`BINARY_LANES`] lane-interleaved
-//! queries over the contiguous atom rows, which returns each lane's
-//! first minimum directly). Both compute every distance as the same
-//! ascending-link chain as the strided column walk of the unprepared
-//! path and pick the first strict-`<` minimum, so the pursuit keeps
-//! only the selected masks and the residual guard — and changes no
-//! bit.
+//! model) has no least-squares step: each step is one nearest-atom
+//! scan `‖r − x_j‖²` over every atom of the links x cells dictionary,
+//! run by the L1 kernels. One query takes `kernels::sq_dist_row`, the
+//! one exact distance kernel, then an argmin over the distances.
+//! [`BINARY_LANES`] lane-interleaved queries take
+//! `kernels::nearest_block`, a certified dot-product filter that
+//! returns each lane's first minimum directly: it proves its winner
+//! with a rounding-error bound, recomputes that one distance as the
+//! exact chain, and answers a lane whose certificate fails with
+//! `sq_dist_row`. Both return the ascending-link chain of the
+//! unprepared path's strided column walk and its first strict-`<`
+//! minimum, so the pursuit keeps only the selected masks and the
+//! residual guard — and changes no bit.
 //!
 //! Classic correlation matching (`AtomSelection::Correlation`) has no
 //! prepared twin: [`PreparedDictionary::pursue`] centres the query and
 //! hands it to `orthogonal_matching_pursuit`, the oracle itself, so it
 //! answers identically by construction.
 
-use iupdater_linalg::kernels::{nearest_block, sq_dist_row, BINARY_LANES};
+use iupdater_linalg::kernels::{nearest_block, sq_dist_row, AtomNorms, BINARY_LANES};
 use iupdater_linalg::Matrix;
 
 use crate::config::{AtomSelection, LocalizerConfig};
@@ -49,8 +51,9 @@ pub const QUERY_CHUNK: usize = 64;
 pub struct PreparedDictionary {
     /// The (possibly centred) dictionary, links x locations.
     dictionary: Matrix,
-    /// Transposed dictionary: row `j` is atom `j`, contiguous.
-    atoms: Matrix,
+    /// Every atom's squared norm and the largest norm: the certified
+    /// scan's filter input.
+    norms: AtomNorms,
     /// Per-link means subtracted from dictionary and queries when
     /// centring is enabled (empty means centring is off).
     row_means: Vec<f64>,
@@ -58,8 +61,7 @@ pub struct PreparedDictionary {
 
 impl PreparedDictionary {
     /// Prepares the query structures for one published database under
-    /// `config`: centres the dictionary and transposes it into
-    /// contiguous atom rows.
+    /// `config`: centres the dictionary and takes its atom norms.
     pub fn prepare(x: &Matrix, config: &LocalizerConfig) -> Self {
         let row_means: Vec<f64> = if config.center {
             (0..x.rows())
@@ -73,10 +75,10 @@ impl PreparedDictionary {
         } else {
             x.clone()
         };
-        let atoms = dictionary.transpose();
+        let norms = AtomNorms::new(dictionary.as_slice(), dictionary.cols());
         PreparedDictionary {
             dictionary,
-            atoms,
+            norms,
             row_means,
         }
     }
@@ -84,11 +86,6 @@ impl PreparedDictionary {
     /// The (possibly centred) dictionary, links x locations.
     pub fn dictionary(&self) -> &Matrix {
         &self.dictionary
-    }
-
-    /// The transposed dictionary: row `j` is atom `j`, contiguous.
-    pub fn atoms(&self) -> &Matrix {
-        &self.atoms
     }
 
     /// Centres one raw query, allocating — the unprepared oracle's
@@ -148,12 +145,15 @@ impl PreparedDictionary {
     }
 
     /// [`BINARY_LANES`] binary pursuits advanced in lockstep: each step
-    /// is one [`nearest_block`] pass over the atom rows, which returns
+    /// is one [`nearest_block`] pass over the dictionary, which returns
     /// every lane's nearest atom not yet selected by that lane (bit
     /// `l` of `block_excluded[j]`). Every distance is the exact
     /// ascending-link chain of [`Self::binary_pursuit`] and the minimum
     /// is its first strict-`<` one, so each query's selections, support
-    /// and residual are bit-identical to its single-query run.
+    /// and residual are bit-identical to its single-query run. A lane
+    /// that has stopped is excluded from every atom before the next
+    /// pass, so that pass neither certifies nor rescans it; the lanes
+    /// whose certificate failed are added to the scratch's count.
     ///
     /// `ys` must hold exactly [`BINARY_LANES`] queries of dictionary
     /// row length (the caller validates lengths).
@@ -170,6 +170,8 @@ impl PreparedDictionary {
         let QueryScratch {
             block_residual,
             block_excluded,
+            dist,
+            uncertified,
             ..
         } = scratch;
         block_residual.resize(m * L, 0.0);
@@ -199,11 +201,25 @@ impl PreparedDictionary {
         let mut support: Vec<Vec<usize>> = vec![Vec::new(); L];
         let mut residual_sq: Vec<f64> = (0..L).map(|l| lane_sq(residual, l)).collect();
         let mut active = [true; L];
+        let mut stopped = 0_u8;
         for _ in 0..config.max_atoms.min(n) {
             if !active.iter().any(|&a| a) {
                 break;
             }
-            let (best_dist, best_j) = nearest_block(residual, self.atoms.as_slice(), excluded);
+            if stopped != 0 {
+                for ex in excluded.iter_mut() {
+                    *ex |= stopped;
+                }
+                stopped = 0;
+            }
+            let ((best_dist, best_j), fell_back) = nearest_block(
+                residual,
+                self.dictionary.as_slice(),
+                &self.norms,
+                excluded,
+                dist,
+            );
+            *uncertified += fell_back.count_ones() as usize;
             for l in 0..L {
                 if !active[l] {
                     continue;
@@ -216,16 +232,18 @@ impl PreparedDictionary {
                     || (best_dist[l] >= residual_sq[l] && !support[l].is_empty())
                 {
                     active[l] = false;
+                    stopped |= 1 << l;
                     continue;
                 }
                 support[l].push(j_star);
                 excluded[j_star] |= 1 << l;
-                for (i, &a) in self.atoms.row(j_star).iter().enumerate() {
-                    residual[i * L + l] -= a;
+                for i in 0..m {
+                    residual[i * L + l] -= self.dictionary[(i, j_star)];
                 }
                 residual_sq[l] = lane_sq(residual, l);
                 if residual_sq[l] < config.residual_threshold {
                     active[l] = false;
+                    stopped |= 1 << l;
                 }
             }
         }
@@ -280,8 +298,8 @@ impl PreparedDictionary {
             }
             support.push(j_star);
             selected[j_star] = true;
-            for (r, &a) in residual.iter_mut().zip(self.atoms.row(j_star)) {
-                *r -= a;
+            for (i, r) in residual.iter_mut().enumerate() {
+                *r -= self.dictionary[(i, j_star)];
             }
             residual_sq = residual.iter().map(|r| r * r).sum();
             if residual_sq < config.residual_threshold {
@@ -315,14 +333,26 @@ pub struct QueryScratch {
     /// bit `l` is set once lane `l` has selected that atom.
     block_excluded: Vec<u8>,
     /// Squared distances of one single-query binary scan (length n);
-    /// the blocked pursuit keeps its distances in registers.
+    /// the blocked pursuit's fallback buffer (length m + n).
     dist: Vec<f64>,
+    /// Lanes of the blocked pursuit whose nearest-atom certificate
+    /// failed, so the exact fallback scan answered them.
+    uncertified: usize,
 }
 
 impl QueryScratch {
     /// An empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         QueryScratch::default()
+    }
+
+    /// Lanes of the blocked binary pursuit, over every pass this
+    /// scratch served, whose nearest-atom certificate failed (a
+    /// near-tie between two atoms, or non-finite data) and which the
+    /// exact fallback scan answered instead. The answers are the same
+    /// either way; the count says how often the fast path missed.
+    pub fn uncertified_lanes(&self) -> usize {
+        self.uncertified
     }
 
     /// Always `0`: no pursuit has a Cholesky step to fall back from.

@@ -232,7 +232,7 @@ struct ManagedDeployment {
     updater: Updater,
     /// The committed state: a default-config localizer that owns the
     /// live database, with its prepared query structures (centred
-    /// dictionary, atom rows, column norms) built once at every publish
+    /// dictionary, atom norms) built once at every publish
     /// point — register, cycle commit, restore — so the first online
     /// query after a database swap pays no rebuild. Shared by `Arc`
     /// with the gateway's published snapshots.

@@ -10,16 +10,20 @@
 //! factor and solve phases — run even on single-CPU CI. The same
 //! widths drive `FingerprintMatrix::survey`, which fans a site survey's
 //! links across the pool: it must equal the serial
-//! `Testbed::fingerprint_matrix` bit for bit.
+//! `Testbed::fingerprint_matrix` bit for bit. They also drive
+//! `Localizer::localize_batch_counted` over a dictionary with duplicate
+//! atoms: the answers and the count of lanes whose nearest-atom
+//! certificate failed must not change with the width.
 //!
 //! The override is process-global, so this file contains exactly ONE
 //! test: widths are varied sequentially with no concurrent test able
 //! to observe an intermediate value. (Engines cache the width at
 //! construction; each solve below is built *after* its width is set.)
 
+use iupdater_core::config::LocalizerConfig;
 use iupdater_core::config::{CouplingMode, UpdaterConfig};
 use iupdater_core::solver::{Solver, SolverInputs};
-use iupdater_core::FingerprintMatrix;
+use iupdater_core::{FingerprintMatrix, Localizer};
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::{Environment, EnvironmentKind, Testbed};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -163,6 +167,42 @@ fn results_are_bit_identical_at_every_pool_width() {
         assert!(
             same && survey.matrix().shape() == serial.shape(),
             "survey changed at width {width}"
+        );
+    }
+
+    // Five 64-query chunks over a survey whose every fourth cell
+    // repeats its predecessor, so some lanes fail the certificate.
+    let mut dup = serial.clone();
+    for j in (4..dup.cols()).step_by(4) {
+        for i in 0..dup.rows() {
+            dup[(i, j)] = dup[(i, j - 1)];
+        }
+    }
+    let per = dup.cols() / dup.rows();
+    let loc = Localizer::new(
+        FingerprintMatrix::new(dup, per).unwrap(),
+        LocalizerConfig {
+            max_atoms: 2,
+            ..LocalizerConfig::default()
+        },
+    );
+    let cells = serial.cols();
+    let queries: Vec<Vec<f64>> = (0..300usize)
+        .map(|q| testbed.online_measurement((q * 37) % cells, 45.0, 900 + q as u64))
+        .collect();
+    rayon::set_num_threads_for_tests(1);
+    let (answers_1, uncertified_1) = loc.localize_batch_counted(&queries).unwrap();
+    assert!(uncertified_1 > 0, "no certificate failed");
+    for width in [2usize, 4, 7] {
+        rayon::set_num_threads_for_tests(width);
+        let (answers_w, uncertified_w) = loc.localize_batch_counted(&queries).unwrap();
+        assert_eq!(
+            answers_w, answers_1,
+            "batch answers changed at width {width}"
+        );
+        assert_eq!(
+            uncertified_w, uncertified_1,
+            "uncertified count changed at width {width}"
         );
     }
     rayon::set_num_threads_for_tests(0);

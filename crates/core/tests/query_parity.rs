@@ -6,7 +6,11 @@
 //! unprepared scalar path (`Localizer::localize_unprepared`):
 //! bit-identical estimates, coefficients and residuals included — on
 //! degenerate dictionaries too (zero columns, rank-deficient supports,
-//! near-tied correlations, two nearly parallel atoms).
+//! near-tied correlations, two nearly parallel atoms). The lane-blocked
+//! pursuit's nearest-atom certificate must fail on the tie families
+//! (duplicate atoms, atoms one ulp apart, a query equidistant from two
+//! atoms, an all-zero dictionary), and its fallback must still give
+//! the oracle's answer.
 
 use iupdater_core::config::{AtomSelection, LocalizerConfig};
 use iupdater_core::omp::{orthogonal_matching_pursuit, OmpSolution};
@@ -325,4 +329,85 @@ fn service_batch_equals_unprepared_oracle_after_update() {
         assert_eq!(*b, o);
         assert_eq!(b.residual_sq.to_bits(), o.residual_sq.to_bits());
     }
+}
+
+/// A 4-link, 24-cell fingerprint on a 1/8 dB grid, with a dip under
+/// each link's own cells.
+fn tie_base() -> Matrix {
+    Matrix::from_fn(4, 24, |i, j| {
+        let dip = if j / 6 == i { 6.0 } else { 0.0 };
+        -60.0 - 1.75 * i as f64 - dip - ((i * 7 + j * 5) % 11) as f64 * 0.625
+    })
+}
+
+/// Answers `queries` (two full 8-lane blocks) through
+/// `localize_batch_counted` at one and three atoms, asserts every
+/// answer equals the unprepared oracle bit for bit, and asserts that
+/// some lane's nearest-atom certificate failed at each setting.
+fn assert_tie_family(name: &str, x: Matrix, queries: &[Vec<f64>]) {
+    assert_eq!(queries.len(), 16);
+    for max_atoms in [1, 3] {
+        let config = LocalizerConfig {
+            max_atoms,
+            ..LocalizerConfig::default()
+        };
+        let loc = Localizer::new(FingerprintMatrix::new(x.clone(), 6).unwrap(), config);
+        let (batch, uncertified) = loc.localize_batch_counted(queries).unwrap();
+        for (q, (y, b)) in queries.iter().zip(&batch).enumerate() {
+            let oracle = loc.localize_unprepared(y).unwrap();
+            assert_eq!(b, &oracle, "{name}, {max_atoms} atoms: query {q}");
+            assert_eq!(b.residual_sq.to_bits(), oracle.residual_sq.to_bits());
+        }
+        assert!(
+            uncertified > 0,
+            "{name}, {max_atoms} atoms: no certificate failed"
+        );
+    }
+}
+
+/// Sixteen queries near `centre`, moved only on the links in `free`.
+fn queries_near(centre: &[f64], free: &[usize]) -> Vec<Vec<f64>> {
+    (0..16)
+        .map(|q| {
+            let mut y = centre.to_vec();
+            for &i in free {
+                y[i] += ((q * 3 + i) % 7) as f64 * 0.0625 - 0.1875;
+            }
+            y
+        })
+        .collect()
+}
+
+#[test]
+fn certificate_ties_fall_back_to_the_oracle_answer() {
+    let column = |x: &Matrix, j: usize| (0..x.rows()).map(|i| x[(i, j)]).collect::<Vec<_>>();
+
+    // Duplicate atoms: cell 13 repeats cell 5.
+    let mut x = tie_base();
+    for i in 0..4 {
+        x[(i, 13)] = x[(i, 5)];
+    }
+    let near = queries_near(&column(&x, 5), &[0, 1, 2, 3]);
+    assert_tie_family("duplicate atoms", x.clone(), &near);
+
+    // Atoms one ulp apart: cell 13 is cell 5 but one ulp up on link 2.
+    x[(2, 13)] = x[(2, 5)].next_up();
+    assert_tie_family("one ulp apart", x, &near);
+
+    // A query equidistant from two atoms: cell 13 is cell 5 moved
+    // 1 dB on link 0, and every query sits halfway on that link.
+    let mut x = tie_base();
+    for i in 0..4 {
+        x[(i, 13)] = x[(i, 5)] + if i == 0 { 1.0 } else { 0.0 };
+    }
+    let mut centre = column(&x, 5);
+    centre[0] += 0.5;
+    assert_tie_family("equidistant", x, &queries_near(&centre, &[1, 2, 3]));
+
+    // An all-zero dictionary: every atom ties with every other.
+    assert_tie_family(
+        "all-zero dictionary",
+        Matrix::zeros(4, 24),
+        &queries_near(&[-60.0, -61.0, -62.0, -63.0], &[0, 1, 2, 3]),
+    );
 }

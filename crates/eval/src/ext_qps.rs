@@ -24,7 +24,7 @@ use crate::scenario::{TIMESTAMPS, UPDATE_SAMPLES};
 /// lands in the hundreds of thousands of localizations.
 const HEAVY_QUERIES_PER_CELL: usize = 140;
 
-/// Runs the heavy-traffic replay (see [`run_with`]).
+/// Runs the heavy-traffic replay (see `run_with`).
 pub fn run() -> FigureResult {
     run_with(HEAVY_QUERIES_PER_CELL)
 }
@@ -38,7 +38,7 @@ pub fn run() -> FigureResult {
 /// Panics if the drill fails: a cycle error, or a served estimate
 /// deviating from the unprepared path (that would be a parity bug;
 /// the read path must never trade accuracy for speed).
-pub fn run_with(queries_per_cell: usize) -> FigureResult {
+fn run_with(queries_per_cell: usize) -> FigureResult {
     let days: Vec<f64> = TIMESTAMPS.iter().map(|&(_, day)| day).collect();
     let report = run_drill(
         standard_fleet(crate::scenario::DEFAULT_SEED),

@@ -39,7 +39,7 @@ pub struct ScalePoint {
 }
 
 /// Measures one scale point.
-pub fn measure(k: usize) -> ScalePoint {
+fn measure(k: usize) -> ScalePoint {
     let env = scaled_office(k);
     let locations = env.num_locations();
     let testbed = Testbed::new(env, 31_000 + k as u64);

@@ -15,7 +15,7 @@ use iupdater_rfsim::Environment;
 /// Renders one environment's deployment as an ASCII map. Each link is a
 /// row of `.` cells; reference locations are `R`; the transmitter and
 /// receiver ends are `T` and `X`.
-pub fn render_layout(env: &Environment, reference_locations: &[usize]) -> String {
+fn render_layout(env: &Environment, reference_locations: &[usize]) -> String {
     let per = env.locations_per_link;
     let mut out = String::new();
     let _ = writeln!(

@@ -19,7 +19,7 @@ pub fn run() -> FigureResult {
 }
 
 /// Fig. 14 at an arbitrary day offset.
-pub fn run_at(day: f64) -> FigureResult {
+fn run_at(day: f64) -> FigureResult {
     let s = Scenario::office();
     let truth = s.ground_truth(day);
     let refs = s.updater().reference_locations().to_vec();
@@ -53,31 +53,31 @@ pub fn run_at(day: f64) -> FigureResult {
     fig
 }
 
-/// Mean reconstruction error for each of the four arms (helper for
-/// tests; the figure itself is the CDF).
-pub fn arm_means(day: f64) -> [f64; 4] {
-    let s = Scenario::office();
-    let truth = s.ground_truth(day);
-    let refs = s.updater().reference_locations().to_vec();
-    let n = s.prior().num_locations();
-    let arms = [
-        drop_references(&refs, 1, 7),
-        refs.clone(),
-        add_random(&refs, n, 1, 11),
-        random_locations(n, 11, 13),
-    ];
-    let mut out = [0.0; 4];
-    for (k, locations) in arms.iter().enumerate() {
-        let rec = s.reconstruct_with_references(locations, day);
-        let errs = reconstruction_errors(rec.matrix(), &truth).expect("shapes");
-        out[k] = errs.iter().sum::<f64>() / errs.len() as f64;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean reconstruction error for each of the four arms (the figure
+    /// itself is the CDF).
+    fn arm_means(day: f64) -> [f64; 4] {
+        let s = Scenario::office();
+        let truth = s.ground_truth(day);
+        let refs = s.updater().reference_locations().to_vec();
+        let n = s.prior().num_locations();
+        let arms = [
+            drop_references(&refs, 1, 7),
+            refs.clone(),
+            add_random(&refs, n, 1, 11),
+            random_locations(n, 11, 13),
+        ];
+        let mut out = [0.0; 4];
+        for (k, locations) in arms.iter().enumerate() {
+            let rec = s.reconstruct_with_references(locations, day);
+            let errs = reconstruction_errors(rec.matrix(), &truth).expect("shapes");
+            out[k] = errs.iter().sum::<f64>() / errs.len() as f64;
+        }
+        out
+    }
 
     #[test]
     fn mic_set_is_minimal_and_sufficient() {

@@ -32,22 +32,23 @@ pub fn run() -> FigureResult {
     fig
 }
 
-/// Median reconstruction error at each timestamp.
-pub fn medians() -> Vec<f64> {
-    let s = Scenario::office();
-    TIMESTAMPS
-        .iter()
-        .map(|&(_, day)| {
-            let rec = s.reconstruct(day);
-            let errs = reconstruction_errors(rec.matrix(), &s.ground_truth(day)).expect("shapes");
-            median(&errs)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Median reconstruction error at each timestamp.
+    fn medians() -> Vec<f64> {
+        let s = Scenario::office();
+        TIMESTAMPS
+            .iter()
+            .map(|&(_, day)| {
+                let rec = s.reconstruct(day);
+                let errs =
+                    reconstruction_errors(rec.matrix(), &s.ground_truth(day)).expect("shapes");
+                median(&errs)
+            })
+            .collect()
+    }
 
     #[test]
     fn medians_in_paper_ballpark_and_growing() {

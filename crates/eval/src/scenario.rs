@@ -38,12 +38,7 @@ pub struct Scenario {
 impl Scenario {
     /// Builds the scenario for an environment with the default seed.
     pub fn new(env: Environment) -> Self {
-        Self::with_seed(env, DEFAULT_SEED)
-    }
-
-    /// Builds the scenario with an explicit seed.
-    pub fn with_seed(env: Environment, seed: u64) -> Self {
-        let testbed = Testbed::new(env, seed);
+        let testbed = Testbed::new(env, DEFAULT_SEED);
         let prior = FingerprintMatrix::survey(&testbed, 0.0, INITIAL_SURVEY_SAMPLES);
         let updater = Updater::new(prior.clone(), UpdaterConfig::default())
             .expect("default updater construction");
@@ -74,11 +69,6 @@ impl Scenario {
     /// The configured updater.
     pub fn updater(&self) -> &Updater {
         &self.updater
-    }
-
-    /// The cell classification / index matrix `B`.
-    pub fn classification(&self) -> &CellClassification {
-        &self.classification
     }
 
     /// Noiseless ground-truth matrix at `day`.
@@ -192,7 +182,7 @@ impl Scenario {
 }
 
 /// The freely collectable no-decrease matrix `X_B` at `day`.
-pub fn no_decrease_matrix(testbed: &Testbed, day: f64) -> Matrix {
+fn no_decrease_matrix(testbed: &Testbed, day: f64) -> Matrix {
     FingerprintMatrix::survey_no_decrease(testbed, day, UPDATE_SAMPLES)
 }
 

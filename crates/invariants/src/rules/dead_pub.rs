@@ -1,6 +1,7 @@
 //! **dead-pub** — the library crates carry no public API that nothing
 //! calls. Every non-test `pub fn` under `crates/core/src/`,
-//! `crates/linalg/src/` and `crates/rfsim/src/` must be named as a code
+//! `crates/linalg/src/`, `crates/rfsim/src/`, `crates/baselines/src/`
+//! and `crates/eval/src/` must be named as a code
 //! identifier in some *other* `.rs` file of the walk (tests, examples,
 //! benches and the campaign benchmark count as callers). Comments are masked, so a doc
 //! link or a doc-test is not a use. A function only its own file calls
@@ -15,10 +16,12 @@ use crate::workspace::Workspace;
 pub const RULE: &str = "dead-pub";
 
 /// Directories whose `pub fn`s must have an outside caller.
-const LIBRARY_DIRS: [&str; 3] = [
+const LIBRARY_DIRS: [&str; 5] = [
     "crates/core/src/",
     "crates/linalg/src/",
     "crates/rfsim/src/",
+    "crates/baselines/src/",
+    "crates/eval/src/",
 ];
 
 /// Runs the rule over the workspace.

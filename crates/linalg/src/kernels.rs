@@ -4,7 +4,7 @@
 //! [`crate::Matrix::matmul_into`], [`crate::Matrix::matmul_bt_into`],
 //! [`crate::Matrix::gram_into`] and the [`crate::MatrixView`] variants —
 //! funnels into this module, and so do the binary read path's
-//! squared-distance scans ([`nearest_block`], [`sq_dist_row`]). The hot
+//! nearest-atom scans ([`nearest_block`], [`sq_dist_row`]). The hot
 //! shapes of the iUpdater workload are *small in one dimension* (rank ≤
 //! 8 on the paper's 6- and 8-link presets and r = 32 on the 32x1536
 //! storm site, links ≈ 6–32, cells ≤ 1536):
@@ -56,29 +56,52 @@
 //!
 //! # The distance kernels
 //!
-//! [`nearest_block`] and [`sq_dist_row`] compute `Σ_i (r_i − x_i)²` for
-//! every atom as one ascending-`i` chain of `t = r − x; s += t * t`:
-//! sub, mul, add, never FMA. They are not rewritten as
-//! `‖r‖² − 2⟨r, x⟩ + ‖x‖²`, which would turn the scan into a product
-//! the dispatcher already runs, because that expansion rounds
-//! differently (and cancels catastrophically when `r ≈ x`, exactly the
-//! best match), so it would change which atom wins. The chains match
-//! the naive loop bit for bit on every input, ±0.0 and ±∞ included;
-//! only the sign and payload of a NaN result are left unspecified by
-//! Rust (the naive loop itself differs between debug and release
-//! builds), and a NaN distance never wins the pursuit's strict `<`.
+//! [`sq_dist_row`] is the one exact distance kernel. It computes
+//! `Σ_i (r_i − x_i)²` for every atom as one ascending-`i` chain of
+//! `t = r − x; s += t * t` — sub, mul, add, never FMA — and writes one
+//! query's `n` distances for the caller's argmin. The chains match the
+//! naive loop bit for bit on every input, ±0.0 and ±∞ included; only
+//! the sign and payload of a NaN result are left unspecified by Rust
+//! (the naive loop itself differs between debug and release builds),
+//! and a NaN distance never wins the pursuit's strict `<`.
 //!
-//! [`sq_dist_row`] writes one query's `n` distances for the caller's
-//! argmin. [`nearest_block`] serves [`BINARY_LANES`] queries at once
-//! and writes no distances at all: it folds each atom's eight chains
-//! into a per-lane running minimum held in registers, one atom at a
-//! time in ascending order with an ordered `<` (`_CMP_LT_OQ`), so it
-//! returns exactly the first strict-`<` minimum a scalar scan would.
-//! Atoms a lane has already selected are skipped through one `u8` per
-//! atom, bit `l` for lane `l`. It dispatches at runtime to AVX-512F
-//! (the eight lanes in one register; the inverted exclusion byte is
-//! the compare's write mask), else AVX (two registers; compare, mask,
-//! `blendv`), else the scalar body.
+//! [`nearest_block`] serves [`BINARY_LANES`] queries at once and
+//! returns each lane's first strict-`<` minimum of those same chains,
+//! without evaluating most of them. The expansion
+//! `‖r − x‖² = ‖r‖² + ‖x‖² − 2⟨r, x⟩` rounds differently from the
+//! chain (and cancels catastrophically when `r ≈ x`, at the best
+//! match), so it cannot produce the answer; it can certify one. The
+//! kernel computes `ê_j = fl(‖x_j‖² − 2⟨r, x_j⟩)` — one FMA per atom and
+//! link, with the squared norms prepared once ([`AtomNorms`]) — keeps
+//! each lane's smallest and second-smallest `ê` over the atoms it has
+//! not excluded, and certifies the smallest's atom `w` when
+//! `runner − best > τ = (m + 2)·(4ε·(R + X)² + f64::MIN_POSITIVE)`,
+//! where `R = ‖r‖` and `X` is the largest atom norm. The proof: with
+//! `γ_k = k·u/(1 − k·u)` and `u = ε/2`, each `ê_j` is within
+//! `γ_{m+1}(‖x_j‖² + 2‖r‖‖x_j‖) ≤ γ_{m+1}(R + X)²` of
+//! `‖r − x_j‖² − ‖r‖²` (a dot product and a squared norm of `m` terms,
+//! then one subtraction), and each chain is within
+//! `γ_{m+2}‖r − x_j‖² ≤ γ_{m+2}(R + X)²` of `‖r − x_j‖²`. So if
+//! `ê_j − ê_w > 2(γ_{m+1} + γ_{m+2})(R + X)²`, atom `j`'s chain exceeds
+//! `w`'s; `τ` is about twice that bound, which also absorbs the
+//! rounding of `R`, `X` and `τ` itself, and its absolute term covers
+//! underflow. Every other unexcluded atom's chain therefore exceeds
+//! `w`'s strictly, so `w` is the chain's first strict-`<` minimum
+//! whatever the order; its one chain is then recomputed exactly, which
+//! keeps the pursuit's residual guard bit for bit. A lane that fails —
+//! an exact tie (a zero gap), a near-tie, or any non-finite or
+//! overflowing input, which makes `τ` infinite or the gap NaN, since
+//! `!(gap > τ)` holds for NaN — is answered by [`sq_dist_row`] and the
+//! strict-`<` argmin instead. A lane excluded from every atom returns
+//! `(+∞, usize::MAX)` and certifies nothing.
+//!
+//! The filter has three arms ([`ScanArm`]), chosen at runtime: AVX-512F
+//! (atoms in the vector lanes over the links x cells dictionary, a
+//! [`BINARY_LANES`]-query × 24-atom tile, the lane's exclusion bits as
+//! the write mask), AVX+FMA (4-query × 12-atom sub-tiles, `blendv`),
+//! and a scalar body (mul then add; the bound covers both roundings).
+//! They may round `ê` differently, but the shared certificate and
+//! fallback make their answers identical.
 
 /// Largest shared dimension `k` routed to the monomorphised
 /// tiny-inner kernels ([`matmul_rk`]). It covers every rank the solver
@@ -618,91 +641,343 @@ where
 }
 
 /// Queries advanced together by [`nearest_block`]: the block layout
-/// is `residuals[i * BINARY_LANES + l]` (link `i`, lane `l`), so one
-/// sweep over the atom rows advances this many independent distance
-/// chains together — one 512-bit or two 256-bit registers per link.
-/// It is also the width of one exclusion byte: bit `l` of
+/// is `residuals[i * BINARY_LANES + l]` (link `i`, lane `l`), and the
+/// scan's tile broadcasts all of them against every loaded atom
+/// vector. It is also the width of one exclusion byte: bit `l` of
 /// `excluded[j]` belongs to lane `l`.
 pub const BINARY_LANES: usize = 8;
 
-// One `u8` per atom (one AVX-512 `__mmask8`) carries every lane's
-// exclusion bit.
+// One `u8` per atom carries every lane's exclusion bit; transposed, a
+// group of eight atoms gives one AVX-512 `__mmask8` per lane.
 const _: () = assert!(BINARY_LANES == u8::BITS as usize);
 
 /// Per-lane nearest atoms of one [`nearest_block`] pass: the smallest
 /// squared distance of each lane and the atom index that attains it.
 pub type NearestLanes = ([f64; BINARY_LANES], [usize; BINARY_LANES]);
 
-/// The fused nearest-atom kernel of the blocked binary read path. For
-/// every lane `l` it scans the `n = excluded.len()` contiguous atom
-/// rows of length `m = residuals.len() / BINARY_LANES` in ascending
-/// order and returns the first minimum (strict `<`) of
-/// `Σ_i (residuals[i * BINARY_LANES + l] − atoms[j * m + i])²` over
-/// the atoms `j` whose `excluded[j]` has bit `l` clear, with its
-/// index. A lane with no selectable atom (all excluded, `n = 0`, or
-/// every distance NaN or `+∞`) returns `(+∞, usize::MAX)`.
+/// The publish-once input of the certified scan over one links x
+/// cells dictionary: every atom's squared norm `fl(‖x_j‖²)` (one
+/// ascending-link mul-then-add chain) and the largest atom norm `X`,
+/// which is `+∞` when any squared norm is not finite (so every
+/// certificate over a non-finite dictionary fails).
+#[derive(Debug, Clone)]
+pub struct AtomNorms {
+    sq: Vec<f64>,
+    max_norm: f64,
+}
+
+impl AtomNorms {
+    /// The norms of the `m x n` row-major `dictionary` (links x cells).
+    ///
+    /// # Panics
+    ///
+    /// If `dictionary.len()` is not a multiple of `n` (for `n = 0`: not
+    /// empty).
+    pub fn new(dictionary: &[f64], n: usize) -> Self {
+        assert_eq!(
+            dictionary.len().checked_rem(n).unwrap_or(dictionary.len()),
+            0,
+            "dictionary must be m rows of n cells"
+        );
+        let mut sq = vec![0.0; n];
+        for row in dictionary.chunks_exact(n.max(1)) {
+            for (s, &x) in sq.iter_mut().zip(row) {
+                *s += x * x;
+            }
+        }
+        let max_sq = sq
+            .iter()
+            .try_fold(0.0_f64, |max, &s| s.is_finite().then_some(max.max(s)));
+        AtomNorms {
+            max_norm: max_sq.map_or(f64::INFINITY, f64::sqrt),
+            sq,
+        }
+    }
+}
+
+/// The filter arms of [`nearest_block`]. They differ only in how they
+/// compute the estimates `ê_j`; the certificate, the winner's exact
+/// distance and the fallback scan are shared, so every arm returns the
+/// same answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScanArm {
+    /// Plain mul then add, four atoms × eight lanes per step.
+    Scalar,
+    /// 256-bit FMA (runtime-detected AVX and FMA): 4-query × 12-atom
+    /// sub-tiles, twelve accumulators.
+    AvxFma,
+    /// 512-bit FMA (runtime-detected AVX-512F): 8-query × 24-atom
+    /// tiles, 24 accumulators.
+    Avx512f,
+}
+
+impl ScanArm {
+    /// Every arm this build can run on this host, narrowest first;
+    /// [`nearest_block`] dispatches to the last.
+    pub fn available() -> Vec<ScanArm> {
+        [ScanArm::Scalar, ScanArm::AvxFma, ScanArm::Avx512f]
+            .into_iter()
+            .filter(|arm| arm.runs())
+            .collect()
+    }
+
+    fn widest() -> ScanArm {
+        [ScanArm::Avx512f, ScanArm::AvxFma]
+            .into_iter()
+            .find(|arm| arm.runs())
+            .unwrap_or(ScanArm::Scalar)
+    }
+
+    fn runs(self) -> bool {
+        match self {
+            ScanArm::Scalar => true,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            ScanArm::AvxFma => simd::avx_fma_available(),
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            ScanArm::Avx512f => simd::avx512f_available(),
+            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+            _ => false,
+        }
+    }
+}
+
+/// The nearest-atom kernel of the blocked binary read path. For every
+/// lane `l` it returns the first minimum (strict `<`) over the atoms
+/// `j` whose `excluded[j]` has bit `l` clear of the exact chain
+/// `Σ_i (residuals[i * BINARY_LANES + l] − dictionary[i * n + j])²`
+/// (`t = r − x; s += t * t` in ascending `i` from `+0.0`), with its
+/// index, for the `m x n` row-major links x cells `dictionary`, `n =
+/// excluded.len()` and `m = residuals.len() / BINARY_LANES`. A lane
+/// with no selectable atom (all excluded, `n = 0`, or every distance
+/// NaN or `+∞`) returns `(+∞, usize::MAX)`. `norms` must be
+/// [`AtomNorms::new`] of this dictionary.
 ///
-/// Each distance is one ascending-`i` chain of `t = r − a; s += t * t`
-/// from `s = +0.0`, built from sub, mul and add (never an FMA, never
-/// the norm expansion: see the module docs), and the running minimum
-/// is updated one atom at a time in ascending `j` with an ordered
-/// `<`, so a NaN distance is never selected. The result is therefore
-/// bit-identical to the naive per-pair loop followed by a strict-`<`
-/// argmin, non-finite inputs included. No distance table is written:
-/// the chains and the per-lane minimum stay in registers. Dispatch is
-/// AVX-512F (one 512-bit register per atom), then AVX (two 256-bit
-/// registers per atom, `cmp` + `blendv`), then the scalar body.
+/// The scan does not evaluate those chains. It filters with the
+/// expansion `ê_j = fl(‖x_j‖² − 2⟨r, x_j⟩)` and certifies each lane's
+/// smallest when its gap to the second smallest exceeds the rounding
+/// bound `τ` (see the module docs for `τ` and its proof); the winner's
+/// chain is then recomputed exactly. A lane whose certificate fails (a
+/// near-tie, or any non-finite or overflowing input) is answered by
+/// [`sq_dist_row`] and a strict-`<` argmin instead, through
+/// `fallback`, a buffer grown to `m + n` on first use. The result is
+/// therefore the naive per-pair loop's, bit for bit, non-finite inputs
+/// included. The second value is the mask of lanes that fell back.
 ///
 /// # Panics
 ///
 /// If `residuals.len()` is not a multiple of [`BINARY_LANES`], or
-/// `atoms.len() != n * m`.
-pub fn nearest_block(residuals: &[f64], atoms: &[f64], excluded: &[u8]) -> NearestLanes {
-    let m = residuals.len() / BINARY_LANES;
+/// `dictionary.len() != m * n`, or `norms` does not hold `n` atoms.
+pub fn nearest_block(
+    residuals: &[f64],
+    dictionary: &[f64],
+    norms: &AtomNorms,
+    excluded: &[u8],
+    fallback: &mut Vec<f64>,
+) -> (NearestLanes, u8) {
+    nearest_block_on(
+        ScanArm::widest(),
+        residuals,
+        dictionary,
+        norms,
+        excluded,
+        fallback,
+    )
+}
+
+/// [`nearest_block`] through a chosen filter arm, so the parity tier
+/// can pin every arm a host supports, not only the widest.
+///
+/// # Panics
+///
+/// As [`nearest_block`], and if `arm` is not in
+/// [`ScanArm::available`].
+pub fn nearest_block_on(
+    arm: ScanArm,
+    residuals: &[f64],
+    dictionary: &[f64],
+    norms: &AtomNorms,
+    excluded: &[u8],
+    fallback: &mut Vec<f64>,
+) -> (NearestLanes, u8) {
+    let (m, n) = (residuals.len() / BINARY_LANES, excluded.len());
     assert_eq!(
         residuals.len(),
         m * BINARY_LANES,
         "residuals must be lane-interleaved"
     );
     assert_eq!(
-        Some(atoms.len()),
-        excluded.len().checked_mul(m),
-        "atoms must be one row of m links per exclusion byte"
+        Some(dictionary.len()),
+        m.checked_mul(n),
+        "dictionary must be m rows of one cell per exclusion byte"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if simd::avx512f_available() {
-            return simd::nearest_block_avx512(residuals, atoms, excluded);
-        }
-        if simd::avx_available() {
-            return simd::nearest_block_avx(residuals, atoms, excluded);
-        }
-    }
-    nearest_block_scalar(residuals, atoms, excluded)
+    assert_eq!(norms.sq.len(), n, "norms must cover every atom");
+    assert!(arm.runs(), "scan arm {arm:?} is not available here");
+    let filter = match arm {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        ScanArm::AvxFma => simd::filter_avx_fma(residuals, dictionary, &norms.sq, excluded),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        ScanArm::Avx512f => simd::filter_avx512(residuals, dictionary, &norms.sq, excluded),
+        _ => filter_scalar(residuals, dictionary, &norms.sq, excluded),
+    };
+    certify(residuals, dictionary, norms, excluded, &filter, fallback)
 }
 
-/// The scalar arm of [`nearest_block`] (shapes checked by the caller):
-/// one atom at a time, eight chains, then the per-lane update.
-fn nearest_block_scalar(residuals: &[f64], atoms: &[f64], excluded: &[u8]) -> NearestLanes {
-    const L: usize = BINARY_LANES;
-    let m = residuals.len() / L;
-    let (mut best, mut best_j) = ([f64::INFINITY; L], [usize::MAX; L]);
-    for (j, &ex) in excluded.iter().enumerate() {
-        let mut acc = [0.0_f64; L];
-        for (r, &a) in residuals.chunks_exact(L).zip(&atoms[j * m..(j + 1) * m]) {
-            for (s, &rl) in acc.iter_mut().zip(r) {
-                let t = rl - a;
-                *s += t * t;
-            }
+/// One filter pass: per lane, the smallest and second-smallest
+/// estimate `ê` over its unexcluded atoms (`+∞` when there are none)
+/// and the atom of the smallest.
+struct Filter {
+    best: [f64; BINARY_LANES],
+    runner: [f64; BINARY_LANES],
+    index: [usize; BINARY_LANES],
+}
+
+impl Filter {
+    fn new() -> Self {
+        Filter {
+            best: [f64::INFINITY; BINARY_LANES],
+            runner: [f64::INFINITY; BINARY_LANES],
+            index: [usize::MAX; BINARY_LANES],
         }
-        for (l, &d) in acc.iter().enumerate() {
-            if ex & (1 << l) == 0 && d < best[l] {
-                best[l] = d;
-                best_j[l] = j;
+    }
+
+    /// Folds atom `j`'s estimate `e` into lane `l`. An estimate equal
+    /// to the best becomes the runner-up, so an exact tie leaves a
+    /// zero gap and fails the certificate.
+    fn push(&mut self, l: usize, e: f64, j: usize) {
+        if e < self.best[l] {
+            self.runner[l] = self.best[l];
+            self.best[l] = e;
+            self.index[l] = j;
+        } else if e < self.runner[l] {
+            self.runner[l] = e;
+        }
+    }
+}
+
+/// The scalar filter arm: four atoms at a time against all eight
+/// lanes, then one at a time, each `⟨r, x_j⟩` one ascending-link
+/// mul-then-add chain.
+fn filter_scalar(residuals: &[f64], dictionary: &[f64], sq: &[f64], excluded: &[u8]) -> Filter {
+    let n = excluded.len();
+    let mut filter = Filter::new();
+    let mut j = 0;
+    while j + 4 <= n {
+        scalar_group::<4>(residuals, dictionary, sq, excluded, j, &mut filter);
+        j += 4;
+    }
+    while j < n {
+        scalar_group::<1>(residuals, dictionary, sq, excluded, j, &mut filter);
+        j += 1;
+    }
+    filter
+}
+
+/// Atoms `j..j + A` of [`filter_scalar`].
+fn scalar_group<const A: usize>(
+    residuals: &[f64],
+    dictionary: &[f64],
+    sq: &[f64],
+    excluded: &[u8],
+    j: usize,
+    filter: &mut Filter,
+) {
+    const L: usize = BINARY_LANES;
+    let n = excluded.len();
+    let mut acc = [[0.0_f64; A]; L];
+    for (r, row) in residuals.chunks_exact(L).zip(dictionary.chunks_exact(n)) {
+        let x = &row[j..j + A];
+        for (accl, &rl) in acc.iter_mut().zip(r) {
+            for (s, &xa) in accl.iter_mut().zip(x) {
+                *s += rl * xa;
             }
         }
     }
-    (best, best_j)
+    for (a, (&ex, &norm)) in excluded[j..j + A].iter().zip(&sq[j..j + A]).enumerate() {
+        for (l, accl) in acc.iter().enumerate() {
+            if ex & (1 << l) == 0 {
+                filter.push(l, norm - 2.0 * accl[a], j + a);
+            }
+        }
+    }
+}
+
+/// The certificate threshold `τ` of a lane with `Σ r² = residual_sq`
+/// over `m` links against atoms of norm at most `max_norm`: `+∞` (so
+/// the certificate fails) when `(R + X)²` is NaN or within a factor 4
+/// of overflow, where the error bounds no longer hold.
+fn certificate_gap(m: usize, residual_sq: f64, max_norm: f64) -> f64 {
+    let reach = residual_sq.sqrt() + max_norm;
+    let scale = reach * reach;
+    if scale < f64::MAX / 4.0 {
+        (m + 2) as f64 * (4.0 * f64::EPSILON * scale + f64::MIN_POSITIVE)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Turns a filter pass into exact answers: certified lanes get their
+/// winner's exact chain, the rest an exact [`sq_dist_row`] scan.
+fn certify(
+    residuals: &[f64],
+    dictionary: &[f64],
+    norms: &AtomNorms,
+    excluded: &[u8],
+    filter: &Filter,
+    fallback: &mut Vec<f64>,
+) -> (NearestLanes, u8) {
+    const L: usize = BINARY_LANES;
+    let (m, n) = (residuals.len() / L, excluded.len());
+    // Lanes excluded from every atom have nothing to select.
+    let settled = excluded.iter().fold(u8::MAX, |all, &ex| all & ex);
+    let (mut dist, mut index) = ([f64::INFINITY; L], [usize::MAX; L]);
+    let mut uncertified = 0_u8;
+    for l in (0..L).filter(|l| settled & (1 << l) == 0) {
+        let lane = || residuals.iter().skip(l).step_by(L);
+        let tau = certificate_gap(m, lane().map(|r| r * r).sum(), norms.max_norm);
+        if filter.runner[l] - filter.best[l] > tau {
+            let w = filter.index[l];
+            let d = lane()
+                .zip(dictionary.iter().skip(w).step_by(n))
+                .fold(0.0, |s, (&r, &x)| {
+                    let t = r - x;
+                    s + t * t
+                });
+            if d < f64::INFINITY {
+                (dist[l], index[l]) = (d, w);
+                continue;
+            }
+        }
+        uncertified |= 1 << l;
+        if fallback.len() < m + n {
+            fallback.resize(m + n, 0.0);
+        }
+        let (r, out) = fallback[..m + n].split_at_mut(m);
+        for (ri, &v) in r.iter_mut().zip(lane()) {
+            *ri = v;
+        }
+        sq_dist_row(r, dictionary, out);
+        for (j, (&d, &ex)) in out.iter().zip(excluded).enumerate() {
+            if ex & (1 << l) == 0 && d < dist[l] {
+                (dist[l], index[l]) = (d, j);
+            }
+        }
+    }
+    ((dist, index), uncertified)
+}
+
+/// Transposes eight exclusion bytes: bit `l` of byte `s` of `bytes`
+/// (atom `s`, lane `l`) becomes bit `s` of byte `l` of the result, so
+/// byte `l` is lane `l`'s mask over the eight atoms.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+fn lane_masks(bytes: u64) -> [u8; BINARY_LANES] {
+    let mut x = bytes;
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x.to_le_bytes()
 }
 
 /// The single-query squared-distance kernel of the binary read path:
@@ -745,35 +1020,50 @@ pub fn sq_dist_row(residual: &[f64], dictionary: &[f64], out: &mut [f64]) {
     }
 }
 
-/// AVX and AVX-512F (`std::arch`) variants behind runtime feature
-/// detection. The only unsafe code in the crate, compiled only with
-/// the `simd` cargo feature (without it the crate keeps
-/// `#![forbid(unsafe_code)]`). Every intrinsic sequence performs the
-/// same per-lane ascending-`p` mul-then-add sums as the scalar kernels
-/// — `_mm256_mul_pd` (or `_mm512_mul_pd`) followed by the matching
-/// add, never an FMA, so the results are bit-identical to the scalar
-/// path and the parity tier covers both. The distance kernels add one
-/// sub in front of the same mul-then-add; the nearest-atom arms select
-/// with ordered compares and blends, which copy bits unchanged.
+/// AVX, AVX+FMA and AVX-512F (`std::arch`) variants behind runtime
+/// feature detection. The only unsafe code in the crate, compiled only
+/// with the `simd` cargo feature (without it the crate keeps
+/// `#![forbid(unsafe_code)]`). Every product and distance sequence
+/// performs the same per-lane ascending-`p` mul-then-add sums as the
+/// scalar kernels — `_mm256_mul_pd` followed by the matching add, never
+/// an FMA, so the results are bit-identical to the scalar path and the
+/// parity tier covers both; the distance kernel adds one sub in front.
+/// The FMAs live only in the nearest-atom scan's filter arms, whose
+/// estimates never reach an answer: the shared certificate decides
+/// which atom wins and the exact chain gives its distance.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
     #![allow(unsafe_code)]
 
     use core::arch::x86_64::{
-        __m256d, __m512d, __m512i, _mm256_add_pd, _mm256_andnot_pd, _mm256_blendv_pd,
-        _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_epi64x,
-        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd,
-        _mm512_loadu_pd, _mm512_mask_cmp_pd_mask, _mm512_mask_mov_pd, _mm512_mask_set1_epi64,
-        _mm512_mul_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_epi64,
-        _mm512_storeu_pd, _mm512_sub_pd, _CMP_LT_OQ,
+        __m256d, __m256i, __m512d, _mm256_add_pd, _mm256_blendv_pd, _mm256_castsi256_pd,
+        _mm256_cmp_pd, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd,
+        _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_epi64x,
+        _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd,
+        _mm512_cmp_pd_mask, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_mask_mov_pd,
+        _mm512_maskz_loadu_pd, _mm512_max_pd, _mm512_min_pd, _mm512_set1_pd, _mm512_setr_pd,
+        _mm512_setzero_pd, _mm512_storeu_pd, _CMP_LT_OQ,
     };
 
-    use super::{NearestLanes, BINARY_LANES};
+    use super::{lane_masks, Filter, BINARY_LANES};
+
+    /// Atoms per tile of the certified scan's AVX-512F arm: three
+    /// 8-atom registers times the [`BINARY_LANES`] queries, 24
+    /// accumulators in flight over every link. The AVX+FMA arm (sixteen
+    /// registers) runs each half of it as a 4-query × 12-atom sub-tile.
+    const TILE_ATOMS: usize = 24;
 
     /// Runtime AVX capability (cached by `std`).
     #[inline]
     pub(super) fn avx_available() -> bool {
         std::arch::is_x86_feature_detected!("avx")
+    }
+
+    /// Runtime AVX and FMA capability (cached by `std`): the AVX+FMA
+    /// filter arm of the nearest-atom scan.
+    #[inline]
+    pub(super) fn avx_fma_available() -> bool {
+        avx_available() && std::arch::is_x86_feature_detected!("fma")
     }
 
     /// Runtime AVX-512F capability (cached by `std`).
@@ -915,17 +1205,6 @@ mod simd {
         }
     }
 
-    /// Atoms in flight per step of both [`super::nearest_block`]
-    /// arms: their distance chains run together, then the per-lane
-    /// minimum takes them one at a time in ascending order. With AVX
-    /// that is eight 256-bit accumulators, with AVX-512F four 512-bit
-    /// ones. On a Xeon (Sapphire Rapids) 2-vCPU host, one 8-query
-    /// AVX-512F pass over 1,536 atoms of 32 links took about 48 µs at
-    /// two atoms, 41 µs at four and 43 µs at eight (median over 4,096
-    /// random queries); the AVX arm, which has only sixteen registers,
-    /// took 65 µs at four, as fast as the unfused scan and argmin.
-    const BLOCK_ATOMS: usize = 4;
-
     /// Cells in flight per step of [`sq_dist_row_avx`]: four 4-wide
     /// accumulator registers, held over every link in one pass. At
     /// 32x1536 the 12 KiB row stride maps all 32 link rows of a cell
@@ -934,204 +1213,296 @@ mod simd {
     /// 10.6 µs on the host above), so there is no slabbing.
     const ROW_CELLS: usize = 16;
 
-    /// All-ones 64-bit lanes for each 4-bit half of an exclusion
-    /// byte: entry `e` has lane `b` set when bit `b` of `e` is, the
-    /// 256-bit mask the AVX arm clears its selections with.
-    static EXCLUDE_LANES: [[u64; 4]; 16] = {
-        let mut table = [[0; 4]; 16];
-        let mut e = 0;
-        while e < 16 {
-            let mut b = 0;
-            while b < 4 {
-                if (e >> b) & 1 == 1 {
-                    table[e][b] = u64::MAX;
-                }
-                b += 1;
-            }
-            e += 1;
-        }
-        table
-    };
-
-    /// [`super::nearest_block`] with 256-bit lanes: lanes 0–3 and 4–7
-    /// each hold a running minimum and its index (the index's bits
-    /// stored in a `__m256d`, starting at all-ones = `usize::MAX`),
-    /// updated with an ordered `<` compare, the exclusion mask and two
-    /// `blendv`s per half. Shapes as checked by the caller.
-    ///
-    /// Callers must have verified [`avx_available`].
-    pub(super) fn nearest_block_avx(
-        residuals: &[f64],
-        atoms: &[f64],
-        excluded: &[u8],
-    ) -> NearestLanes {
-        let m = residuals.len() / BINARY_LANES;
-        assert!(residuals.len() == m * BINARY_LANES);
-        assert_eq!(Some(atoms.len()), excluded.len().checked_mul(m));
-        // SAFETY: AVX support is checked by the caller via
-        // `avx_available`; the asserts above are the inner function's
-        // shape contract.
-        unsafe { nearest_block_avx_inner(residuals, atoms, excluded, m) }
-    }
-
-    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
-    // call — callers must have verified `avx_available()` first. The
-    // caller guarantees `residuals.len() == m * 8` and `atoms.len() ==
-    // excluded.len() * m`, so every atom group `j..j + A` below
-    // `excluded.len()` lies in bounds, and the stores fill local
-    // 8-element arrays.
-    #[target_feature(enable = "avx")]
-    unsafe fn nearest_block_avx_inner(
-        residuals: &[f64],
-        atoms: &[f64],
-        excluded: &[u8],
-        m: usize,
-    ) -> NearestLanes {
-        let n = excluded.len();
-        let mut best = [_mm256_set1_pd(f64::INFINITY); 2];
-        let mut best_j = [_mm256_castsi256_pd(_mm256_set1_epi64x(-1)); 2];
-        let mut j = 0;
-        while j + BLOCK_ATOMS <= n {
-            avx_atoms::<BLOCK_ATOMS>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
-            j += BLOCK_ATOMS;
-        }
-        while j < n {
-            avx_atoms::<1>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
-            j += 1;
-        }
-        let mut dist = [0.0; BINARY_LANES];
-        let mut idx = [0_u64; BINARY_LANES];
-        for h in 0..2 {
-            _mm256_storeu_pd(dist.as_mut_ptr().add(4 * h), best[h]);
-            _mm256_storeu_pd(idx.as_mut_ptr().add(4 * h).cast::<f64>(), best_j[h]);
-        }
-        (dist, idx.map(|i| i as usize))
-    }
-
-    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
-    // call — callers must have verified `avx_available()` first. The
-    // caller guarantees `residuals.len() == m * 8`, `j + A <=
-    // excluded.len()` and `atoms.len() == excluded.len() * m`, so the
-    // residual loads and the atom reads `(j + q) * m + i` stay in
-    // bounds.
-    #[inline]
-    #[target_feature(enable = "avx")]
-    unsafe fn avx_atoms<const A: usize>(
-        residuals: &[f64],
-        atoms: &[f64],
-        excluded: &[u8],
-        m: usize,
-        j: usize,
-        best: &mut [__m256d; 2],
-        best_j: &mut [__m256d; 2],
-    ) {
-        let r = residuals.as_ptr();
-        let a = atoms.as_ptr().add(j * m);
-        let mut acc = [[_mm256_setzero_pd(); 2]; A];
-        for i in 0..m {
-            let r0 = _mm256_loadu_pd(r.add(i * BINARY_LANES));
-            let r1 = _mm256_loadu_pd(r.add(i * BINARY_LANES + 4));
-            for (q, accq) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a.add(q * m + i));
-                let t0 = _mm256_sub_pd(r0, av);
-                let t1 = _mm256_sub_pd(r1, av);
-                accq[0] = _mm256_add_pd(accq[0], _mm256_mul_pd(t0, t0));
-                accq[1] = _mm256_add_pd(accq[1], _mm256_mul_pd(t1, t1));
+    /// Folds one lane's per-slot smallest, runner-up and index
+    /// registers (stored to memory; an index below zero marks a slot
+    /// that saw no atom) into `filter`. Every slot's smallest goes in
+    /// before any runner-up, so the lane's runner-up is the smallest
+    /// of the other slots' smallest and the winning slot's runner-up.
+    fn fold_slots(filter: &mut Filter, l: usize, best: &[f64], runner: &[f64], index: &[f64]) {
+        for (&b, &j) in best.iter().zip(index) {
+            if j >= 0.0 {
+                filter.push(l, b, j as usize);
             }
         }
-        for (q, accq) in acc.iter().enumerate() {
-            let ex = usize::from(excluded[j + q]);
-            let jv = _mm256_castsi256_pd(_mm256_set1_epi64x((j + q) as i64));
-            for h in 0..2 {
-                let lanes = EXCLUDE_LANES[(ex >> (4 * h)) & 15].as_ptr().cast::<f64>();
-                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(accq[h], best[h]);
-                let take = _mm256_andnot_pd(_mm256_loadu_pd(lanes), lt);
-                best[h] = _mm256_blendv_pd(best[h], accq[h], take);
-                best_j[h] = _mm256_blendv_pd(best_j[h], jv, take);
-            }
+        for &r in runner {
+            filter.push(l, r, usize::MAX);
         }
     }
 
-    /// [`super::nearest_block`] with 512-bit lanes: all eight lanes of
-    /// an atom's chains in one register, the running minimum in a
-    /// second and its indices in a third (starting at all-ones =
-    /// `usize::MAX`). The exclusion byte, inverted, is the write mask
-    /// of the ordered `<` compare, so the update is one masked compare,
-    /// one masked move and one masked broadcast per atom. Shapes as
-    /// checked by the caller.
+    /// The AVX-512F filter arm of [`super::nearest_block`]: [`TILE_ATOMS`]
+    /// atoms at a time, each link's three 8-atom registers against the
+    /// eight lanes' broadcast residuals in 24 FMA accumulators, then
+    /// one 8-atom register at a time, the last one loaded under a mask.
+    /// Each lane keeps three registers across tiles — per slot its
+    /// smallest `ê`, its second smallest and the smallest's atom — and
+    /// an excluded atom (or a slot past `n`) enters as `+∞` through the
+    /// lane's write mask. A NaN `ê` sets its slot's runner-up to its
+    /// smallest, so that lane's certificate fails.
     ///
     /// Callers must have verified [`avx512f_available`].
-    pub(super) fn nearest_block_avx512(
+    pub(super) fn filter_avx512(
         residuals: &[f64],
-        atoms: &[f64],
+        dictionary: &[f64],
+        sq: &[f64],
         excluded: &[u8],
-    ) -> NearestLanes {
+    ) -> Filter {
         let m = residuals.len() / BINARY_LANES;
         assert!(residuals.len() == m * BINARY_LANES);
-        assert_eq!(Some(atoms.len()), excluded.len().checked_mul(m));
+        assert_eq!(Some(dictionary.len()), excluded.len().checked_mul(m));
+        assert_eq!(sq.len(), excluded.len());
         // SAFETY: AVX-512F support is checked by the caller via
         // `avx512f_available`; the asserts above are the inner
         // function's shape contract.
-        unsafe { nearest_block_avx512_inner(residuals, atoms, excluded, m) }
+        unsafe { filter_avx512_inner(residuals, dictionary, sq, excluded, m) }
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
     // call — callers must have verified `avx512f_available()` first.
-    // Same shape contract as `nearest_block_avx_inner`.
+    // The caller guarantees `residuals.len() == m * 8`, `dictionary.len()
+    // == m * n` and `sq.len() == n` for `n = excluded.len()`; every tile
+    // below starts at an atom `j < n` and holds at most `n - j` atoms.
     #[target_feature(enable = "avx512f")]
-    unsafe fn nearest_block_avx512_inner(
+    unsafe fn filter_avx512_inner(
         residuals: &[f64],
-        atoms: &[f64],
+        dictionary: &[f64],
+        sq: &[f64],
         excluded: &[u8],
         m: usize,
-    ) -> NearestLanes {
+    ) -> Filter {
         let n = excluded.len();
-        let mut best = _mm512_set1_pd(f64::INFINITY);
-        let mut best_j = _mm512_set1_epi64(-1);
+        let inf = _mm512_set1_pd(f64::INFINITY);
+        let mut slots = [[inf, inf, _mm512_set1_pd(-1.0)]; BINARY_LANES];
         let mut j = 0;
-        while j + BLOCK_ATOMS <= n {
-            avx512_atoms::<BLOCK_ATOMS>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
-            j += BLOCK_ATOMS;
+        while j + TILE_ATOMS <= n {
+            tile512::<{ TILE_ATOMS / 8 }>(residuals, dictionary, sq, excluded, m, j, 8, &mut slots);
+            j += TILE_ATOMS;
         }
         while j < n {
-            avx512_atoms::<1>(residuals, atoms, excluded, m, j, &mut best, &mut best_j);
-            j += 1;
+            let width = (n - j).min(8);
+            tile512::<1>(residuals, dictionary, sq, excluded, m, j, width, &mut slots);
+            j += 8;
         }
-        let mut dist = [0.0; BINARY_LANES];
-        let mut idx = [0_u64; BINARY_LANES];
-        _mm512_storeu_pd(dist.as_mut_ptr(), best);
-        _mm512_storeu_epi64(idx.as_mut_ptr().cast::<i64>(), best_j);
-        (dist, idx.map(|i| i as usize))
+        let mut filter = Filter::new();
+        for (l, slot) in slots.iter().enumerate() {
+            let mut stored = [[0.0; 8]; 3];
+            for (out, &reg) in stored.iter_mut().zip(slot) {
+                _mm512_storeu_pd(out.as_mut_ptr(), reg);
+            }
+            fold_slots(&mut filter, l, &stored[0], &stored[1], &stored[2]);
+        }
+        filter
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
     // call — callers must have verified `avx512f_available()` first.
-    // Same bounds contract as `avx_atoms`.
+    // On top of `filter_avx512_inner`'s shape contract, `1 <= width
+    // <= 8` and `j + 8 * (V - 1) + width <= n`: every full register's
+    // loads stay inside a dictionary row (or `sq`), and the last
+    // register's masked loads touch only its `width` atoms.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    unsafe fn avx512_atoms<const A: usize>(
+    unsafe fn tile512<const V: usize>(
         residuals: &[f64],
-        atoms: &[f64],
+        dictionary: &[f64],
+        sq: &[f64],
         excluded: &[u8],
         m: usize,
         j: usize,
-        best: &mut __m512d,
-        best_j: &mut __m512i,
+        width: usize,
+        slots: &mut [[__m512d; 3]; BINARY_LANES],
     ) {
+        let n = excluded.len();
+        let mut valid = [u8::MAX; V];
+        valid[V - 1] = u8::MAX >> (8 - width);
         let r = residuals.as_ptr();
-        let a = atoms.as_ptr().add(j * m);
-        let mut acc = [_mm512_setzero_pd(); A];
+        let d = dictionary.as_ptr().add(j);
+        let mut acc = [[_mm512_setzero_pd(); V]; BINARY_LANES];
         for i in 0..m {
-            let rv = _mm512_loadu_pd(r.add(i * BINARY_LANES));
-            for (q, accq) in acc.iter_mut().enumerate() {
-                let t = _mm512_sub_pd(rv, _mm512_set1_pd(*a.add(q * m + i)));
-                *accq = _mm512_add_pd(*accq, _mm512_mul_pd(t, t));
+            let row = d.add(i * n);
+            let mut x = [_mm512_setzero_pd(); V];
+            for (v, xv) in x.iter_mut().enumerate() {
+                *xv = _mm512_maskz_loadu_pd(valid[v], row.add(8 * v));
+            }
+            for (l, accl) in acc.iter_mut().enumerate() {
+                let rl = _mm512_set1_pd(*r.add(i * BINARY_LANES + l));
+                for (a, &xv) in accl.iter_mut().zip(&x) {
+                    *a = _mm512_fmadd_pd(rl, xv, *a);
+                }
             }
         }
-        for (q, &accq) in acc.iter().enumerate() {
-            let take = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(!excluded[j + q], accq, *best);
-            *best = _mm512_mask_mov_pd(*best, take, accq);
-            *best_j = _mm512_mask_set1_epi64(*best_j, take, (j + q) as i64);
+        let (two, inf) = (_mm512_set1_pd(2.0), _mm512_set1_pd(f64::INFINITY));
+        let iota = _mm512_setr_pd(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
+        for (v, &ok) in valid.iter().enumerate() {
+            let at = j + 8 * v;
+            let w = ok.count_ones() as usize;
+            let norms = _mm512_maskz_loadu_pd(ok, sq.as_ptr().add(at));
+            let jv = _mm512_add_pd(_mm512_set1_pd(at as f64), iota);
+            let mut bytes = [0_u8; 8];
+            bytes[..w].copy_from_slice(&excluded[at..at + w]);
+            let masks = lane_masks(u64::from_le_bytes(bytes));
+            for ((slot, accl), &ex) in slots.iter_mut().zip(&acc).zip(&masks) {
+                let e = _mm512_fnmadd_pd(two, accl[v], norms);
+                let e = _mm512_mask_mov_pd(e, ex | !ok, inf);
+                let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(e, slot[0]);
+                slot[1] = _mm512_min_pd(_mm512_max_pd(e, slot[0]), slot[1]);
+                slot[0] = _mm512_min_pd(e, slot[0]);
+                slot[2] = _mm512_mask_mov_pd(slot[2], lt, jv);
+            }
+        }
+    }
+
+    /// The AVX+FMA filter arm of [`super::nearest_block`]: sixteen
+    /// registers hold one 4-query × 12-atom sub-tile (twelve FMA
+    /// accumulators, three atom registers, one broadcast), so each
+    /// 12-atom tile runs once per half of the lanes, then one 4-atom
+    /// register at a time, the last one loaded under a mask. The
+    /// per-slot bookkeeping is the AVX-512F arm's, with `blendv` for
+    /// the write masks.
+    ///
+    /// Callers must have verified [`avx_fma_available`].
+    pub(super) fn filter_avx_fma(
+        residuals: &[f64],
+        dictionary: &[f64],
+        sq: &[f64],
+        excluded: &[u8],
+    ) -> Filter {
+        let m = residuals.len() / BINARY_LANES;
+        assert!(residuals.len() == m * BINARY_LANES);
+        assert_eq!(Some(dictionary.len()), excluded.len().checked_mul(m));
+        assert_eq!(sq.len(), excluded.len());
+        // SAFETY: AVX and FMA support is checked by the caller via
+        // `avx_fma_available`; the asserts above are the inner
+        // function's shape contract.
+        unsafe { filter_avx_fma_inner(residuals, dictionary, sq, excluded, m) }
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx_fma_available()` first.
+    // Same shape contract as `filter_avx512_inner`.
+    #[target_feature(enable = "avx,fma")]
+    unsafe fn filter_avx_fma_inner(
+        residuals: &[f64],
+        dictionary: &[f64],
+        sq: &[f64],
+        excluded: &[u8],
+        m: usize,
+    ) -> Filter {
+        const SUB: usize = TILE_ATOMS / 2;
+        let n = excluded.len();
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        let mut slots = [[inf, inf, _mm256_set1_pd(-1.0)]; BINARY_LANES];
+        let mut j = 0;
+        while j + SUB <= n {
+            for half in 0..2 {
+                tile256::<{ SUB / 4 }, false>(
+                    residuals, dictionary, sq, excluded, m, j, 4, half, &mut slots,
+                );
+            }
+            j += SUB;
+        }
+        while j < n {
+            let width = (n - j).min(4);
+            for half in 0..2 {
+                tile256::<1, true>(
+                    residuals, dictionary, sq, excluded, m, j, width, half, &mut slots,
+                );
+            }
+            j += 4;
+        }
+        let mut filter = Filter::new();
+        for (l, slot) in slots.iter().enumerate() {
+            let mut stored = [[0.0; 4]; 3];
+            for (out, &reg) in stored.iter_mut().zip(slot) {
+                _mm256_storeu_pd(out.as_mut_ptr(), reg);
+            }
+            fold_slots(&mut filter, l, &stored[0], &stored[1], &stored[2]);
+        }
+        filter
+    }
+
+    /// The all-ones / all-zeros 64-bit lanes of the low four bits of
+    /// `bits`: a `blendv` or `maskload` mask.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    fn nibble_mask(bits: u8) -> __m256i {
+        let lane = |b: u8| -i64::from((bits >> b) & 1);
+        _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0))
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx_fma_available()` first.
+    // On top of `filter_avx512_inner`'s shape contract, `half < 2`,
+    // `1 <= width <= 4` and `j + 4 * (V - 1) + width <= n`: every full
+    // register's loads stay inside a dictionary row (or `sq`), and the
+    // last register's masked loads touch only its `width` atoms.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx,fma")]
+    unsafe fn tile256<const V: usize, const MASKED: bool>(
+        residuals: &[f64],
+        dictionary: &[f64],
+        sq: &[f64],
+        excluded: &[u8],
+        m: usize,
+        j: usize,
+        width: usize,
+        half: usize,
+        slots: &mut [[__m256d; 3]; BINARY_LANES],
+    ) {
+        const Q: usize = BINARY_LANES / 2;
+        let n = excluded.len();
+        let mut valid = [0x0f_u8; V];
+        valid[V - 1] = 0x0f >> (4 - width);
+        let last = nibble_mask(valid[V - 1]);
+        let load = |p: *const f64| {
+            if MASKED {
+                _mm256_maskload_pd(p, last)
+            } else {
+                _mm256_loadu_pd(p)
+            }
+        };
+        let r = residuals.as_ptr().add(half * Q);
+        let d = dictionary.as_ptr().add(j);
+        let mut acc = [[_mm256_setzero_pd(); V]; Q];
+        for i in 0..m {
+            let row = d.add(i * n);
+            let mut x = [_mm256_setzero_pd(); V];
+            for (v, xv) in x.iter_mut().enumerate() {
+                *xv = load(row.add(4 * v));
+            }
+            for (q, accq) in acc.iter_mut().enumerate() {
+                let rq = _mm256_set1_pd(*r.add(i * BINARY_LANES + q));
+                for (a, &xv) in accq.iter_mut().zip(&x) {
+                    *a = _mm256_fmadd_pd(rq, xv, *a);
+                }
+            }
+        }
+        let (two, inf) = (_mm256_set1_pd(2.0), _mm256_set1_pd(f64::INFINITY));
+        let iota = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+        for (v, &ok) in valid.iter().enumerate() {
+            let at = j + 4 * v;
+            let w = ok.count_ones() as usize;
+            let norms = load(sq.as_ptr().add(at));
+            let jv = _mm256_add_pd(_mm256_set1_pd(at as f64), iota);
+            let mut bytes = [0_u8; 8];
+            bytes[..w].copy_from_slice(&excluded[at..at + w]);
+            let masks = lane_masks(u64::from_le_bytes(bytes));
+            let lanes = slots[half * Q..]
+                .iter_mut()
+                .zip(&acc)
+                .zip(&masks[half * Q..]);
+            for ((slot, accq), &ex) in lanes {
+                let mut e = _mm256_fnmadd_pd(two, accq[v], norms);
+                let drop = (ex | !ok) & 0x0f;
+                if drop != 0 {
+                    e = _mm256_blendv_pd(e, inf, _mm256_castsi256_pd(nibble_mask(drop)));
+                }
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(e, slot[0]);
+                slot[1] = _mm256_min_pd(_mm256_max_pd(e, slot[0]), slot[1]);
+                slot[0] = _mm256_min_pd(e, slot[0]);
+                slot[2] = _mm256_blendv_pd(slot[2], jv, lt);
+            }
         }
     }
 
@@ -1266,95 +1637,16 @@ mod tests {
         }
     }
 
-    /// The naive chains and a strict-`<` first-minimum argmin over the
-    /// atoms a lane has not excluded: what every [`nearest_block`] arm
-    /// must return.
-    fn naive_nearest(residuals: &[f64], atoms: &[f64], excluded: &[u8]) -> NearestLanes {
-        const L: usize = BINARY_LANES;
-        let m = residuals.len() / L;
-        let (mut best, mut best_j) = ([f64::INFINITY; L], [usize::MAX; L]);
-        for (j, &ex) in excluded.iter().enumerate() {
-            for l in (0..L).filter(|l| ex & (1 << l) == 0) {
-                let mut s = 0.0;
-                for i in 0..m {
-                    let t = residuals[i * L + l] - atoms[j * m + i];
-                    s += t * t;
-                }
-                if s < best[l] {
-                    best[l] = s;
-                    best_j[l] = j;
-                }
-            }
-        }
-        (best, best_j)
-    }
-
-    type NearestArm = fn(&[f64], &[f64], &[u8]) -> NearestLanes;
-
-    /// Every [`nearest_block`] arm this build and host can run, called
-    /// directly, so the AVX arm stays pinned on a host whose dispatch
-    /// always takes AVX-512F.
-    fn nearest_arms() -> Vec<(&'static str, NearestArm)> {
-        let arms: Vec<(&'static str, NearestArm)> = vec![
-            ("scalar", nearest_block_scalar),
-            ("dispatch", nearest_block),
-        ];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        let arms = {
-            let mut arms = arms;
-            if simd::avx_available() {
-                arms.push(("avx", simd::nearest_block_avx));
-            }
-            if simd::avx512f_available() {
-                arms.push(("avx512f", simd::nearest_block_avx512));
-            }
-            arms
-        };
-        arms
-    }
-
     #[test]
-    fn every_nearest_arm_matches_naive_bitwise() {
-        const L: usize = BINARY_LANES;
-        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
-        for m in [0usize, 1, 3, 8, 32, 33] {
-            for n in 0usize..=19 {
-                let value = |k: usize| ((k as f64) * 0.37 + m as f64).sin() * 7.0 / 3.0;
-                let mut atoms: Vec<f64> = (0..n * m).map(|k| value(k + 1000)).collect();
-                // Atoms 4, 9, 14, … repeat their predecessor, across
-                // and inside 2-, 4- and 8-atom groups.
-                for j in (4..n).step_by(5) {
-                    atoms.copy_within((j - 1) * m..j * m, j * m);
-                }
-                // Lane `l` sits exactly on atom `(3l) % n`, so a
-                // duplicate pair ties at `+0.0` and the first must win.
-                let mut residuals: Vec<f64> = (0..m * L).map(value).collect();
-                if n > 0 {
-                    for l in 0..L {
-                        let j = (3 * l) % n;
-                        for i in 0..m {
-                            residuals[i * L + l] = atoms[j * m + i];
-                        }
-                    }
-                }
-                if m * n > 0 {
-                    atoms[(m * 7 + n) % (m * n)] = specials[(m + n) % specials.len()];
-                    residuals[(n * 5) % (m * L)] = specials[(m * n) % specials.len()];
-                }
-                // Lane 7 is excluded everywhere; the rest vary by atom.
-                let excluded: Vec<u8> = (0..n)
-                    .map(|j| 0x80 | [0x00, 0x00, 0x0f, 0x25, 0x7f, 0x10][j % 6])
-                    .collect();
-                let want = naive_nearest(&residuals, &atoms, &excluded);
-                assert_eq!((want.0[7], want.1[7]), (f64::INFINITY, usize::MAX));
-                for (name, arm) in nearest_arms() {
-                    let got = arm(&residuals, &atoms, &excluded);
-                    assert_eq!(got.1, want.1, "{name} {m}x{n}: indices");
-                    assert_eq!(
-                        got.0.map(f64::to_bits),
-                        want.0.map(f64::to_bits),
-                        "{name} {m}x{n}: distances"
-                    );
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    fn lane_masks_transpose_the_exclusion_bytes() {
+        for seed in 0..64_u64 {
+            let bytes = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (seed << 7);
+            let masks = lane_masks(bytes);
+            for (l, &mask) in masks.iter().enumerate() {
+                for s in 0..8 {
+                    let bit = (bytes >> (8 * s + l)) & 1;
+                    assert_eq!(u64::from((mask >> s) & 1), bit, "lane {l}, atom {s}");
                 }
             }
         }

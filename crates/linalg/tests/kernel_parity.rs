@@ -29,21 +29,24 @@
 //!   entry by entry across every 16-/4-cell tail; the one thing
 //!   compared by class rather than by bits is a NaN result's sign and
 //!   payload, which Rust leaves unspecified (see `dist_bits`).
-//!   `nearest_block` is compared with the naive chains followed by a
+//!   `nearest_block` — a certified dot-product filter with an exact
+//!   fallback — is compared with the naive chains followed by a
 //!   strict-`<` first-minimum argmin over the atoms a lane has not
 //!   excluded: the same index and distance bits per lane, across every
-//!   tail of the atoms in flight, duplicate atoms, exclusion masks
-//!   (a fully excluded lane returns `(+∞, usize::MAX)`) and `m = 0`.
-//!   The kernel's unit tests call every compiled arm (scalar, AVX,
-//!   AVX-512F) directly, since dispatch reaches only the widest.
+//!   tail of its 24-atom tile, duplicate atoms (exact ties, which must
+//!   fail the certificate), huge magnitudes, random exclusion masks
+//!   (a fully excluded lane returns `(+∞, usize::MAX)`), `m = 0` and
+//!   `m = 1`. Every arm the host runs (scalar, AVX+FMA, AVX-512F) is
+//!   called directly through `nearest_block_on`, since dispatch
+//!   reaches only the widest.
 //!
 //! Any future kernel that cannot preserve the accumulation order must
 //! downgrade the affected assertions to a `<= 1e-12` relative bound
 //! (see ARCHITECTURE.md, "Kernel dispatch") — never silently loosen.
 
 use iupdater_linalg::kernels::{
-    classify, matmul_rk, nearest_block, sq_dist_row, KernelArm, NearestLanes, BINARY_LANES,
-    THIN_EDGE, TINY_INNER_MAX,
+    classify, matmul_rk, nearest_block, nearest_block_on, sq_dist_row, AtomNorms, KernelArm,
+    NearestLanes, ScanArm, BINARY_LANES, THIN_EDGE, TINY_INNER_MAX,
 };
 use iupdater_linalg::Matrix;
 use proptest::prelude::*;
@@ -458,15 +461,57 @@ fn assert_nearest_eq(got: NearestLanes, want: NearestLanes, ctx: &str) {
     );
 }
 
-/// The non-finite and signed-zero values laced into distance inputs.
-/// Both NaN signs appear, and `∞ − ∞` makes NaNs of its own.
-const SPECIAL: [f64; 6] = [
+/// The links x cells dictionary of `n` contiguous atom rows of length
+/// `m`: the layout the nearest-atom scan reads.
+fn to_dictionary(atoms: &[f64], m: usize, n: usize) -> Vec<f64> {
+    (0..m * n).map(|k| atoms[(k % n) * m + k / n]).collect()
+}
+
+/// Every scan arm this host runs, and the dispatching entry point,
+/// against the naive nearest atoms. Returns the widest arm's mask of
+/// lanes whose certificate failed.
+fn assert_every_arm(residuals: &[f64], atoms: &[f64], excluded: &[u8], ctx: &str) -> u8 {
+    let (m, n) = (residuals.len() / BINARY_LANES, excluded.len());
+    let dictionary = to_dictionary(atoms, m, n);
+    let norms = AtomNorms::new(&dictionary, n);
+    let want = naive_nearest(residuals, atoms, excluded);
+    let settled = excluded.iter().fold(u8::MAX, |all, &ex| all & ex);
+    let mut fallback = Vec::new();
+    let mut uncertified = 0;
+    for arm in ScanArm::available() {
+        let (got, mask) =
+            nearest_block_on(arm, residuals, &dictionary, &norms, excluded, &mut fallback);
+        assert_nearest_eq(got, want, &format!("{ctx} {arm:?}"));
+        assert_eq!(
+            mask & settled,
+            0,
+            "{ctx} {arm:?}: a lane with no atom fell back"
+        );
+        uncertified = mask;
+    }
+    let (got, mask) = nearest_block(residuals, &dictionary, &norms, excluded, &mut fallback);
+    assert_nearest_eq(got, want, &format!("{ctx} dispatch"));
+    assert_eq!(mask, uncertified, "{ctx}: dispatch runs the widest arm");
+    uncertified
+}
+
+/// The non-finite, signed-zero and extreme values laced into distance
+/// inputs. Both NaN signs appear, and `∞ − ∞` makes NaNs of its own.
+/// The huge magnitudes overflow a square (`1e300`), a product with an
+/// ordinary value (`−1e306`) or a sum of squares (`1e154`), and the
+/// subnormal underflows one; each makes the nearest-atom certificate's
+/// bound infinite or its rounding absolute.
+const SPECIAL: [f64; 10] = [
     0.0,
     -0.0,
     f64::INFINITY,
     f64::NEG_INFINITY,
     f64::NAN,
     -f64::NAN,
+    1e300,
+    -1e306,
+    1e154,
+    4e-320,
 ];
 
 /// `len` finite values with up to six [`SPECIAL`] values overwriting
@@ -488,10 +533,10 @@ fn laced(len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 /// `n` values: 0, 1, every residue mod 16 (row kernel's 16-/4-cell
-/// tails) and mod 8, 4 and 2 (atoms in flight per nearest-atom step),
-/// odd and even.
+/// tails) and mod 24, 12, 8 and 4 (the nearest-atom scan's tiles and
+/// registers) past three full 24-atom tiles, odd and even.
 fn distance_n() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), Just(1usize), 2usize..=49]
+    prop_oneof![Just(0usize), Just(1usize), 2usize..=75]
 }
 
 /// `n` exclusion bytes: none, all lanes, or a random lane set.
@@ -543,11 +588,46 @@ proptest! {
     ) {
         let (mut residuals, mut atoms) = (residuals, atoms);
         plant_ties(&mut residuals, &mut atoms, m, n, &copies, &on_atom);
-        assert_nearest_eq(
-            nearest_block(&residuals, &atoms, &excluded),
-            naive_nearest(&residuals, &atoms, &excluded),
-            &format!("nearest {m}x{n}"),
+        assert_every_arm(&residuals, &atoms, &excluded, &format!("nearest {m}x{n}"));
+    }
+
+    /// Near-ties: atom `twin` copies atom `src`, exactly (`nudge = m`)
+    /// or one ulp away in link `nudge`, and the lanes in `on` sit exactly on `src`.
+    /// Their estimates tie or differ by far less than the certificate's
+    /// bound, so each of those lanes must fall back on every arm — and
+    /// still answer exactly.
+    #[test]
+    fn nearest_block_near_ties_fall_back_exactly(
+        (m, n, residuals, atoms, (src, twin), nudge, on) in (1usize..=40, 2usize..=75)
+            .prop_flat_map(|(m, n)| {
+                (
+                    prop::collection::vec(-10.0f64..10.0, m * BINARY_LANES),
+                    prop::collection::vec(-10.0f64..10.0, n * m),
+                    (0..n, 0..n - 1),
+                    0..=m,
+                    1u32..256,
+                )
+                    .prop_map(move |(r, a, p, u, o)| (m, n, r, a, p, u, o as u8))
+            }),
+    ) {
+        let (mut residuals, mut atoms) = (residuals, atoms);
+        let twin = if twin >= src { twin + 1 } else { twin };
+        atoms.copy_within(src * m..(src + 1) * m, twin * m);
+        if nudge < m {
+            atoms[twin * m + nudge] = atoms[twin * m + nudge].next_up();
+        }
+        for l in (0..BINARY_LANES).filter(|l| on & (1 << l) != 0) {
+            for i in 0..m {
+                residuals[i * BINARY_LANES + l] = atoms[src * m + i];
+            }
+        }
+        let uncertified = assert_every_arm(
+            &residuals,
+            &atoms,
+            &vec![0; n],
+            &format!("near tie {m}x{n} {src}|{twin}"),
         );
+        prop_assert_eq!(uncertified & on, on, "a lane on a near-tie was certified");
     }
 
     #[test]
@@ -564,21 +644,24 @@ proptest! {
 }
 
 /// Every tail of both distance kernels at fixed shapes that never
-/// shrink away: `n` in `0..=33` (each residue mod 16, 8, 4 and 2 at
-/// least twice) against link counts around the 4-/8-lane and 16-cell
-/// edges, `m = 0` (empty chains are `+0.0`, so the first selectable
-/// atom wins) included, with a special value laced in at a
+/// shrink away: `n` in `0..=50` (each residue mod 24, 16, 12, 8 and 4
+/// at least twice) against link counts around the 4-/8-lane and
+/// 16-cell edges, `m = 0` (empty chains are `+0.0`, so the first
+/// selectable atom wins) included, with a special value laced in at a
 /// shape-dependent position. The nearest-atom kernel also sees
-/// duplicate atoms on both sides of every 2-, 4- and 8-atom group
-/// boundary and at the same position, residual lanes sitting exactly
+/// duplicate atoms on both sides of every 4-, 8-, 12- and 24-atom
+/// register and tile boundary and at the same position, residual lanes sitting exactly
 /// on a duplicated atom (a `+0.0` tie the first index must win),
 /// varying exclusion masks and one lane excluded from every atom,
-/// which must come back `(+∞, usize::MAX)`.
+/// which must come back `(+∞, usize::MAX)`. Across the shapes, both
+/// of the scan's answers must occur: lanes whose certificate passes
+/// and lanes that fall back.
 #[test]
 fn distance_kernels_cover_every_tail_bitwise() {
     const L: usize = BINARY_LANES;
+    let (mut lanes, mut fell_back) = (0, 0);
     for m in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 40] {
-        for n in 0usize..=33 {
+        for n in 0usize..=50 {
             let value = |k: usize| ((k as f64) * 0.37 + m as f64).sin() * 7.0 / 3.0;
             let mut residuals: Vec<f64> = (0..m * L).map(value).collect();
             let mut atoms: Vec<f64> = (0..n * m).map(|k| value(k + 1000)).collect();
@@ -603,14 +686,13 @@ fn distance_kernels_cover_every_tail_bitwise() {
                 .collect();
             let want = naive_nearest(&residuals, &atoms, &excluded);
             assert_eq!((want.0[L - 1], want.1[L - 1]), (f64::INFINITY, usize::MAX));
-            assert_nearest_eq(
-                nearest_block(&residuals, &atoms, &excluded),
-                want,
-                &format!("nearest {m}x{n}"),
-            );
+            let mask = assert_every_arm(&residuals, &atoms, &excluded, &format!("nearest {m}x{n}"));
+            let settled = excluded.iter().fold(u8::MAX, |all, &ex| all & ex);
+            lanes += (!settled).count_ones();
+            fell_back += mask.count_ones();
 
             let residual = &residuals[..m];
-            let dictionary: Vec<f64> = (0..m * n).map(|k| atoms[(k % n) * m + k / n]).collect();
+            let dictionary = to_dictionary(&atoms, m, n);
             let mut row = vec![f64::NAN; n];
             sq_dist_row(residual, &dictionary, &mut row);
             assert_dist_bits_eq(
@@ -620,4 +702,9 @@ fn distance_kernels_cover_every_tail_bitwise() {
             );
         }
     }
+    // Both answers occur: certified lanes and lanes that fell back.
+    assert!(
+        fell_back > 1000 && lanes - fell_back > 500,
+        "{fell_back} of {lanes} lanes fell back"
+    );
 }

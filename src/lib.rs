@@ -12,7 +12,7 @@
 //!   LRR/ALM, proximal operators) built for it;
 //! - [`rfsim`] — the physics-based RF testbed simulator standing in for
 //!   the paper's three-room, three-month hardware deployment;
-//! - [`baselines`] — RASS (ε-SVR/SMO), KNN, and the traditional full
+//! - [`baselines`] — RASS (ε-SVR/SMO) and the traditional full
 //!   resurvey;
 //! - [`eval`] — the experiment harness regenerating every figure and
 //!   table of the paper's evaluation.

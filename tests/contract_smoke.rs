@@ -19,7 +19,10 @@
 //! bits included. That holds for the default binary model, for the
 //! binary model with three atoms (so the lane-blocked pursuit's
 //! per-lane exclusion and residual guard run) and for classic
-//! correlation OMP with three atoms. The full tier lives in
+//! correlation OMP with three atoms. The lane-blocked pursuit's
+//! certified nearest-atom scan must also fall back on a duplicate-atom
+//! dictionary and answer a small random slab by certificate, agreeing
+//! with the oracle both ways. The full tier lives in
 //! `crates/core/tests/query_parity.rs`.
 //!
 //! Survey path: the simulator evaluates the noiseless field once per
@@ -161,6 +164,45 @@ fn correlation_reads_agree_bitwise() {
         max_atoms: 3,
         ..LocalizerConfig::default()
     });
+}
+
+/// The lane-blocked pursuit's certified nearest-atom scan: on a
+/// dictionary whose cell 9 repeats cell 2, lanes sitting on that pair
+/// must fail the certificate, and on a random slab the scan answers by
+/// certificate; either way every answer is the oracle's, bit for bit.
+#[test]
+fn certified_scan_falls_back_on_ties_and_agrees_bitwise() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let (m, per) = (6, 8);
+    let mut x = Matrix::from_fn(m, m * per, |_, _| -70.0 + 20.0 * rng.gen::<f64>());
+    let random = x.clone();
+    for i in 0..m {
+        x[(i, 9)] = x[(i, 2)];
+    }
+    let on_pair: Vec<Vec<f64>> = (0..2 * BINARY_LANES)
+        .map(|q| (0..m).map(|i| x[(i, 2)] + 0.01 * (q + i) as f64).collect())
+        .collect();
+    let random_slab: Vec<Vec<f64>> = (0..3 * BINARY_LANES)
+        .map(|_| (0..m).map(|_| -70.0 + 20.0 * rng.gen::<f64>()).collect())
+        .collect();
+    for (name, dictionary, queries, must_fall_back) in [
+        ("duplicate atoms", x, on_pair, true),
+        ("random slab", random, random_slab, false),
+    ] {
+        let loc = Localizer::new(
+            FingerprintMatrix::new(dictionary, per).unwrap(),
+            LocalizerConfig::default(),
+        );
+        let (batch, uncertified) = loc.localize_batch_counted(&queries).unwrap();
+        for (q, (y, b)) in queries.iter().zip(&batch).enumerate() {
+            assert_same_bits(b, &loc.localize_unprepared(y).unwrap(), name, q);
+        }
+        assert_eq!(
+            uncertified > 0,
+            must_fall_back,
+            "{name}: {uncertified} lanes fell back"
+        );
+    }
 }
 
 #[test]
