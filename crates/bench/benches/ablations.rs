@@ -81,8 +81,8 @@ fn bench_mic_method(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_mic");
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
-    group.bench_function("pivoted_qr", |b| {
-        b.iter(|| mic::extract_mic(black_box(&x), MicMethod::PivotedQr, 0.02).unwrap())
+    group.bench_function("column_pivoting", |b| {
+        b.iter(|| mic::extract_mic(black_box(&x), MicMethod::ColumnPivoting, 0.02).unwrap())
     });
     group.bench_function("echelon", |b| {
         b.iter(|| mic::extract_mic(black_box(&x), MicMethod::Echelon, 0.02).unwrap())

@@ -27,35 +27,6 @@ pub fn extract(x: &Matrix, per: usize) -> Result<Matrix> {
     Ok(Matrix::from_fn(x.rows(), per, |i, u| x[(i, i * per + u)]))
 }
 
-/// Writes a largely-decrease matrix back into the corresponding cells of
-/// a full fingerprint matrix (the inverse of [`extract`]).
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimensionMismatch`] on inconsistent shapes.
-pub fn write_back(x: &mut Matrix, xd: &Matrix) -> Result<()> {
-    let per = xd.cols();
-    if xd.rows() != x.rows() || x.cols() != x.rows() * per {
-        return Err(CoreError::DimensionMismatch {
-            context: "decrease::write_back",
-            expected: format!(
-                "xd {}x{} vs x {}x{}",
-                x.rows(),
-                x.cols() / x.rows().max(1),
-                x.rows(),
-                x.cols()
-            ),
-            got: format!("xd {}x{}", xd.rows(), xd.cols()),
-        });
-    }
-    for i in 0..x.rows() {
-        for u in 0..per {
-            x[(i, i * per + u)] = xd[(i, u)];
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,43 +55,5 @@ mod tests {
         assert!(extract(&x, 5).is_err());
         assert!(extract(&x, 0).is_err());
         assert!(extract(&x, 3).is_ok());
-    }
-
-    #[test]
-    fn roundtrip_extract_write_back() {
-        let x = fingerprint_4x12();
-        let xd = extract(&x, 3).unwrap();
-        let mut x2 = x.clone();
-        // Perturb the large-decrease cells, write back the originals.
-        for i in 0..4 {
-            for u in 0..3 {
-                x2[(i, i * 3 + u)] = 0.0;
-            }
-        }
-        write_back(&mut x2, &xd).unwrap();
-        assert_eq!(x2, x);
-    }
-
-    #[test]
-    fn write_back_only_touches_own_row_cells() {
-        let x = fingerprint_4x12();
-        let mut x2 = x.clone();
-        let zeros = Matrix::zeros(4, 3);
-        write_back(&mut x2, &zeros).unwrap();
-        for i in 0..4 {
-            for j in 0..12 {
-                if j / 3 == i {
-                    assert_eq!(x2[(i, j)], 0.0);
-                } else {
-                    assert_eq!(x2[(i, j)], x[(i, j)]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn write_back_shape_checked() {
-        let mut x = Matrix::zeros(4, 12);
-        assert!(write_back(&mut x, &Matrix::zeros(3, 3)).is_err());
     }
 }

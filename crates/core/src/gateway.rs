@@ -151,6 +151,8 @@ impl<T> EpochCell<T> {
     /// epoch bump and the swap happen under one write lock, so a
     /// concurrent [`EpochCell::read`] observes the old epoch or the
     /// new one — never an intermediate state.
+    // invariants: allow(dead-pub) — gateway_parity races concurrent
+    // publishers against readers on a bare cell through it.
     pub fn publish(&self, value: Arc<T>) -> u64 {
         let (next, old) = {
             let mut guard = write_lock(&self.current);
@@ -483,6 +485,8 @@ impl FleetGateway {
     /// # Errors
     ///
     /// As [`FleetGateway::ingest`].
+    // invariants: allow(dead-pub) — gateway API: the non-blocking
+    // ingest for callers that own their overflow policy.
     pub fn try_ingest(
         &self,
         id: DeploymentId,
@@ -509,6 +513,8 @@ impl FleetGateway {
     /// # Errors
     ///
     /// The gateway-down error when the drive loop is gone.
+    // invariants: allow(dead-pub) — gateway API: submits a cycle
+    // without waiting; the kill/restore drill aborts one in flight.
     pub fn begin_cycle(&self, day: f64, samples: usize) -> Result<CycleTicket> {
         let (reply, rx) = mpsc::channel();
         self.cmd

@@ -58,39 +58,38 @@
 //! Building an update engine ([`Updater::new`]) means extracting the
 //! MIC reference locations (pivoted QR) and learning the correlation
 //! matrix `Z` (LRR) — after [`service::UpdateService::rebase`] this
-//! was the fleet's dominant fixed cost. Three mechanisms, one per
-//! layer, make (re)construction incremental while keeping every fast
-//! path *numerically identical* to the from-scratch one (pinned to
-//! `<= 1e-9` by `tests/warm_start_parity.rs`):
+//! was the fleet's dominant fixed cost. Two mechanisms make
+//! (re)construction incremental, and a pivot certificate guards the
+//! warm path; every fast path stays *numerically identical* to the
+//! from-scratch one (pinned to `<= 1e-9` by
+//! `tests/warm_start_parity.rs`):
 //!
-//! 1. **Updatable RRQR** (`iupdater_linalg::qr`):
-//!    `PivotedQr::{append_columns, remove_columns,
-//!    refactor_if_drifted}` extend/shrink a pivoted factorisation in
-//!    place, and `Matrix::certify_pivot_seed` proves that greedy
-//!    pivoting on a new matrix would re-select a previous pivot set.
-//!    *Drift-tolerance fallback rule:* every pivot decision must hold
-//!    with a relative dominance margin of at least
-//!    `iupdater_linalg::qr::PIVOT_DRIFT_TOL` (`1e-8`); a decision
-//!    inside the margin — or a genuinely changed selection — falls
-//!    back to the full greedy sweep, so the fast path can change cost
-//!    but never the answer.
-//! 2. **LRR exactness certificate** (`iupdater_linalg::lrr`): when the
+//! 1. **LRR exactness certificate** (`iupdater_linalg::lrr`): when the
 //!    prior is exactly representable by its MIC columns and the
 //!    dictionary satisfies `sigma_min(A) * eps >= sqrt(r)`, the LRR
 //!    minimiser is provably the least-squares solution and the ALM
 //!    loop is skipped. Rebased priors are exact low-rank products, so
 //!    re-anchoring no longer pays the iterative solve — on *either*
 //!    construction path, which is why parity is preserved.
-//! 3. **Warm-start constructors** ([`Updater::warm_start`],
+//! 2. **Warm-start constructors** ([`Updater::warm_start`],
 //!    [`Updater::from_basis`]): `rebase` re-certifies the previous MIC
 //!    pivot set instead of re-running the greedy sweep, and restore
 //!    rebuilds engines directly from the *warm-start basis* (reference
 //!    locations + full-precision `Z`) recorded in v3 service snapshots
 //!    ([`persist`]), skipping MIC and LRR entirely.
 //!
+//! The re-certification is `Matrix::certify_pivot_seed`
+//! (`iupdater_linalg::qr`): it proves that greedy pivoting on a new
+//! matrix would re-select a previous pivot set. *Drift-tolerance
+//! fallback rule:* every pivot decision must hold with a relative
+//! dominance margin of at least `iupdater_linalg::qr::PIVOT_DRIFT_TOL`
+//! (`1e-8`); a decision inside the margin — or a genuinely changed
+//! selection — falls back to the full greedy sweep, so the fast path
+//! can change cost but never the answer.
+//!
 //! The system-wide map — the three layers, the parallelism model, the
 //! drift-tolerance fallback rule, the parity-tier test strategy and
-//! the v1/v2/v3 snapshot lineage with upgrade paths — is written down
+//! the v1→v3 snapshot lineage — is written down
 //! in `ARCHITECTURE.md` at the repository root; change it when you
 //! change one of those invariants. Its § "Static analysis" is
 //! machine-checked: `cargo run -p invariants` enforces, among others,

@@ -128,6 +128,8 @@ impl Localizer {
     /// # Errors
     ///
     /// As for [`Self::localize_batch`].
+    // invariants: allow(dead-pub) — the parity tiers read
+    // the fallback-lane count through it.
     pub fn localize_batch_counted(
         &self,
         queries: &[Vec<f64>],

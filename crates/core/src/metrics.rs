@@ -1,7 +1,6 @@
 //! Evaluation metrics (Sec. VI-A): per-element reconstruction error in
 //! dB and Euclidean localization error in metres.
 
-use iupdater_linalg::stats::median;
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::Deployment;
 
@@ -40,15 +39,6 @@ pub fn mean_reconstruction_error(reconstructed: &Matrix, truth: &Matrix) -> Resu
     Ok(errs.iter().sum::<f64>() / errs.len() as f64)
 }
 
-/// Median (50-percentile) reconstruction error in dB.
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimensionMismatch`] if shapes differ.
-pub fn median_reconstruction_error(reconstructed: &Matrix, truth: &Matrix) -> Result<f64> {
-    Ok(median(&reconstruction_errors(reconstructed, truth)?))
-}
-
 /// Euclidean distance in metres between the true and estimated grid
 /// locations (the paper's localization performance metric).
 ///
@@ -73,7 +63,6 @@ mod tests {
         let errs = reconstruction_errors(&a, &b).unwrap();
         assert_eq!(errs, vec![1.0, 2.0]);
         assert_eq!(mean_reconstruction_error(&a, &b).unwrap(), 1.5);
-        assert_eq!(median_reconstruction_error(&a, &b).unwrap(), 1.5);
     }
 
     #[test]

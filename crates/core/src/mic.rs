@@ -8,8 +8,9 @@
 //! `N`.
 //!
 //! Two extraction methods are provided:
-//! - [`MicMethod::PivotedQr`] (default): rank-revealing column-pivoted
-//!   QR — numerically robust for approximately-low-rank noisy matrices;
+//! - [`MicMethod::ColumnPivoting`] (default): rank-revealing
+//!   column-pivoted QR — numerically robust for approximately-low-rank
+//!   noisy matrices;
 //! - [`MicMethod::Echelon`]: the paper's literal elementary-column-
 //!   transformation procedure.
 
@@ -22,7 +23,7 @@ use crate::{CoreError, Result};
 pub enum MicMethod {
     /// Rank-revealing column-pivoted QR (robust on noisy data).
     #[default]
-    PivotedQr,
+    ColumnPivoting,
     /// Literal elementary column transformation (paper's description).
     Echelon,
 }
@@ -39,9 +40,9 @@ pub struct MicSelection {
 
 /// Extracts the MIC vectors of `x`.
 ///
-/// `rank_tol` is relative: with [`MicMethod::PivotedQr`] a pivot counts
-/// while `|R(k,k)| > rank_tol * |R(0,0)|`; with [`MicMethod::Echelon`]
-/// it thresholds against the largest matrix entry.
+/// `rank_tol` is relative: with [`MicMethod::ColumnPivoting`] a pivot
+/// counts while `|R(k,k)| > rank_tol * |R(0,0)|`; with
+/// [`MicMethod::Echelon`] it thresholds against the largest matrix entry.
 ///
 /// # Errors
 ///
@@ -58,7 +59,7 @@ pub fn extract_mic(x: &Matrix, method: MicMethod, rank_tol: f64) -> Result<MicSe
         // The one-shot leading-columns query: no factor is
         // materialised or retained (a zero matrix yields an empty
         // list, rejected below).
-        MicMethod::PivotedQr => x.pivoted_leading_columns(rank_tol)?,
+        MicMethod::ColumnPivoting => x.pivoted_leading_columns(rank_tol)?,
         MicMethod::Echelon => x.column_echelon(rank_tol)?.independent_cols,
     };
     if locations.is_empty() {
@@ -159,7 +160,7 @@ pub(crate) fn update_selection(
             got: format!("{}x{}", x_new.rows(), x_new.cols()),
         });
     }
-    if method == MicMethod::PivotedQr {
+    if method == MicMethod::ColumnPivoting {
         let certified =
             x_new.certify_pivot_seed(locations, rank_tol, iupdater_linalg::qr::PIVOT_DRIFT_TOL)?;
         if certified.is_some() {
@@ -198,7 +199,7 @@ mod tests {
     fn mic_count_equals_rank_exact() {
         for r in 1..=4 {
             let x = low_rank(6, 20, r, r as u64);
-            let mic = extract_mic(&x, MicMethod::PivotedQr, 1e-9).unwrap();
+            let mic = extract_mic(&x, MicMethod::ColumnPivoting, 1e-9).unwrap();
             assert_eq!(mic.rank(), r);
             let mic2 = extract_mic(&x, MicMethod::Echelon, 1e-9).unwrap();
             assert_eq!(mic2.rank(), r);
@@ -208,7 +209,7 @@ mod tests {
     #[test]
     fn mic_spans_column_space() {
         let x = low_rank(6, 20, 3, 42);
-        let mic = extract_mic(&x, MicMethod::PivotedQr, 1e-9).unwrap();
+        let mic = extract_mic(&x, MicMethod::ColumnPivoting, 1e-9).unwrap();
         // Least-squares reconstruction of X from the MIC columns must be
         // exact for an exactly-low-rank matrix.
         let gram = mic.vectors.gram();
@@ -222,7 +223,7 @@ mod tests {
     fn full_row_rank_matrix_selects_m_references() {
         // The paper's case: M=8 links, rank = M, so 8 reference locations.
         let x = low_rank(8, 96, 8, 7);
-        let mic = extract_mic(&x, MicMethod::PivotedQr, 1e-9).unwrap();
+        let mic = extract_mic(&x, MicMethod::ColumnPivoting, 1e-9).unwrap();
         assert_eq!(mic.rank(), 8);
         assert!(mic.locations.iter().all(|&j| j < 96));
     }
@@ -236,16 +237,16 @@ mod tests {
         for v in x.iter_mut() {
             *v += (rng.gen::<f64>() - 0.5) * 1e-6;
         }
-        let strict = extract_mic(&x, MicMethod::PivotedQr, 1e-9).unwrap();
+        let strict = extract_mic(&x, MicMethod::ColumnPivoting, 1e-9).unwrap();
         assert!(strict.rank() > 2);
-        let loose = extract_mic(&x, MicMethod::PivotedQr, 1e-3).unwrap();
+        let loose = extract_mic(&x, MicMethod::ColumnPivoting, 1e-3).unwrap();
         assert_eq!(loose.rank(), 2);
     }
 
     #[test]
     fn locations_sorted_and_vectors_match() {
         let x = low_rank(5, 15, 3, 11);
-        let mic = extract_mic(&x, MicMethod::PivotedQr, 1e-9).unwrap();
+        let mic = extract_mic(&x, MicMethod::ColumnPivoting, 1e-9).unwrap();
         let mut sorted = mic.locations.clone();
         sorted.sort_unstable();
         assert_eq!(mic.locations, sorted);
@@ -258,16 +259,16 @@ mod tests {
 
     #[test]
     fn errors_on_degenerate_input() {
-        assert!(extract_mic(&Matrix::zeros(0, 0), MicMethod::PivotedQr, 0.1).is_err());
-        assert!(extract_mic(&Matrix::zeros(3, 5), MicMethod::PivotedQr, 0.1).is_err());
-        assert!(extract_mic(&Matrix::identity(3), MicMethod::PivotedQr, 0.0).is_err());
-        assert!(extract_mic(&Matrix::identity(3), MicMethod::PivotedQr, 1.0).is_err());
+        assert!(extract_mic(&Matrix::zeros(0, 0), MicMethod::ColumnPivoting, 0.1).is_err());
+        assert!(extract_mic(&Matrix::zeros(3, 5), MicMethod::ColumnPivoting, 0.1).is_err());
+        assert!(extract_mic(&Matrix::identity(3), MicMethod::ColumnPivoting, 0.0).is_err());
+        assert!(extract_mic(&Matrix::identity(3), MicMethod::ColumnPivoting, 1.0).is_err());
     }
 
     #[test]
     fn methods_agree_on_exact_rank() {
         let x = low_rank(7, 25, 4, 13);
-        let a = extract_mic(&x, MicMethod::PivotedQr, 1e-8).unwrap();
+        let a = extract_mic(&x, MicMethod::ColumnPivoting, 1e-8).unwrap();
         let b = extract_mic(&x, MicMethod::Echelon, 1e-8).unwrap();
         assert_eq!(a.rank(), b.rank());
     }
@@ -300,12 +301,14 @@ mod tests {
     #[test]
     fn update_reuses_selection_under_small_drift() {
         let x = separated(6, 20, 23);
-        let prev = extract_mic(&x, MicMethod::PivotedQr, 1e-6).unwrap();
+        let prev = extract_mic(&x, MicMethod::ColumnPivoting, 1e-6).unwrap();
         // Gentle multiplicative drift keeps the pivot order.
         let drifted = x.map(|v| v * 1.001 + 1e-7);
-        let upd = prev.update(&drifted, MicMethod::PivotedQr, 1e-6).unwrap();
+        let upd = prev
+            .update(&drifted, MicMethod::ColumnPivoting, 1e-6)
+            .unwrap();
         assert!(upd.reused, "stable drift should certify the previous set");
-        let fresh = extract_mic(&drifted, MicMethod::PivotedQr, 1e-6).unwrap();
+        let fresh = extract_mic(&drifted, MicMethod::ColumnPivoting, 1e-6).unwrap();
         assert_eq!(
             upd.selection, fresh,
             "fast path must equal fresh extraction"
@@ -315,7 +318,7 @@ mod tests {
     #[test]
     fn update_falls_back_when_selection_changes() {
         let x = separated(6, 20, 24);
-        let prev = extract_mic(&x, MicMethod::PivotedQr, 1e-6).unwrap();
+        let prev = extract_mic(&x, MicMethod::ColumnPivoting, 1e-6).unwrap();
         // Boost a previously dominated column far above everything: the
         // old set can no longer be the greedy's choice.
         let boosted_col = (0..20)
@@ -325,9 +328,11 @@ mod tests {
         for i in 0..6 {
             changed[(i, boosted_col)] = if i == 0 { 500.0 } else { (i as f64) * 40.0 };
         }
-        let upd = prev.update(&changed, MicMethod::PivotedQr, 1e-6).unwrap();
+        let upd = prev
+            .update(&changed, MicMethod::ColumnPivoting, 1e-6)
+            .unwrap();
         assert!(!upd.reused, "a changed selection must fall back");
-        let fresh = extract_mic(&changed, MicMethod::PivotedQr, 1e-6).unwrap();
+        let fresh = extract_mic(&changed, MicMethod::ColumnPivoting, 1e-6).unwrap();
         assert_eq!(upd.selection, fresh);
         assert!(upd.selection.locations.contains(&boosted_col));
     }
@@ -344,13 +349,15 @@ mod tests {
     #[test]
     fn update_validates_arguments() {
         let x = separated(5, 12, 26);
-        let prev = extract_mic(&x, MicMethod::PivotedQr, 1e-6).unwrap();
+        let prev = extract_mic(&x, MicMethod::ColumnPivoting, 1e-6).unwrap();
         assert!(prev
-            .update(&Matrix::zeros(0, 0), MicMethod::PivotedQr, 1e-6)
+            .update(&Matrix::zeros(0, 0), MicMethod::ColumnPivoting, 1e-6)
             .is_err());
-        assert!(prev.update(&x, MicMethod::PivotedQr, 0.0).is_err());
+        assert!(prev.update(&x, MicMethod::ColumnPivoting, 0.0).is_err());
         // Too few columns for the recorded locations.
         let narrow = x.select_cols(&[0, 1, 2]);
-        assert!(prev.update(&narrow, MicMethod::PivotedQr, 1e-6).is_err());
+        assert!(prev
+            .update(&narrow, MicMethod::ColumnPivoting, 1e-6)
+            .is_err());
     }
 }

@@ -19,7 +19,7 @@ use crate::{CoreError, Result};
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidArgument`] if `per == 0`.
-pub fn relationship_matrix(per: usize) -> Result<Matrix> {
+fn relationship_matrix(per: usize) -> Result<Matrix> {
     if per == 0 {
         return Err(CoreError::InvalidArgument("per must be >= 1"));
     }
@@ -135,6 +135,10 @@ mod tests {
         let t = relationship_matrix(3).unwrap();
         let expected = Matrix::from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 1.0], &[0.0, 1.0, 0.0]]);
         assert_eq!(t, expected);
+        for per in 1..20 {
+            let t = relationship_matrix(per).unwrap();
+            assert_eq!(t.transpose(), t);
+        }
     }
 
     #[test]

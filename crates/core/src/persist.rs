@@ -1,8 +1,6 @@
 //! Self-contained persistence: versioned, human-readable text formats
 //! with no external dependencies (useful for nightly snapshots on an
-//! embedded gateway). `serde` `Serialize`/`Deserialize` impls are
-//! additionally available behind the `serde` feature for users who
-//! bring their own format.
+//! embedded gateway).
 //!
 //! Two formats are defined:
 //!
@@ -60,11 +58,11 @@
 //! row ...
 //! ```
 //!
-//! The legacy v2 format (identical except for the header and the
-//! absent `seed` / `basis` sections) stays readable; such snapshots
-//! restore through the slow path (engine re-derivation from `prior`,
-//! with the recorded reference set as an integrity check), and their
-//! seed set defaults to the reference locations.
+//! A deployment written with `basis none` (no usable warm-start basis)
+//! restores through the slow path: the engine is re-derived from
+//! `prior`, with the recorded reference set as an integrity check. The
+//! retired v2 format (no `seed` / `basis` sections) is no longer read;
+//! its header is rejected like any unrecognised one.
 //!
 //! All readers reject trailing non-blank content after the final row
 //! and non-finite values; all writers refuse to serialise non-finite
@@ -85,10 +83,6 @@ use crate::{CoreError, Result};
 
 /// v1 format magic / version header (single fingerprint database).
 const HEADER: &str = "iupdater-fingerprint v1";
-
-/// Legacy v2 service-snapshot header (no warm-start basis); still
-/// accepted by [`read_service`].
-const SERVICE_HEADER_V2: &str = "iupdater-service v2";
 
 /// v3 format magic / version header (update-service snapshot with the
 /// warm-start basis).
@@ -118,7 +112,7 @@ pub fn write_fingerprint<W: Write>(fp: &FingerprintMatrix, mut w: W) -> Result<(
 
 /// Writes the `links` / `per_link` / `row` block shared by both
 /// formats. v1 keeps the historical 6-decimal rendering;
-/// `full_precision` (v2) uses the shortest exact representation.
+/// `full_precision` (v3) uses the shortest exact representation.
 fn write_block<W: Write>(fp: &FingerprintMatrix, w: &mut W, full_precision: bool) -> Result<()> {
     writeln!(w, "links {}", fp.num_links()).map_err(write_err)?;
     writeln!(w, "per_link {}", fp.locations_per_link()).map_err(write_err)?;
@@ -242,7 +236,7 @@ fn parse_field(lines: &mut std::io::Lines<impl BufRead>, name: &'static str) -> 
         .map_err(|_| bad("non-integer field value"))
 }
 
-/// Writes a whole-fleet snapshot to a writer in the v2 format (see the
+/// Writes a whole-fleet snapshot to a writer in the v3 format (see the
 /// module docs for the grammar).
 ///
 /// # Errors
@@ -322,7 +316,7 @@ pub fn write_service<W: Write>(snapshot: &ServiceSnapshot, mut w: W) -> Result<(
     Ok(())
 }
 
-/// Atomically replaces the file at `path` with the serialised v2
+/// Atomically replaces the file at `path` with the serialised v3
 /// snapshot: the bytes are written to a `.tmp` sibling first and
 /// renamed over `path`, so a crash mid-write never destroys the
 /// previous good checkpoint — surviving exactly that kill is what
@@ -368,7 +362,7 @@ pub fn write_service_to_path(snapshot: &ServiceSnapshot, path: &std::path::Path)
     Ok(())
 }
 
-/// Reads a whole-fleet snapshot from a reader (v2 format). Pair with
+/// Reads a whole-fleet snapshot from a reader (v3 format). Pair with
 /// [`crate::service::UpdateService::restore`] to bring the fleet back
 /// up.
 ///
@@ -381,11 +375,9 @@ pub fn read_service<R: BufRead>(r: R) -> Result<ServiceSnapshot> {
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
     let mut lines = r.lines();
     let header = next_line(&mut lines, "empty input")?;
-    let has_basis = match header.trim() {
-        SERVICE_HEADER => true,
-        SERVICE_HEADER_V2 => false,
-        _ => return Err(bad("unrecognised header")),
-    };
+    if header.trim() != SERVICE_HEADER {
+        return Err(bad("unrecognised header"));
+    }
     let count = parse_field(&mut lines, "deployments")?;
     // `count` is file-supplied: cap the pre-allocation so a corrupt
     // header cannot panic with a capacity overflow (parsing still
@@ -428,21 +420,14 @@ pub fn read_service<R: BufRead>(r: R) -> Result<ServiceSnapshot> {
         let config = parse_config(&config_line)?;
         let refs_line = next_line(&mut lines, "missing refs line")?;
         let reference_locations = parse_location_list(&refs_line, "refs")?;
-        let (seed_locations, correlation) = if has_basis {
-            let seed_line = next_line(&mut lines, "missing seed line")?;
-            let seed_locations = parse_location_list(&seed_line, "seed")?;
-            if seed_locations.len() < reference_locations.len()
-                || seed_locations[..reference_locations.len()] != reference_locations[..]
-            {
-                return Err(bad("refs must be a prefix of the seed locations"));
-            }
-            let correlation = parse_basis(&mut lines, reference_locations.len())?;
-            (seed_locations, correlation)
-        } else {
-            // Legacy v2: no recorded seed; the reference set doubles as
-            // the warm-start seed (restore re-derives the engine anyway).
-            (reference_locations.clone(), None)
-        };
+        let seed_line = next_line(&mut lines, "missing seed line")?;
+        let seed_locations = parse_location_list(&seed_line, "seed")?;
+        if seed_locations.len() < reference_locations.len()
+            || seed_locations[..reference_locations.len()] != reference_locations[..]
+        {
+            return Err(bad("refs must be a prefix of the seed locations"));
+        }
+        let correlation = parse_basis(&mut lines, reference_locations.len())?;
         expect_tag(&mut lines, "prior")?;
         let prior = read_block(&mut lines)?;
         expect_tag(&mut lines, "current")?;
@@ -582,7 +567,7 @@ fn parse_location_list(line: &str, tag: &'static str) -> Result<Vec<usize>> {
     Ok(refs)
 }
 
-/// Renders the config as the v2 `key=value` list (see module docs).
+/// Renders the config as the `key=value` list (see module docs).
 fn render_config(cfg: &UpdaterConfig) -> Result<String> {
     for v in [
         cfg.lambda,
@@ -629,7 +614,7 @@ fn render_config(cfg: &UpdaterConfig) -> Result<String> {
     ))
 }
 
-/// Parses the v2 `config` line back into an [`UpdaterConfig`].
+/// Parses the `config` line back into an [`UpdaterConfig`].
 fn parse_config(line: &str) -> Result<UpdaterConfig> {
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
     let mut parts = line.split_whitespace();
@@ -920,37 +905,52 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_remain_readable_without_basis() {
-        // Render a v2 file from a live fleet by downgrading the header
-        // and dropping the basis sections — byte-wise what the PR-2
-        // writer produced.
-        let s = small_fleet();
+    fn basis_none_restores_by_rederivation() {
+        // A deployment recorded with `basis none` parses to no
+        // correlation, restores through engine re-derivation to the same
+        // reference set and Z, and re-snapshots with the basis filled in.
+        let mut s = small_fleet();
+        s.run_cycle(15.0, 2).unwrap();
         let snap = s.snapshot();
         let mut buf = Vec::new();
         write_service(&snap, &mut buf).unwrap();
-        let v3 = String::from_utf8(buf).unwrap();
-        let v2: String = v3
-            .replace("iupdater-service v3", "iupdater-service v2")
-            .lines()
-            .filter(|l| {
-                !(l.starts_with("basis ") || l.starts_with("zrow ") || l.starts_with("seed "))
-            })
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let back = read_service(v2.as_bytes()).unwrap();
-        assert_eq!(back.deployments.len(), snap.deployments.len());
-        for (b, s) in back.deployments.iter().zip(&snap.deployments) {
-            assert!(b.correlation.is_none(), "v2 carries no basis");
-            assert_eq!(b.reference_locations, s.reference_locations);
-            assert_eq!(b.prior, s.prior);
-            assert_eq!(b.current, s.current);
+        let text = String::from_utf8(buf).unwrap();
+        // Swap deployment 0's `basis r n` line and its `zrow` lines for
+        // `basis none`; deployment 1 keeps its recorded basis.
+        let mut out = String::new();
+        let (mut seen_basis, mut skipping) = (false, false);
+        for l in text.lines() {
+            if skipping && l.starts_with("zrow ") {
+                continue;
+            }
+            skipping = false;
+            if !seen_basis && l.starts_with("basis ") {
+                seen_basis = true;
+                skipping = true;
+                out.push_str("basis none\n");
+                continue;
+            }
+            out.push_str(l);
+            out.push('\n');
         }
-        // A v2 snapshot still restores (slow path: engine re-derivation).
-        let restored = crate::service::UpdateService::restore(&back).unwrap();
-        assert_eq!(restored.len(), snap.deployments.len());
-        // And re-snapshotting it upgrades to v3 with the basis filled in.
-        let upgraded = restored.snapshot();
-        assert!(upgraded.deployments[0].correlation.is_some());
+        assert_eq!(out.matches("\nbasis none\n").count(), 1);
+        assert_eq!(out.matches("\nbasis ").count(), 2);
+        let back = read_service(out.as_bytes()).unwrap();
+        assert!(back.deployments[0].correlation.is_none());
+        assert_eq!(back.deployments[1], snap.deployments[1]);
+        let mut expect0 = snap.deployments[0].clone();
+        expect0.correlation = None;
+        assert_eq!(back.deployments[0], expect0);
+
+        let restored = UpdateService::restore(&back).unwrap();
+        let (rid, sid) = (restored.ids()[0], s.ids()[0]);
+        let (re, live) = (restored.updater(rid).unwrap(), s.updater(sid).unwrap());
+        assert_eq!(re.reference_locations(), live.reference_locations());
+        assert!(re.correlation().approx_eq(live.correlation(), 0.0));
+        // Re-snapshotting records the re-derived basis again.
+        let again = restored.snapshot();
+        assert!(again.deployments[0].correlation.is_some());
+        assert_eq!(again, snap);
     }
 
     #[test]
@@ -1033,9 +1033,9 @@ mod tests {
     fn service_reader_rejects_malformed_input() {
         assert!(read_service("".as_bytes()).is_err());
         assert!(read_service("iupdater-fingerprint v1\n".as_bytes()).is_err());
-        assert!(read_service("iupdater-service v2\ndeployments x\n".as_bytes()).is_err());
+        assert!(read_service("iupdater-service v3\ndeployments x\n".as_bytes()).is_err());
         // Truncated after the count.
-        assert!(read_service("iupdater-service v2\ndeployments 1\n".as_bytes()).is_err());
+        assert!(read_service("iupdater-service v3\ndeployments 1\n".as_bytes()).is_err());
 
         let mut buf = Vec::new();
         write_service(&small_fleet().snapshot(), &mut buf).unwrap();
@@ -1058,13 +1058,19 @@ mod tests {
         // reject it at parse time instead.
         let padded = text.replace("name office-a\n", "name office-a \n");
         assert!(read_service(padded.as_bytes()).is_err());
+        // The retired v2 header is refused like any unknown one.
+        let v2 = text.replace("iupdater-service v3", "iupdater-service v2");
+        assert!(matches!(
+            read_service(v2.as_bytes()),
+            Err(CoreError::InvalidArgument("unrecognised header"))
+        ));
     }
 
     #[test]
     fn service_reader_survives_hostile_counts() {
         // File-supplied counts must yield parse errors, not
         // capacity-overflow panics or absurd allocations.
-        let huge = format!("iupdater-service v2\ndeployments {}\n", usize::MAX);
+        let huge = format!("iupdater-service v3\ndeployments {}\n", usize::MAX);
         assert!(read_service(huge.as_bytes()).is_err());
         let huge_links = format!(
             "iupdater-fingerprint v1\nlinks {}\nper_link {}\nrow 1\n",

@@ -351,6 +351,8 @@ impl Updater {
     /// # Errors
     ///
     /// Propagates shape and solver errors.
+    // invariants: allow(dead-pub) — updater API: `update` with a
+    // caller-built known-cell mask; the failure drills drive it directly.
     pub fn update_with_mask(
         &self,
         x_r: &Matrix,

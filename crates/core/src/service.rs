@@ -37,7 +37,7 @@
 //! correlation matrix) — so post-restore cycles are bit-identical to
 //! an uninterrupted run. [`crate::persist::write_service`] /
 //! [`crate::persist::read_service`] serialise snapshots to the
-//! versioned v3 text format (legacy v2 files stay readable). A
+//! versioned v3 text format. A
 //! checkpoint-on-commit loop is a [`UpdateService::run_cycle`] followed
 //! by a snapshot (the [`crate::gateway::FleetGateway`] drive loop
 //! serves the same role behind its command channel). Pending ingest
@@ -265,7 +265,7 @@ pub struct UpdateOutcome {
 pub struct DeploymentSnapshot {
     /// Registered name.
     pub name: String,
-    /// The simulated environment (the v2 text format only accepts the
+    /// The simulated environment (the v3 text format only accepts the
     /// office / library / hall presets).
     pub env: Environment,
     /// The testbed's constructor seed.
@@ -286,8 +286,8 @@ pub struct DeploymentSnapshot {
     /// half of the warm-start basis), recorded at full precision so
     /// [`UpdateService::restore`] can rebuild the engine via
     /// [`Updater::from_basis`] without re-running MIC extraction or
-    /// LRR. `None` for snapshots read from the legacy v2 format, which
-    /// take the slow re-derivation path.
+    /// LRR. `None` when the snapshot records `basis none`; such a
+    /// deployment takes the slow re-derivation path.
     pub correlation: Option<Matrix>,
     /// The engine's full pre-`config.rank`-truncation MIC set
     /// ([`Updater::seed_locations`]) — recorded so a restored engine's
@@ -317,7 +317,7 @@ pub struct UpdateService {
 
 /// Checks that a deployment name is a single non-empty line without
 /// surrounding whitespace — the domain both [`UpdateService::register`]
-/// and the v2 text format accept, enforced at the earliest boundary.
+/// and the v3 text format accept, enforced at the earliest boundary.
 pub(crate) fn validate_name(name: &str) -> Result<()> {
     if name.is_empty() || name.trim() != name || name.lines().count() != 1 {
         return Err(CoreError::InvalidArgument(
@@ -773,8 +773,8 @@ impl UpdateService {
                 )));
             }
             // Slow path: re-derive the engine from the prior and check
-            // the recorded reference set against it — used for legacy
-            // v2 snapshots (no recorded basis) and as the fallback when
+            // the recorded reference set against it — used for a
+            // snapshot with no recorded basis and as the fallback when
             // a recorded basis fails its structural checks, so any
             // checkpoint the writer accepted is always restorable.
             let rederive = || -> Result<Updater> {

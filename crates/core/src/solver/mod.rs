@@ -96,11 +96,14 @@ impl SolveReport {
     }
 
     /// The left factor `L` (`M x r`).
+    // invariants: allow(dead-pub) — test oracle: the convergence
+    // and stationarity tiers check the factors themselves.
     pub fn l_factor(&self) -> &Matrix {
         &self.l
     }
 
     /// The right factor `R` (`N x r`).
+    // invariants: allow(dead-pub) — test oracle, as `l_factor`.
     pub fn r_factor(&self) -> &Matrix {
         &self.r
     }
@@ -734,7 +737,7 @@ mod tests {
         };
         let report = solve_basic_rsvd(&xb, &b, 4, cfg);
         let xhat = report.reconstruction();
-        assert!(xhat.rank(1e-8).unwrap() <= 2);
+        assert!(xhat.pivoted_leading_columns(1e-8).unwrap().len() <= 2);
     }
 
     #[test]

@@ -300,7 +300,11 @@ mod tests {
             ..TrackerConfig::default()
         };
         let tracker = Tracker::new(&fp, d, cfg).unwrap();
-        let traj = Trajectory::from_cells(vec![0, 1, 2, 3]);
+        let traj = Trajectory::random_walk(d, 0, 3, 77);
+        assert!(
+            traj.cells().windows(2).any(|w| w[0] != w[1]),
+            "walk must move"
+        );
         let path = tracker.track(&traj.measurements(&t, 0.0, 77)).unwrap();
         assert_eq!(path.len(), 4);
     }

@@ -1,5 +1,5 @@
 //! Durability integration tests: the v3 service-snapshot format
-//! (including its recorded warm-start basis), v1/v2 backward
+//! (including its recorded warm-start basis), v1 backward
 //! compatibility, and service-level kill/restore parity through the
 //! on-disk representation.
 
@@ -71,7 +71,7 @@ proptest! {
     })]
 
     #[test]
-    fn v2_snapshot_roundtrips_arbitrary_fleets(members in fleet_strategy()) {
+    fn v3_snapshot_roundtrips_arbitrary_fleets(members in fleet_strategy()) {
         let mut service = build(&members);
         // Exercise non-zero counters on the cheapest fleets.
         if members.len() == 1 {

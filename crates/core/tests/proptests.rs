@@ -54,14 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn xd_roundtrip((x, per) in fingerprint_strategy()) {
-        let xd = decrease::extract(&x, per).unwrap();
-        let mut x2 = x.clone();
-        decrease::write_back(&mut x2, &xd).unwrap();
-        prop_assert_eq!(x2, x);
-    }
-
-    #[test]
     fn solver_objective_monotone_exact((x, per) in fingerprint_strategy()) {
         let (m, n) = x.shape();
         let b = Matrix::from_fn(m, n, |i, j| if (j / per) == i { 0.0 } else { 1.0 });
@@ -149,11 +141,5 @@ proptest! {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&v));
             }
         }
-    }
-
-    #[test]
-    fn relationship_matrix_symmetric(per in 1usize..20) {
-        let t = neighbors::relationship_matrix(per).unwrap();
-        prop_assert_eq!(t.transpose(), t);
     }
 }

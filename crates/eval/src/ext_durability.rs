@@ -1,6 +1,6 @@
 //! Extension experiment (not in the paper): durability of the batched
 //! [`UpdateService`] — a fleet is **killed mid-campaign**, serialised
-//! through the v2 snapshot format, restored, and driven to the end of
+//! through the v3 snapshot format, restored, and driven to the end of
 //! the paper's update schedule. The experiment asserts the restored
 //! fleet's databases and cycle counters are *identical* (`approx_eq`
 //! at tolerance 0.0) to an uninterrupted control fleet at every
@@ -96,7 +96,7 @@ pub fn run() -> FigureResult {
         result.series.push(Series::from_ys(name, &errs[k]));
     }
     result.notes.push(format!(
-        "fleet killed after {KILL_AFTER} cycles, serialised to {} bytes (v2 snapshot), \
+        "fleet killed after {KILL_AFTER} cycles, serialised to {} bytes (v3 snapshot), \
          restored, and verified bit-identical to an uninterrupted control at every \
          remaining timestamp",
         bytes.len()

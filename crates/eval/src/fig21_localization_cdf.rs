@@ -15,7 +15,7 @@ const SALT: u64 = 2101;
 
 /// Runs the three arms and returns their error samples
 /// `(groundtruth, iupdater, stale)`.
-pub fn arm_errors() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+fn arm_errors() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let s = Scenario::office();
     let fresh = FingerprintMatrix::survey(s.testbed(), EVAL_DAY, INITIAL_SURVEY_SAMPLES);
     let reconstructed = s.reconstruct(EVAL_DAY);

@@ -14,7 +14,7 @@ const SALT: u64 = 2301;
 
 /// Runs the three arms and returns their error samples
 /// `(iupdater, rass_with_rec, rass_without_rec)`.
-pub fn arm_errors() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+fn arm_errors() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let s = Scenario::office();
     let reconstructed = s.reconstruct(EVAL_DAY);
     (

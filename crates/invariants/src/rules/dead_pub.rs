@@ -1,16 +1,19 @@
-//! **dead-pub** — the library crates carry no public API that nothing
-//! calls. Every non-test `pub fn` under `crates/core/src/`,
+//! **dead-pub** — the library crates carry no public API that no
+//! program calls. Every non-test `pub fn` under `crates/core/src/`,
 //! `crates/linalg/src/`, `crates/rfsim/src/`, `crates/baselines/src/`
-//! and `crates/eval/src/` must be named as a code
-//! identifier in some *other* `.rs` file of the walk (tests, examples,
-//! benches and the campaign benchmark count as callers). Comments are masked, so a doc
-//! link or a doc-test is not a use. A function only its own file calls
-//! should be private; one nobody calls should be deleted.
+//! and `crates/eval/src/` must be named as a code identifier in the
+//! *program* code of some other `.rs` file: a file under a `src/` or
+//! `examples/` directory (the campaign benchmark's `src/` included),
+//! outside its `#[cfg(test)]` ranges. Tests and benches do not count
+//! as callers, and comments are masked, so a doc link or a doc-test is
+//! not a use either. A function only its own file calls should be
+//! private; one only tests call should be deleted with those tests,
+//! or carry a waiver that says why tests need it public.
 
 use std::collections::BTreeSet;
 
 use crate::report::Diagnostic;
-use crate::workspace::Workspace;
+use crate::workspace::{SourceFile, Workspace};
 
 /// Rule identifier used in diagnostics and waivers.
 pub const RULE: &str = "dead-pub";
@@ -24,13 +27,30 @@ const LIBRARY_DIRS: [&str; 5] = [
     "crates/eval/src/",
 ];
 
+/// Whether `path` holds program code: it sits under a `src/` or
+/// `examples/` directory and under no `tests/` or `benches/` one.
+fn is_program(path: &str) -> bool {
+    let dirs: Vec<&str> = path.split('/').rev().skip(1).collect();
+    let has = |names: [&str; 2]| dirs.iter().any(|d| names.contains(d));
+    has(["src", "examples"]) && !has(["tests", "benches"])
+}
+
+/// The identifiers `file`'s program code names (empty for a test or
+/// bench file; `#[cfg(test)]` ranges skipped).
+fn program_idents(file: &SourceFile) -> BTreeSet<&str> {
+    if !is_program(&file.path) {
+        return BTreeSet::new();
+    }
+    file.lex
+        .idents()
+        .filter(|&(_, off)| !file.lex.in_test(file.lex.line_of(off)))
+        .map(|(ident, _)| ident)
+        .collect()
+}
+
 /// Runs the rule over the workspace.
 pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let idents: Vec<BTreeSet<&str>> = ws
-        .files
-        .iter()
-        .map(|f| f.lex.idents().map(|(ident, _)| ident).collect())
-        .collect();
+    let idents: Vec<BTreeSet<&str>> = ws.files.iter().map(program_idents).collect();
     for (k, file) in ws.files.iter().enumerate() {
         if !LIBRARY_DIRS.iter().any(|d| file.path.starts_with(d)) {
             continue;
@@ -49,7 +69,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                     file: file.path.clone(),
                     line,
                     message: format!(
-                        "`pub fn {name}` is not referenced from any other file; \
+                        "`pub fn {name}` is not referenced from another file's program code; \
                          make it private or delete it"
                     ),
                 });

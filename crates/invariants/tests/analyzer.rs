@@ -143,9 +143,9 @@ fn unreferenced_library_pub_fn_is_flagged() {
             include_str!("fixtures/dead_pub.rs"),
         ),
         SourceFile::new(
-            "crates/core/tests/caller.rs",
+            "examples/caller.rs",
             "// never_called() in a comment is not a use\n\
-             #[test]\nfn calls() { assert_eq!(called_elsewhere(), 1); }\n",
+             fn main() { assert_eq!(called_elsewhere(), 1); }\n",
         ),
     ]);
     let analysis = analyze(&ws);
@@ -169,6 +169,50 @@ fn unreferenced_library_pub_fn_is_flagged() {
     );
     assert!(dead[1].contains("only_called_here"));
     assert_eq!(analysis.waived, 1);
+}
+
+#[test]
+fn only_program_callers_keep_a_pub_fn_alive() {
+    let ws = ws_of(vec![
+        SourceFile::new(
+            "crates/linalg/src/callers.rs",
+            include_str!("fixtures/dead_pub_callers.rs"),
+        ),
+        SourceFile::new(
+            "crates/core/tests/parity.rs",
+            "#[test]\nfn t() { from_tests_and_benches(); }\n",
+        ),
+        SourceFile::new(
+            "crates/bench/benches/micro.rs",
+            "fn main() { from_tests_and_benches(); }\n",
+        ),
+        SourceFile::new(
+            "src/cli.rs",
+            "fn run() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    \
+             fn t() { from_a_test_module(); }\n}\n",
+        ),
+        SourceFile::new("examples/demo.rs", "fn main() { from_an_example(); }\n"),
+        SourceFile::new(
+            "campaignbench/src/main.rs",
+            "fn main() { from_the_campaign(); }\n",
+        ),
+    ]);
+    let mut out = Vec::new();
+    rules::dead_pub::check(&ws, &mut out);
+    let dead: Vec<String> = out.iter().map(|d| d.render()).collect();
+    // Test and bench callers and a test module do not count; an
+    // example and the campaign benchmark do.
+    assert_eq!(dead.len(), 2, "{dead:?}");
+    assert!(
+        dead[0].starts_with("crates/linalg/src/callers.rs:4:"),
+        "{dead:?}"
+    );
+    assert!(dead[0].contains("from_tests_and_benches"), "{dead:?}");
+    assert!(
+        dead[1].starts_with("crates/linalg/src/callers.rs:6:"),
+        "{dead:?}"
+    );
+    assert!(dead[1].contains("from_a_test_module"), "{dead:?}");
 }
 
 #[test]

@@ -343,6 +343,8 @@ fn tiny_inner_dispatch<'r, A, B>(
 /// pass — a straight-line loop with no blocking overhead, which is what
 /// the rank-8 Gram/projection products of the SVD/RRQR/LRR and ALS
 /// phase sweeps hit.
+// invariants: allow(dead-pub) — kernel_parity calls the
+// monomorphised kernel directly to pin it against the dispatcher.
 pub fn matmul_rk<'r, const K: usize, A, B>(
     a_row: &A,
     b_row: &B,
@@ -714,6 +716,8 @@ pub enum ScanArm {
 impl ScanArm {
     /// Every arm this build can run on this host, narrowest first;
     /// [`nearest_block`] dispatches to the last.
+    // invariants: allow(dead-pub) — kernel_parity enumerates the
+    // filter arms this host supports through it.
     pub fn available() -> Vec<ScanArm> {
         [ScanArm::Scalar, ScanArm::AvxFma, ScanArm::Avx512f]
             .into_iter()
@@ -791,6 +795,8 @@ pub fn nearest_block(
 ///
 /// As [`nearest_block`], and if `arm` is not in
 /// [`ScanArm::available`].
+// invariants: allow(dead-pub) — kernel_parity pins every
+// filter arm a host supports through it.
 pub fn nearest_block_on(
     arm: ScanArm,
     residuals: &[f64],

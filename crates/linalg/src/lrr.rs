@@ -308,7 +308,13 @@ mod tests {
         let x = basis.matmul(&coeffs).unwrap();
         // A: the basis plus two extra independent columns.
         let extra = random_matrix(8, 2, &mut rng);
-        let a = basis.hcat(&extra).unwrap();
+        let a = Matrix::from_fn(8, 4, |i, j| {
+            if j < 2 {
+                basis[(i, j)]
+            } else {
+                extra[(i, j - 2)]
+            }
+        });
         let sol = solve_lrr(&a, &x, &LrrOptions::default()).unwrap();
         let s = sol.z.singular_values().unwrap();
         assert!(

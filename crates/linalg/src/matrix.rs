@@ -9,7 +9,7 @@ use crate::{LinalgError, Result};
 /// reproduction. It deliberately stays small and predictable: row-major
 /// `Vec<f64>` storage, panicking `(row, col)` indexing via `Index`, and
 /// fallible shape-checked arithmetic (see [`Matrix::matmul`],
-/// [`Matrix::checked_add`], [`Matrix::hadamard`]).
+/// [`Matrix::checked_sub`], [`Matrix::hadamard`]).
 ///
 /// # Example
 ///
@@ -44,6 +44,8 @@ impl Matrix {
     }
 
     /// Creates a matrix filled with `value`.
+    // invariants: allow(dead-pub) — a constructor the linalg and core
+    // tests build constant and NaN-poisoned inputs with.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Matrix {
             rows,
@@ -77,6 +79,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the rows have different lengths.
+    // invariants: allow(dead-pub) — the literal-matrix constructor of
+    // the unit tests across linalg and core.
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
@@ -324,27 +328,6 @@ impl Matrix {
                 .zip(other.data.iter())
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
-
-    /// Horizontally concatenates `self` with `other` (`[self | other]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
-    pub fn hcat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hcat",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut m = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            m.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            m.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(m)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -403,39 +386,6 @@ impl Default for Matrix {
     /// The empty `0 x 0` matrix.
     fn default() -> Self {
         Matrix::zeros(0, 0)
-    }
-}
-
-#[cfg(feature = "serde")]
-mod serde_impl {
-    use super::Matrix;
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    #[derive(Serialize, Deserialize)]
-    struct MatrixRepr {
-        rows: usize,
-        cols: usize,
-        data: Vec<f64>,
-    }
-
-    impl Serialize for Matrix {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            MatrixRepr {
-                rows: self.rows(),
-                cols: self.cols(),
-                data: self.as_slice().to_vec(),
-            }
-            .serialize(serializer)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Matrix {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            let repr = MatrixRepr::deserialize(deserializer)?;
-            Matrix::from_vec(repr.rows, repr.cols, repr.data)
-                .map_err(|e| D::Error::custom(e.to_string()))
-        }
     }
 }
 
@@ -513,16 +463,6 @@ mod tests {
         let m = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64);
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose()[(4, 2)], m[(2, 4)]);
-    }
-
-    #[test]
-    fn hcat() {
-        let a = Matrix::from_rows(&[&[1.0], &[2.0]]);
-        let b = Matrix::from_rows(&[&[3.0], &[4.0]]);
-        let h = a.hcat(&b).unwrap();
-        assert_eq!(h.shape(), (2, 2));
-        assert_eq!(h.as_slice(), &[1.0, 3.0, 2.0, 4.0]);
-        assert!(a.hcat(&Matrix::zeros(3, 1)).is_err());
     }
 
     #[test]

@@ -6,15 +6,6 @@ use std::ops::{Add, Mul, Neg, Sub};
 use crate::{LinalgError, Matrix, Result};
 
 impl Matrix {
-    /// Element-wise sum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn checked_add(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
     /// Element-wise difference.
     ///
     /// # Errors
@@ -53,24 +44,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != v.len()`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if self.cols() != v.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec",
-                lhs: self.shape(),
-                rhs: (v.len(), 1),
-            });
-        }
-        Ok((0..self.rows())
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
     /// Scales every element by `s`.
     pub fn scale(&self, s: f64) -> Matrix {
         self.map(|x| x * s)
@@ -88,6 +61,8 @@ impl Matrix {
     }
 
     /// Outer product of two vectors: `a * bᵀ` with shape `a.len() x b.len()`.
+    // invariants: allow(dead-pub) — the bitwise oracle kernel_parity
+    // holds the rank-1 matmul path to; tests build low-rank inputs with it.
     pub fn outer(a: &[f64], b: &[f64]) -> Matrix {
         Matrix::from_fn(a.len(), b.len(), |i, j| a[i] * b[j])
     }
@@ -130,12 +105,11 @@ impl Add for &Matrix {
 
     /// # Panics
     ///
-    /// Panics if the shapes differ; use [`Matrix::checked_add`] to handle
-    /// the mismatch as an error.
+    /// Panics if the shapes differ.
     fn add(self, rhs: &Matrix) -> Matrix {
-        self.checked_add(rhs)
+        self.zip_with(rhs, "add", |a, b| a + b)
             // invariants: allow(panic-freedom) — documented `# Panics`
-            // operator; `checked_add` is the fallible path.
+            // operator; the shape check is its only error path.
             .expect("matrix addition shape mismatch")
     }
 }
@@ -205,7 +179,6 @@ mod tests {
     fn shape_mismatch_errors() {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::zeros(2, 3);
-        assert!(a.checked_add(&b).is_err());
         assert!(a.checked_sub(&b).is_err());
         assert!(a.hadamard(&b).is_err());
         assert!(Matrix::zeros(2, 3).matmul(&Matrix::zeros(2, 3)).is_err());
@@ -224,14 +197,6 @@ mod tests {
         let a = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
         assert_eq!(a.matmul(&Matrix::identity(3)).unwrap(), a);
         assert_eq!(Matrix::identity(3).matmul(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let v = vec![5.0, 6.0];
-        assert_eq!(a.matvec(&v).unwrap(), vec![17.0, 39.0]);
-        assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]

@@ -88,7 +88,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 1.0]]);
         let out = svt(&a, 2.0).unwrap();
         // σ = {3, 1} -> {1, 0}: rank drops to 1.
-        assert_eq!(out.rank(1e-9).unwrap(), 1);
+        assert_eq!(out.pivoted_leading_columns(1e-9).unwrap().len(), 1);
         let s = out.singular_values().unwrap();
         assert!((s[0] - 1.0).abs() < 1e-9);
     }
@@ -118,7 +118,9 @@ mod tests {
         let a = Matrix::from_rows(&[&[2.0, 0.5], &[1.0, -0.2]]);
         let tau = 0.8;
         let e = l21_shrink(&a, tau);
-        let obj = |m: &Matrix| tau * m.l21_norm() + 0.5 * (m - &a).frobenius_norm_sq();
+        let obj = |m: &Matrix| {
+            tau * m.col_norms().iter().sum::<f64>() + 0.5 * (m - &a).frobenius_norm_sq()
+        };
         let base = obj(&e);
         for di in 0..2 {
             for dj in 0..2 {

@@ -241,8 +241,8 @@ mod tests {
         });
         let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let x = a.solve(&b).unwrap();
-        let r = a.matvec(&x).unwrap();
-        for (ri, bi) in r.iter().zip(&b) {
+        let r = a.matmul(&Matrix::from_vec(n, 1, x).unwrap()).unwrap();
+        for (ri, bi) in r.as_slice().iter().zip(&b) {
             assert!((ri - bi).abs() < 1e-9);
         }
     }

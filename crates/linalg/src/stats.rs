@@ -77,16 +77,6 @@ impl Ecdf {
         count as f64 / self.values.len() as f64
     }
 
-    /// The `q`-quantile for `q` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        percentile(&self.values, q * 100.0)
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -158,15 +148,6 @@ mod tests {
         assert_eq!(e.eval(10.0), 1.0);
         assert_eq!(e.len(), 4);
         assert!(!e.is_empty());
-    }
-
-    #[test]
-    fn ecdf_quantile_matches_percentile() {
-        let samples = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let e = Ecdf::new(&samples);
-        assert_eq!(e.quantile(0.5), 3.0);
-        assert_eq!(e.quantile(0.0), 1.0);
-        assert_eq!(e.quantile(1.0), 5.0);
     }
 
     #[test]

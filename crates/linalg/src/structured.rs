@@ -79,7 +79,8 @@ mod tests {
     #[test]
     fn diag_matvec_scales() {
         let d = Matrix::diag(&[2.0, 3.0]);
-        assert_eq!(d.matvec(&[1.0, 1.0]).unwrap(), vec![2.0, 3.0]);
+        let ones = Matrix::from_vec(2, 1, vec![1.0, 1.0]).unwrap();
+        assert_eq!(d.matmul(&ones).unwrap().as_slice(), &[2.0, 3.0]);
     }
 
     #[test]

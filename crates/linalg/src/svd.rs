@@ -184,31 +184,6 @@ impl Matrix {
     pub fn singular_values(&self) -> Result<Vec<f64>> {
         Ok(self.svd()?.singular_values)
     }
-
-    /// Best rank-`r` approximation `X̂ = Σ_{i<r} σ_i u_i v_iᵀ` (Sec. IV-A).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Matrix::svd`]; additionally
-    /// [`LinalgError::InvalidArgument`] if `r == 0`.
-    pub fn low_rank_approx(&self, r: usize) -> Result<Matrix> {
-        if r == 0 {
-            return Err(LinalgError::InvalidArgument("rank must be >= 1"));
-        }
-        let svd = self.svd()?;
-        let k = r.min(svd.singular_values.len());
-        let mut out = Matrix::zeros(self.rows(), self.cols());
-        for t in 0..k {
-            let sigma = svd.singular_values[t];
-            for i in 0..self.rows() {
-                let ui = svd.u[(i, t)] * sigma;
-                for j in 0..self.cols() {
-                    out[(i, j)] += ui * svd.v[(j, t)];
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl Svd {
@@ -300,34 +275,6 @@ mod tests {
         let vtv = svd.v.transpose().matmul(&svd.v).unwrap();
         assert!(utu.approx_eq(&Matrix::identity(5), 1e-9));
         assert!(vtv.approx_eq(&Matrix::identity(5), 1e-9));
-    }
-
-    #[test]
-    fn low_rank_approx_exact_for_low_rank_input() {
-        let a = &Matrix::outer(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0, 7.0])
-            + &Matrix::outer(&[1.0, 0.0, -1.0], &[1.0, -1.0, 1.0, -1.0]);
-        let approx = a.low_rank_approx(2).unwrap();
-        assert!(approx.approx_eq(&a, 1e-9));
-    }
-
-    #[test]
-    fn low_rank_approx_is_best_in_frobenius() {
-        // Eckart-Young: error of rank-r approx = sqrt(sum of trailing σ²).
-        let a = random_matrix(6, 6, 15);
-        let svd = a.svd().unwrap();
-        for r in 1..6 {
-            let approx = a.low_rank_approx(r).unwrap();
-            let err = (&a - &approx).frobenius_norm();
-            let expected: f64 = svd.singular_values[r..]
-                .iter()
-                .map(|s| s * s)
-                .sum::<f64>()
-                .sqrt();
-            assert!(
-                (err - expected).abs() < 1e-8,
-                "rank {r}: {err} vs {expected}"
-            );
-        }
     }
 
     #[test]

@@ -118,15 +118,6 @@ impl<'a> MatrixView<'a> {
         }
     }
 
-    /// Copies the viewed block into an owned [`Matrix`].
-    pub fn to_matrix(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            out.row_mut(i).copy_from_slice(self.row(i));
-        }
-        out
-    }
-
     /// Sum of squared elements.
     pub fn frobenius_norm_sq(&self) -> f64 {
         (0..self.rows)
@@ -189,19 +180,6 @@ impl Matrix {
             cols: self.cols(),
             row_stride: self.cols(),
         }
-    }
-
-    /// A rectangular sub-block view, without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds.
-    pub fn block_view(
-        &self,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> MatrixView<'_> {
-        self.view().block(rows, cols)
     }
 
     /// Two distinct mutable rows at once.
@@ -415,16 +393,13 @@ mod tests {
     #[test]
     fn block_view_is_strided_not_copied() {
         let m = sample(5, 7);
-        let b = m.block_view(1..4, 2..6);
+        let b = m.view().block(1..4, 2..6);
         assert_eq!(b.shape(), (3, 4));
         for i in 0..3 {
             for j in 0..4 {
                 assert_eq!(b.at(i, j), m[(i + 1, j + 2)]);
             }
         }
-        let owned = b.to_matrix();
-        assert_eq!(owned.shape(), (3, 4));
-        assert_eq!(owned[(2, 3)], m[(3, 5)]);
     }
 
     #[test]
@@ -435,10 +410,13 @@ mod tests {
         let mut out = Matrix::zeros(7, 9);
         a.matmul_into(&b, &mut out).unwrap();
         assert_eq!(out, expect);
-        // Strided views multiply identically to their owned copies.
-        let av = a.block_view(1..6, 0..4);
-        let bv = b.block_view(0..4, 2..8);
-        let expect2 = av.to_matrix().matmul(&bv.to_matrix()).unwrap();
+        // Strided views multiply identically to owned copies of the same
+        // blocks, taken from the source matrices.
+        let av = a.view().block(1..6, 0..4);
+        let bv = b.view().block(0..4, 2..8);
+        let a_blk = Matrix::from_fn(5, 4, |i, j| a[(i + 1, j)]);
+        let b_blk = Matrix::from_fn(4, 6, |i, j| b[(i, j + 2)]);
+        let expect2 = a_blk.matmul(&b_blk).unwrap();
         assert_eq!(av.matmul(&bv).unwrap(), expect2);
     }
 
@@ -516,7 +494,8 @@ mod tests {
     #[test]
     fn view_frobenius_matches_owned() {
         let m = sample(5, 5);
-        let b = m.block_view(1..4, 1..4);
-        assert!((b.frobenius_norm_sq() - b.to_matrix().frobenius_norm_sq()).abs() < 1e-12);
+        let b = m.view().block(1..4, 1..4);
+        let blk = Matrix::from_fn(3, 3, |i, j| m[(i + 1, j + 1)]);
+        assert!((b.frobenius_norm_sq() - blk.frobenius_norm_sq()).abs() < 1e-12);
     }
 }

@@ -27,8 +27,8 @@ proptest! {
     #[test]
     fn addition_commutes(m in matrix_strategy(6), scale in -3.0f64..3.0) {
         let n = m.scale(scale);
-        let ab = m.checked_add(&n).unwrap();
-        let ba = n.checked_add(&m).unwrap();
+        let ab = &m + &n;
+        let ba = &n + &m;
         prop_assert!(ab.approx_eq(&ba, 1e-12));
     }
 
@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn frobenius_triangle_inequality(m in matrix_strategy(6)) {
         let n = m.map(|x| x.sin());
-        let sum = m.checked_add(&n).unwrap();
+        let sum = &m + &n;
         prop_assert!(sum.frobenius_norm() <= m.frobenius_norm() + n.frobenius_norm() + 1e-9);
     }
 
@@ -75,30 +75,6 @@ proptest! {
     }
 
     #[test]
-    fn spectral_leq_frobenius_leq_nuclear(m in matrix_strategy(6)) {
-        let spec = m.spectral_norm();
-        let fro = m.frobenius_norm();
-        let nuc = m.nuclear_norm();
-        prop_assert!(spec <= fro + 1e-8);
-        prop_assert!(fro <= nuc + 1e-8);
-    }
-
-    #[test]
-    fn qr_reconstructs(m in matrix_strategy(7)) {
-        let qr = m.qr().unwrap();
-        let recon = qr.q.matmul(&qr.r).unwrap();
-        prop_assert!(recon.approx_eq(&m, 1e-9 * m.max_abs().max(1.0)));
-    }
-
-    #[test]
-    fn pivoted_qr_reconstructs_permuted(m in matrix_strategy(7)) {
-        let pqr = m.pivoted_qr().unwrap();
-        let recon = pqr.q.matmul(&pqr.r).unwrap();
-        let permuted = m.select_cols(&pqr.perm);
-        prop_assert!(recon.approx_eq(&permuted, 1e-8 * m.max_abs().max(1.0)));
-    }
-
-    #[test]
     fn solve_residual_small(a in square_matrix_strategy(6)) {
         // Make it diagonally dominant so it is well-conditioned.
         let n = a.rows();
@@ -108,8 +84,8 @@ proptest! {
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let x = dd.solve(&b).unwrap();
-        let r = dd.matvec(&x).unwrap();
-        for (ri, bi) in r.iter().zip(&b) {
+        let r = dd.matmul(&Matrix::from_vec(n, 1, x).unwrap()).unwrap();
+        for (ri, bi) in r.as_slice().iter().zip(&b) {
             prop_assert!((ri - bi).abs() < 1e-8);
         }
     }
@@ -128,7 +104,7 @@ proptest! {
 
     #[test]
     fn rank_bounded_by_min_dim(m in matrix_strategy(7)) {
-        let r = m.rank(1e-10).unwrap();
+        let r = m.pivoted_leading_columns(1e-10).unwrap().len();
         prop_assert!(r <= m.rows().min(m.cols()));
     }
 
@@ -143,7 +119,7 @@ proptest! {
         let a = l.matmul(&rt).unwrap();
         if a.max_abs() > 1e-6 {
             let ech = a.column_echelon(1e-7).unwrap().independent_cols.len();
-            let qr_rank = a.rank(1e-7).unwrap();
+            let qr_rank = a.pivoted_leading_columns(1e-7).unwrap().len();
             prop_assert_eq!(ech, qr_rank);
         }
     }
@@ -151,9 +127,10 @@ proptest! {
     #[test]
     fn svt_never_increases_rank_or_norm(m in matrix_strategy(6), tau in 0.01f64..5.0) {
         let out = shrink::svt(&m, tau).unwrap();
-        prop_assert!(out.nuclear_norm() <= m.nuclear_norm() + 1e-8);
-        let r_out = out.rank(1e-9).unwrap();
-        let r_in = m.rank(1e-9).unwrap();
+        let nuclear = |a: &Matrix| a.singular_values().unwrap().iter().sum::<f64>();
+        prop_assert!(nuclear(&out) <= nuclear(&m) + 1e-8);
+        let r_out = out.pivoted_leading_columns(1e-9).unwrap().len();
+        let r_in = m.pivoted_leading_columns(1e-9).unwrap().len();
         prop_assert!(r_out <= r_in);
     }
 
@@ -170,8 +147,7 @@ proptest! {
         let e = stats::Ecdf::new(&samples);
         prop_assert_eq!(e.eval(f64::NEG_INFINITY), 0.0);
         prop_assert_eq!(e.eval(f64::INFINITY), 1.0);
-        let med = e.quantile(0.5);
-        prop_assert!(e.eval(med) >= 0.5);
+        prop_assert!(e.eval(stats::median(&samples)) >= 0.5);
     }
 
     #[test]
@@ -200,8 +176,8 @@ proptest! {
         // A strided sub-block behaves exactly like its owned copy.
         let r0 = ((m.rows() - 1) as f64 * fr) as usize;
         let c0 = ((m.cols() - 1) as f64 * fc) as usize;
-        let block = m.block_view(r0..m.rows(), c0..m.cols());
-        let owned = block.to_matrix();
+        let block = m.view().block(r0..m.rows(), c0..m.cols());
+        let owned = Matrix::from_fn(m.rows() - r0, m.cols() - c0, |i, j| m[(i + r0, j + c0)]);
         prop_assert_eq!(block.shape(), owned.shape());
         for i in 0..owned.rows() {
             prop_assert_eq!(block.row(i), owned.row(i));
@@ -212,16 +188,17 @@ proptest! {
         prop_assert!((block.frobenius_norm_sq() - owned.frobenius_norm_sq()).abs() <= 1e-12 * scale);
         // Strided x strided multiply == owned x owned multiply.
         let bt = m.transpose();
-        let rhs = bt.block_view(c0..m.cols(), 0..bt.cols());
+        let rhs = bt.view().block(c0..m.cols(), 0..bt.cols());
         let via_views = block.matmul(&rhs).unwrap();
-        let via_owned = owned.matmul(&rhs.to_matrix()).unwrap();
+        let rhs_owned = Matrix::from_fn(m.cols() - c0, bt.cols(), |i, j| bt[(i + c0, j)]);
+        let via_owned = owned.matmul(&rhs_owned).unwrap();
         prop_assert!(via_views.approx_eq(&via_owned, 0.0));
     }
 
     #[test]
     fn axpy_matches_scale_add(m in matrix_strategy(7), alpha in -3.0f64..3.0) {
         let other = m.map(|x| x.cos());
-        let expected = m.checked_add(&other.scale(alpha)).unwrap();
+        let expected = &m + &other.scale(alpha);
         let mut inplace = m.clone();
         inplace.axpy(alpha, &other).unwrap();
         prop_assert!(inplace.approx_eq(&expected, 1e-12));
@@ -246,7 +223,7 @@ proptest! {
     #[test]
     fn sub_of_add_roundtrips(m in matrix_strategy(6), scale in -3.0f64..3.0) {
         let n = m.scale(scale);
-        let back = m.checked_add(&n).unwrap().checked_sub(&n).unwrap();
+        let back = (&m + &n).checked_sub(&n).unwrap();
         prop_assert!(back.approx_eq(&m, 1e-12));
     }
 
@@ -266,17 +243,5 @@ proptest! {
         let product = row.matmul(&col).unwrap();
         // Both sides sum in ascending index order, so this is exact.
         prop_assert_eq!(product[(0, 0)], iupdater_linalg::Matrix::dot(&v, &v));
-    }
-
-    #[test]
-    fn low_rank_approx_error_decreases_with_rank(m in matrix_strategy(6)) {
-        let k = m.rows().min(m.cols());
-        let mut prev = f64::INFINITY;
-        for r in 1..=k {
-            let err = (&m - &m.low_rank_approx(r).unwrap()).frobenius_norm();
-            prop_assert!(err <= prev + 1e-9);
-            prev = err;
-        }
-        prop_assert!(prev < 1e-7 * m.max_abs().max(1.0));
     }
 }

@@ -111,7 +111,7 @@ impl Testbed {
     /// The noiseless, *expected* RSS of link `i` with a target at grid
     /// location `j`, at day offset `day`. This is the ground-truth mean
     /// the fingerprint tries to capture.
-    pub fn expected_rss(&self, i: usize, j: usize, day: f64) -> f64 {
+    fn expected_rss(&self, i: usize, j: usize, day: f64) -> f64 {
         self.field_rss(&self.link_field(i, day), j)
     }
 
@@ -238,7 +238,7 @@ impl Testbed {
     /// the spirit of its multi-target related work): obstruction
     /// attenuations and multipath signatures superpose in dB — the
     /// standard first-order approximation for well-separated bodies.
-    pub fn expected_rss_multi(&self, i: usize, targets: &[usize], day: f64) -> f64 {
+    fn expected_rss_multi(&self, i: usize, targets: &[usize], day: f64) -> f64 {
         let field = self.link_field(i, day);
         let mut rss = field.empty_rss();
         for &j in targets {
@@ -428,6 +428,22 @@ mod tests {
             far - on_path > 4.0,
             "blocked RSS {on_path} should be well below unblocked {far}"
         );
+    }
+
+    #[test]
+    fn multi_target_superposition_consistent() {
+        for seed in 0..200 {
+            // With a single target the multi form equals the single one.
+            let t = Testbed::new(Environment::office(), seed);
+            let single = t.expected_rss(2, 30, 5.0);
+            let multi = t.expected_rss_multi(2, &[30], 5.0);
+            assert!((single - multi).abs() < 1e-9);
+            // Two targets attenuate at least as much as the stronger one
+            // on any link (dB superposition).
+            let both = t.expected_rss_multi(2, &[30, 70], 5.0);
+            let other = t.expected_rss_multi(2, &[70], 5.0);
+            assert!(both <= single.max(other) + 3.0);
+        }
     }
 
     #[test]

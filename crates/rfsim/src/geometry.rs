@@ -58,7 +58,7 @@ impl Segment {
 
     /// Projects `p` onto the segment, returning the clamped parameter
     /// `t` in `[0, 1]` such that the closest point is `a + t (b - a)`.
-    pub fn project(&self, p: Point) -> f64 {
+    fn project(&self, p: Point) -> f64 {
         let d = self.b.sub(self.a);
         let len_sq = d.dot(d);
         if len_sq == 0.0 {

@@ -42,7 +42,7 @@ impl LogDistanceModel {
     ///
     /// Distances below `d0` are clamped to `d0` (near-field is out of
     /// scope for this model).
-    pub fn loss_db(&self, d: f64) -> f64 {
+    fn loss_db(&self, d: f64) -> f64 {
         let d = d.max(self.d0);
         let lambda = wavelength(self.freq_hz);
         let free_space_d0 = 20.0 * (4.0 * std::f64::consts::PI * self.d0 / lambda).log10();
@@ -60,21 +60,6 @@ impl Default for LogDistanceModel {
     fn default() -> Self {
         LogDistanceModel::indoor(3.0)
     }
-}
-
-/// Converts dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    10.0_f64.powf(dbm / 10.0)
-}
-
-/// Converts milliwatts to dBm.
-///
-/// # Panics
-///
-/// Panics if `mw <= 0`.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    assert!(mw > 0.0, "power must be positive");
-    10.0 * mw.log10()
 }
 
 #[cfg(test)]
@@ -118,15 +103,6 @@ mod tests {
         // Sanity: a 5 m indoor link at 15 dBm TX lands in a plausible
         // -40..-80 dBm window.
         assert!(rss < -40.0 && rss > -80.0, "rss = {rss}");
-    }
-
-    #[test]
-    fn dbm_mw_roundtrip() {
-        for dbm in [-90.0, -30.0, 0.0, 20.0] {
-            assert!((mw_to_dbm(dbm_to_mw(dbm)) - dbm).abs() < 1e-12);
-        }
-        assert_eq!(dbm_to_mw(0.0), 1.0);
-        assert_eq!(dbm_to_mw(10.0), 10.0);
     }
 
     #[test]

@@ -17,16 +17,6 @@ pub struct Trajectory {
 }
 
 impl Trajectory {
-    /// Wraps an explicit cell sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is empty.
-    pub fn from_cells(cells: Vec<usize>) -> Self {
-        assert!(!cells.is_empty(), "trajectory needs at least one cell");
-        Trajectory { cells }
-    }
-
     /// A random walk over the grid: at each step the target stays or
     /// moves to a 4-neighbour cell (up/down along links or sideways to
     /// the adjacent link's same relative cell), never leaving the grid.
@@ -73,7 +63,7 @@ impl Trajectory {
         self.cells.len()
     }
 
-    /// Always `false` (construction requires a non-empty sequence).
+    /// Always `false` (a random walk visits at least its start cell).
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -140,7 +130,9 @@ mod tests {
     fn measurements_shape() {
         let env = Environment::office();
         let t = Testbed::new(env, 5);
-        let traj = Trajectory::from_cells(vec![1, 2, 3]);
+        let traj = Trajectory {
+            cells: vec![1, 2, 3],
+        };
         let ms = traj.measurements(&t, 0.0, 9);
         assert_eq!(ms.shape(), (3, 8));
     }
@@ -148,14 +140,10 @@ mod tests {
     #[test]
     fn path_length_accumulates() {
         let d = deployment();
-        let traj = Trajectory::from_cells(vec![0, 1, 2]);
+        let traj = Trajectory {
+            cells: vec![0, 1, 2],
+        };
         let expected = 2.0 * d.grid_step();
         assert!((traj.path_length_m(&d) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cell")]
-    fn empty_trajectory_rejected() {
-        let _ = Trajectory::from_cells(vec![]);
     }
 }

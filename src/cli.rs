@@ -310,7 +310,7 @@ pub fn cmd_batch(
 }
 
 /// `snapshot`: builds a fleet (one deployment per environment), runs
-/// an optional sequence of update cycles, and returns the v2 service
+/// an optional sequence of update cycles, and returns the v3 service
 /// snapshot — the durable form of the fleet, restorable with
 /// [`cmd_restore`].
 ///
@@ -328,7 +328,7 @@ pub fn cmd_snapshot(envs: &str, seed: u64, days: &str, samples: usize) -> Result
     render_snapshot(&service.snapshot())
 }
 
-/// `restore`: rebuilds a fleet from a serialised v2 snapshot, runs
+/// `restore`: rebuilds a fleet from a serialised v3 snapshot, runs
 /// update cycles at each listed day (the list may be empty to just
 /// inspect), and returns the updated snapshot plus a human-readable
 /// report of the fleet's state.

@@ -50,7 +50,7 @@
 //! sweeps inside the service's deployment fan-out) cannot deadlock.
 //!
 //! The full map — including the drift-tolerance fallback rule, the
-//! parity-tier test strategy and the v1/v2/v3 snapshot lineage — lives
+//! parity-tier test strategy and the v1→v3 snapshot lineage — lives
 //! in `ARCHITECTURE.md` at the repository root. Its § "Static
 //! analysis" is machine-checked: `cargo run -p invariants` lints the
 //! tree against the book's invariants (unsafe confinement,
