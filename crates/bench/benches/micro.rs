@@ -65,6 +65,27 @@ fn bench_linalg(c: &mut Criterion) {
         }
     });
     group.bench_function("lu_32x32", |b| b.iter(|| black_box(&normal).lu().unwrap()));
+    // One storm row's data-fit Gram (1,488 known cells of rank 32)
+    // through the widest Gram arm, and the storm objective's
+    // reconstruction `L Rᵀ` (k = 32 walked in two 16-deep slabs).
+    let factor = Matrix::from_fn(1536, 32, |i, j| ((i * 32 + j) as f64 * 0.29).sin());
+    let known: Vec<usize> = (48..1536).collect();
+    let mut gram = Matrix::zeros(32, 32);
+    group.bench_function("weighted_gram_1488x32", |b| {
+        b.iter(|| {
+            gram.add_weighted_gram(0.7, black_box(&factor), black_box(&known))
+                .unwrap()
+        })
+    });
+    let l = Matrix::from_fn(32, 32, |i, j| ((i * 32 + j) as f64 * 0.53).cos());
+    let mut xhat = Matrix::zeros(32, 1536);
+    group.bench_function("matmul_bt_32x32x1536", |b| {
+        b.iter(|| {
+            black_box(&l)
+                .matmul_bt_into(black_box(&factor), &mut xhat)
+                .unwrap()
+        })
+    });
     group.bench_function("certify_pivot_seed_8x96", |b| {
         b.iter(|| {
             black_box(&x)

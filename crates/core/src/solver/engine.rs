@@ -11,7 +11,8 @@
 //! runs in two phases:
 //!
 //! 1. **Assemble + factor (parallel)**: build and LU-factor one normal
-//!    matrix per *column class*, and the fixed part of every `c_j`.
+//!    matrix per *column class*, and the fixed part of every `c_j` in
+//!    one product ("Right-hand sides" below).
 //!    `A_j` reads `L` only through the inputs each term's
 //!    [`PenaltyTerm::column_key`] names — the column's known-row set,
 //!    its link and one `G`/`H` coefficient — so columns with equal keys
@@ -57,6 +58,24 @@
 //! the same operation sequence: the result is bit-identical to a
 //! from-scratch fold per row.
 //!
+//! # Right-hand sides
+//!
+//! Only the data-fit and reference terms have an `R`-independent
+//! linear part (`R`'s for row sweeps): column `j`'s is
+//! `Σ_{i known} (w_fit·x_b(i, j))·ℓ_i`, then `Σ_i (w_ref·p(i, j))·ℓ_i`,
+//! each in ascending `i`. The engine builds every system's of a sweep as
+//! one product through `kernels::gather_matmul`: the coefficient of
+//! position `t` is gathered as `w_fit·x_b` (zero where the mask is zero,
+//! whatever `x_b` holds there) for the first block of positions and
+//! `w_ref·p` for the second, and the factor row of position `t` is
+//! fetched by index, so neither a coefficient matrix nor a stacked
+//! `[L; L]` is ever stored. The historical per-system loop made one
+//! `axpy` per coefficient and skipped zero ones; the product adds them.
+//! With finite factors that is bit-identical: each accumulator starts at
+//! `+0.0`, so it can never hold `-0.0`, and adding a `±0.0` product
+//! leaves its bits unchanged. The output's rows fan out across the pool
+//! in contiguous chunks; each row is computed the same way in any chunk.
+//!
 //! # Warm start
 //!
 //! A warm-started solve begins from [`warm_factors`] of the warm start:
@@ -69,10 +88,11 @@
 //! # When sweeps fan out
 //!
 //! Parallel phases run on the rayon shim's persistent worker pool.
-//! A batch of `count` systems — the class factors or right-hand sides
-//! of a column sweep, the systems of a row sweep — fans out when
-//! `count * r²` reaches [`MIN_PARALLEL_WORK`] and the pool has more
-//! than one thread; below that it runs serially. Row and column sweeps
+//! A batch of `count` systems — the class factors or solves of a column
+//! sweep, the systems of a row sweep — fans out when `count * r²`
+//! reaches [`MIN_PARALLEL_WORK`] and the pool has more than one thread;
+//! below that it runs serially. A right-hand-side product fans out when
+//! its coefficient count does. Row and column sweeps
 //! share that one skeleton: factor every system through the same
 //! dispatch, then solve. The pool width is cached at engine
 //! construction ([`AlsEngine::new`]), so the serial/parallel decision
@@ -82,6 +102,7 @@
 
 use std::collections::BTreeMap;
 
+use iupdater_linalg::kernels::gather_matmul;
 use iupdater_linalg::solve::Lu;
 use iupdater_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -90,23 +111,26 @@ use rayon::prelude::*;
 
 use crate::config::{ScalingMode, UpdaterConfig};
 use crate::solver::terms::{
-    ContinuityTerm, DataFitTerm, PenaltyTerm, ReferenceTerm, SimilarityTerm, SweepCache,
+    ContinuityTerm, DataFitTerm, Nonzeros, PenaltyTerm, ReferenceTerm, SimilarityTerm, SweepCache,
     TermContext,
 };
 use crate::solver::{SolveReport, SolverInputs, TermWeights};
 use crate::Result;
 
 /// Minimum sweep size, measured as `systems x r²` (the dominant
-/// assembly cost), before a sweep fans out to the worker pool.
+/// assembly cost), before a sweep fans out to the worker pool. A
+/// sweep's right-hand-side product is measured as its coefficient
+/// count, `systems x positions`.
 /// Dispatching to the persistent pool costs a few microseconds (a
 /// mutex/condvar wake plus chunk bookkeeping — it was ~100 µs of
 /// scoped-thread spawns before the pool existed, behind the historical
 /// threshold of 16 384), so only genuinely tiny batches — where even
 /// microseconds exceed the arithmetic — stay serial. At this threshold
-/// the paper-size office (r = 8) fans out the right-hand sides of its
-/// 96 columns (6144) while its 24 column classes (1536) and its 8-row
-/// sweeps stay serial. Results are identical either way — see the
-/// parity tests.
+/// the paper-size office (r = 8) keeps its 24 column classes (1536),
+/// its 8-row sweeps (512) and both right-hand-side products (1536
+/// coefficients each) serial, while the 32x1536 storm site fans out
+/// every phase. Results are identical either way — see the parity
+/// tests.
 const MIN_PARALLEL_WORK: usize = 4_096;
 
 /// The ALS engine: validated inputs plus derived relationship matrices.
@@ -116,6 +140,9 @@ pub(crate) struct AlsEngine {
     pub(crate) cfg: UpdaterConfig,
     pub(crate) g: Option<Matrix>,
     pub(crate) h: Option<Matrix>,
+    /// The nonzero lists of `G` and `H`, for the cross terms.
+    g_nz: Option<Nonzeros>,
+    h_nz: Option<Nonzeros>,
     pub(crate) rank: usize,
     /// Worker-pool width, cached at construction: sweeps consult it on
     /// every serial/parallel decision and must not pay (or observe) a
@@ -204,7 +231,8 @@ impl RowPrefixes {
 
 impl AlsEngine {
     /// Binds validated inputs to the engine, caching the pool width, the
-    /// column classes and the row prefix plan.
+    /// column classes, the row prefix plan and the nonzero lists of `G`
+    /// and `H`.
     pub(crate) fn new(
         inputs: SolverInputs,
         cfg: UpdaterConfig,
@@ -216,6 +244,8 @@ impl AlsEngine {
         let mut engine = AlsEngine {
             inputs,
             cfg,
+            g_nz: g.as_ref().map(Nonzeros::new),
+            h_nz: h.as_ref().map(Nonzeros::new),
             g,
             h,
             rank,
@@ -302,7 +332,13 @@ impl AlsEngine {
     /// Whether a batch of `count` systems should run serially instead
     /// of on the worker pool.
     fn serial_sweep(&self, count: usize) -> bool {
-        self.threads == 1 || count * self.rank * self.rank < MIN_PARALLEL_WORK
+        self.serial(count * self.rank * self.rank)
+    }
+
+    /// Whether `work` (in [`MIN_PARALLEL_WORK`]'s units) is too little
+    /// to fan out, or the pool has one thread.
+    fn serial(&self, work: usize) -> bool {
+        self.threads == 1 || work < MIN_PARALLEL_WORK
     }
 
     /// Maps `f` over `0..count` in index order, on the worker pool
@@ -323,7 +359,69 @@ impl AlsEngine {
             per: self.inputs.per,
             g: self.g.as_ref(),
             h: self.h.as_ref(),
+            g_nz: self.g_nz.as_ref(),
+            h_nz: self.h_nz.as_ref(),
         }
+    }
+
+    /// Every `R`-independent right-hand side of one sweep (see "Right-hand
+    /// sides" in the module docs): row `s` of the result (`systems x r`)
+    /// is system `s`'s, the products of the gathered data-fit and
+    /// reference coefficients with the rows of the fixed `factor`. A
+    /// column sweep (`columns`, `factor = L`) reads the targets at
+    /// `(t, s)`, a row sweep (`factor = R`) at `(s, t)`. An inactive
+    /// term contributes no block of positions.
+    fn linear_rhs(&self, w: &TermWeights, factor: &Matrix, columns: bool) -> Matrix {
+        let (m, n) = self.inputs.x_b.shape();
+        let positions = factor.rows();
+        let (systems, s_stride, t_stride) = if columns { (n, 1, n) } else { (m, n, 1) };
+        let (b, x_b) = (self.inputs.b.as_slice(), self.inputs.x_b.as_slice());
+        let fit_len = if w.fit > 0.0 { positions } else { 0 };
+        let (p, ref_len) = match &self.inputs.p {
+            Some(p) if w.reference > 0.0 => (p.as_slice(), positions),
+            _ => (&[][..], 0),
+        };
+        // Positions `from..from + file.len()` of system `s`: the
+        // data-fit block's share, then the reference block's.
+        let coefficients = |s: usize, from: usize, file: &mut [f64]| {
+            let (fit, reference) = file.split_at_mut(fit_len.saturating_sub(from).min(file.len()));
+            let at = |t: usize| s * s_stride + t * t_stride;
+            let known = b.iter().zip(x_b).skip(at(from)).step_by(t_stride);
+            for (c, (&bv, &xv)) in fit.iter_mut().zip(known) {
+                *c = if bv != 0.0 { w.fit * xv } else { 0.0 };
+            }
+            let first = (from + fit.len()).saturating_sub(fit_len);
+            for (c, &pv) in reference
+                .iter_mut()
+                .zip(p.iter().skip(at(first)).step_by(t_stride))
+            {
+                *c = w.reference * pv;
+            }
+        };
+        let factor_row = |t: usize| factor.row(if t < fit_len { t } else { t - fit_len });
+        let r = self.rank;
+        let mut out = Matrix::zeros(systems, r);
+        let product = |first: usize, chunk: &mut [f64]| {
+            gather_matmul(
+                &|s, from, file: &mut [f64]| coefficients(first + s, from, file),
+                &factor_row,
+                fit_len + ref_len,
+                chunk,
+                r,
+            );
+        };
+        // One coefficient is one `r`-long axpy of the per-system loop,
+        // about what one `r²` unit of assembly costs at the ranks served.
+        if self.serial(systems * (fit_len + ref_len)) {
+            product(0, out.as_mut_slice());
+        } else {
+            let chunk_rows = systems.div_ceil(self.threads);
+            out.as_mut_slice()
+                .par_chunks_mut(chunk_rows * r)
+                .enumerate()
+                .for_each(|(c, chunk)| product(c * chunk_rows, chunk));
+        }
+        out
     }
 
     /// The standard four paper terms for the given effective weights, in
@@ -455,6 +553,7 @@ impl AlsEngine {
     fn update_columns(
         &self,
         terms: &[Box<dyn PenaltyTerm>],
+        weights: &TermWeights,
         l: &Matrix,
         rm: &mut Matrix,
     ) -> Result<()> {
@@ -475,7 +574,8 @@ impl AlsEngine {
             .filter(|t| t.has_column_cross())
             .collect();
 
-        // Phase 1: one LU per column class, one fixed rhs per column.
+        // Phase 1: one LU per column class, and every column's fixed rhs
+        // from one product.
         let lus = self
             .sweep_map(self.class_reps.len(), |class| {
                 let mut a = Matrix::identity(r);
@@ -487,18 +587,12 @@ impl AlsEngine {
             })
             .into_iter()
             .collect::<Result<Vec<Lu>>>()?;
-        let mut rhs = self.sweep_map(n, |j| {
-            let mut c = vec![0.0_f64; r];
-            for term in &active {
-                term.column_linear(&ctx, j, l, &mut c);
-            }
-            c
-        });
+        let mut rhs = self.linear_rhs(weights, l, true);
         let lu_of = |j: usize| &lus[self.col_class[j]];
 
         if cross_terms.is_empty() {
             // Fully independent columns: solve and write in parallel.
-            let thetas = self.sweep_map(n, |j| lu_of(j).solve(&rhs[j]));
+            let thetas = self.sweep_map(n, |j| lu_of(j).solve(rhs.row(j)));
             for (j, theta) in thetas.iter().enumerate() {
                 rm.set_row(j, theta);
             }
@@ -508,7 +602,8 @@ impl AlsEngine {
             // entry of the solved column is refreshed after each solve.
             let per = self.inputs.per;
             let mut xd = xd_table(l, rm, per);
-            for (j, c) in rhs.iter_mut().enumerate() {
+            for j in 0..n {
+                let c = rhs.row_mut(j);
                 for term in &cross_terms {
                     term.column_cross(&ctx, j, l, &xd, c);
                 }
@@ -524,12 +619,12 @@ impl AlsEngine {
     fn update_rows(
         &self,
         terms: &[Box<dyn PenaltyTerm>],
-        fit: f64,
+        weights: &TermWeights,
         l: &mut Matrix,
         rm: &Matrix,
     ) -> Result<()> {
         let m = self.inputs.x_b.rows();
-        let r = self.rank;
+        let fit = weights.fit;
         let ctx = self.ctx();
         let sweep = SweepCache {
             gram: terms
@@ -544,23 +639,24 @@ impl AlsEngine {
             .filter(|t| t.has_row_cross())
             .collect();
 
-        // Phase 1: one LU and fixed rhs per row. The data-fit quadratic
-        // comes first, from the shared spine checkpoints.
+        // Phase 1: one LU per row, and every row's fixed rhs from one
+        // product. The data-fit quadratic comes first, from the shared
+        // spine checkpoints.
         let checkpoints = self.fit_checkpoints(fit, rm)?;
-        let plans = self
+        let lus = self
             .sweep_map(m, |i| {
                 let mut a = self.fit_row_normal(&checkpoints, fit, i, rm)?;
-                let mut rhs = vec![0.0_f64; r];
                 for term in &active {
-                    term.assemble_row(&ctx, i, rm, &sweep, &mut a, &mut rhs)?;
+                    term.row_quadratic(&ctx, i, rm, &sweep, &mut a)?;
                 }
-                Ok((a.lu()?, rhs))
+                Ok(a.lu()?)
             })
             .into_iter()
-            .collect::<Result<Vec<(Lu, Vec<f64>)>>>()?;
+            .collect::<Result<Vec<Lu>>>()?;
+        let mut rhs = self.linear_rhs(weights, rm, false);
 
         if cross_terms.is_empty() {
-            let rows = self.sweep_map(m, |i| plans[i].0.solve(&plans[i].1));
+            let rows = self.sweep_map(m, |i| lus[i].solve(rhs.row(i)));
             for (i, ell) in rows.iter().enumerate() {
                 l.set_row(i, ell);
             }
@@ -569,11 +665,12 @@ impl AlsEngine {
             // its `per` entries of the X_D table.
             let per = self.inputs.per;
             let mut xd = xd_table(l, rm, per);
-            for (i, (lu, mut rhs)) in plans.into_iter().enumerate() {
+            for (i, lu) in lus.iter().enumerate() {
+                let c = rhs.row_mut(i);
                 for term in &cross_terms {
-                    term.row_cross(&ctx, i, rm, &xd, &mut rhs);
+                    term.row_cross(&ctx, i, rm, &xd, c);
                 }
-                l.set_row(i, &lu.solve(&rhs));
+                l.set_row(i, &lu.solve(c));
                 for (u, x) in xd.row_mut(i).iter_mut().enumerate() {
                     *x = Matrix::dot(l.row(i), rm.row(i * per + u));
                 }
@@ -599,8 +696,8 @@ impl AlsEngine {
         trace.push(self.objective(&terms, &l, &rm, &mut xhat)?);
         let mut iterations = 0;
         for _ in 0..self.cfg.max_iter {
-            self.update_columns(&terms, &l, &mut rm)?;
-            self.update_rows(&terms, weights.fit, &mut l, &rm)?;
+            self.update_columns(&terms, &weights, &l, &mut rm)?;
+            self.update_rows(&terms, &weights, &mut l, &rm)?;
             iterations += 1;
             let v = self.objective(&terms, &l, &rm, &mut xhat)?;
             // invariants: allow(panic-freedom) — the initial
@@ -657,6 +754,7 @@ mod tests {
     use super::*;
     use crate::config::CouplingMode;
     use crate::solver::validate;
+    use iupdater_linalg::axpy_slice;
 
     /// A no-decrease mask that varies *within* links: besides the cells
     /// near its own link, each column randomly also hides each of the
@@ -842,6 +940,114 @@ mod tests {
         let folded = rows.spine.len() + rows.suffix.iter().map(Vec::len).sum::<usize>();
         assert_eq!(total, 47_616);
         assert_eq!(folded, 25_296);
+    }
+
+    /// System `s`'s right-hand side as the per-system loop built it: one
+    /// `axpy_slice` per nonzero coefficient, the data fit's over the
+    /// known positions first, then the reference's.
+    fn axpy_chain(
+        e: &AlsEngine,
+        w: &TermWeights,
+        factor: &Matrix,
+        s: usize,
+        columns: bool,
+    ) -> Vec<f64> {
+        let at = |a: &Matrix, t: usize| if columns { a[(t, s)] } else { a[(s, t)] };
+        let mut c = vec![0.0; e.rank];
+        for t in (0..factor.rows()).filter(|_| w.fit > 0.0) {
+            if at(&e.inputs.b, t) != 0.0 {
+                axpy_slice(w.fit * at(&e.inputs.x_b, t), factor.row(t), &mut c);
+            }
+        }
+        if let Some(p) = e.inputs.p.as_ref().filter(|_| w.reference > 0.0) {
+            for t in 0..factor.rows() {
+                if at(p, t) != 0.0 {
+                    axpy_slice(w.reference * at(p, t), factor.row(t), &mut c);
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn sweep_rhs_product_matches_per_system_axpy_chains_bitwise() {
+        // Both products fan out (at least MIN_PARALLEL_WORK
+        // coefficients): 320 columns of 16 positions, and 8 rows of 640
+        // positions, which walk 40 slabs.
+        let (m, per) = (8usize, 40usize);
+        let mut e = engine(varying_mask(m, per, 78), per, CouplingMode::Exact);
+        let n = m * per;
+        // `x_b` holds values where the mask hides the cell, and the
+        // reference target has exact zeros: neither may reach the sum.
+        let (b, x_b) = (e.inputs.b.clone(), e.inputs.x_b.clone());
+        e.inputs.x_b = Matrix::from_fn(m, n, |i, j| {
+            if b[(i, j)] == 0.0 {
+                37.5 + (i * j) as f64
+            } else {
+                x_b[(i, j)]
+            }
+        });
+        let p = e.inputs.p.take().unwrap();
+        let p = Matrix::from_fn(m, n, |i, j| if (i + j) % 5 == 0 { 0.0 } else { p[(i, j)] });
+        let mut rng = StdRng::seed_from_u64(79);
+        let l = Matrix::from_fn(m, e.rank, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+        let rm = Matrix::from_fn(n, e.rank, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for (fit, reference, with_p) in [
+            (1.3, 0.7, true),
+            (0.0, 0.7, true),  // fit weight 0
+            (1.3, 0.0, true),  // zero-weight reference
+            (1.3, 0.7, false), // no reference target
+            (0.0, 0.0, true),  // nothing: a zero right-hand side
+        ] {
+            e.inputs.p = with_p.then(|| p.clone());
+            let w = TermWeights {
+                fit,
+                reference,
+                continuity: 0.45,
+                similarity: 0.2,
+            };
+            for threads in [1, 3] {
+                e.threads = threads;
+                let case =
+                    format!("fit {fit}, reference {reference} (P: {with_p}), {threads} threads");
+                let cols = e.linear_rhs(&w, &l, true);
+                for j in 0..n {
+                    let want = axpy_chain(&e, &w, &l, j, true);
+                    assert_eq!(bits(cols.row(j)), bits(&want), "{case}: column {j}");
+                }
+                let rows = e.linear_rhs(&w, &rm, false);
+                for i in 0..m {
+                    let want = axpy_chain(&e, &w, &rm, i, false);
+                    assert_eq!(bits(rows.row(i)), bits(&want), "{case}: row {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nonzero_lists_follow_the_dense_scan_order() {
+        let g = Matrix::from_fn(5, 4, |i, j| match (i + 2 * j) % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -1.0 - i as f64,
+            _ => 0.5 + j as f64,
+        });
+        let nz = Nonzeros::new(&g);
+        for i in 0..5 {
+            let want: Vec<(usize, f64)> = (0..4)
+                .filter(|&j| g[(i, j)] != 0.0)
+                .map(|j| (j, g[(i, j)]))
+                .collect();
+            assert_eq!(nz.rows[i], want, "row {i}");
+        }
+        for j in 0..4 {
+            let want: Vec<(usize, f64)> = (0..5)
+                .filter(|&i| g[(i, j)] != 0.0)
+                .map(|i| (i, g[(i, j)]))
+                .collect();
+            assert_eq!(nz.cols[j], want, "column {j}");
+        }
     }
 
     #[test]

@@ -15,11 +15,17 @@
 //!
 //! - the **quadratic** part ([`PenaltyTerm::column_quadratic`]) adds to
 //!   the normal matrix `A_j` and reads only the fixed factor `L`;
-//! - the **linear** part ([`PenaltyTerm::column_linear`]) adds the
-//!   `R`-independent right-hand side `c_j`;
+//! - the **linear** part, the `R`-independent right-hand side `c_j`,
+//!   which only [`DataFitTerm`] (`w_fit·x_b` over the known rows) and
+//!   [`ReferenceTerm`] (`w_ref·p`) have. The engine builds it itself,
+//!   for every system of a sweep at once, as one kernel product whose
+//!   coefficients are those two targets, so no term adds it;
 //! - for [`CouplingMode::Exact`], a linear **cross** part reads the
 //!   current `R` ([`PenaltyTerm::column_cross`]) through the engine's
 //!   `X_D` table.
+//!
+//! Row updates of `L` split the same way ([`PenaltyTerm::row_quadratic`],
+//! the engine's product, [`PenaltyTerm::row_cross`]).
 //!
 //! The engine exploits the split twice. The quadratic part of a column
 //! reads `L` only through the few inputs its [`PenaltyTerm::column_key`]
@@ -29,7 +35,9 @@
 //! `R`-independent systems are factored in parallel, while the
 //! Gauss–Seidel cross terms run in the original sequential order — so
 //! parallel solves are bit-identical to the historical monolith (see
-//! `solver::reference`).
+//! `solver::reference`). The cross terms walk the nonzero entries of
+//! `G` and `H` ([`Nonzeros`], listed once per solver) in the order the
+//! dense scans visited them.
 //!
 //! Every quadratic contribution is one weighted Gram accumulation over
 //! a list of factor rows ([`Matrix::add_weighted_gram`]), so all
@@ -37,8 +45,8 @@
 //! term adds itself is the data-fit row quadratic: rows share long
 //! prefixes of their known-column lists, so the engine folds it once
 //! per shared prefix and hands each row's normal matrix to the terms
-//! with it already added; [`DataFitTerm`]'s `assemble_row` adds only
-//! the right-hand side.
+//! with it already added; [`DataFitTerm`]'s `row_quadratic` adds
+//! nothing.
 
 use iupdater_linalg::{axpy_slice, Matrix};
 
@@ -60,6 +68,48 @@ pub struct TermContext<'a> {
     pub g: Option<&'a Matrix>,
     /// Similarity relationship matrix `H` (when constraint 2 is active).
     pub h: Option<&'a Matrix>,
+    /// The nonzero entries of `G`, read by the continuity cross term.
+    pub g_nz: Option<&'a Nonzeros>,
+    /// The nonzero entries of `H`, read by the similarity cross terms.
+    pub h_nz: Option<&'a Nonzeros>,
+}
+
+/// The nonzero entries of a relationship matrix (`G` or `H`), listed
+/// once per solver so the Gauss–Seidel cross terms walk only them: per
+/// row its `(column, value)` pairs and per column its `(row, value)`
+/// pairs, each list ascending — the order in which a dense scan that
+/// skips zeros visits them, so the cross sums keep their terms and
+/// their order.
+#[derive(Debug, Clone)]
+pub struct Nonzeros {
+    /// Per row, its nonzero `(column, value)` entries, ascending.
+    pub rows: Vec<Vec<(usize, f64)>>,
+    /// Per column, its nonzero `(row, value)` entries, ascending.
+    pub cols: Vec<Vec<(usize, f64)>>,
+}
+
+impl Nonzeros {
+    /// The nonzero lists of `a` (an entry is nonzero when `!= 0.0`, so
+    /// `-0.0` is skipped as the dense scans skipped it).
+    pub fn new(a: &Matrix) -> Self {
+        let nonzero = |i: usize, j: usize| Some(a[(i, j)]).filter(|&v| v != 0.0);
+        Nonzeros {
+            rows: (0..a.rows())
+                .map(|i| {
+                    (0..a.cols())
+                        .filter_map(|j| Some((j, nonzero(i, j)?)))
+                        .collect()
+                })
+                .collect(),
+            cols: (0..a.cols())
+                .map(|j| {
+                    (0..a.rows())
+                        .filter_map(|i| Some((i, nonzero(i, j)?)))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Per-sweep shared precomputation (currently the Gram matrix `FᵀF` of
@@ -78,9 +128,9 @@ pub struct SweepCache {
 ///
 /// Implementations must keep four contracts:
 ///
-/// 1. `column_quadratic`, `column_linear` and `assemble_row` may depend
-///    on the *fixed* factor of the sweep only (`L` for columns, `R` for
-///    rows) — never on the factor being updated. Everything that reads
+/// 1. `column_quadratic` and `row_quadratic` may depend on the *fixed*
+///    factor of the sweep only (`L` for columns, `R` for rows) — never
+///    on the factor being updated. Everything that reads
 ///    the updated factor goes into the `*_cross` hook, reads it only
 ///    through the engine's `X_D` table (`M x per`,
 ///    `X_D(k, u) = ℓ_kᵀ θ_{k·per+u}` at the current Gauss–Seidel
@@ -94,6 +144,11 @@ pub struct SweepCache {
 ///    certificate alone.
 /// 3. Contributions add into `a` / `rhs`; they never overwrite.
 /// 4. Implementations are `Send + Sync` so sweeps can fan out.
+///
+/// No hook adds an `R`-independent right-hand side: the engine builds
+/// those of the data-fit and reference terms for a whole sweep as one
+/// kernel product, and a term with another linear part would need a
+/// new coefficient block in that product.
 pub trait PenaltyTerm: Send + Sync {
     /// Short identifier used in diagnostics.
     fn name(&self) -> &'static str;
@@ -131,10 +186,6 @@ pub trait PenaltyTerm: Send + Sync {
         a: &mut Matrix,
     ) -> Result<()>;
 
-    /// Adds the `R`-independent part of the right-hand side (length `r`)
-    /// of column `j`'s normal equations.
-    fn column_linear(&self, _ctx: &TermContext<'_>, _j: usize, _l: &Matrix, _rhs: &mut [f64]) {}
-
     /// Whether [`PenaltyTerm::column_cross`] contributes.
     fn has_column_cross(&self) -> bool {
         false
@@ -153,16 +204,15 @@ pub trait PenaltyTerm: Send + Sync {
     ) {
     }
 
-    /// Adds the `L`-independent part of the term's contribution to the
-    /// normal equations of row `i`.
-    fn assemble_row(
+    /// Adds the term's contribution to the normal matrix `a` (`r x r`)
+    /// of row `i`: fixed factor only, no right-hand side.
+    fn row_quadratic(
         &self,
         ctx: &TermContext<'_>,
         i: usize,
         rm: &Matrix,
         sweep: &SweepCache,
         a: &mut Matrix,
-        rhs: &mut [f64],
     ) -> Result<()>;
 
     /// Whether [`PenaltyTerm::row_cross`] contributes.
@@ -241,31 +291,17 @@ impl PenaltyTerm for DataFitTerm {
         Ok(())
     }
 
-    fn column_linear(&self, ctx: &TermContext<'_>, j: usize, l: &Matrix, rhs: &mut [f64]) {
-        for i in 0..ctx.b.rows() {
-            if ctx.b[(i, j)] != 0.0 {
-                axpy_slice(self.weight * ctx.x_b[(i, j)], l.row(i), rhs);
-            }
-        }
-    }
-
-    /// The right-hand side only: the engine assembles the row
-    /// quadratic `w Σ_{j known} θ_jθ_jᵀ` itself, from prefixes shared
-    /// across rows, before any term's `assemble_row`.
-    fn assemble_row(
+    /// Nothing: the engine assembles the row quadratic
+    /// `w Σ_{j known} θ_jθ_jᵀ` itself, from prefixes shared across rows,
+    /// before any term's `row_quadratic`.
+    fn row_quadratic(
         &self,
-        ctx: &TermContext<'_>,
-        i: usize,
-        rm: &Matrix,
+        _ctx: &TermContext<'_>,
+        _i: usize,
+        _rm: &Matrix,
         _sweep: &SweepCache,
         _a: &mut Matrix,
-        rhs: &mut [f64],
     ) -> Result<()> {
-        for j in 0..ctx.b.cols() {
-            if ctx.b[(i, j)] != 0.0 {
-                axpy_slice(self.weight * ctx.x_b[(i, j)], rm.row(j), rhs);
-            }
-        }
         Ok(())
     }
 }
@@ -328,27 +364,17 @@ impl PenaltyTerm for ReferenceTerm {
         Ok(())
     }
 
-    fn column_linear(&self, ctx: &TermContext<'_>, j: usize, l: &Matrix, rhs: &mut [f64]) {
-        let Some(p) = ctx.p else { return };
-        for i in 0..l.rows() {
-            let pij = p[(i, j)];
-            if pij == 0.0 {
-                continue;
-            }
-            axpy_slice(self.weight * pij, l.row(i), rhs);
-        }
-    }
-
-    fn assemble_row(
+    fn row_quadratic(
         &self,
         ctx: &TermContext<'_>,
-        i: usize,
-        rm: &Matrix,
+        _i: usize,
+        _rm: &Matrix,
         sweep: &SweepCache,
         a: &mut Matrix,
-        rhs: &mut [f64],
     ) -> Result<()> {
-        let Some(p) = ctx.p else { return Ok(()) };
+        if ctx.p.is_none() {
+            return Ok(());
+        }
         let gram = sweep
             .gram
             .as_ref()
@@ -357,13 +383,6 @@ impl PenaltyTerm for ReferenceTerm {
             // TermContext::p is Some only in that configuration.
             .expect("reference term requires the sweep Gram");
         a.axpy(self.weight, gram)?;
-        for j in 0..rm.rows() {
-            let pij = p[(i, j)];
-            if pij == 0.0 {
-                continue;
-            }
-            axpy_slice(self.weight * pij, rm.row(j), rhs);
-        }
         Ok(())
     }
 }
@@ -441,41 +460,31 @@ impl PenaltyTerm for ContinuityTerm {
         xd: &Matrix,
         rhs: &mut [f64],
     ) {
-        let Some(g) = ctx.g else { return };
+        let Some(g) = ctx.g_nz else { return };
         let per = ctx.per;
         let (ii, jj) = (j / per, j % per);
         let xd_row = xd.row(ii);
         let mut cross = 0.0;
-        for p_ in 0..per {
-            let gjp = g[(jj, p_)];
-            if gjp == 0.0 {
-                continue;
-            }
+        for &(p_, gjp) in &g.rows[jj] {
             // c_p = Σ_{u≠jj} X_D(ii, u) G(u, p).
             let mut c_p = 0.0;
-            for (u, &xdu) in xd_row.iter().enumerate() {
-                if u == jj {
-                    continue;
+            for &(u, gup) in &g.cols[p_] {
+                if u != jj {
+                    c_p += xd_row[u] * gup;
                 }
-                let gup = g[(u, p_)];
-                if gup == 0.0 {
-                    continue;
-                }
-                c_p += xdu * gup;
             }
             cross += c_p * gjp;
         }
         axpy_slice(-self.weight * cross, l.row(ii), rhs);
     }
 
-    fn assemble_row(
+    fn row_quadratic(
         &self,
         ctx: &TermContext<'_>,
         i: usize,
         rm: &Matrix,
         _sweep: &SweepCache,
         a: &mut Matrix,
-        _rhs: &mut [f64],
     ) -> Result<()> {
         // Row i of X_D is wholly owned by ℓ_i, so the term is a clean
         // quadratic Σ_p (ℓᵀ m_p)² with m_p = Σ_u G(u, p) θ_{i*per+u}:
@@ -559,41 +568,30 @@ impl PenaltyTerm for SimilarityTerm {
         xd: &Matrix,
         rhs: &mut [f64],
     ) {
-        let Some(h) = ctx.h else { return };
+        let Some(h) = ctx.h_nz else { return };
         let per = ctx.per;
         let (ii, jj) = (j / per, j % per);
-        let m = h.rows();
         let mut cross = 0.0;
-        for p_ in 0..m {
-            let hpi = h[(p_, ii)];
-            if hpi == 0.0 {
-                continue;
-            }
+        for &(p_, hpi) in &h.cols[ii] {
             // e_p = Σ_{k≠ii} H(p, k) X_D(k, jj).
             let mut e_p = 0.0;
-            for k in 0..m {
-                if k == ii {
-                    continue;
+            for &(k, hpk) in &h.rows[p_] {
+                if k != ii {
+                    e_p += xd[(k, jj)] * hpk;
                 }
-                let hpk = h[(p_, k)];
-                if hpk == 0.0 {
-                    continue;
-                }
-                e_p += xd[(k, jj)] * hpk;
             }
             cross += e_p * hpi;
         }
         axpy_slice(-self.weight * cross, l.row(ii), rhs);
     }
 
-    fn assemble_row(
+    fn row_quadratic(
         &self,
         ctx: &TermContext<'_>,
         i: usize,
         rm: &Matrix,
         _sweep: &SweepCache,
         a: &mut Matrix,
-        _rhs: &mut [f64],
     ) -> Result<()> {
         let Some(h) = ctx.h else { return Ok(()) };
         let per = ctx.per;
@@ -614,27 +612,17 @@ impl PenaltyTerm for SimilarityTerm {
         xd: &Matrix,
         rhs: &mut [f64],
     ) {
-        let Some(h) = ctx.h else { return };
+        let Some(h) = ctx.h_nz else { return };
         let per = ctx.per;
-        let m = h.rows();
         for u in 0..per {
             // Σ_p H(p, i) e_{p,u},  e_{p,u} = Σ_{k≠i} H(p, k) X_D(k, u).
             let mut cross = 0.0;
-            for p_ in 0..m {
-                let hpi = h[(p_, i)];
-                if hpi == 0.0 {
-                    continue;
-                }
+            for &(p_, hpi) in &h.cols[i] {
                 let mut e_pu = 0.0;
-                for k in 0..m {
-                    if k == i {
-                        continue;
+                for &(k, hpk) in &h.rows[p_] {
+                    if k != i {
+                        e_pu += hpk * xd[(k, u)];
                     }
-                    let hpk = h[(p_, k)];
-                    if hpk == 0.0 {
-                        continue;
-                    }
-                    e_pu += hpk * xd[(k, u)];
                 }
                 cross += hpi * e_pu;
             }

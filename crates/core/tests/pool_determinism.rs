@@ -69,25 +69,30 @@ fn mask_varying_within_links(m: usize, per: usize, seed: u64) -> Matrix {
 
 #[test]
 fn results_are_bit_identical_at_every_pool_width() {
-    // 8 links x 96 cells at rank 8: the column right-hand sides
-    // (96 * 64 = 6144) clear MIN_PARALLEL_WORK, so widths > 1 really
-    // take the parallel path. The link-constant mask shares its column
-    // systems among 24 classes; the varying mask has enough classes
-    // that their factoring (classes * 64 >= MIN_PARALLEL_WORK) fans out
-    // too.
-    let (m, per) = (8usize, 12usize);
-    let x = structured_fingerprint(m, per, 51);
-    let link_constant = Matrix::from_fn(m, m * per, |i, j| {
-        if (j / per).abs_diff(i) <= 1 {
-            0.0
-        } else {
-            1.0
-        }
-    });
-    for (mask, b) in [
-        ("link-constant", link_constant),
-        ("varying", mask_varying_within_links(m, per, 52)),
+    // 8 links x 96 cells at rank 8, Exact coupling. The link-constant
+    // mask shares its column systems among 24 classes; the varying
+    // mask has enough classes that their factoring (classes * 64 >=
+    // MIN_PARALLEL_WORK) fans out, so widths > 1 really take the
+    // parallel path. The right-hand-side products of a 96-cell site
+    // (1,536 coefficients a sweep) stay serial; on the 8 x 320 site
+    // (5,120 coefficients a sweep, for columns and rows alike) they
+    // fan out too.
+    let m = 8usize;
+    let link_constant = |per: usize| {
+        Matrix::from_fn(m, m * per, |i, j| {
+            if (j / per).abs_diff(i) <= 1 {
+                0.0
+            } else {
+                1.0
+            }
+        })
+    };
+    for (mask, per, b) in [
+        ("link-constant", 12, link_constant(12)),
+        ("varying", 12, mask_varying_within_links(m, 12, 52)),
+        ("wide", 40, link_constant(40)),
     ] {
+        let x = structured_fingerprint(m, per, 51);
         let x_b = b.hadamard(&x).unwrap();
         let inputs = SolverInputs {
             x_b,

@@ -3,7 +3,8 @@
 //! Every dense multiply in this crate — [`crate::Matrix::matmul`],
 //! [`crate::Matrix::matmul_into`], [`crate::Matrix::matmul_bt_into`],
 //! [`crate::Matrix::gram_into`] and the [`crate::MatrixView`] variants —
-//! funnels into this module, and so do the binary read path's
+//! funnels into this module, and so do the solver's right-hand-side
+//! products ([`gather_matmul`]) and the binary read path's
 //! nearest-atom scans ([`nearest_block`], [`sq_dist_row`]). The hot
 //! shapes of the iUpdater workload are *small in one dimension* (rank ≤
 //! 8 on the paper's 6- and 8-link presets and r = 32 on the 32x1536
@@ -20,6 +21,12 @@
 //! | [`KernelArm::ShortFat`]    | `m ≤ 8` (`THIN_EDGE`)      | `k` walked in ≤16-deep slabs of the same row kernel over full-width rows, accumulators seeded from the partial sums in `out` |
 //! | [`KernelArm::TallThin`]    | `n ≤ 8` (`THIN_EDGE`)      | output rows as monomorphised `[f64; N]` register files, four rows in flight, held in locals for the whole `k` loop; one store per element |
 //! | [`KernelArm::General`]     | otherwise                  | cache-blocked (`BLOCK = 64`) column panels — the active `B` slab (≤ 8 KB) stays L1-resident — times ≤16-deep `k`-slabs of the shared row kernel |
+//!
+//! `A·Bᵀ` has one arm at every shape: `BT_TILE = 32` columns of `Bᵀ` at
+//! a time, each tile walked in ≤16-deep `k`-slabs that are transposed
+//! into a stack tile and run through the same row kernel, seeded from
+//! `out` after the first slab. [`gather_matmul`] walks `k` in the same
+//! seeded slabs over coefficients it gathers per slab, never stored.
 //!
 //! # The accumulation-order contract
 //!
@@ -48,10 +55,11 @@
 //! (lanes never share a sum), inner trip counts are compile-time
 //! constants (`K`, `N`, the 4-wide `j` unroll), and slices are
 //! narrowed to `&[f64; 4]` chunks so bounds checks hoist out of the
-//! loop. With the `simd` crate feature enabled, the tiny-inner row loop
-//! additionally dispatches at runtime (`is_x86_feature_detected!`) to
-//! an AVX `std::arch` path that performs the same per-lane ascending-`p`
-//! sums with 256-bit mul + add (never FMA — contraction would change
+//! loop. With the `simd` crate feature enabled, the row pass and the
+//! weighted Gram tile additionally dispatch at runtime
+//! (`is_x86_feature_detected!`, [`MulArm`]) to AVX-512F or AVX
+//! `std::arch` paths that perform the same per-lane ascending-`p` sums
+//! with 512- or 256-bit mul + add (never FMA — contraction would change
 //! the bits); the scalar fallback stays compiled and tested either way.
 //!
 //! # The distance kernels
@@ -107,8 +115,8 @@
 /// tiny-inner kernels ([`matmul_rk`]). It covers every rank the solver
 /// produces on the paper's presets (rank ≤ 8: at most 8 links); the
 /// 32x1536 storm site solves at r = 32, whose products walk `k` in two
-/// 16-deep slabs of the same row kernel (the short-fat and general
-/// arms).
+/// 16-deep slabs of the same row kernel (the short-fat, general and
+/// `A·Bᵀ` arms).
 pub const TINY_INNER_MAX: usize = 16;
 
 /// Row/column threshold for the short-fat (`m ≤ THIN_EDGE`) and
@@ -206,10 +214,110 @@ pub(crate) fn matmul_bt_rows<'r, A, B>(
         out.fill(0.0); // every dot is over an empty row
         return;
     }
-    if k <= TINY_INNER_MAX {
-        dispatch_k!(k, bt_tiny, [_, _], (a_row, b_row, out, m, n));
-    } else {
-        bt_general(a_row, b_row, out, m, k, n);
+    for jb in (0..n).step_by(BT_TILE) {
+        let width = (n - jb).min(BT_TILE);
+        let mut kb = 0;
+        while kb < k {
+            let klen = (k - kb).min(TINY_INNER_MAX);
+            dispatch_k!(
+                klen,
+                bt_slab,
+                [_, _],
+                (a_row, b_row, out, m, n, jb, width, kb)
+            );
+            kb += klen;
+        }
+    }
+}
+
+/// `out[i] = Σ_{p < k} c(i, p) · b_row(p)[..n]` for every output row
+/// `i < m = out.len() / n` (`out` row-major `m x n`, fully overwritten),
+/// summed in ascending `p`: a product whose coefficient matrix `c` is
+/// never stored. `coef(i, kb, file)` writes `c(i, kb + q)` into
+/// `file[q]` for every `q < file.len()`. The ALS engine builds every
+/// sweep's right-hand sides with it, gathering masked, weighted targets
+/// as coefficients and fetching factor rows by index through `b_row`,
+/// so neither a coefficient copy nor a stacked factor is stored.
+///
+/// `k` is walked in ≤[`TINY_INNER_MAX`]-deep slabs of the shared row
+/// kernel, each slab's `K` coefficients gathered per output row into a
+/// `[f64; K]` file and the accumulators seeded from `out` on every slab
+/// after the first. Each element is therefore the one ascending-`p`
+/// chain `s = +0.0; s += c(i, p) · b_p[j]` — the sequence of one `axpy`
+/// per position onto a zeroed row, bit for bit.
+///
+/// # Panics
+///
+/// If `out.len()` is not a multiple of `n` (for `n = 0`: not empty), or
+/// a row `b_row(p)` is shorter than `n`.
+pub fn gather_matmul<'r, C, B>(coef: &C, b_row: &B, k: usize, out: &mut [f64], n: usize)
+where
+    C: Fn(usize, usize, &mut [f64]),
+    B: Fn(usize) -> &'r [f64],
+{
+    gather_matmul_on(MulArm::widest(), coef, b_row, k, out, n);
+}
+
+/// [`gather_matmul`] through a chosen row-pass arm, so the parity tier
+/// can pin every arm a host supports, not only the widest: the row pass
+/// is the one all product kernels share.
+///
+/// # Panics
+///
+/// As [`gather_matmul`], and if `arm` is not in [`MulArm::available`].
+// invariants: allow(dead-pub) — kernel_parity pins every row-pass arm
+// a host supports through it.
+pub fn gather_matmul_on<'r, C, B>(
+    arm: MulArm,
+    coef: &C,
+    b_row: &B,
+    k: usize,
+    out: &mut [f64],
+    n: usize,
+) where
+    C: Fn(usize, usize, &mut [f64]),
+    B: Fn(usize) -> &'r [f64],
+{
+    assert!(arm.runs(), "row-pass arm {arm:?} is not available here");
+    assert_eq!(
+        out.len().checked_rem(n).unwrap_or(out.len()),
+        0,
+        "out must be m rows of n columns"
+    );
+    if out.is_empty() {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0); // an empty inner dimension is a zero product
+        return;
+    }
+    let mut kb = 0;
+    while kb < k {
+        let klen = (k - kb).min(TINY_INNER_MAX);
+        dispatch_k!(klen, gather_slab, [_, _], (arm, coef, b_row, out, n, kb));
+        kb += klen;
+    }
+}
+
+/// One `K`-deep slab of [`gather_matmul`] (positions `kb..kb+K`): the
+/// `K` rows of `B` are captured once and every output row gathers its
+/// coefficient file and takes one seeded [`row_pass`].
+fn gather_slab<'r, const K: usize, C, B>(
+    arm: MulArm,
+    coef: &C,
+    b_row: &B,
+    out: &mut [f64],
+    n: usize,
+    kb: usize,
+) where
+    C: Fn(usize, usize, &mut [f64]),
+    B: Fn(usize) -> &'r [f64],
+{
+    let b: [&[f64]; K] = core::array::from_fn(|p| &b_row(kb + p)[..n]);
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        let mut c = [0.0_f64; K];
+        coef(i, kb, &mut c);
+        row_pass(arm, &c, &b, orow, kb > 0);
     }
 }
 
@@ -229,7 +337,22 @@ pub(crate) fn matmul_bt_rows<'r, A, B>(
 /// from a literal zero). Positions are walked in ≤[`TINY_INNER_MAX`]-deep
 /// slabs whose accumulators are seeded from `out` (every slab,
 /// including the first), and the coefficient file is `α·x_p[a]`.
+/// The widest [`MulArm`] the host runs does the arithmetic.
 pub(crate) fn weighted_gram_rows<'r, X>(
+    x_row: &X,
+    count: usize,
+    alpha: f64,
+    out: &mut [f64],
+    n: usize,
+) where
+    X: Fn(usize) -> &'r [f64],
+{
+    weighted_gram_arm(MulArm::widest(), x_row, count, alpha, out, n);
+}
+
+/// [`weighted_gram_rows`] through a chosen arm.
+fn weighted_gram_arm<'r, X>(
+    arm: MulArm,
     x_row: &X,
     count: usize,
     alpha: f64,
@@ -244,19 +367,107 @@ pub(crate) fn weighted_gram_rows<'r, X>(
     let mut kb = 0;
     while kb < count {
         let klen = (count - kb).min(TINY_INNER_MAX);
-        dispatch_k!(klen, weighted_gram_chunk, [_], (x_row, kb, alpha, out, n));
+        dispatch_k!(
+            klen,
+            weighted_gram_chunk,
+            [_],
+            (arm, x_row, kb, alpha, out, n)
+        );
         kb += klen;
     }
+}
+
+/// The arms of the mul-then-add kernels: the weighted Gram tile
+/// ([`crate::Matrix::add_weighted_gram`], [`crate::Matrix::gram_into`])
+/// and the row pass every product kernel shares ([`gather_matmul`], the
+/// `matmul` arms, `A·Bᵀ`). Every arm runs the
+/// same per-element mul-then-add chains, so they differ in cost only;
+/// the widest one the host runs is dispatched.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MulArm {
+    /// The scalar row kernel per output row (4 lanes of locals).
+    Scalar,
+    /// 256-bit mul + add (runtime-detected AVX): an 8-wide row pass,
+    /// and four Gram rows at once through a `4 x 8` accumulator tile.
+    Avx,
+    /// 512-bit mul + add (runtime-detected AVX-512F): a 32-wide row pass
+    /// with a masked tail, and four Gram rows through a `4 x 16` tile,
+    /// the last `n % 16` columns through the AVX tile.
+    Avx512f,
+}
+
+impl MulArm {
+    /// Every arm this build can run on this host, narrowest first; the
+    /// kernels dispatch to the last.
+    // invariants: allow(dead-pub) — kernel_parity enumerates the
+    // mul-then-add arms this host supports through it.
+    pub fn available() -> Vec<MulArm> {
+        [MulArm::Scalar, MulArm::Avx, MulArm::Avx512f]
+            .into_iter()
+            .filter(|arm| arm.runs())
+            .collect()
+    }
+
+    fn widest() -> MulArm {
+        [MulArm::Avx512f, MulArm::Avx]
+            .into_iter()
+            .find(|arm| arm.runs())
+            .unwrap_or(MulArm::Scalar)
+    }
+
+    fn runs(self) -> bool {
+        match self {
+            MulArm::Scalar => true,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            MulArm::Avx => simd::avx_available(),
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            MulArm::Avx512f => simd::avx_available() && simd::avx512f_available(),
+            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+            _ => false,
+        }
+    }
+}
+
+/// [`crate::Matrix::add_weighted_gram`] through a chosen arm (`out +=
+/// α · Σ_{p ∈ rows} src.row(p) src.row(p)ᵀ`), so the parity tier can
+/// pin every Gram arm a host supports, not only the widest.
+///
+/// # Panics
+///
+/// If `out` is not `src.cols() x src.cols()`, an index in `rows` is out
+/// of range, or `arm` is not in [`MulArm::available`].
+// invariants: allow(dead-pub) — kernel_parity pins every Gram arm a
+// host supports through it.
+pub fn weighted_gram_on(
+    arm: MulArm,
+    alpha: f64,
+    src: &crate::Matrix,
+    rows: &[usize],
+    out: &mut crate::Matrix,
+) {
+    let n = src.cols();
+    assert_eq!(out.shape(), (n, n), "out must be src.cols() square");
+    assert!(arm.runs(), "Gram arm {arm:?} is not available here");
+    weighted_gram_arm(
+        arm,
+        &|p| src.row(rows[p]),
+        rows.len(),
+        alpha,
+        out.as_mut_slice(),
+        n,
+    );
 }
 
 /// One `K`-deep slab of [`weighted_gram_rows`] (positions `kb..kb+K`):
 /// the matmul `Xᵀ · X` with the coefficient file gathered from column
 /// `a` (a `K`-element strided gather per output row, amortised over an
-/// `n`-wide [`tiny_row`] pass, seeded from `out`). With AVX, output
-/// rows run four at a time through a `4 x 8` accumulator tile (each
-/// fetched `x_p` segment feeds four rows); the remaining rows — and
-/// every row of the scalar build — take the seeded row pass.
+/// `n`-wide [`tiny_row`] pass, seeded from `out`). The SIMD arms run
+/// output rows four at a time through a `4 x 16` (AVX-512F) or `4 x 8`
+/// (AVX) accumulator tile, each fetched `x_p` segment feeding four
+/// rows; the remaining rows, and every row of the scalar arm, take the
+/// arm's seeded [`row_pass`].
 fn weighted_gram_chunk<'r, const K: usize, X>(
+    arm: MulArm,
     x_row: &X,
     kb: usize,
     alpha: f64,
@@ -269,7 +480,7 @@ fn weighted_gram_chunk<'r, const K: usize, X>(
     let coefficients = |a: usize| -> [f64; K] { core::array::from_fn(|p| alpha * x[p][a]) };
     let mut a = 0;
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::avx_available() {
+    if arm != MulArm::Scalar {
         while a + 4 <= n {
             let c = [
                 coefficients(a),
@@ -277,16 +488,23 @@ fn weighted_gram_chunk<'r, const K: usize, X>(
                 coefficients(a + 2),
                 coefficients(a + 3),
             ];
-            simd::gram4_avx(&c, &x, &mut out[a * n..(a + 4) * n]);
+            let out4 = &mut out[a * n..(a + 4) * n];
+            if arm == MulArm::Avx512f {
+                simd::gram4_avx512(&c, &x, out4);
+            } else {
+                simd::gram4_avx(&c, &x, out4, 0);
+            }
             a += 4;
-        }
-        while a < n {
-            simd::tiny_row_avx(&coefficients(a), &x, &mut out[a * n..(a + 1) * n], true);
-            a += 1;
         }
     }
     while a < n {
-        tiny_row::<K>(&coefficients(a), &x, &mut out[a * n..(a + 1) * n], true);
+        row_pass(
+            arm,
+            &coefficients(a),
+            &x,
+            &mut out[a * n..(a + 1) * n],
+            true,
+        );
         a += 1;
     }
 }
@@ -363,7 +581,7 @@ pub fn matmul_rk<'r, const K: usize, A, B>(
 /// inner offset `kb` against output columns `jb..jhi`, seeding from
 /// the partial sums already in `out` when `accumulate` is set. The `K`
 /// rows of `B` are captured once and every output row is streamed in a
-/// single [`tiny_row`] (or AVX) pass.
+/// single [`row_pass`].
 #[allow(clippy::too_many_arguments)]
 fn chunk_rows<'r, const K: usize, A, B>(
     a_row: &A,
@@ -380,18 +598,31 @@ fn chunk_rows<'r, const K: usize, A, B>(
     B: Fn(usize) -> &'r [f64],
 {
     let b: [&[f64]; K] = core::array::from_fn(|p| &b_row(kb + p)[jb..jhi]);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let use_avx = simd::avx_available();
+    let arm = MulArm::widest();
     for i in 0..m {
         let mut c = [0.0_f64; K];
         c.copy_from_slice(&a_row(i)[kb..kb + K]);
-        let orow = &mut out[i * n + jb..i * n + jhi];
+        row_pass(arm, &c, &b, &mut out[i * n + jb..i * n + jhi], accumulate);
+    }
+}
+
+/// One output row of the shared row kernel through `arm`: the AVX-512F
+/// or AVX pass, or [`tiny_row`]. All three run the same per-lane
+/// chains, so the choice changes cost only.
+#[inline(always)]
+fn row_pass<const K: usize>(
+    arm: MulArm,
+    c: &[f64; K],
+    b: &[&[f64]; K],
+    orow: &mut [f64],
+    accumulate: bool,
+) {
+    match arm {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if use_avx {
-            simd::tiny_row_avx(&c, &b, orow, accumulate);
-            continue;
-        }
-        tiny_row::<K>(&c, &b, orow, accumulate);
+        MulArm::Avx512f => simd::tiny_row_avx512(c, b, orow, accumulate),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        MulArm::Avx => simd::tiny_row_avx(c, b, orow, accumulate),
+        _ => tiny_row::<K>(c, b, orow, accumulate),
     }
 }
 
@@ -543,102 +774,47 @@ where
     }
 }
 
-/// Column-tile width of [`bt_tiny`]: the number of `Bᵀ` columns
-/// transposed into one stack tile. Wide enough to amortise the
+/// Column-tile width of the `A · Bᵀ` entry point: the number of `Bᵀ`
+/// columns transposed into one stack tile. Wide enough to amortise the
 /// per-tile kernel-call overhead, small enough that a `K x 32` tile
 /// (≤ 4 KB) always sits in L1.
 const BT_TILE: usize = 32;
 
-/// Tiny-`k` arm of `A · Bᵀ`: [`BT_TILE`] columns of `Bᵀ` at a time are
-/// transposed into a `[[f64; BT_TILE]; K]` stack tile (cost amortised
-/// over all `m` output rows), which turns the row-dot formulation into
-/// the same broadcast-and-accumulate shape as [`tiny_row`] — per-lane
-/// ascending-`p` sums, identical bits to [`crate::Matrix::dot`], but
-/// vectorisable across the tile columns.
-fn bt_tiny<'r, const K: usize, A, B>(a_row: &A, b_row: &B, out: &mut [f64], m: usize, n: usize)
-where
+/// One `K`-deep slab (inner positions `kb..kb+K`) of one column tile
+/// (output columns `jb..jb+width`, `width ≤ BT_TILE`) of `A · Bᵀ`: the
+/// tile's slab of `Bᵀ` is transposed into a `[[f64; BT_TILE]; K]` stack
+/// tile (cost amortised over all `m` output rows), which turns the
+/// row-dot formulation into the broadcast-and-accumulate shape of
+/// [`tiny_row`], seeded from `out` on every slab after the first. Each
+/// element stays one ascending-`p` sum — identical bits to
+/// [`crate::Matrix::dot`] — but vectorises across the tile columns.
+#[allow(clippy::too_many_arguments)]
+fn bt_slab<'r, const K: usize, A, B>(
+    a_row: &A,
+    b_row: &B,
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    jb: usize,
+    width: usize,
+    kb: usize,
+) where
     A: Fn(usize) -> &'r [f64],
     B: Fn(usize) -> &'r [f64],
 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let use_avx = simd::avx_available();
-    let mut jb = 0;
-    while jb + BT_TILE <= n {
-        let mut tile = [[0.0_f64; BT_TILE]; K];
-        for (lane, brow) in (jb..jb + BT_TILE).map(|j| &b_row(j)[..K]).enumerate() {
-            for (p, &bv) in brow.iter().enumerate() {
-                tile[p][lane] = bv;
-            }
-        }
-        let tile_rows: [&[f64]; K] = core::array::from_fn(|p| &tile[p][..]);
-        for i in 0..m {
-            let mut c = [0.0_f64; K];
-            c.copy_from_slice(&a_row(i)[..K]);
-            let oseg = &mut out[i * n + jb..i * n + jb + BT_TILE];
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if use_avx {
-                simd::tiny_row_avx(&c, &tile_rows, oseg, false);
-                continue;
-            }
-            tiny_row::<K>(&c, &tile_rows, oseg, false);
-        }
-        jb += BT_TILE;
-    }
-    if jb < n {
-        // Tail columns: plain fully-unrolled K-dots.
-        for i in 0..m {
-            let arow = &a_row(i)[..K];
-            for j in jb..n {
-                let bj = &b_row(j)[..K];
-                let mut s = 0.0;
-                for (&ap, &bp) in arow.iter().zip(bj) {
-                    s += ap * bp;
-                }
-                out[i * n + j] = s;
-            }
+    let mut tile = [[0.0_f64; BT_TILE]; K];
+    for (lane, j) in (jb..jb + width).enumerate() {
+        for (p, &bv) in b_row(j)[kb..kb + K].iter().enumerate() {
+            tile[p][lane] = bv;
         }
     }
-}
-
-/// General arm of `A · Bᵀ`: row-dot products with four output columns
-/// in flight (independent accumulator chains hide the add latency of
-/// the strict ascending-`k` sums, which must not be reassociated).
-fn bt_general<'r, A, B>(a_row: &A, b_row: &B, out: &mut [f64], m: usize, k: usize, n: usize)
-where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
+    let tile_rows: [&[f64]; K] = core::array::from_fn(|p| &tile[p][..width]);
+    let arm = MulArm::widest();
     for i in 0..m {
-        let arow = &a_row(i)[..k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b_row(j)[..k];
-            let b1 = &b_row(j + 1)[..k];
-            let b2 = &b_row(j + 2)[..k];
-            let b3 = &b_row(j + 3)[..k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-            for (p, &ap) in arow.iter().enumerate() {
-                s0 += ap * b0[p];
-                s1 += ap * b1[p];
-                s2 += ap * b2[p];
-                s3 += ap * b3[p];
-            }
-            orow[j] = s0;
-            orow[j + 1] = s1;
-            orow[j + 2] = s2;
-            orow[j + 3] = s3;
-            j += 4;
-        }
-        while j < n {
-            let bj = &b_row(j)[..k];
-            let mut s = 0.0;
-            for (p, &ap) in arow.iter().enumerate() {
-                s += ap * bj[p];
-            }
-            orow[j] = s;
-            j += 1;
-        }
+        let mut c = [0.0_f64; K];
+        c.copy_from_slice(&a_row(i)[kb..kb + K]);
+        let oseg = &mut out[i * n + jb..i * n + jb + width];
+        row_pass(arm, &c, &tile_rows, oseg, kb > 0);
     }
 }
 
@@ -1031,9 +1207,10 @@ pub fn sq_dist_row(residual: &[f64], dictionary: &[f64], out: &mut [f64]) {
 /// with the `simd` cargo feature (without it the crate keeps
 /// `#![forbid(unsafe_code)]`). Every product and distance sequence
 /// performs the same per-lane ascending-`p` mul-then-add sums as the
-/// scalar kernels — `_mm256_mul_pd` followed by the matching add, never
-/// an FMA, so the results are bit-identical to the scalar path and the
-/// parity tier covers both; the distance kernel adds one sub in front.
+/// scalar kernels — `_mm256_mul_pd` or `_mm512_mul_pd` followed by the
+/// matching add, never an FMA, so the results are bit-identical to the
+/// scalar path and the parity tier covers every arm; the distance kernel
+/// adds one sub in front.
 /// The FMAs live only in the nearest-atom scan's filter arms, whose
 /// estimates never reach an answer: the shared certificate decides
 /// which atom wins and the exact chain gives its distance.
@@ -1046,9 +1223,9 @@ mod simd {
         _mm256_cmp_pd, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd,
         _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_epi64x,
         _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd,
-        _mm512_cmp_pd_mask, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_mask_mov_pd,
-        _mm512_maskz_loadu_pd, _mm512_max_pd, _mm512_min_pd, _mm512_set1_pd, _mm512_setr_pd,
-        _mm512_setzero_pd, _mm512_storeu_pd, _CMP_LT_OQ,
+        _mm512_cmp_pd_mask, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_mask_mov_pd,
+        _mm512_mask_storeu_pd, _mm512_maskz_loadu_pd, _mm512_max_pd, _mm512_min_pd, _mm512_mul_pd,
+        _mm512_set1_pd, _mm512_setr_pd, _mm512_setzero_pd, _mm512_storeu_pd, _CMP_LT_OQ,
     };
 
     use super::{lane_masks, Filter, BINARY_LANES};
@@ -1093,6 +1270,72 @@ mod simd {
         // `avx_available`; all loads/stores are within the slice
         // bounds asserted above and re-checked by the `while` guards.
         unsafe { tiny_row_avx_inner(c, b, orow, accumulate) }
+    }
+
+    /// [`tiny_row_avx`] with 512-bit lanes: 32 output elements in
+    /// flight (four registers), then 8 at a time, then the last `< 8`
+    /// under a load and store mask (masked-off lanes load zeros and are
+    /// never stored). Same per-lane chains, mul then add, never FMA.
+    ///
+    /// Callers must have verified [`avx512f_available`].
+    pub(super) fn tiny_row_avx512(c: &[f64], b: &[&[f64]], orow: &mut [f64], accumulate: bool) {
+        debug_assert_eq!(c.len(), b.len());
+        assert!(b.iter().all(|bp| bp.len() >= orow.len()));
+        // SAFETY: AVX-512F support is checked by the caller via
+        // `avx512f_available`; all loads/stores are within the slice
+        // bounds asserted above, re-checked by the `while` guards, and
+        // the tail's are masked to the last `n - j` elements.
+        unsafe { tiny_row_avx512_inner(c, b, orow, accumulate) }
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx512f_available()` first
+    // (the safe wrapper above does). Every `b[p]` is at least
+    // `orow.len()` long; full-width accesses stay below `n` by the
+    // `while` guards, and the tail touches only its masked lanes.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tiny_row_avx512_inner(c: &[f64], b: &[&[f64]], orow: &mut [f64], accumulate: bool) {
+        const W: usize = 4;
+        let n = orow.len();
+        let o = orow.as_mut_ptr();
+        let mut j = 0;
+        while j + 8 * W <= n {
+            let mut acc = [_mm512_setzero_pd(); W];
+            if accumulate {
+                for (w, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_loadu_pd(o.add(j + 8 * w));
+                }
+            }
+            for (&cp, bp) in c.iter().zip(b) {
+                let cv = _mm512_set1_pd(cp);
+                for (w, a) in acc.iter_mut().enumerate() {
+                    let bv = _mm512_loadu_pd(bp.as_ptr().add(j + 8 * w));
+                    *a = _mm512_add_pd(*a, _mm512_mul_pd(cv, bv));
+                }
+            }
+            for (w, a) in acc.iter().enumerate() {
+                _mm512_storeu_pd(o.add(j + 8 * w), *a);
+            }
+            j += 8 * W;
+        }
+        while j < n {
+            let mask = if j + 8 <= n {
+                u8::MAX
+            } else {
+                u8::MAX >> (8 - (n - j))
+            };
+            let mut acc = if accumulate {
+                _mm512_maskz_loadu_pd(mask, o.add(j))
+            } else {
+                _mm512_setzero_pd()
+            };
+            for (&cp, bp) in c.iter().zip(b) {
+                let bv = _mm512_maskz_loadu_pd(mask, bp.as_ptr().add(j));
+                acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(cp), bv));
+            }
+            _mm512_mask_storeu_pd(o.add(j), mask, acc);
+            j += 8;
+        }
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
@@ -1147,29 +1390,34 @@ mod simd {
         }
     }
 
-    /// Four seeded output rows of the weighted Gram slab at once:
-    /// `out4` holds rows `a..a+4` (`4 x n`, `n = out4.len() / 4`),
-    /// `c[r]` the coefficient file of row `a + r` and every `x[p]` is
-    /// at least `n` long. Each 8-column step keeps a `4 x 8` tile of
-    /// accumulators (eight registers) in flight and loads each `x[p]`
-    /// segment once for all four rows; the last `n % 8` columns take
-    /// [`tiny_row_avx`] per row. Every lane is one ascending-`p`
-    /// mul-then-add chain seeded from `out4`.
+    /// Four seeded output rows of the weighted Gram slab at once, over
+    /// columns `from..n`: `out4` holds rows `a..a+4` (`4 x n`, `n =
+    /// out4.len() / 4`), `c[r]` the coefficient file of row `a + r` and
+    /// every `x[p]` is at least `n` long. Each 8-column step keeps a
+    /// `4 x 8` tile of accumulators (eight registers) in flight and
+    /// loads each `x[p]` segment once for all four rows; the last
+    /// `(n - from) % 8` columns take [`tiny_row_avx`] per row. Every
+    /// lane is one ascending-`p` mul-then-add chain seeded from `out4`.
     ///
     /// Callers must have verified [`avx_available`].
-    pub(super) fn gram4_avx<const K: usize>(c: &[[f64; K]; 4], x: &[&[f64]; K], out4: &mut [f64]) {
+    pub(super) fn gram4_avx<const K: usize>(
+        c: &[[f64; K]; 4],
+        x: &[&[f64]; K],
+        out4: &mut [f64],
+        from: usize,
+    ) {
         let n = out4.len() / 4;
         assert_eq!(out4.len(), 4 * n);
-        assert!(x.iter().all(|xp| xp.len() >= n));
-        let n8 = n - n % 8;
+        assert!(from <= n && x.iter().all(|xp| xp.len() >= n));
+        let end = n - (n - from) % 8;
         // SAFETY: AVX support is checked by the caller via
         // `avx_available`; the asserts above bound every access the
-        // inner function makes below column `n8 <= n`.
-        unsafe { gram4_avx_inner(c, x, out4, n, n8) }
-        if n8 < n {
-            let tail: [&[f64]; K] = core::array::from_fn(|p| &x[p][n8..]);
+        // inner function makes in columns `from..end`, `end <= n`.
+        unsafe { gram4_avx_inner(c, x, out4, n, from, end) }
+        if end < n {
+            let tail: [&[f64]; K] = core::array::from_fn(|p| &x[p][end..]);
             for (cr, row) in c.iter().zip(out4.chunks_exact_mut(n)) {
-                tiny_row_avx(cr, &tail, &mut row[n8..], true);
+                tiny_row_avx(cr, &tail, &mut row[end..], true);
             }
         }
     }
@@ -1177,19 +1425,20 @@ mod simd {
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
     // call — callers must have verified `avx_available()` first (the
     // safe wrapper above does). `out4` is `4 * n` long, every `x[p]` at
-    // least `n` long and `n8 <= n` a multiple of 8, so row `r`'s
-    // offsets `r * n + j .. r * n + j + 8` and the `x[p]` offsets
-    // `j .. j + 8` stay in bounds for every `j < n8`.
+    // least `n` long and `end <= n` with `end - from` a multiple of 8,
+    // so row `r`'s offsets `r * n + j .. r * n + j + 8` and the `x[p]`
+    // offsets `j .. j + 8` stay in bounds for every step `j < end`.
     #[target_feature(enable = "avx")]
     unsafe fn gram4_avx_inner<const K: usize>(
         c: &[[f64; K]; 4],
         x: &[&[f64]; K],
         out4: &mut [f64],
         n: usize,
-        n8: usize,
+        from: usize,
+        end: usize,
     ) {
         let o = out4.as_mut_ptr();
-        for j in (0..n8).step_by(8) {
+        for j in (from..end).step_by(8) {
             let mut acc = [[_mm256_setzero_pd(); 2]; 4];
             for (r, accr) in acc.iter_mut().enumerate() {
                 accr[0] = _mm256_loadu_pd(o.add(r * n + j));
@@ -1207,6 +1456,68 @@ mod simd {
             for (r, accr) in acc.iter().enumerate() {
                 _mm256_storeu_pd(o.add(r * n + j), accr[0]);
                 _mm256_storeu_pd(o.add(r * n + j + 4), accr[1]);
+            }
+        }
+    }
+
+    /// [`gram4_avx`] with 512-bit lanes: each 16-column step keeps a
+    /// `4 x 16` tile of accumulators (eight registers) in flight, mul
+    /// then add, never FMA; the last `n % 16` columns take
+    /// [`gram4_avx`].
+    ///
+    /// Callers must have verified [`avx_available`] and
+    /// [`avx512f_available`].
+    pub(super) fn gram4_avx512<const K: usize>(
+        c: &[[f64; K]; 4],
+        x: &[&[f64]; K],
+        out4: &mut [f64],
+    ) {
+        let n = out4.len() / 4;
+        assert_eq!(out4.len(), 4 * n);
+        assert!(x.iter().all(|xp| xp.len() >= n));
+        let n16 = n - n % 16;
+        // SAFETY: AVX-512F support is checked by the caller via
+        // `avx512f_available`; the asserts above bound every access the
+        // inner function makes below column `n16 <= n`.
+        unsafe { gram4_avx512_inner(c, x, out4, n, n16) }
+        if n16 < n {
+            gram4_avx(c, x, out4, n16);
+        }
+    }
+
+    // SAFETY contract: `#[target_feature]` makes this fn unsafe to
+    // call — callers must have verified `avx512f_available()` first
+    // (the safe wrapper above does). `out4` is `4 * n` long, every
+    // `x[p]` at least `n` long and `n16 <= n` a multiple of 16, so row
+    // `r`'s offsets `r * n + j .. r * n + j + 16` and the `x[p]`
+    // offsets `j .. j + 16` stay in bounds for every `j < n16`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gram4_avx512_inner<const K: usize>(
+        c: &[[f64; K]; 4],
+        x: &[&[f64]; K],
+        out4: &mut [f64],
+        n: usize,
+        n16: usize,
+    ) {
+        let o = out4.as_mut_ptr();
+        for j in (0..n16).step_by(16) {
+            let mut acc = [[_mm512_setzero_pd(); 2]; 4];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                accr[0] = _mm512_loadu_pd(o.add(r * n + j));
+                accr[1] = _mm512_loadu_pd(o.add(r * n + j + 8));
+            }
+            for (p, xp) in x.iter().enumerate() {
+                let x0 = _mm512_loadu_pd(xp.as_ptr().add(j));
+                let x1 = _mm512_loadu_pd(xp.as_ptr().add(j + 8));
+                for (accr, cr) in acc.iter_mut().zip(c) {
+                    let cv = _mm512_set1_pd(cr[p]);
+                    accr[0] = _mm512_add_pd(accr[0], _mm512_mul_pd(cv, x0));
+                    accr[1] = _mm512_add_pd(accr[1], _mm512_mul_pd(cv, x1));
+                }
+            }
+            for (r, accr) in acc.iter().enumerate() {
+                _mm512_storeu_pd(o.add(r * n + j), accr[0]);
+                _mm512_storeu_pd(o.add(r * n + j + 8), accr[1]);
             }
         }
     }

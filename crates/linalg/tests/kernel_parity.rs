@@ -19,9 +19,16 @@
 //!   shape — produce the same bits as before the refactor;
 //! - the weighted Gram entry point (`Matrix::add_weighted_gram`, the
 //!   solver's normal-matrix assembly) equals one sequential rank-1
-//!   update per listed row, bit for bit, across the 4-/8-lane edges,
-//!   the 4-row tile and the 16-row slab seams, and a fold split at
-//!   any position equals the unsplit fold;
+//!   update per listed row, bit for bit, across the 4-/8-/16-lane
+//!   edges, the 4-row tile and the 16-row slab seams, and a fold split
+//!   at any position equals the unsplit fold. Every Gram arm the host
+//!   runs (scalar, AVX, AVX-512F) is called directly through
+//!   `weighted_gram_on`, since dispatch reaches only the widest;
+//! - `A·Bᵀ` walks each 32-column tile in 16-deep slabs: pinned at
+//!   `k = 16, 17, 32, 33` against every column tail `n = 1..=33`;
+//! - the gathered product behind the solver's right-hand sides
+//!   (`gather_matmul`) equals one `axpy_slice` per position onto a
+//!   zeroed row, bit for bit, across its slab seams;
 //! - both distance kernels of the binary read path equal the naive
 //!   `t = r − x; s += t * t` chain bit for bit — here on *every* input,
 //!   ±0.0, ±∞ and NaN included, since a distance chain has no skipped
@@ -45,10 +52,11 @@
 //! (see ARCHITECTURE.md, "Kernel dispatch") — never silently loosen.
 
 use iupdater_linalg::kernels::{
-    classify, matmul_rk, nearest_block, nearest_block_on, sq_dist_row, AtomNorms, KernelArm,
-    NearestLanes, ScanArm, BINARY_LANES, THIN_EDGE, TINY_INNER_MAX,
+    classify, gather_matmul, gather_matmul_on, matmul_rk, nearest_block, nearest_block_on,
+    sq_dist_row, weighted_gram_on, AtomNorms, KernelArm, MulArm, NearestLanes, ScanArm,
+    BINARY_LANES, THIN_EDGE, TINY_INNER_MAX,
 };
-use iupdater_linalg::Matrix;
+use iupdater_linalg::{axpy_slice, Matrix};
 use proptest::prelude::*;
 
 /// Naive `i-j-k` reference: one left-to-right ascending-`k` sum per
@@ -259,9 +267,15 @@ proptest! {
         alpha in -3.0f64..3.0,
     ) {
         for len in [0, 1, 15, 16, 17, 33, 1400] {
+            let want = naive_weighted_gram(&acc, alpha, &src, &rows[..len]);
             let mut got = acc.clone();
             got.add_weighted_gram(alpha, &src, &rows[..len]).unwrap();
-            assert_bitwise_eq(&got, &naive_weighted_gram(&acc, alpha, &src, &rows[..len]));
+            assert_bitwise_eq(&got, &want);
+            for arm in MulArm::available() {
+                let mut got = acc.clone();
+                weighted_gram_on(arm, alpha, &src, &rows[..len], &mut got);
+                assert_bitwise_eq(&got, &want);
+            }
         }
         // One row onto a zero accumulator is the outer product of the
         // coefficient file α·v with v.
@@ -301,6 +315,86 @@ proptest! {
             split.add_weighted_gram(alpha, &src, &rows[..k]).unwrap();
             split.add_weighted_gram(alpha, &src, &rows[k..]).unwrap();
             assert_bitwise_eq(&split, &whole);
+        }
+    }
+}
+
+/// The storm row sweep's Gram shape — 1,488 known rows of rank 32, two
+/// 16-column steps of the AVX-512F tile, four of the AVX one — and the
+/// tails of every tile, through every arm the host runs.
+#[test]
+fn every_gram_arm_matches_sequential_rank_one_bitwise() {
+    for (r, count) in [(32, 1488), (31, 40), (17, 33), (8, 96), (3, 5)] {
+        let src = Matrix::from_fn(97, r, |i, j| ((i * r + j) as f64 * 0.37).sin() / 3.0);
+        let rows: Vec<usize> = (0..count).map(|p| (p * 31) % 97).collect();
+        let acc = Matrix::from_fn(r, r, |i, j| ((i + 3 * j) as f64).cos());
+        let want = naive_weighted_gram(&acc, -1.7, &src, &rows);
+        let arms = MulArm::available();
+        assert_eq!(arms[0], MulArm::Scalar, "the scalar arm always runs");
+        for arm in arms {
+            let mut got = acc.clone();
+            weighted_gram_on(arm, -1.7, &src, &rows, &mut got);
+            assert_bitwise_eq(&got, &want);
+        }
+    }
+}
+
+/// `A·Bᵀ` at the slab seams of its tile walk — one full slab, a slab
+/// plus one, two slabs, two plus one — against every width of the last
+/// 32-column tile, the tile-free `n < 32` cases included.
+#[test]
+fn bt_slab_walk_matches_naive_bitwise() {
+    for k in [16, 17, 32, 33] {
+        for n in 1..=33 {
+            for m in [1, 9] {
+                let a = Matrix::from_fn(m, k, |i, p| ((i * k + p) as f64 * 0.71).sin() / 3.0);
+                let b = Matrix::from_fn(n, k, |j, p| ((j * k + p) as f64 * 0.43).cos() / 7.0);
+                let mut out = Matrix::filled(m, n, f64::NAN);
+                a.matmul_bt_into(&b, &mut out).unwrap();
+                assert_bitwise_eq(&out, &naive_matmul(&a, &b.transpose()));
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The gathered product equals the per-position `axpy` chain onto a
+    /// zeroed row: for every output row `i`, `axpy_slice(coef(i, p),
+    /// b_p)` in ascending `p`. Coefficients include exact zeros (the
+    /// chain still adds them), positions span 0..=50 (the 16-deep slab
+    /// seams), and rows reuse factor rows by index, as the solver's
+    /// right-hand sides do.
+    #[test]
+    fn gather_matmul_matches_axpy_chain_bitwise(
+        (coefs, factor, k, m) in (1usize..=40, 0usize..=50, 1usize..=7).prop_flat_map(
+            |(n, k, m)| (matrix_of(m, k), matrix_of(13, n), Just(k), Just(m))
+        ),
+    ) {
+        let n = factor.cols();
+        let coef = |i: usize, p: usize| {
+            let v = coefs[(i, p)];
+            if v > 2.0 { 0.0 } else { v }
+        };
+        let fill = |i: usize, from: usize, file: &mut [f64]| {
+            for (q, c) in file.iter_mut().enumerate() {
+                *c = coef(i, from + q);
+            }
+        };
+        let factor_row = |p: usize| factor.row(p % 13);
+        let mut want = vec![0.0; m * n];
+        for (i, row) in want.chunks_exact_mut(n).enumerate() {
+            for p in 0..k {
+                axpy_slice(coef(i, p), factor_row(p), row);
+            }
+        }
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let mut got = vec![f64::NAN; m * n];
+        gather_matmul(&fill, &factor_row, k, &mut got, n);
+        prop_assert_eq!(bits(&got), bits(&want));
+        for arm in MulArm::available() {
+            let mut got = vec![f64::NAN; m * n];
+            gather_matmul_on(arm, &fill, &factor_row, k, &mut got, n);
+            prop_assert_eq!(bits(&got), bits(&want), "{:?}", arm);
         }
     }
 }
