@@ -96,7 +96,7 @@ pub fn default_rass_params() -> SvrParams {
     SvrParams {
         c: 50.0,
         epsilon: 0.1,
-        kernel: crate::svr::Kernel::Rbf { gamma: 0.02 },
+        gamma: 0.02,
         max_passes: 25,
         tol: 1e-3,
     }

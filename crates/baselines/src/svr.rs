@@ -9,28 +9,10 @@
 
 use iupdater_linalg::Matrix;
 
-/// Kernel choice for the SVR.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Kernel {
-    /// Radial basis function `exp(-gamma ||a - b||²)`.
-    Rbf {
-        /// Bandwidth parameter.
-        gamma: f64,
-    },
-    /// Plain inner product.
-    Linear,
-}
-
-impl Kernel {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            Kernel::Rbf { gamma } => {
-                let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-                (-gamma * d2).exp()
-            }
-            Kernel::Linear => a.iter().zip(b).map(|(x, y)| x * y).sum(),
-        }
-    }
+/// The radial basis function kernel `exp(-gamma ||a - b||²)`.
+fn rbf(gamma: f64, a: &[f64], b: &[f64]) -> f64 {
+    let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    (-gamma * d2).exp()
 }
 
 /// Training hyper-parameters.
@@ -40,8 +22,8 @@ pub struct SvrParams {
     pub c: f64,
     /// Width of the ε-insensitive tube.
     pub epsilon: f64,
-    /// Kernel.
-    pub kernel: Kernel,
+    /// RBF kernel bandwidth `gamma`.
+    pub gamma: f64,
     /// Maximum SMO passes over the data without progress before
     /// stopping.
     pub max_passes: usize,
@@ -54,7 +36,7 @@ impl Default for SvrParams {
         SvrParams {
             c: 10.0,
             epsilon: 0.1,
-            kernel: Kernel::Rbf { gamma: 0.05 },
+            gamma: 0.05,
             max_passes: 20,
             tol: 1e-3,
         }
@@ -92,7 +74,7 @@ impl SvrModel {
         let mut k = Matrix::zeros(n, n);
         for i in 0..n {
             for j in i..n {
-                let v = params.kernel.eval(x.row(i), x.row(j));
+                let v = rbf(params.gamma, x.row(i), x.row(j));
                 k[(i, j)] = v;
                 k[(j, i)] = v;
             }
@@ -206,7 +188,7 @@ impl SvrModel {
     pub fn predict(&self, x: &[f64]) -> f64 {
         let mut v = self.bias;
         for (k, &b) in self.beta.iter().enumerate() {
-            v += b * self.params.kernel.eval(self.support.row(k), x);
+            v += b * rbf(self.params.gamma, self.support.row(k), x);
         }
         v
     }
@@ -222,7 +204,7 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
-    fn fits_linear_function_with_linear_kernel() {
+    fn fits_linear_function() {
         // y = 2 x + 1 on [0, 1].
         let n = 30;
         let x = Matrix::from_fn(n, 1, |i, _| i as f64 / (n - 1) as f64);
@@ -230,7 +212,7 @@ mod tests {
             .map(|i| 2.0 * (i as f64 / (n - 1) as f64) + 1.0)
             .collect();
         let params = SvrParams {
-            kernel: Kernel::Linear,
+            gamma: 1.0,
             epsilon: 0.01,
             c: 100.0,
             ..SvrParams::default()
@@ -253,7 +235,7 @@ mod tests {
             .map(|&v| (2.0 * std::f64::consts::PI * v).sin())
             .collect();
         let params = SvrParams {
-            kernel: Kernel::Rbf { gamma: 20.0 },
+            gamma: 20.0,
             epsilon: 0.02,
             c: 50.0,
             max_passes: 40,
@@ -274,7 +256,7 @@ mod tests {
         let x = Matrix::from_fn(n, 1, |i, _| i as f64 / (n - 1) as f64);
         let y: Vec<f64> = (0..n).map(|_| 1.0).collect(); // constant
         let params = SvrParams {
-            kernel: Kernel::Linear,
+            gamma: 1.0,
             epsilon: 0.5,
             ..SvrParams::default()
         };
@@ -298,7 +280,7 @@ mod tests {
             .map(|&v| 3.0 * v + (rng.gen::<f64>() - 0.5) * 0.4)
             .collect();
         let params = SvrParams {
-            kernel: Kernel::Linear,
+            gamma: 1.0,
             epsilon: 0.2,
             c: 20.0,
             ..SvrParams::default()
@@ -319,7 +301,7 @@ mod tests {
         let x = Matrix::from_fn(n, 2, |_, _| rng.gen::<f64>());
         let y: Vec<f64> = (0..n).map(|i| x[(i, 0)] - 2.0 * x[(i, 1)]).collect();
         let params = SvrParams {
-            kernel: Kernel::Linear,
+            gamma: 1.0,
             epsilon: 0.02,
             c: 100.0,
             ..SvrParams::default()
@@ -341,8 +323,7 @@ mod tests {
 
     #[test]
     fn rbf_kernel_bounds() {
-        let k = Kernel::Rbf { gamma: 0.5 };
-        assert!((k.eval(&[1.0, 2.0], &[1.0, 2.0]) - 1.0).abs() < 1e-12);
-        assert!(k.eval(&[0.0], &[10.0]) < 1e-9);
+        assert!((rbf(0.5, &[1.0, 2.0], &[1.0, 2.0]) - 1.0).abs() < 1e-12);
+        assert!(rbf(0.5, &[0.0], &[10.0]) < 1e-9);
     }
 }

@@ -1,15 +1,14 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //! exact vs paper-literal coupling, fixed vs auto scaling, warm vs
-//! random initialisation, MIC extraction method, and binary-residual vs
-//! correlation atom selection.
+//! random initialisation, and binary-residual vs correlation atom
+//! selection.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iupdater_core::config::AtomSelection;
-use iupdater_core::mic::MicMethod;
 use iupdater_core::prelude::*;
-use iupdater_core::{mic, CouplingMode, ScalingMode};
+use iupdater_core::{CouplingMode, ScalingMode};
 use iupdater_rfsim::{Environment, Testbed};
 
 fn update_with(cfg: UpdaterConfig, t: &Testbed, day0: &FingerprintMatrix) -> FingerprintMatrix {
@@ -75,21 +74,6 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mic_method(c: &mut Criterion) {
-    let t = Testbed::new(Environment::office(), 1);
-    let x = t.fingerprint_matrix(0.0, 20);
-    let mut group = c.benchmark_group("ablation_mic");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(3));
-    group.bench_function("column_pivoting", |b| {
-        b.iter(|| mic::extract_mic(black_box(&x), MicMethod::ColumnPivoting, 0.02).unwrap())
-    });
-    group.bench_function("echelon", |b| {
-        b.iter(|| mic::extract_mic(black_box(&x), MicMethod::Echelon, 0.02).unwrap())
-    });
-    group.finish();
-}
-
 fn bench_atom_selection(c: &mut Criterion) {
     let t = Testbed::new(Environment::office(), 1);
     let day0 = FingerprintMatrix::survey(&t, 0.0, 20);
@@ -115,11 +99,5 @@ fn bench_atom_selection(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_coupling,
-    bench_scaling,
-    bench_mic_method,
-    bench_atom_selection
-);
+criterion_group!(benches, bench_coupling, bench_scaling, bench_atom_selection);
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iupdater_baselines::rass::{default_rass_params, Rass};
 use iupdater_core::prelude::*;
 use iupdater_core::{correlation, mic};
-use iupdater_linalg::lrr::{solve_lrr, LrrOptions};
+use iupdater_linalg::lrr::solve_lrr;
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::{Environment, Testbed};
 
@@ -26,33 +26,28 @@ fn bench_linalg(c: &mut Criterion) {
     group.bench_function("pivoted_leading_columns_8x96", |b| {
         b.iter(|| black_box(&x).pivoted_leading_columns(0.02).unwrap())
     });
-    group.bench_function("column_echelon_8x96", |b| {
-        b.iter(|| black_box(&x).column_echelon(1e-9).unwrap())
-    });
     group.bench_function("matmul_96x8_8x96", |b| {
         let xt = x.transpose();
         b.iter(|| black_box(&xt).matmul(black_box(&x)).unwrap())
     });
     let mic_sel = mic::extract_mic(&x, Default::default(), 0.02).unwrap();
-    // The iterative ALM path, certificate disabled — the historical
-    // `lrr_alm_8x96` measurement.
-    let iterative = LrrOptions {
-        force_iterative: true,
-        ..LrrOptions::default()
-    };
-    group.bench_function("lrr_alm_8x96", |b| {
-        b.iter(|| solve_lrr(black_box(&mic_sel.vectors), black_box(&x), &iterative))
+    // The iterative ALM path: a dictionary one MIC vector short leaves
+    // the dropped reference column outside its span, so the exactness
+    // certificate declines (the setup asserts this).
+    let k = mic_sel.rank();
+    let short = mic_sel.vectors.select_cols(&(0..k - 1).collect::<Vec<_>>());
+    let alm = solve_lrr(&short, &x).unwrap();
+    assert!(
+        alm.iterations > 0,
+        "the short dictionary must take the ALM path"
+    );
+    group.bench_function("lrr_alm_short_dict_8x96", |b| {
+        b.iter(|| solve_lrr(black_box(&short), black_box(&x)))
     });
     // The default path: the exactness certificate short-circuits to the
     // closed form on representable, well-conditioned inputs like this.
     group.bench_function("lrr_certified_8x96", |b| {
-        b.iter(|| {
-            solve_lrr(
-                black_box(&mic_sel.vectors),
-                black_box(&x),
-                &LrrOptions::default(),
-            )
-        })
+        b.iter(|| solve_lrr(black_box(&mic_sel.vectors), black_box(&x)))
     });
     // One normal-matrix factor of the 32x1536 solver (rank 32): a
     // diagonally dominant system, so partial pivoting never swaps and
@@ -476,18 +471,24 @@ fn bench_warm_start(c: &mut Criterion) {
     let e1 = Updater::new(c1.clone(), UpdaterConfig::default()).unwrap();
     let c2 = e1.update_from_testbed(&t, 10.0, 5).unwrap();
     {
-        use iupdater_core::mic::extract_mic;
-        let sel = extract_mic(c1.matrix(), Default::default(), e1.config().rank_tol).unwrap();
-        let upd = sel
-            .update(c2.matrix(), Default::default(), e1.config().rank_tol)
-            .unwrap();
-        assert!(upd.reused, "stable scenario must take the certified path");
-        let sel0 = extract_mic(day0.matrix(), Default::default(), e0.config().rank_tol).unwrap();
-        let upd0 = sel0
-            .update(c1.matrix(), Default::default(), e0.config().rank_tol)
-            .unwrap();
+        // The warm start's own fast-path test: does the engine's
+        // selection certify against the next prior?
+        let certifies = |engine: &Updater, next: &FingerprintMatrix| {
+            next.matrix()
+                .certify_pivot_seed(
+                    engine.seed_locations(),
+                    engine.config().rank_tol,
+                    iupdater_linalg::qr::PIVOT_DRIFT_TOL,
+                )
+                .unwrap()
+                .is_some()
+        };
         assert!(
-            upd0.reused,
+            certifies(&e1, &c2),
+            "stable scenario must take the certified path"
+        );
+        assert!(
+            certifies(&e0, &c1),
             "shifted scenario must tie-certify the incumbent selection"
         );
     }

@@ -164,10 +164,6 @@ pub struct LocalizerConfig {
     pub residual_threshold: f64,
     /// Maximum number of atoms (1 = single-target).
     pub max_atoms: usize,
-    /// Subtract the per-link dictionary mean before matching. Raw RSS
-    /// vectors share a large common negative level; centring makes the
-    /// matching step discriminative.
-    pub center: bool,
     /// Atom-selection rule (see [`AtomSelection`]).
     pub selection: AtomSelection,
 }
@@ -177,7 +173,6 @@ impl Default for LocalizerConfig {
         LocalizerConfig {
             residual_threshold: 1e-3,
             max_atoms: 1,
-            center: true,
             selection: AtomSelection::default(),
         }
     }
@@ -249,6 +244,5 @@ mod tests {
     fn localizer_defaults() {
         let c = LocalizerConfig::default();
         assert_eq!(c.max_atoms, 1);
-        assert!(c.center);
     }
 }

@@ -7,24 +7,25 @@
 //! measurements `X_R` at the MIC locations, `X_R Z` predicts the whole
 //! fresh matrix (constraint 1 of the self-augmented RSVD).
 
-use iupdater_linalg::lrr::{solve_lrr, LrrOptions};
+use iupdater_linalg::lrr::solve_lrr;
 use iupdater_linalg::Matrix;
 
 use crate::{CoreError, Result};
 
-/// How `Z` is obtained from `X` and `X_MIC`.
+/// How `Z` is obtained from `X` and `X_MIC`. Low-rank representation
+/// is the only learner; the enum remains because the frozen campaign
+/// benchmark harness passes `CorrelationMethod::Lrr` to
+/// [`correlation_matrix`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CorrelationMethod {
     /// Low-rank representation solved by inexact ALM (the paper's
     /// choice; robust against column corruption).
     #[default]
     Lrr,
-    /// Plain ridge-regularised least squares
-    /// `Z = (X_MICᵀ X_MIC + δI)⁻¹ X_MICᵀ X` — faster, not robust.
-    LeastSquares,
 }
 
-/// Computes the correlation matrix `Z` (`rank x N`).
+/// Computes the correlation matrix `Z` (`rank x N`) by low-rank
+/// representation (the only [`CorrelationMethod`]).
 ///
 /// # Errors
 ///
@@ -33,7 +34,11 @@ pub enum CorrelationMethod {
 ///   function silently falls back to least squares (the paper's
 ///   constraint only needs a usable `Z`, and ALM non-convergence on
 ///   benign data is a budget artefact, not a modelling one).
-pub fn correlation_matrix(x_mic: &Matrix, x: &Matrix, method: CorrelationMethod) -> Result<Matrix> {
+pub fn correlation_matrix(
+    x_mic: &Matrix,
+    x: &Matrix,
+    _method: CorrelationMethod,
+) -> Result<Matrix> {
     if x_mic.rows() != x.rows() {
         return Err(CoreError::DimensionMismatch {
             context: "correlation_matrix",
@@ -41,17 +46,15 @@ pub fn correlation_matrix(x_mic: &Matrix, x: &Matrix, method: CorrelationMethod)
             got: format!("{} rows", x_mic.rows()),
         });
     }
-    match method {
-        CorrelationMethod::Lrr => match solve_lrr(x_mic, x, &LrrOptions::default()) {
-            Ok(sol) => Ok(sol.z),
-            Err(iupdater_linalg::LinalgError::NonConvergence { .. }) => least_squares_z(x_mic, x),
-            Err(e) => Err(e.into()),
-        },
-        CorrelationMethod::LeastSquares => least_squares_z(x_mic, x),
+    match solve_lrr(x_mic, x) {
+        Ok(sol) => Ok(sol.z),
+        Err(iupdater_linalg::LinalgError::NonConvergence { .. }) => least_squares_z(x_mic, x),
+        Err(e) => Err(e.into()),
     }
 }
 
-/// Ridge least-squares fallback: `Z = (AᵀA + δI)⁻¹ Aᵀ X`.
+/// Ridge least-squares fallback: `Z = (AᵀA + δI)⁻¹ Aᵀ X` — fast,
+/// not robust to corrupted columns.
 fn least_squares_z(a: &Matrix, x: &Matrix) -> Result<Matrix> {
     let mut gram = a.gram();
     let delta = 1e-8 * gram.trace().abs().max(1.0);
@@ -95,7 +98,7 @@ mod tests {
     fn z_reproduces_x_from_mic_least_squares() {
         let (x, _) = rank_r_matrix(6, 24, 3, 1);
         let mic = crate::mic::extract_mic(&x, Default::default(), 1e-9).unwrap();
-        let z = correlation_matrix(&mic.vectors, &x, CorrelationMethod::LeastSquares).unwrap();
+        let z = least_squares_z(&mic.vectors, &x).unwrap();
         let recon = predict(&mic.vectors, &z).unwrap();
         assert!(recon.approx_eq(&x, 1e-6));
     }
@@ -119,7 +122,7 @@ mod tests {
         // X'_R Z = D X_R Z = D X = X'.)
         let (x, _) = rank_r_matrix(6, 24, 4, 3);
         let mic = crate::mic::extract_mic(&x, Default::default(), 1e-9).unwrap();
-        let z = correlation_matrix(&mic.vectors, &x, CorrelationMethod::LeastSquares).unwrap();
+        let z = least_squares_z(&mic.vectors, &x).unwrap();
         // Per-link multiplicative drift.
         let d = Matrix::diag(&[1.1, 0.9, 1.05, 0.95, 1.2, 1.0]);
         let x_new = d.matmul(&x).unwrap();
@@ -147,8 +150,7 @@ mod tests {
             }
         }
         let z_lrr = correlation_matrix(&mic.vectors, &x_bad, CorrelationMethod::Lrr).unwrap();
-        let z_ls =
-            correlation_matrix(&mic.vectors, &x_bad, CorrelationMethod::LeastSquares).unwrap();
+        let z_ls = least_squares_z(&mic.vectors, &x_bad).unwrap();
         // Compare predictions against the *clean* X on corrupted columns.
         let err = |z: &Matrix| {
             let p = predict(&mic.vectors, z).unwrap();
@@ -174,7 +176,7 @@ mod tests {
     fn shape_mismatches_rejected() {
         let a = Matrix::zeros(3, 2);
         let x = Matrix::zeros(4, 5);
-        assert!(correlation_matrix(&a, &x, CorrelationMethod::LeastSquares).is_err());
+        assert!(correlation_matrix(&a, &x, CorrelationMethod::Lrr).is_err());
         let z = Matrix::zeros(3, 5);
         let xr = Matrix::zeros(4, 2);
         assert!(predict(&xr, &z).is_err());

@@ -29,13 +29,6 @@ pub enum CoreError {
     },
     /// The underlying linear algebra failed.
     Linalg(LinalgError),
-    /// The iterative reconstruction did not reach its stopping criterion.
-    NonConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Last objective value observed.
-        objective: f64,
-    },
     /// A fleet operation failed for one specific deployment; wraps the
     /// underlying error with the deployment's identity.
     Deployment {
@@ -66,19 +59,15 @@ impl fmt::Display for CoreError {
                 context,
                 expected,
                 got,
-            } => write!(f, "dimension mismatch in {context}: expected {expected}, got {got}"),
+            } => write!(
+                f,
+                "dimension mismatch in {context}: expected {expected}, got {got}"
+            ),
             CoreError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             CoreError::Io { op, kind, message } => {
                 write!(f, "{op} failed ({kind:?}): {message}")
             }
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
-            CoreError::NonConvergence {
-                iterations,
-                objective,
-            } => write!(
-                f,
-                "reconstruction did not converge within {iterations} iterations (objective {objective:.3e})"
-            ),
             CoreError::Deployment { name, id, source } => {
                 write!(f, "deployment '{name}' (id {id}): {source}")
             }

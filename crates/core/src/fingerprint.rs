@@ -139,16 +139,6 @@ impl FingerprintMatrix {
         self.locations_per_link
     }
 
-    /// The link index of grid location `j`.
-    pub fn link_of_location(&self, j: usize) -> usize {
-        j / self.locations_per_link
-    }
-
-    /// The along-link cell index of grid location `j`.
-    pub fn cell_of_location(&self, j: usize) -> usize {
-        j % self.locations_per_link
-    }
-
     /// Grid location index for link `i`, cell `u` (Def. 2's
     /// `j = (i-1) N/M + u`, 0-based).
     ///
@@ -216,8 +206,8 @@ mod tests {
         assert_eq!(fp.num_links(), 2);
         assert_eq!(fp.num_locations(), 6);
         assert_eq!(fp.location_index(1, 2), 5);
-        assert_eq!(fp.link_of_location(5), 1);
-        assert_eq!(fp.cell_of_location(5), 2);
+        let per = fp.locations_per_link();
+        assert_eq!((5 / per, 5 % per), (1, 2));
     }
 
     #[test]

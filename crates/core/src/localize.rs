@@ -54,7 +54,7 @@ impl Localizer {
     /// query structures once so every subsequent query pays only the
     /// pursuit itself.
     pub fn new(fingerprint: FingerprintMatrix, config: LocalizerConfig) -> Self {
-        let prepared = PreparedDictionary::prepare(fingerprint.matrix(), &config);
+        let prepared = PreparedDictionary::prepare(fingerprint.matrix());
         Localizer {
             fingerprint,
             config,
@@ -504,36 +504,6 @@ mod tests {
                 "bad query at {at}"
             );
         }
-    }
-
-    #[test]
-    fn centering_improves_over_raw_on_noisy_data() {
-        let t = Testbed::new(Environment::office(), 15);
-        let d = t.deployment();
-        let fp = FingerprintMatrix::survey(&t, 0.0, 20);
-        let centered = Localizer::new(fp.clone(), LocalizerConfig::default());
-        let raw = Localizer::new(
-            fp,
-            LocalizerConfig {
-                center: false,
-                ..LocalizerConfig::default()
-            },
-        );
-        let mut err_c = 0.0;
-        let mut err_r = 0.0;
-        for j in (0..96).step_by(5) {
-            let y = t.online_measurement(j, 0.0, 900 + j as u64);
-            err_c += d
-                .location(j)
-                .distance(d.location(centered.localize(&y).unwrap().grid));
-            err_r += d
-                .location(j)
-                .distance(d.location(raw.localize(&y).unwrap().grid));
-        }
-        assert!(
-            err_c <= err_r,
-            "centred matching ({err_c}) should not lose to raw ({err_r})"
-        );
     }
 
     #[test]

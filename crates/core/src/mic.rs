@@ -7,25 +7,23 @@
 //! re-survey, so the labor cost is `rank(X) ≈ M` locations instead of
 //! `N`.
 //!
-//! Two extraction methods are provided:
-//! - [`MicMethod::ColumnPivoting`] (default): rank-revealing
-//!   column-pivoted QR — numerically robust for approximately-low-rank
-//!   noisy matrices;
-//! - [`MicMethod::Echelon`]: the paper's literal elementary-column-
-//!   transformation procedure.
+//! The independent columns are found by rank-revealing column-pivoted
+//! QR, which is numerically robust on approximately-low-rank noisy
+//! matrices where the paper's literal elementary column transformation
+//! would need an absolute pivot threshold.
 
 use iupdater_linalg::Matrix;
 
 use crate::{CoreError, Result};
 
-/// Which algorithm finds the independent columns.
+/// Which algorithm finds the independent columns. Column-pivoted QR
+/// is the only one; the enum remains because the frozen campaign
+/// benchmark harness passes `MicMethod::default()` to [`extract_mic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MicMethod {
     /// Rank-revealing column-pivoted QR (robust on noisy data).
     #[default]
     ColumnPivoting,
-    /// Literal elementary column transformation (paper's description).
-    Echelon,
 }
 
 /// The MIC extraction result.
@@ -38,30 +36,26 @@ pub struct MicSelection {
     pub vectors: Matrix,
 }
 
-/// Extracts the MIC vectors of `x`.
+/// Extracts the MIC vectors of `x` by column-pivoted QR (the only
+/// [`MicMethod`]).
 ///
-/// `rank_tol` is relative: with [`MicMethod::ColumnPivoting`] a pivot
-/// counts while `|R(k,k)| > rank_tol * |R(0,0)|`; with
-/// [`MicMethod::Echelon`] it thresholds against the largest matrix entry.
+/// `rank_tol` is relative: a pivot counts while
+/// `|R(k,k)| > rank_tol * |R(0,0)|`.
 ///
 /// # Errors
 ///
 /// - [`CoreError::InvalidArgument`] for an empty matrix or bad tolerance.
 /// - [`CoreError::InvalidArgument`] if the matrix is numerically zero.
-pub fn extract_mic(x: &Matrix, method: MicMethod, rank_tol: f64) -> Result<MicSelection> {
+pub fn extract_mic(x: &Matrix, _method: MicMethod, rank_tol: f64) -> Result<MicSelection> {
     if x.is_empty() {
         return Err(CoreError::InvalidArgument("MIC of empty matrix"));
     }
     if rank_tol <= 0.0 || rank_tol >= 1.0 {
         return Err(CoreError::InvalidArgument("rank_tol must be in (0, 1)"));
     }
-    let mut locations = match method {
-        // The one-shot leading-columns query: no factor is
-        // materialised or retained (a zero matrix yields an empty
-        // list, rejected below).
-        MicMethod::ColumnPivoting => x.pivoted_leading_columns(rank_tol)?,
-        MicMethod::Echelon => x.column_echelon(rank_tol)?.independent_cols,
-    };
+    // The one-shot leading-columns query: no factor is materialised or
+    // retained (a zero matrix yields an empty list, rejected below).
+    let mut locations = x.pivoted_leading_columns(rank_tol)?;
     if locations.is_empty() {
         return Err(CoreError::InvalidArgument("MIC of zero matrix"));
     }
@@ -70,11 +64,11 @@ pub fn extract_mic(x: &Matrix, method: MicMethod, rank_tol: f64) -> Result<MicSe
     Ok(MicSelection { locations, vectors })
 }
 
-/// Outcome of [`MicSelection::update`]: the refreshed selection plus
+/// Outcome of [`update_selection`]: the refreshed selection plus
 /// whether the previous pivot set could be certified (fast path) or a
 /// full extraction ran (fallback).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MicUpdate {
+pub(crate) struct MicUpdate {
     /// The refreshed selection. When `reused` is `false` this is
     /// exactly what [`extract_mic`] would return on the new matrix;
     /// when `reused` is `true` it keeps the *previous* locations,
@@ -97,46 +91,35 @@ impl MicSelection {
     pub fn rank(&self) -> usize {
         self.locations.len()
     }
-
-    /// Re-extracts the MIC selection from a *new* matrix (e.g. the
-    /// latest reconstructed fingerprint database) by re-pivoting
-    /// against this selection's locations.
-    ///
-    /// Fast path: [`Matrix::certify_pivot_seed`] proves that greedy
-    /// column-pivoted QR on `x_new` would select these locations — or
-    /// a tie-equivalent set — skipping the full greedy sweep.
-    /// Certification uses the
-    /// [`iupdater_linalg::qr::PIVOT_DRIFT_TOL`] dominance margin; a
-    /// decision inside the margin is admitted only when the challenger
-    /// is a certified tie-set member (the
-    /// [`iupdater_linalg::qr::PIVOT_TIE_TOL`] window plus span
-    /// containment), in which case the *previous* locations are kept
-    /// so reference sets stay stable while near-tied columns flicker.
-    /// When certification fails, the selection is recomputed by
-    /// [`extract_mic`]. Either way the result has the rank and spans
-    /// the certified subspace of a from-scratch extraction — the fast
-    /// path changes cost and tie-breaking, never the represented
-    /// space.
-    ///
-    /// [`MicMethod::Echelon`] has no certified fast path and always
-    /// falls back.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`extract_mic`] on `(x_new, method,
-    /// rank_tol)`, plus [`CoreError::DimensionMismatch`] when `x_new`
-    /// has fewer rows or columns than this selection references.
-    pub fn update(&self, x_new: &Matrix, method: MicMethod, rank_tol: f64) -> Result<MicUpdate> {
-        update_selection(&self.locations, x_new, method, rank_tol)
-    }
 }
 
-/// [`MicSelection::update`] seeded by bare location indices (sorted
-/// ascending) — the form the updater keeps across rebuilds.
+/// Re-extracts the MIC selection from a *new* matrix (e.g. the latest
+/// reconstructed fingerprint database) by re-pivoting against the
+/// previous selection's `locations` (sorted ascending) — the form the
+/// updater keeps across rebuilds.
+///
+/// Fast path: [`Matrix::certify_pivot_seed`] proves that greedy
+/// column-pivoted QR on `x_new` would select these locations — or a
+/// tie-equivalent set — skipping the full greedy sweep. Certification
+/// uses the [`iupdater_linalg::qr::PIVOT_DRIFT_TOL`] dominance margin;
+/// a decision inside the margin is admitted only when the challenger
+/// is a certified tie-set member (the
+/// [`iupdater_linalg::qr::PIVOT_TIE_TOL`] window plus span
+/// containment), in which case the *previous* locations are kept so
+/// reference sets stay stable while near-tied columns flicker. When
+/// certification fails, the selection is recomputed by
+/// [`extract_mic`]. Either way the result has the rank and spans the
+/// certified subspace of a from-scratch extraction — the fast path
+/// changes cost and tie-breaking, never the represented space.
+///
+/// # Errors
+///
+/// Same conditions as [`extract_mic`] on `(x_new, rank_tol)`, plus
+/// [`CoreError::DimensionMismatch`] when `x_new` has fewer rows or
+/// columns than `locations` references.
 pub(crate) fn update_selection(
     locations: &[usize],
     x_new: &Matrix,
-    method: MicMethod,
     rank_tol: f64,
 ) -> Result<MicUpdate> {
     if x_new.is_empty() {
@@ -151,7 +134,7 @@ pub(crate) fn update_selection(
         .ok_or(CoreError::InvalidArgument("empty MIC seed"))?;
     if max_loc >= x_new.cols() || locations.len() > x_new.rows().min(x_new.cols()) {
         return Err(CoreError::DimensionMismatch {
-            context: "MicSelection::update",
+            context: "mic::update_selection",
             expected: format!(
                 "at least {} columns and rank capacity {}",
                 max_loc + 1,
@@ -160,25 +143,23 @@ pub(crate) fn update_selection(
             got: format!("{}x{}", x_new.rows(), x_new.cols()),
         });
     }
-    if method == MicMethod::ColumnPivoting {
-        let certified =
-            x_new.certify_pivot_seed(locations, rank_tol, iupdater_linalg::qr::PIVOT_DRIFT_TOL)?;
-        if certified.is_some() {
-            // Keep the previous set (sorted, as `extract_mic` reports
-            // locations): under ties a fresh greedy might pick other
-            // tie-set members, and keeping the incumbents is what
-            // stops reference sets flickering day to day.
-            let mut locations = locations.to_vec();
-            locations.sort_unstable();
-            let vectors = x_new.select_cols(&locations);
-            return Ok(MicUpdate {
-                selection: MicSelection { locations, vectors },
-                reused: true,
-            });
-        }
+    let certified =
+        x_new.certify_pivot_seed(locations, rank_tol, iupdater_linalg::qr::PIVOT_DRIFT_TOL)?;
+    if certified.is_some() {
+        // Keep the previous set (sorted, as `extract_mic` reports
+        // locations): under ties a fresh greedy might pick other
+        // tie-set members, and keeping the incumbents is what stops
+        // reference sets flickering day to day.
+        let mut locations = locations.to_vec();
+        locations.sort_unstable();
+        let vectors = x_new.select_cols(&locations);
+        return Ok(MicUpdate {
+            selection: MicSelection { locations, vectors },
+            reused: true,
+        });
     }
     Ok(MicUpdate {
-        selection: extract_mic(x_new, method, rank_tol)?,
+        selection: extract_mic(x_new, MicMethod::default(), rank_tol)?,
         reused: false,
     })
 }
@@ -201,8 +182,6 @@ mod tests {
             let x = low_rank(6, 20, r, r as u64);
             let mic = extract_mic(&x, MicMethod::ColumnPivoting, 1e-9).unwrap();
             assert_eq!(mic.rank(), r);
-            let mic2 = extract_mic(&x, MicMethod::Echelon, 1e-9).unwrap();
-            assert_eq!(mic2.rank(), r);
         }
     }
 
@@ -265,14 +244,6 @@ mod tests {
         assert!(extract_mic(&Matrix::identity(3), MicMethod::ColumnPivoting, 1.0).is_err());
     }
 
-    #[test]
-    fn methods_agree_on_exact_rank() {
-        let x = low_rank(7, 25, 4, 13);
-        let a = extract_mic(&x, MicMethod::ColumnPivoting, 1e-8).unwrap();
-        let b = extract_mic(&x, MicMethod::Echelon, 1e-8).unwrap();
-        assert_eq!(a.rank(), b.rank());
-    }
-
     /// A full-rank matrix with a dominant well-separated block, whose
     /// selection is stable under small drift.
     fn separated(m: usize, n: usize, seed: u64) -> Matrix {
@@ -304,9 +275,7 @@ mod tests {
         let prev = extract_mic(&x, MicMethod::ColumnPivoting, 1e-6).unwrap();
         // Gentle multiplicative drift keeps the pivot order.
         let drifted = x.map(|v| v * 1.001 + 1e-7);
-        let upd = prev
-            .update(&drifted, MicMethod::ColumnPivoting, 1e-6)
-            .unwrap();
+        let upd = update_selection(&prev.locations, &drifted, 1e-6).unwrap();
         assert!(upd.reused, "stable drift should certify the previous set");
         let fresh = extract_mic(&drifted, MicMethod::ColumnPivoting, 1e-6).unwrap();
         assert_eq!(
@@ -328,9 +297,7 @@ mod tests {
         for i in 0..6 {
             changed[(i, boosted_col)] = if i == 0 { 500.0 } else { (i as f64) * 40.0 };
         }
-        let upd = prev
-            .update(&changed, MicMethod::ColumnPivoting, 1e-6)
-            .unwrap();
+        let upd = update_selection(&prev.locations, &changed, 1e-6).unwrap();
         assert!(!upd.reused, "a changed selection must fall back");
         let fresh = extract_mic(&changed, MicMethod::ColumnPivoting, 1e-6).unwrap();
         assert_eq!(upd.selection, fresh);
@@ -338,26 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn update_echelon_always_falls_back_but_matches() {
-        let x = low_rank(6, 18, 3, 25);
-        let prev = extract_mic(&x, MicMethod::Echelon, 1e-8).unwrap();
-        let upd = prev.update(&x, MicMethod::Echelon, 1e-8).unwrap();
-        assert!(!upd.reused);
-        assert_eq!(upd.selection, prev);
-    }
-
-    #[test]
     fn update_validates_arguments() {
         let x = separated(5, 12, 26);
         let prev = extract_mic(&x, MicMethod::ColumnPivoting, 1e-6).unwrap();
-        assert!(prev
-            .update(&Matrix::zeros(0, 0), MicMethod::ColumnPivoting, 1e-6)
-            .is_err());
-        assert!(prev.update(&x, MicMethod::ColumnPivoting, 0.0).is_err());
+        assert!(update_selection(&prev.locations, &Matrix::zeros(0, 0), 1e-6).is_err());
+        assert!(update_selection(&prev.locations, &x, 0.0).is_err());
         // Too few columns for the recorded locations.
         let narrow = x.select_cols(&[0, 1, 2]);
-        assert!(prev
-            .update(&narrow, MicMethod::ColumnPivoting, 1e-6)
-            .is_err());
+        assert!(update_selection(&prev.locations, &narrow, 1e-6).is_err());
     }
 }

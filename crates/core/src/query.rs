@@ -49,32 +49,25 @@ pub const QUERY_CHUNK: usize = 64;
 /// Publish-once query structures over one fingerprint database.
 #[derive(Debug, Clone)]
 pub struct PreparedDictionary {
-    /// The (possibly centred) dictionary, links x locations.
+    /// The centred dictionary, links x locations.
     dictionary: Matrix,
     /// Every atom's squared norm and the largest norm: the certified
     /// scan's filter input.
     norms: AtomNorms,
-    /// Per-link means subtracted from dictionary and queries when
-    /// centring is enabled (empty means centring is off).
+    /// Per-link means subtracted from dictionary and queries. Raw RSS
+    /// vectors share a large common negative level; centring makes the
+    /// matching step discriminative.
     row_means: Vec<f64>,
 }
 
 impl PreparedDictionary {
-    /// Prepares the query structures for one published database under
-    /// `config`: centres the dictionary and takes its atom norms.
-    pub fn prepare(x: &Matrix, config: &LocalizerConfig) -> Self {
-        let row_means: Vec<f64> = if config.center {
-            (0..x.rows())
-                .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let dictionary = if config.center {
-            Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i])
-        } else {
-            x.clone()
-        };
+    /// Prepares the query structures for one published database:
+    /// centres the dictionary and takes its atom norms.
+    pub fn prepare(x: &Matrix) -> Self {
+        let row_means: Vec<f64> = (0..x.rows())
+            .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
+            .collect();
+        let dictionary = Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i]);
         let norms = AtomNorms::new(dictionary.as_slice(), dictionary.cols());
         PreparedDictionary {
             dictionary,
@@ -83,7 +76,7 @@ impl PreparedDictionary {
         }
     }
 
-    /// The (possibly centred) dictionary, links x locations.
+    /// The centred dictionary, links x locations.
     pub fn dictionary(&self) -> &Matrix {
         &self.dictionary
     }
@@ -96,16 +89,11 @@ impl PreparedDictionary {
         out
     }
 
-    /// Centres a raw query into `out` (or copies it when centring is
-    /// off). The arithmetic is the exact per-element subtraction of
-    /// the unprepared path.
+    /// Centres a raw query into `out`. The arithmetic is the exact
+    /// per-element subtraction of the unprepared path.
     fn center_into(&self, y: &[f64], out: &mut Vec<f64>) {
         out.clear();
-        if self.row_means.is_empty() {
-            out.extend_from_slice(y);
-        } else {
-            out.extend(y.iter().zip(&self.row_means).map(|(v, m)| v - m));
-        }
+        out.extend(y.iter().zip(&self.row_means).map(|(v, m)| v - m));
     }
 
     /// Runs the configured pursuit for one raw query against the
@@ -386,7 +374,6 @@ mod tests {
             selection: AtomSelection::Correlation,
             max_atoms,
             residual_threshold: 1e-12,
-            center: false,
         }
     }
 
@@ -395,13 +382,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let x = Matrix::from_fn(12, 30, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
         let config = corr_config(4);
-        let prep = PreparedDictionary::prepare(&x, &config);
+        let prep = PreparedDictionary::prepare(&x);
         let mut scratch = QueryScratch::new();
         for q in 0..16u64 {
             let mut qr = StdRng::seed_from_u64(100 + q);
             let y: Vec<f64> = (0..12).map(|_| qr.gen::<f64>() * 2.0 - 1.0).collect();
             let fast = prep.pursue(&y, &config, &mut scratch).unwrap();
-            let slow = orthogonal_matching_pursuit(&x, &y, 4, 1e-12).unwrap();
+            let slow =
+                orthogonal_matching_pursuit(prep.dictionary(), &prep.center_query(&y), 4, 1e-12)
+                    .unwrap();
             assert_eq!(fast, slow, "query {q}");
         }
         assert_eq!(scratch.chol_fallbacks(), 0);
@@ -419,8 +408,8 @@ mod tests {
                 ..LocalizerConfig::default()
             },
         ] {
-            let ps = PreparedDictionary::prepare(&small, &config);
-            let pl = PreparedDictionary::prepare(&large, &config);
+            let ps = PreparedDictionary::prepare(&small);
+            let pl = PreparedDictionary::prepare(&large);
             let mut scratch = QueryScratch::new();
             for (prep, m) in [(&ps, 5usize), (&pl, 11), (&ps, 5)] {
                 let y: Vec<f64> = (0..m).map(|_| rng.gen::<f64>()).collect();
@@ -435,7 +424,7 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let x = Matrix::from_fn(4, 6, |i, j| (i + j) as f64);
         let config = corr_config(2);
-        let prep = PreparedDictionary::prepare(&x, &config);
+        let prep = PreparedDictionary::prepare(&x);
         let mut scratch = QueryScratch::new();
         assert!(prep.pursue(&[1.0; 3], &config, &mut scratch).is_err());
     }

@@ -83,7 +83,7 @@ impl Updater {
     /// Builds an updater for `new_prior` by warm-starting from `prev`:
     /// instead of the full greedy MIC sweep, the previous pivot set is
     /// re-certified against the new matrix
-    /// ([`MicSelection::update`]'s fast path), falling back to a full
+    /// (`mic::update_selection`'s fast path), falling back to a full
     /// extraction when the selection genuinely changed. The
     /// correlation matrix is then learned from `new_prior` exactly as
     /// [`Updater::new`] would, through the same constructor tail.
@@ -162,7 +162,6 @@ impl Updater {
         let upd = update_selection(
             &prev.seed_locations,
             new_prior.matrix(),
-            MicMethod::default(),
             prev.config.rank_tol,
         )?;
         Self::assemble(new_prior, prev.config.clone(), upd.selection)

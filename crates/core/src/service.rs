@@ -930,7 +930,6 @@ impl UpdateService {
             let upd = crate::mic::update_selection(
                 dep.updater.seed_locations(),
                 current.matrix(),
-                crate::mic::MicMethod::default(),
                 cfg.rank_tol,
             )
             .map_err(|e| self.dep_err(id.0, e))?;

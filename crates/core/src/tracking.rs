@@ -25,9 +25,6 @@ pub struct TrackerConfig {
     /// (trade-off between trusting the fingerprint match and trusting
     /// motion continuity).
     pub motion_weight: f64,
-    /// Subtract per-link dictionary means before matching (as in
-    /// [`crate::localize::Localizer`]).
-    pub center: bool,
 }
 
 impl Default for TrackerConfig {
@@ -35,7 +32,6 @@ impl Default for TrackerConfig {
         TrackerConfig {
             max_step_m: 2.5,
             motion_weight: 0.35,
-            center: true,
         }
     }
 }
@@ -74,11 +70,9 @@ impl Tracker {
         let row_means: Vec<f64> = (0..x.rows())
             .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
             .collect();
-        let dictionary = if config.center {
-            Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i])
-        } else {
-            x.clone()
-        };
+        // Per-link means are subtracted before matching, as in
+        // [`crate::localize::Localizer`].
+        let dictionary = Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i]);
         let n = x.cols();
         let dist_sq = Matrix::from_fn(n, n, |a, b| {
             let d = deployment.distance_between(a, b);
@@ -124,11 +118,7 @@ impl Tracker {
                 got: format!("{}", measurements.cols()),
             });
         }
-        let centered = if self.config.center {
-            measurements.map_indexed(|_, j, v| v - self.row_means[j])
-        } else {
-            measurements.clone()
-        };
+        let centered = measurements.map_indexed(|_, j, v| v - self.row_means[j]);
 
         let max_step_sq = self.config.max_step_m * self.config.max_step_m;
         // Viterbi forward pass.

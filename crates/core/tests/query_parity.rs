@@ -19,13 +19,32 @@ use iupdater_core::{FingerprintMatrix, Localizer, LocationEstimate, Result};
 use iupdater_linalg::Matrix;
 use proptest::prelude::*;
 
-fn corr_config(max_atoms: usize, center: bool) -> LocalizerConfig {
+fn corr_config(max_atoms: usize) -> LocalizerConfig {
     LocalizerConfig {
         selection: AtomSelection::Correlation,
         max_atoms,
         residual_threshold: 1e-12,
-        center,
     }
+}
+
+/// The scalar oracle for a prepared correlation pursuit: OMP on the
+/// centred dictionary and the centred query.
+fn omp_oracle(prep: &PreparedDictionary, y: &[f64], k: usize) -> Result<OmpSolution> {
+    orthogonal_matching_pursuit(prep.dictionary(), &prep.center_query(y), k, 1e-12)
+}
+
+/// Appends one column per row holding minus the row's sum, so every
+/// row of the result sums to exactly zero: centring then subtracts
+/// `0.0` and leaves the constructed dictionary unchanged bit for bit.
+fn zero_mean_rows(x: &Matrix) -> Matrix {
+    let n = x.cols();
+    Matrix::from_fn(x.rows(), n + 1, |i, j| {
+        if j < n {
+            x[(i, j)]
+        } else {
+            -x.row(i).iter().sum::<f64>()
+        }
+    })
 }
 
 /// Both paths may legitimately error (e.g. a singular support Gram on
@@ -75,12 +94,11 @@ proptest! {
 
     #[test]
     fn correlation_pursuit_matches_scalar_omp((x, y) in fingerprint_and_query(), k in 1usize..5) {
-        let config = corr_config(k, false);
-        let prep = PreparedDictionary::prepare(&x, &config);
+        let config = corr_config(k);
+        let prep = PreparedDictionary::prepare(&x);
         let mut scratch = QueryScratch::new();
         let fast = prep.pursue(&y, &config, &mut scratch);
-        let slow = orthogonal_matching_pursuit(&x, &y, k, 1e-12);
-        assert_result_parity(fast, slow);
+        assert_result_parity(fast, omp_oracle(&prep, &y, k));
     }
 
     #[test]
@@ -100,7 +118,7 @@ proptest! {
     fn correlation_localizer_grid_parity((x, y) in fingerprint_and_query(), k in 1usize..4) {
         let per = x.cols() / x.rows();
         let fp = FingerprintMatrix::new(x, per).unwrap();
-        let loc = Localizer::new(fp, corr_config(k, true));
+        let loc = Localizer::new(fp, corr_config(k));
         match (loc.localize(&y), loc.localize_unprepared(&y)) {
             (Ok(fast), Ok(slow)) => {
                 prop_assert_eq!(&fast, &slow);
@@ -171,21 +189,23 @@ fn batch_against_oracle(
 #[test]
 fn zero_columns_are_skipped_identically() {
     // Dead atoms (all-zero columns) must be excluded by both paths via
-    // the same scale-relative floor.
-    let x = Matrix::from_fn(4, 8, |i, j| {
+    // the same scale-relative floor. Zero-sum rows keep them dead
+    // through centring.
+    let x = zero_mean_rows(&Matrix::from_fn(4, 8, |i, j| {
         if j % 3 == 0 {
             0.0
         } else {
             ((i * 5 + j * 7) % 11) as f64 - 5.0
         }
-    });
+    }));
     let y = vec![1.0, -2.0, 3.0, -4.0];
     for k in 1..4 {
-        let config = corr_config(k, false);
-        let prep = PreparedDictionary::prepare(&x, &config);
+        let config = corr_config(k);
+        let prep = PreparedDictionary::prepare(&x);
+        assert_eq!(prep.dictionary(), &x, "centring must be exact");
         let mut scratch = QueryScratch::new();
         let fast = prep.pursue(&y, &config, &mut scratch);
-        let slow = orthogonal_matching_pursuit(&x, &y, k, 1e-12);
+        let slow = omp_oracle(&prep, &y, k);
         if let Ok(sol) = &fast {
             assert!(
                 sol.support.iter().all(|&j| j % 3 != 0),
@@ -198,11 +218,11 @@ fn zero_columns_are_skipped_identically() {
 
 #[test]
 fn duplicate_columns_stay_in_lockstep() {
-    // A rank-deficient dictionary (exact duplicate columns): both
-    // paths run the same LU on the same singular support Gram,
-    // succeeding or failing together.
+    // A rank-deficient dictionary (exact duplicate columns, plus the
+    // parallel zero-sum column): both paths run the same LU on the
+    // same singular support Gram, succeeding or failing together.
     let u = [2.0, -1.0, 0.5, 3.0];
-    let x = Matrix::from_fn(4, 2, |i, _| u[i]);
+    let x = zero_mean_rows(&Matrix::from_fn(4, 2, |i, _| u[i]));
     // y = u + w with w orthogonal to u (w = [1, 2, 0, 0] projected out).
     let uu: f64 = u.iter().map(|v| v * v).sum();
     let uw = 2.0 * u[0] + 1.0 * u[1];
@@ -210,35 +230,37 @@ fn duplicate_columns_stay_in_lockstep() {
         .map(|i| [2.0, 1.0, 0.0, 0.0][i] - uw / uu * u[i])
         .collect();
     let y: Vec<f64> = (0..4).map(|i| u[i] + w[i]).collect();
-    let config = corr_config(2, false);
-    let prep = PreparedDictionary::prepare(&x, &config);
+    let config = corr_config(2);
+    let prep = PreparedDictionary::prepare(&x);
+    assert_eq!(prep.dictionary(), &x, "centring must be exact");
     let mut scratch = QueryScratch::new();
     let fast = prep.pursue(&y, &config, &mut scratch);
-    let slow = orthogonal_matching_pursuit(&x, &y, 2, 1e-12);
-    assert_result_parity(fast, slow);
+    assert_result_parity(fast, omp_oracle(&prep, &y, 2));
 }
 
 #[test]
 fn near_tied_scores_break_ties_identically() {
     // col1 = 3 * col0: the normalised scores are computed by the same
     // expression in both paths, so however rounding lands, the strict
-    // `>` tie-break selects the same atom.
-    let x = Matrix::from_fn(4, 3, |i, j| {
+    // `>` tie-break selects the same atom. Zero-sum rows keep the pair
+    // parallel through centring.
+    let x = zero_mean_rows(&Matrix::from_fn(4, 3, |i, j| {
         let u = [1.0, 2.0, -1.5, 0.5][i];
         match j {
             0 => u,
             1 => 3.0 * u,
             _ => [0.3, -0.9, 1.1, 0.7][i],
         }
-    });
+    }));
     let y = vec![1.1, 2.2, -1.6, 0.4];
     for k in 1..3 {
-        let config = corr_config(k, false);
-        let prep = PreparedDictionary::prepare(&x, &config);
+        let config = corr_config(k);
+        let prep = PreparedDictionary::prepare(&x);
+        assert_eq!(prep.dictionary(), &x, "centring must be exact");
         let mut scratch = QueryScratch::new();
         assert_result_parity(
             prep.pursue(&y, &config, &mut scratch),
-            orthogonal_matching_pursuit(&x, &y, k, 1e-12),
+            omp_oracle(&prep, &y, k),
         );
     }
 
@@ -272,19 +294,22 @@ fn near_tied_scores_break_ties_identically() {
 
 #[test]
 fn ill_conditioned_two_atom_dictionary_matches_oracle() {
-    // Two nearly parallel atoms (relative Schur pivot ~1e-10) beside
-    // two dead columns: OMP selects both live atoms, and the
+    // Two nearly parallel atoms (relative Schur pivot ~1e-10), their
+    // negations (so every row sums to zero and centring is exact) and
+    // four dead columns: OMP selects both atoms (each negation only
+    // ties its atom, and the strict `>` keeps the first), and the
     // from-scratch LU (pivot 1e-10, far above its scale-relative
     // floor) recovers the coefficients 2 and 1. The served read must
     // equal the unprepared oracle in every bit.
     let eps = 1e-5;
-    let x = Matrix::from_fn(4, 4, |i, j| match (i, j) {
-        (0, 0) => 1.0,
-        (0, 1) => 1.0,
+    let x = Matrix::from_fn(4, 8, |i, j| match (i, j) {
+        (0, 0) | (0, 1) => 1.0,
+        (0, 2) | (0, 3) => -1.0,
         (1, 1) => eps,
+        (1, 3) => -eps,
         _ => 0.0,
     });
-    let loc = Localizer::new(FingerprintMatrix::new(x, 1).unwrap(), corr_config(2, false));
+    let loc = Localizer::new(FingerprintMatrix::new(x, 2).unwrap(), corr_config(2));
     let y = [3.0, eps, 0.0, 0.0];
     let fast = loc.localize(&y).unwrap();
     let slow = loc.localize_unprepared(&y).unwrap();

@@ -487,6 +487,61 @@ impl Lexed {
         out
     }
 
+    /// Every `head::tail` identifier pair in the masked code as
+    /// `(head, tail, head_offset, tail_end)`, in source order; `a::b::c`
+    /// yields `(a, b, ..)` and `(b, c, ..)`.
+    pub fn path_pairs(&self) -> Vec<(&str, &str, usize, usize)> {
+        let idents: Vec<(&str, usize)> = self.idents().collect();
+        idents
+            .windows(2)
+            .filter(|w| self.masked[w[0].1 + w[0].0.len()..w[1].1].trim() == "::")
+            .map(|w| (w[0].0, w[1].0, w[0].1, w[1].1 + w[1].0.len()))
+            .collect()
+    }
+
+    /// Every `pub enum` as `(name, line, variants)`, in source order;
+    /// `pub(crate) enum` and friends are not listed.
+    pub fn pub_enums(&self) -> Vec<(&str, usize, Variants<'_>)> {
+        let b = self.masked.as_bytes();
+        let idents: Vec<(&str, usize)> = self.idents().collect();
+        let mut out = Vec::new();
+        for w in idents
+            .windows(3)
+            .filter(|w| w[0].0 == "pub" && w[1].0 == "enum")
+        {
+            let (name, at) = w[2];
+            let Some(open) = self.masked[at..].find('{').map(|k| at + k) else {
+                continue;
+            };
+            let close = close_of(b, open).unwrap_or(b.len());
+            let (mut variants, mut i, mut is_default) = (Vec::new(), open + 1, false);
+            while i < close {
+                if b[i] == b'#' {
+                    // An attribute: `#[...]`.
+                    let end = self.masked[i..close].find(']').map_or(close, |k| i + k);
+                    is_default |= self.masked[i..end].trim_start_matches(['#', '[']) == "default";
+                    i = end + 1;
+                } else if is_ident_start(b[i]) {
+                    let end = (i..close).find(|&k| !is_ident_byte(b[k])).unwrap_or(close);
+                    variants.push((&self.masked[i..end], self.line_of(i), is_default));
+                    is_default = false;
+                    // Skip the payload and discriminant.
+                    i = end;
+                    while i < close && b[i] != b',' {
+                        i = match b[i] {
+                            b'(' | b'[' | b'{' => close_of(b, i).map_or(close, |k| k + 1),
+                            _ => i + 1,
+                        };
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            out.push((name, self.line_of(at), variants));
+        }
+        out
+    }
+
     /// True if the contiguous comment block ending just above `line`
     /// (attribute-only lines may sit in between) — or a comment on
     /// `line` itself — satisfies `pred`.
@@ -518,6 +573,40 @@ impl Lexed {
         }
         false
     }
+}
+
+/// An enum's variants as `(name, line, is_default)`, `is_default`
+/// when the variant carries `#[default]`.
+pub type Variants<'a> = Vec<(&'a str, usize, bool)>;
+
+/// Offset of the bracket closing the `(`, `[` or `{` at `open` in
+/// masked code (one depth count for all three kinds is exact on code
+/// that compiles).
+pub fn close_of(b: &[u8], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    (open..b.len()).find(|&k| {
+        match b[k] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth = depth.saturating_sub(1),
+            _ => return false,
+        }
+        depth == 0
+    })
+}
+
+/// Offset of the innermost `(`, `[` or `{` still open at `pos` in
+/// masked code, or `None` at the top level.
+pub fn enclosing_open(b: &[u8], pos: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    (0..pos).rev().find(|&k| {
+        match b[k] {
+            b')' | b']' | b'}' => depth += 1,
+            b'(' | b'[' | b'{' if depth == 0 => return true,
+            b'(' | b'[' | b'{' => depth -= 1,
+            _ => {}
+        }
+        false
+    })
 }
 
 /// Iterator over identifiers in masked code; see [`Lexed::idents`].
@@ -577,6 +666,24 @@ mod tests {
         let l =
             lex("pub fn alpha() {}\nfn private() {}\npub(crate) fn hidden() {}\n// pub fn gone\n");
         assert_eq!(l.pub_fns(), vec![("alpha", 1)]);
+    }
+
+    #[test]
+    fn finds_pub_enum_variants_and_paths() {
+        let l = lex(
+            "pub enum E<T> {\n    #[default]\n    A,\n    B(Vec<T>, [u8; 2]),\n    \
+             C { x: u8 } = 4,\n}\npub(crate) enum H { Z }\nf(a::B :: C, Self::G); // D::E\n",
+        );
+        assert_eq!(
+            l.pub_enums(),
+            vec![(
+                "E",
+                1,
+                vec![("A", 3, true), ("B", 4, false), ("C", 5, false)]
+            )]
+        );
+        let pairs: Vec<(&str, &str)> = l.path_pairs().iter().map(|p| (p.0, p.1)).collect();
+        assert_eq!(pairs, vec![("a", "B"), ("B", "C"), ("Self", "G")]);
     }
 
     #[test]

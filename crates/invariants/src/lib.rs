@@ -8,7 +8,7 @@
 //! - a hand-rolled, comment/string/raw-string-aware [`lexer`] that
 //!   tracks `#[cfg(test)]` / `mod tests` spans (the container has no
 //!   crates.io access, so no `syn`);
-//! - seven [`rules`], each encoding one ARCHITECTURE.md invariant;
+//! - eight [`rules`], each encoding one ARCHITECTURE.md invariant;
 //! - an inline [`waiver`] syntax
 //!   (`// invariants: allow(<rule>) — <reason>`) so justified
 //!   exceptions are visible at the site they cover, with the reason
@@ -51,6 +51,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
     let doc_constants_checked = rules::doc_drift::check(ws, &mut raw);
     rules::parity_coverage::check(ws, &mut raw);
     rules::dead_pub::check(ws, &mut raw);
+    rules::dead_variant::check(ws, &mut raw);
 
     let mut diagnostics = Vec::new();
     let mut waived = 0usize;

@@ -18,8 +18,9 @@ use crate::workspace::{SourceFile, Workspace};
 /// Rule identifier used in diagnostics and waivers.
 pub const RULE: &str = "dead-pub";
 
-/// Directories whose `pub fn`s must have an outside caller.
-const LIBRARY_DIRS: [&str; 5] = [
+/// Directories whose `pub fn`s must have an outside caller (and whose
+/// `pub enum` variants must be built, see `dead-variant`).
+pub(crate) const LIBRARY_DIRS: [&str; 5] = [
     "crates/core/src/",
     "crates/linalg/src/",
     "crates/rfsim/src/",
@@ -29,7 +30,7 @@ const LIBRARY_DIRS: [&str; 5] = [
 
 /// Whether `path` holds program code: it sits under a `src/` or
 /// `examples/` directory and under no `tests/` or `benches/` one.
-fn is_program(path: &str) -> bool {
+pub(crate) fn is_program(path: &str) -> bool {
     let dirs: Vec<&str> = path.split('/').rev().skip(1).collect();
     let has = |names: [&str; 2]| dirs.iter().any(|d| names.contains(d));
     has(["src", "examples"]) && !has(["tests", "benches"])

@@ -10,9 +10,11 @@
 //! | [`kernel_routing`] | no hand-rolled nested-loop dense multiplies outside `kernels.rs` |
 //! | [`doc_drift`] | constants cited in ARCHITECTURE.md match the source |
 //! | [`parity_coverage`] | every public kernel entry point is exercised by a parity-tier test |
-//! | [`dead_pub`] | every `pub fn` in `core`/`linalg` is referenced from another file |
+//! | [`dead_pub`] | every library `pub fn` is referenced from another file's program code |
+//! | [`dead_variant`] | every library `pub enum` variant is constructed in program code |
 
 pub mod dead_pub;
+pub mod dead_variant;
 pub mod determinism;
 pub mod doc_drift;
 pub mod kernel_routing;

@@ -232,6 +232,51 @@ fn unreferenced_simulator_pub_fn_is_flagged() {
 }
 
 #[test]
+fn unbuilt_library_enum_variants_are_flagged() {
+    let ws = ws_of(vec![
+        SourceFile::new(
+            "crates/core/src/modes.rs",
+            include_str!("fixtures/dead_variant.rs"),
+        ),
+        SourceFile::new("examples/demo.rs", "fn main() { Mode::BuiltElsewhere; }\n"),
+        SourceFile::new("crates/core/tests/t.rs", "fn t() { Mode::ComparedOnly; }\n"),
+        SourceFile::new(
+            "crates/bench/benches/b.rs",
+            "fn b() { Mode::PatternOnly; }\n",
+        ),
+    ]);
+    let mut raw = Vec::new();
+    rules::dead_variant::check(&ws, &mut raw);
+    let raw: Vec<String> = raw.iter().map(|d| d.render()).collect();
+    // Flagged: built only by a test module (7); only match and guard
+    // patterns (8); only compared, and built by a test (9); only
+    // `if let` and `matches!` patterns, and built by a bench (10);
+    // waived (14); only in the Display impl (19). Kept: the
+    // `#[default]` (6), the `Self::` construction (11), an example's
+    // (12), a `From` body's (18).
+    let expected = [
+        (7, "Mode::Dead"),
+        (8, "Mode::MatchedOnly"),
+        (9, "Mode::ComparedOnly"),
+        (10, "Mode::PatternOnly"),
+        (14, "Mode::Waived"),
+        (19, "Failure::Shown"),
+    ];
+    assert_eq!(raw.len(), expected.len(), "{raw:?}");
+    for (d, (line, name)) in raw.iter().zip(expected) {
+        let head = format!("crates/core/src/modes.rs:{line}: [dead-variant] `{name}`");
+        assert!(d.starts_with(&head), "{raw:?}");
+    }
+    let analysis = analyze(&ws);
+    let kept = analysis
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "dead-variant");
+    assert_eq!(kept.map(|d| d.line).collect::<Vec<_>>(), [7, 8, 9, 10, 19]);
+    assert_eq!(analysis.waived, 1);
+}
+
+#[test]
 fn the_workspace_lints_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ws = invariants::workspace::collect(&root).expect("workspace is readable");

@@ -6,10 +6,9 @@
 //!
 //! - a row-major dense [`Matrix`] type with the usual arithmetic,
 //! - Householder and **column-pivoted** (rank-revealing) QR ([`qr`]),
+//!   whose leading pivot columns are the paper's "MIC",
 //! - a one-sided Jacobi SVD ([`svd`]),
 //! - LU factorisation, linear solves and inversion ([`solve`]),
-//! - elementary column transformation / column echelon form and
-//!   independent-column extraction ([`echelon`]) — the paper's "MIC",
 //! - proximal operators (singular-value thresholding, l2,1 shrinkage)
 //!   ([`shrink`]),
 //! - an inexact-ALM solver for the low-rank representation problem
@@ -43,7 +42,6 @@ mod view;
 
 pub mod kernels;
 
-pub mod echelon;
 pub mod lrr;
 pub mod norms;
 pub mod qr;

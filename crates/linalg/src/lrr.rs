@@ -19,6 +19,12 @@
 //! Y2   <- Y2 + mu (Z - J)
 //! mu   <- min(rho * mu, mu_max)
 //! ```
+//!
+//! The parameters are fixed private constants (`eps = 2`, `mu` from
+//! `1e-2` grown by `rho = 1.6` up to `1e8`, relative tolerance `1e-7`,
+//! 500 iterations): every caller solves the paper's one problem.
+//! Before iterating, [`solve_lrr`] tries a closed-form exactness
+//! certificate and skips the loop when it proves the minimiser.
 
 use crate::shrink::{l21_shrink, svt};
 use crate::{LinalgError, Matrix, Result};
@@ -32,41 +38,24 @@ const CERT_RESIDUAL_TOL: f64 = 1e-10;
 /// borderline dictionary falls back to the iterative solver.
 const CERT_MARGIN: f64 = 1e-6;
 
-/// Options for the inexact-ALM LRR solver.
-#[derive(Debug, Clone)]
-pub struct LrrOptions {
-    /// Weight of the corruption term (`eps` in Eq. 12).
-    pub epsilon: f64,
-    /// Initial penalty parameter `mu`.
-    pub mu: f64,
-    /// Maximum penalty parameter.
-    pub mu_max: f64,
-    /// Penalty growth factor `rho > 1`.
-    pub rho: f64,
-    /// Convergence tolerance on the two constraint residuals
-    /// (relative to `‖X‖_F`).
-    pub tol: f64,
-    /// Iteration budget.
-    pub max_iter: usize,
-    /// Disables the closed-form exactness certificate (see
-    /// [`solve_lrr`]) and always runs the ALM iteration — for
-    /// benchmarking the iterative path and for A/B tests.
-    pub force_iterative: bool,
-}
+/// Weight of the corruption term (`eps` in Eq. 12).
+const EPSILON: f64 = 2.0;
 
-impl Default for LrrOptions {
-    fn default() -> Self {
-        LrrOptions {
-            epsilon: 2.0,
-            mu: 1e-2,
-            mu_max: 1e8,
-            rho: 1.6,
-            tol: 1e-7,
-            max_iter: 500,
-            force_iterative: false,
-        }
-    }
-}
+/// Initial ALM penalty parameter `mu`.
+const MU_INIT: f64 = 1e-2;
+
+/// Largest ALM penalty parameter.
+const MU_MAX: f64 = 1e8;
+
+/// ALM penalty growth factor `rho > 1`.
+const RHO: f64 = 1.6;
+
+/// Convergence tolerance on the two constraint residuals (relative to
+/// `‖X‖_F`).
+const TOL: f64 = 1e-7;
+
+/// ALM iteration budget.
+const MAX_ITER: usize = 500;
 
 /// Solution of the LRR problem.
 #[derive(Debug, Clone)]
@@ -81,7 +70,8 @@ pub struct LrrSolution {
     pub residual: f64,
 }
 
-/// Solves `min ||Z||_* + eps ||E||_{2,1}  s.t.  X = A Z + E` by inexact ALM.
+/// Solves `min ||Z||_* + eps ||E||_{2,1}  s.t.  X = A Z + E` by inexact
+/// ALM, with `eps = 2`.
 ///
 /// `a` is the dictionary (`m x k`, the MIC vectors in the paper) and `x`
 /// is the data matrix (`m x n`).
@@ -105,16 +95,15 @@ pub struct LrrSolution {
 /// case for reconstructed fingerprint matrices (exactly low rank with a
 /// well-conditioned MIC dictionary); genuinely corrupted or
 /// ill-conditioned inputs fail the certificate and take the robust
-/// iterative path unchanged. Set [`LrrOptions::force_iterative`] to
-/// bypass the certificate.
+/// iterative path unchanged.
 ///
 /// # Errors
 ///
 /// - [`LinalgError::ShapeMismatch`] if `a.rows() != x.rows()`.
-/// - [`LinalgError::InvalidArgument`] for empty inputs or bad options.
-/// - [`LinalgError::NonConvergence`] if the residual does not fall below
-///   `opts.tol` within `opts.max_iter` iterations.
-pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolution> {
+/// - [`LinalgError::InvalidArgument`] for empty inputs.
+/// - [`LinalgError::NonConvergence`] if the relative constraint
+///   residual does not fall below `1e-7` within 500 iterations.
+pub fn solve_lrr(a: &Matrix, x: &Matrix) -> Result<LrrSolution> {
     if a.is_empty() || x.is_empty() {
         return Err(LinalgError::InvalidArgument("lrr inputs must be non-empty"));
     }
@@ -125,18 +114,15 @@ pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolutio
             rhs: x.shape(),
         });
     }
-    if opts.epsilon <= 0.0 || opts.rho <= 1.0 || opts.tol <= 0.0 {
-        return Err(LinalgError::InvalidArgument(
-            "lrr options: epsilon > 0, rho > 1, tol > 0 required",
-        ));
+    match certified_minimizer(a, x) {
+        Some(sol) => Ok(sol),
+        None => solve_alm(a, x),
     }
+}
 
-    if !opts.force_iterative {
-        if let Some(sol) = certified_minimizer(a, x, opts.epsilon) {
-            return Ok(sol);
-        }
-    }
-
+/// The inexact-ALM iteration (module docs) on validated inputs: the
+/// path [`solve_lrr`] takes when the exactness certificate declines.
+fn solve_alm(a: &Matrix, x: &Matrix) -> Result<LrrSolution> {
     let k = a.cols();
     let n = x.cols();
     let x_norm = x.frobenius_norm().max(f64::MIN_POSITIVE);
@@ -154,7 +140,7 @@ pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolutio
     let mut e = Matrix::zeros(m, n);
     let mut y1 = Matrix::zeros(m, n);
     let mut y2 = Matrix::zeros(k, n);
-    let mut mu = opts.mu;
+    let mut mu = MU_INIT;
 
     // Iteration workspaces, allocated once and reused (the ALM loop used
     // to allocate ~a dozen temporaries per iteration).
@@ -168,7 +154,7 @@ pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolutio
     let mut r1 = Matrix::zeros(m, n);
     let mut r2 = Matrix::zeros(k, n);
 
-    for iter in 0..opts.max_iter {
+    for iter in 0..MAX_ITER {
         // J update: prox of ||.||_* at Z + Y2/mu.
         j_arg.copy_from(&z)?;
         j_arg.axpy(1.0 / mu, &y2)?;
@@ -190,7 +176,7 @@ pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolutio
         e_arg.copy_from(x)?;
         e_arg.axpy(-1.0, &az)?;
         e_arg.axpy(1.0 / mu, &y1)?;
-        e = l21_shrink(&e_arg, opts.epsilon / mu);
+        e = l21_shrink(&e_arg, EPSILON / mu);
 
         // Multiplier updates and residuals.
         r1.copy_from(x)?;
@@ -200,10 +186,10 @@ pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolutio
         r2.axpy(-1.0, &j_mat)?;
         y1.axpy(mu, &r1)?;
         y2.axpy(mu, &r2)?;
-        mu = (mu * opts.rho).min(opts.mu_max);
+        mu = (mu * RHO).min(MU_MAX);
 
         let res = (r1.frobenius_norm() / x_norm).max(r2.frobenius_norm() / x_norm);
-        if res < opts.tol {
+        if res < TOL {
             return Ok(LrrSolution {
                 z,
                 e,
@@ -213,7 +199,7 @@ pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolutio
         }
     }
     Err(LinalgError::NonConvergence {
-        iterations: opts.max_iter,
+        iterations: MAX_ITER,
     })
 }
 
@@ -224,11 +210,11 @@ pub fn solve_lrr(a: &Matrix, x: &Matrix, opts: &LrrOptions) -> Result<LrrSolutio
 /// residual below the representability tolerance). Any failure — rank
 /// deficiency, a borderline condition, an inaccurate normal-equation
 /// solve — simply declines, and the iterative path runs as before.
-fn certified_minimizer(a: &Matrix, x: &Matrix, epsilon: f64) -> Option<LrrSolution> {
+fn certified_minimizer(a: &Matrix, x: &Matrix) -> Option<LrrSolution> {
     let k = a.cols();
     let singulars = a.singular_values().ok()?;
     let sigma_min = *singulars.last()?;
-    if sigma_min * epsilon < (k as f64).sqrt() * (1.0 + CERT_MARGIN) {
+    if sigma_min * EPSILON < (k as f64).sqrt() * (1.0 + CERT_MARGIN) {
         return None;
     }
     let rhs = a.transpose().matmul(x).ok()?;
@@ -264,7 +250,7 @@ mod tests {
         let a = random_matrix(6, 3, &mut rng);
         let z0 = random_matrix(3, 10, &mut rng);
         let x = a.matmul(&z0).unwrap();
-        let sol = solve_lrr(&a, &x, &LrrOptions::default()).unwrap();
+        let sol = solve_lrr(&a, &x).unwrap();
         let recon = a.matmul(&sol.z).unwrap();
         let err = (&recon - &x).frobenius_norm() / x.frobenius_norm();
         assert!(err < 1e-4, "relative error {err}");
@@ -283,7 +269,7 @@ mod tests {
             x[(i, 4)] += 10.0;
             x[(i, 9)] -= 8.0;
         }
-        let sol = solve_lrr(&a, &x, &LrrOptions::default()).unwrap();
+        let sol = solve_lrr(&a, &x).unwrap();
         let e_norms = sol.e.col_norms();
         let corrupted = (e_norms[4] + e_norms[9]) / 2.0;
         let clean_max = e_norms
@@ -315,7 +301,7 @@ mod tests {
                 extra[(i, j - 2)]
             }
         });
-        let sol = solve_lrr(&a, &x, &LrrOptions::default()).unwrap();
+        let sol = solve_lrr(&a, &x).unwrap();
         let s = sol.z.singular_values().unwrap();
         assert!(
             s[2] < 1e-2 * s[0].max(1e-12),
@@ -330,25 +316,9 @@ mod tests {
         let a = Matrix::zeros(3, 2);
         let x = Matrix::zeros(4, 5);
         assert!(matches!(
-            solve_lrr(&a, &x, &LrrOptions::default()),
+            solve_lrr(&a, &x),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn invalid_options_rejected() {
-        let a = Matrix::identity(2);
-        let x = Matrix::identity(2);
-        let bad = LrrOptions {
-            epsilon: 0.0,
-            ..LrrOptions::default()
-        };
-        assert!(solve_lrr(&a, &x, &bad).is_err());
-        let bad_rho = LrrOptions {
-            rho: 1.0,
-            ..LrrOptions::default()
-        };
-        assert!(solve_lrr(&a, &x, &bad_rho).is_err());
     }
 
     #[test]
@@ -371,20 +341,12 @@ mod tests {
         );
         let z0 = random_matrix(3, 12, &mut rng);
         let x = a.matmul(&z0).unwrap();
-        let fast = solve_lrr(&a, &x, &LrrOptions::default()).unwrap();
+        let fast = solve_lrr(&a, &x).unwrap();
         assert_eq!(fast.iterations, 0, "certificate should fire");
         assert!(fast.e.frobenius_norm() == 0.0);
         assert!(fast.z.approx_eq(&z0, 1e-9), "closed form recovers Z0");
-        let slow = solve_lrr(
-            &a,
-            &x,
-            &LrrOptions {
-                force_iterative: true,
-                ..LrrOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(slow.iterations > 0, "force_iterative must iterate");
+        let slow = solve_alm(&a, &x).unwrap();
+        assert!(slow.iterations > 0, "the ALM loop iterates");
         let rel = (&slow.z - &fast.z).frobenius_norm() / fast.z.frobenius_norm();
         assert!(
             rel < 1e-4,
@@ -406,7 +368,7 @@ mod tests {
         for i in 0..8 {
             x[(i, 4)] += 10.0;
         }
-        let sol = solve_lrr(&a, &x, &LrrOptions::default()).unwrap();
+        let sol = solve_lrr(&a, &x).unwrap();
         assert!(sol.iterations > 0, "corrupted data must take the ALM path");
         // Ill-conditioned dictionary (tiny sigma_min): certificate must
         // decline even though the data is exactly representable.
@@ -416,7 +378,7 @@ mod tests {
         });
         let z0 = random_matrix(2, 9, &mut rng);
         let x = a_bad.matmul(&z0).unwrap();
-        let sol = solve_lrr(&a_bad, &x, &LrrOptions::default()).unwrap();
+        let sol = solve_lrr(&a_bad, &x).unwrap();
         assert!(
             sol.iterations > 0,
             "ill-conditioned dictionary must take the ALM path"
@@ -428,7 +390,7 @@ mod tests {
         // With A = I and no noise the constraint forces Z + E = X; with a
         // small epsilon the nuclear term prefers putting signal in Z.
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let sol = solve_lrr(&Matrix::identity(2), &x, &LrrOptions::default()).unwrap();
+        let sol = solve_lrr(&Matrix::identity(2), &x).unwrap();
         let sum = &sol.z + &sol.e;
         assert!(sum.approx_eq(&x, 1e-4));
     }

@@ -109,22 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn echelon_count_matches_qr_rank_on_products(
-        seeds in prop::collection::vec(-5.0f64..5.0, 12),
-        r in 1usize..3,
-    ) {
-        // Build an exactly-rank-<=r 4x6 matrix from the seed data.
-        let l = Matrix::from_vec(4, r, seeds[..4 * r].to_vec()).unwrap();
-        let rt = Matrix::from_fn(r, 6, |i, j| seeds[(i * 6 + j) % seeds.len()] + 0.1);
-        let a = l.matmul(&rt).unwrap();
-        if a.max_abs() > 1e-6 {
-            let ech = a.column_echelon(1e-7).unwrap().independent_cols.len();
-            let qr_rank = a.pivoted_leading_columns(1e-7).unwrap().len();
-            prop_assert_eq!(ech, qr_rank);
-        }
-    }
-
-    #[test]
     fn svt_never_increases_rank_or_norm(m in matrix_strategy(6), tau in 0.01f64..5.0) {
         let out = shrink::svt(&m, tau).unwrap();
         let nuclear = |a: &Matrix| a.singular_values().unwrap().iter().sum::<f64>();

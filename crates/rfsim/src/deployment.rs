@@ -107,21 +107,10 @@ impl Deployment {
         &self.grid_centers
     }
 
-    /// The link index that grid location `j` lies on (the paper's
-    /// `ii = ceil(j / (N/M))`, 0-based here).
-    pub fn link_of_location(&self, j: usize) -> usize {
-        j / self.locations_per_link
-    }
-
-    /// The along-link cell index of grid location `j` (the paper's `u`,
-    /// 0-based here).
-    pub fn cell_of_location(&self, j: usize) -> usize {
-        j % self.locations_per_link
-    }
-
-    /// The grid location index for link `i`, cell `u` — the inverse of
-    /// [`Self::link_of_location`]/[`Self::cell_of_location`] and the
-    /// paper's `j = (i-1) N/M + u` (Def. 2), 0-based.
+    /// The grid location index for link `i`, cell `u` — the paper's
+    /// `j = (i-1) N/M + u` (Def. 2), 0-based. Its inverse is
+    /// `i = j / N/M` (the paper's `ii = ceil(j / (N/M))`) and
+    /// `u = j % N/M`.
     ///
     /// # Panics
     ///
@@ -170,7 +159,7 @@ mod tests {
     fn grid_centers_on_their_link() {
         let d = office_deployment();
         for j in 0..d.num_locations() {
-            let link = d.link(d.link_of_location(j));
+            let link = d.link(j / d.locations_per_link());
             assert!(
                 link.distance_to(d.location(j)) < 1e-9,
                 "grid {j} must be centred on its link"
@@ -182,8 +171,8 @@ mod tests {
     fn index_mapping_roundtrip() {
         let d = office_deployment();
         for j in 0..d.num_locations() {
-            let i = d.link_of_location(j);
-            let u = d.cell_of_location(j);
+            let per = d.locations_per_link();
+            let (i, u) = (j / per, j % per);
             assert_eq!(d.location_index(i, u), j);
         }
     }
