@@ -70,8 +70,8 @@ impl Tracker {
         let row_means: Vec<f64> = (0..x.rows())
             .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
             .collect();
-        // Per-link means are subtracted before matching, as in
-        // [`crate::localize::Localizer`].
+        // Per-link means are subtracted before matching, as the
+        // localizer does: raw RSS shares a large common level.
         let dictionary = Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i]);
         let n = x.cols();
         let dist_sq = Matrix::from_fn(n, n, |a, b| {

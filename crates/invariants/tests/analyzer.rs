@@ -248,12 +248,12 @@ fn unbuilt_library_enum_variants_are_flagged() {
     let mut raw = Vec::new();
     rules::dead_variant::check(&ws, &mut raw);
     let raw: Vec<String> = raw.iter().map(|d| d.render()).collect();
-    // Flagged: built only by a test module (7); only match and guard
-    // patterns (8); only compared, and built by a test (9); only
-    // `if let` and `matches!` patterns, and built by a bench (10);
-    // waived (14); only in the Display impl (19). Kept: the
-    // `#[default]` (6), the `Self::` construction (11), an example's
-    // (12), a `From` body's (18).
+    // Flagged: built only by a test module (7); only in match arms,
+    // behind a guard and a `|` (8); only compared, and built by a test
+    // (9); only in `if let` and `matches!` patterns, and built by a
+    // bench (10); waived (14); built only inside the Display impl (19).
+    // Kept: the `#[default]` (6), the `Self::` construction (11), an
+    // example's (12), a `From` body's (18).
     let expected = [
         (7, "Mode::Dead"),
         (8, "Mode::MatchedOnly"),

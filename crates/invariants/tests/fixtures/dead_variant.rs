@@ -29,6 +29,7 @@ impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Failure::Wrapped(e) => write!(f, "{e}"),
+            Failure::Shown { code } if *code > 99 => write!(f, "{}", Failure::Shown { code: 99 }),
             Failure::Shown { code } => write!(f, "code {code}"),
         }
     }
@@ -39,11 +40,14 @@ impl Mode {
         if let Some(Mode::PatternOnly) = Some(self) {
             return self;
         }
+        if self != Mode::ComparedOnly {
+            return Mode::default();
+        }
         match self {
+            Mode::MatchedOnly if self == Mode::ComparedOnly => self,
             Mode::MatchedOnly | Mode::Defaulted => Self::SelfBuilt,
-            Mode::SelfBuilt if self == Mode::ComparedOnly => self,
             _ if matches!(Some(self), Some(Mode::PatternOnly)) => self,
-            _ => Mode::default(),
+            _ => self,
         }
     }
 }

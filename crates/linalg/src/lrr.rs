@@ -20,9 +20,8 @@
 //! mu   <- min(rho * mu, mu_max)
 //! ```
 //!
-//! The parameters are fixed private constants (`eps = 2`, `mu` from
-//! `1e-2` grown by `rho = 1.6` up to `1e8`, relative tolerance `1e-7`,
-//! 500 iterations): every caller solves the paper's one problem.
+//! `eps`, the `mu` schedule, the tolerance and the iteration budget
+//! are private constants: every caller solves the paper's one problem.
 //! Before iterating, [`solve_lrr`] tries a closed-form exactness
 //! certificate and skips the loop when it proves the minimiser.
 
