@@ -8,6 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iupdater_baselines::rass::{default_rass_params, Rass};
 use iupdater_core::prelude::*;
 use iupdater_core::{correlation, mic};
+use iupdater_linalg::kernels::{nearest_block_on, sq_dist_row, FilterAtoms, ScanArm, BINARY_LANES};
 use iupdater_linalg::lrr::solve_lrr;
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::{Environment, Testbed};
@@ -643,9 +644,69 @@ fn bench_query(c: &mut Criterion) {
             group.bench_function("binary_scan_block_32x1536", |b| {
                 b.iter(|| loc.localize_batch(black_box(&queries[..8])).unwrap())
             });
+            bench_nearest_block_arms(&mut group, loc.prepared(), &queries[..BINARY_LANES]);
         }
     }
     group.finish();
+}
+
+/// One certified nearest-atom pass per call on every filter arm the
+/// host runs: the first step of a pursuit (nothing excluded) over one
+/// `BINARY_LANES`-query block of centred storm queries. Each arm's
+/// answer is checked against `sq_dist_row` plus the strict-`<` argmin
+/// before timing.
+fn bench_nearest_block_arms(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    prepared: &PreparedDictionary,
+    queries: &[Vec<f64>],
+) {
+    const L: usize = BINARY_LANES;
+    let dictionary = prepared.dictionary();
+    let (m, n) = dictionary.shape();
+    let mut residuals = vec![0.0; m * L];
+    let mut want = ([f64::INFINITY; L], [usize::MAX; L]);
+    let mut row = vec![0.0; n];
+    for (l, y) in queries.iter().enumerate() {
+        let centered = prepared.center_query(y);
+        for (i, &r) in centered.iter().enumerate() {
+            residuals[i * L + l] = r;
+        }
+        sq_dist_row(&centered, dictionary.as_slice(), &mut row);
+        for (j, &d) in row.iter().enumerate() {
+            if d < want.0[l] {
+                (want.0[l], want.1[l]) = (d, j);
+            }
+        }
+    }
+    let atoms = FilterAtoms::new(dictionary.as_slice(), n);
+    let excluded = vec![0_u8; n];
+    let mut fallback = Vec::new();
+    for arm in ScanArm::available() {
+        let scan = |fallback: &mut Vec<f64>| {
+            nearest_block_on(
+                arm,
+                black_box(&residuals),
+                dictionary.as_slice(),
+                &atoms,
+                &excluded,
+                fallback,
+            )
+        };
+        let (got, _) = scan(&mut fallback);
+        assert_eq!(
+            (got.0.map(f64::to_bits), got.1),
+            (want.0.map(f64::to_bits), want.1),
+            "{arm:?} nearest_block must match sq_dist_row and argmin"
+        );
+        let name = match arm {
+            ScanArm::Scalar => "scalar",
+            ScanArm::AvxFma => "avx_fma",
+            ScanArm::Avx512f => "avx512f",
+        };
+        group.bench_function(&format!("nearest_block_{name}_{m}x{n}"), |b| {
+            b.iter(|| scan(&mut fallback))
+        });
+    }
 }
 
 fn bench_gateway(c: &mut Criterion) {

@@ -1,10 +1,11 @@
 //! The prepared read path: publish-once dictionary structures for
 //! localization queries (Sec. V, Eq. 26–27).
 //!
-//! Every structure a query needs — the centred dictionary and its
-//! per-atom squared norms — depends only on the published fingerprint
-//! database, so [`PreparedDictionary`] computes them once per publish
-//! and every query after that runs against a reusable [`QueryScratch`].
+//! Every structure a query needs — the centred dictionary and the
+//! certified scan's f32 filter input — depends only on the published
+//! fingerprint database, so [`PreparedDictionary`] computes them once
+//! per publish and every query after that runs against a reusable
+//! [`QueryScratch`].
 //!
 //! # The bit-identity contract
 //!
@@ -18,11 +19,11 @@
 //! run by the L1 kernels. One query takes `kernels::sq_dist_row`, the
 //! one exact distance kernel, then an argmin over the distances.
 //! [`BINARY_LANES`] lane-interleaved queries take
-//! `kernels::nearest_block`, a certified dot-product filter that
-//! returns each lane's first minimum directly: it proves its winner
-//! with a rounding-error bound, recomputes that one distance as the
-//! exact chain, and answers a lane whose certificate fails with
-//! `sq_dist_row`. Both return the ascending-link chain of the
+//! `kernels::nearest_block`, a certified single-precision dot-product
+//! filter that returns each lane's first minimum directly: it proves
+//! its winner with a rounding-error bound, recomputes that one
+//! distance as the exact chain, and answers a lane whose certificate
+//! fails with `sq_dist_row`. Both return the ascending-link chain of the
 //! unprepared path's strided column walk and its first strict-`<`
 //! minimum, so the pursuit keeps only the selected masks and the
 //! residual guard — and changes no bit.
@@ -32,7 +33,7 @@
 //! hands it to `orthogonal_matching_pursuit`, the oracle itself, so it
 //! answers identically by construction.
 
-use iupdater_linalg::kernels::{nearest_block, sq_dist_row, AtomNorms, BINARY_LANES};
+use iupdater_linalg::kernels::{nearest_block, sq_dist_row, FilterAtoms, BINARY_LANES};
 use iupdater_linalg::Matrix;
 
 use crate::config::{AtomSelection, LocalizerConfig};
@@ -51,9 +52,10 @@ pub const QUERY_CHUNK: usize = 64;
 pub struct PreparedDictionary {
     /// The centred dictionary, links x locations.
     dictionary: Matrix,
-    /// Every atom's squared norm and the largest norm: the certified
-    /// scan's filter input.
-    norms: AtomNorms,
+    /// The f32 copy of the centred dictionary, its squared norms and
+    /// the largest f64 atom norm: the certified scan's filter input,
+    /// built once per publish.
+    filter: FilterAtoms,
     /// Per-link means subtracted from dictionary and queries. Raw RSS
     /// vectors share a large common negative level; centring makes the
     /// matching step discriminative.
@@ -62,16 +64,16 @@ pub struct PreparedDictionary {
 
 impl PreparedDictionary {
     /// Prepares the query structures for one published database:
-    /// centres the dictionary and takes its atom norms.
+    /// centres the dictionary and builds its f32 filter input.
     pub fn prepare(x: &Matrix) -> Self {
         let row_means: Vec<f64> = (0..x.rows())
             .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
             .collect();
         let dictionary = Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i]);
-        let norms = AtomNorms::new(dictionary.as_slice(), dictionary.cols());
+        let filter = FilterAtoms::new(dictionary.as_slice(), dictionary.cols());
         PreparedDictionary {
             dictionary,
-            norms,
+            filter,
             row_means,
         }
     }
@@ -171,11 +173,7 @@ impl PreparedDictionary {
         for i in 0..m {
             let base = i * L;
             for (l, y) in ys.iter().enumerate() {
-                residual[base + l] = if self.row_means.is_empty() {
-                    y[i]
-                } else {
-                    y[i] - self.row_means[i]
-                };
+                residual[base + l] = y[i] - self.row_means[i];
             }
         }
         let lane_sq = |residual: &[f64], l: usize| -> f64 {
@@ -203,7 +201,7 @@ impl PreparedDictionary {
             let ((best_dist, best_j), fell_back) = nearest_block(
                 residual,
                 self.dictionary.as_slice(),
-                &self.norms,
+                &self.filter,
                 excluded,
                 dist,
             );

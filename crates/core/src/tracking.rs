@@ -10,10 +10,12 @@
 //! transceiver-free objects") built on top of iUpdater's reconstructed
 //! database.
 
+use iupdater_linalg::kernels::sq_dist_row;
 use iupdater_linalg::Matrix;
 use iupdater_rfsim::Deployment;
 
 use crate::fingerprint::FingerprintMatrix;
+use crate::query::PreparedDictionary;
 use crate::{CoreError, Result};
 
 /// Tracker configuration.
@@ -39,8 +41,10 @@ impl Default for TrackerConfig {
 /// A Viterbi tracker over the fingerprint grid.
 #[derive(Debug, Clone)]
 pub struct Tracker {
-    dictionary: Matrix,
-    row_means: Vec<f64>,
+    /// The centred dictionary, shared with the localizer's read path:
+    /// raw RSS shares a large common level, so every epoch is centred
+    /// through it before matching.
+    prepared: PreparedDictionary,
     config: TrackerConfig,
     /// Pairwise squared distances between grid cells (metres²).
     dist_sq: Matrix,
@@ -66,35 +70,25 @@ impl Tracker {
                 got: format!("{}", deployment.num_locations()),
             });
         }
-        let x = fingerprint.matrix();
-        let row_means: Vec<f64> = (0..x.rows())
-            .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
-            .collect();
-        // Per-link means are subtracted before matching, as the
-        // localizer does: raw RSS shares a large common level.
-        let dictionary = Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i]);
-        let n = x.cols();
+        let prepared = PreparedDictionary::prepare(fingerprint.matrix());
+        let n = fingerprint.num_locations();
         let dist_sq = Matrix::from_fn(n, n, |a, b| {
             let d = deployment.distance_between(a, b);
             d * d
         });
         Ok(Tracker {
-            dictionary,
-            row_means,
+            prepared,
             config,
             dist_sq,
         })
     }
 
-    /// Emission cost of cell `j` for measurement `y` (centred squared
-    /// distance in dB²).
-    fn emission_cost(&self, y: &[f64], j: usize) -> f64 {
-        (0..self.dictionary.rows())
-            .map(|i| {
-                let d = y[i] - self.dictionary[(i, j)];
-                d * d
-            })
-            .sum()
+    /// Emission costs of every cell for raw measurement `y`: the
+    /// centred squared distance to each atom in dB², one
+    /// [`sq_dist_row`] pass written into `out`.
+    fn emission_row(&self, y: &[f64], out: &mut [f64]) {
+        let centered = self.prepared.center_query(y);
+        sq_dist_row(&centered, self.prepared.dictionary().as_slice(), out);
     }
 
     /// Decodes the most likely cell sequence for a measurement stream
@@ -109,8 +103,7 @@ impl Tracker {
         if measurements.rows() == 0 {
             return Err(CoreError::InvalidArgument("empty measurement stream"));
         }
-        let m = self.dictionary.rows();
-        let n = self.dictionary.cols();
+        let (m, n) = self.prepared.dictionary().shape();
         if measurements.cols() != m {
             return Err(CoreError::DimensionMismatch {
                 context: "Tracker::track",
@@ -118,20 +111,17 @@ impl Tracker {
                 got: format!("{}", measurements.cols()),
             });
         }
-        let centered = measurements.map_indexed(|_, j, v| v - self.row_means[j]);
-
         let max_step_sq = self.config.max_step_m * self.config.max_step_m;
         // Viterbi forward pass.
-        let mut cost: Vec<f64> = (0..n)
-            .map(|j| self.emission_cost(centered.row(0), j))
-            .collect();
+        let mut cost = vec![0.0; n];
+        self.emission_row(measurements.row(0), &mut cost);
+        let mut emit = vec![0.0; n];
         let mut back: Vec<Vec<usize>> = Vec::with_capacity(measurements.rows());
-        for epoch in 1..centered.rows() {
-            let y = centered.row(epoch);
+        for epoch in 1..measurements.rows() {
+            self.emission_row(measurements.row(epoch), &mut emit);
             let mut new_cost = vec![f64::INFINITY; n];
             let mut back_row = vec![0usize; n];
             for j in 0..n {
-                let emit = self.emission_cost(y, j);
                 let mut best = f64::INFINITY;
                 let mut best_prev = 0usize;
                 for (prev, &prev_cost) in cost.iter().enumerate() {
@@ -162,7 +152,7 @@ impl Tracker {
                     best = prev_cost + self.config.motion_weight * max_step_sq * 4.0;
                     best_prev = prev_idx;
                 }
-                new_cost[j] = best + emit;
+                new_cost[j] = best + emit[j];
                 back_row[j] = best_prev;
             }
             back.push(back_row);

@@ -78,38 +78,60 @@
 //! without evaluating most of them. The expansion
 //! `‖r − x‖² = ‖r‖² + ‖x‖² − 2⟨r, x⟩` rounds differently from the
 //! chain (and cancels catastrophically when `r ≈ x`, at the best
-//! match), so it cannot produce the answer; it can certify one. The
-//! kernel computes `ê_j = fl(‖x_j‖² − 2⟨r, x_j⟩)` — one FMA per atom and
-//! link, with the squared norms prepared once ([`AtomNorms`]) — keeps
-//! each lane's smallest and second-smallest `ê` over the atoms it has
-//! not excluded, and certifies the smallest's atom `w` when
-//! `runner − best > τ = (m + 2)·(4ε·(R + X)² + f64::MIN_POSITIVE)`,
-//! where `R = ‖r‖` and `X` is the largest atom norm. The proof: with
-//! `γ_k = k·u/(1 − k·u)` and `u = ε/2`, each `ê_j` is within
-//! `γ_{m+1}(‖x_j‖² + 2‖r‖‖x_j‖) ≤ γ_{m+1}(R + X)²` of
-//! `‖r − x_j‖² − ‖r‖²` (a dot product and a squared norm of `m` terms,
-//! then one subtraction), and each chain is within
-//! `γ_{m+2}‖r − x_j‖² ≤ γ_{m+2}(R + X)²` of `‖r − x_j‖²`. So if
-//! `ê_j − ê_w > 2(γ_{m+1} + γ_{m+2})(R + X)²`, atom `j`'s chain exceeds
-//! `w`'s; `τ` is about twice that bound, which also absorbs the
-//! rounding of `R`, `X` and `τ` itself, and its absolute term covers
-//! underflow. Every other unexcluded atom's chain therefore exceeds
+//! match), so it cannot produce the answer; it can certify one, and in
+//! single precision. The kernel rounds the lanes' residuals to f32
+//! (`r̃`) once per pass and, against the f32 copy `x̃` of the dictionary
+//! and its f32 squared norms (prepared once, [`FilterAtoms`]), computes
+//! `ê_j = fl₃₂(‖x̃_j‖² − 2⟨r̃, x̃_j⟩)` — one f32 FMA per atom and link,
+//! sixteen atoms per 512-bit register — keeps each lane's smallest and
+//! second-smallest `ê` over the atoms it has not excluded, and
+//! certifies the smallest's atom `w` when
+//! `runner − best > τ = 2(m + 5)·ε₃₂·(R + X)²`, where `R = ‖r‖`, `X` is
+//! the largest atom norm of the f64 dictionary and `ε₃₂ =
+//! f32::EPSILON`. The proof, with `u = ε₃₂/2 = 2⁻²⁴`, `γ_k = k·u/(1 −
+//! k·u)` and `X_j = ‖x_j‖ ≤ X`:
+//!
+//! - rounding `r_i` and `x_i` to f32 perturbs each product `r_i·x_i`
+//!   and each square `x_i²` by at most `(2u + u²)` relative, so
+//!   `⟨r̃, x̃_j⟩` is within `(2u + u²)·R·X_j` of `⟨r, x_j⟩` and
+//!   `‖x̃_j‖²` within `(2u + u²)·X_j²` of `‖x_j‖²`;
+//! - the norm is summed in f64 and rounded once to f32 (`u`, plus an
+//!   f64 sum's negligible `γ⁽⁶⁴⁾_m`), and the `m`-term f32 dot product —
+//!   FMA or mul then add — is within `γ_m·Σ|r̃_i·x̃_i|`;
+//! - the final `fnmadd` (or an exact doubling and one subtraction)
+//!   costs at most `u·|ê_j|`;
+//! - summed, to first order in `u`, each `ê_j` is within
+//!   `4u·X_j² + 2(m + 3)u·R·X_j ≤ (m + 4)·u·(R + X)²` of
+//!   `‖r − x_j‖² − ‖r‖²`, and each f64 chain is within
+//!   `γ⁽⁶⁴⁾_{m+2}·(R + X)²` of `‖r − x_j‖²`.
+//!
+//! So if `ê_j − ê_w > 2(m + 4)u·(R + X)² + 2γ⁽⁶⁴⁾_{m+2}·(R + X)²`, atom
+//! `j`'s chain exceeds `w`'s. `τ = 4(m + 5)·u·(R + X)²` is at least
+//! twice that bound (`4u(R + X)²` covers both f64 terms many times
+//! over), and the factor 2 absorbs the second-order terms, the
+//! rounding of `R`, `X`, `τ` and of the gap itself. The bound needs
+//! f32's normal range: `τ` is `+∞` unless `2⁻¹⁰⁰ ≤ (R + X)² <
+//! f32::MAX/4` and `m ≤ 2²⁰`. Inside, the absolute underflow errors
+//! of f32 roundings (up to `2⁻¹⁵⁰` each) add at most `2⁻⁵·u·(R + X)²`
+//! to an `ê`; below, they may not. Above, an f32 residual, atom,
+//! product or estimate may overflow, and beyond `2²⁰` links `m·u` is
+//! no longer small. Every other unexcluded atom's chain therefore exceeds
 //! `w`'s strictly, so `w` is the chain's first strict-`<` minimum
-//! whatever the order; its one chain is then recomputed exactly, which
-//! keeps the pursuit's residual guard bit for bit. A lane that fails —
-//! an exact tie (a zero gap), a near-tie, or any non-finite or
-//! overflowing input, which makes `τ` infinite or the gap NaN, since
-//! `!(gap > τ)` holds for NaN — is answered by [`sq_dist_row`] and the
-//! strict-`<` argmin instead. A lane excluded from every atom returns
-//! `(+∞, usize::MAX)` and certifies nothing.
+//! whatever the order; its one f64 chain is then recomputed exactly,
+//! which keeps the pursuit's residual guard bit for bit. A lane that
+//! fails — an exact tie (a zero gap), a near-tie, or any non-finite,
+//! overflowing or underflowing input, which makes `τ` infinite or the
+//! gap NaN, since `!(gap > τ)` holds for NaN — is answered by
+//! [`sq_dist_row`] and the strict-`<` argmin instead. A lane excluded
+//! from every atom returns `(+∞, usize::MAX)` and certifies nothing.
 //!
 //! The filter has three arms ([`ScanArm`]), chosen at runtime: AVX-512F
-//! (atoms in the vector lanes over the links x cells dictionary, a
-//! [`BINARY_LANES`]-query × 24-atom tile, the lane's exclusion bits as
-//! the write mask), AVX+FMA (4-query × 12-atom sub-tiles, `blendv`),
-//! and a scalar body (mul then add; the bound covers both roundings).
-//! They may round `ê` differently, but the shared certificate and
-//! fallback make their answers identical.
+//! (atoms in the vector lanes over the f32 links x cells copy, a
+//! [`BINARY_LANES`]-query × 48-atom tile, the lane's two transposed
+//! exclusion bytes as a 16-bit write mask), AVX+FMA (4-query × 24-atom
+//! sub-tiles, `blendv`), and a scalar body (f32 mul then add; the bound
+//! covers both roundings). They may round `ê` differently, but the
+//! shared certificate and fallback make their answers identical.
 
 /// Largest shared dimension `k` routed to the monomorphised
 /// tiny-inner kernels ([`matmul_rk`]). It covers every rank the solver
@@ -826,26 +848,29 @@ fn bt_slab<'r, const K: usize, A, B>(
 pub const BINARY_LANES: usize = 8;
 
 // One `u8` per atom carries every lane's exclusion bit; transposed, a
-// group of eight atoms gives one AVX-512 `__mmask8` per lane.
+// group of eight atoms gives one byte of a lane's write mask.
 const _: () = assert!(BINARY_LANES == u8::BITS as usize);
 
 /// Per-lane nearest atoms of one [`nearest_block`] pass: the smallest
 /// squared distance of each lane and the atom index that attains it.
 pub type NearestLanes = ([f64; BINARY_LANES], [usize; BINARY_LANES]);
 
-/// The publish-once input of the certified scan over one links x
-/// cells dictionary: every atom's squared norm `fl(‖x_j‖²)` (one
-/// ascending-link mul-then-add chain) and the largest atom norm `X`,
-/// which is `+∞` when any squared norm is not finite (so every
-/// certificate over a non-finite dictionary fails).
+/// The publish-once input of the certified scan's f32 filter over one
+/// links x cells dictionary: the f32-rounded copy `x̃` of the dictionary
+/// (same layout), every atom's f32 squared norm `‖x̃_j‖²` (summed in
+/// f64, rounded once), and the largest atom norm `X` of the f64
+/// dictionary, which is `+∞` when any squared norm is not finite (so
+/// every certificate over a non-finite dictionary fails).
 #[derive(Debug, Clone)]
-pub struct AtomNorms {
-    sq: Vec<f64>,
+pub struct FilterAtoms {
+    atoms: Vec<f32>,
+    sq: Vec<f32>,
     max_norm: f64,
 }
 
-impl AtomNorms {
-    /// The norms of the `m x n` row-major `dictionary` (links x cells).
+impl FilterAtoms {
+    /// The filter input of the `m x n` row-major `dictionary` (links x
+    /// cells).
     ///
     /// # Panics
     ///
@@ -857,35 +882,45 @@ impl AtomNorms {
             0,
             "dictionary must be m rows of n cells"
         );
-        let mut sq = vec![0.0; n];
-        for row in dictionary.chunks_exact(n.max(1)) {
-            for (s, &x) in sq.iter_mut().zip(row) {
-                *s += x * x;
+        let atoms: Vec<f32> = dictionary.iter().map(|&x| x as f32).collect();
+        let (mut exact, mut rounded) = (vec![0.0_f64; n], vec![0.0_f64; n]);
+        for (row, row32) in dictionary
+            .chunks_exact(n.max(1))
+            .zip(atoms.chunks_exact(n.max(1)))
+        {
+            for ((e, s), (&x, &x32)) in exact
+                .iter_mut()
+                .zip(&mut rounded)
+                .zip(row.iter().zip(row32))
+            {
+                *e += x * x;
+                *s += f64::from(x32) * f64::from(x32);
             }
         }
-        let max_sq = sq
+        let max_sq = exact
             .iter()
             .try_fold(0.0_f64, |max, &s| s.is_finite().then_some(max.max(s)));
-        AtomNorms {
+        FilterAtoms {
+            atoms,
+            sq: rounded.into_iter().map(|s| s as f32).collect(),
             max_norm: max_sq.map_or(f64::INFINITY, f64::sqrt),
-            sq,
         }
     }
 }
 
 /// The filter arms of [`nearest_block`]. They differ only in how they
-/// compute the estimates `ê_j`; the certificate, the winner's exact
+/// compute the f32 estimates `ê_j`; the certificate, the winner's exact
 /// distance and the fallback scan are shared, so every arm returns the
 /// same answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScanArm {
-    /// Plain mul then add, four atoms × eight lanes per step.
+    /// Plain f32 mul then add, four atoms × eight lanes per step.
     Scalar,
-    /// 256-bit FMA (runtime-detected AVX and FMA): 4-query × 12-atom
-    /// sub-tiles, twelve accumulators.
+    /// 256-bit f32 FMA (runtime-detected AVX and FMA): 4-query ×
+    /// 24-atom sub-tiles, eight atoms per register, twelve accumulators.
     AvxFma,
-    /// 512-bit FMA (runtime-detected AVX-512F): 8-query × 24-atom
-    /// tiles, 24 accumulators.
+    /// 512-bit f32 FMA (runtime-detected AVX-512F): 8-query × 48-atom
+    /// tiles, sixteen atoms per register, 24 accumulators.
     Avx512f,
 }
 
@@ -929,28 +964,31 @@ impl ScanArm {
 /// index, for the `m x n` row-major links x cells `dictionary`, `n =
 /// excluded.len()` and `m = residuals.len() / BINARY_LANES`. A lane
 /// with no selectable atom (all excluded, `n = 0`, or every distance
-/// NaN or `+∞`) returns `(+∞, usize::MAX)`. `norms` must be
-/// [`AtomNorms::new`] of this dictionary.
+/// NaN or `+∞`) returns `(+∞, usize::MAX)`. `atoms` must be
+/// [`FilterAtoms::new`] of this dictionary.
 ///
-/// The scan does not evaluate those chains. It filters with the
-/// expansion `ê_j = fl(‖x_j‖² − 2⟨r, x_j⟩)` and certifies each lane's
-/// smallest when its gap to the second smallest exceeds the rounding
-/// bound `τ` (see the module docs for `τ` and its proof); the winner's
-/// chain is then recomputed exactly. A lane whose certificate fails (a
-/// near-tie, or any non-finite or overflowing input) is answered by
-/// [`sq_dist_row`] and a strict-`<` argmin instead, through
-/// `fallback`, a buffer grown to `m + n` on first use. The result is
-/// therefore the naive per-pair loop's, bit for bit, non-finite inputs
-/// included. The second value is the mask of lanes that fell back.
+/// The scan does not evaluate those chains. It rounds the residuals to
+/// f32 once, filters with the single-precision expansion `ê_j =
+/// fl(‖x̃_j‖² − 2⟨r̃, x̃_j⟩)` and certifies each lane's smallest when
+/// its gap to the second smallest exceeds the rounding bound `τ` (see
+/// the module docs for `τ` and its proof); the winner's f64 chain is
+/// then recomputed exactly. A lane whose certificate fails (a
+/// near-tie, or any non-finite, overflowing or underflowing input) is
+/// answered by [`sq_dist_row`] and a strict-`<` argmin instead,
+/// through `fallback`, a buffer grown to `m + n` on first use. The
+/// result is therefore the naive per-pair loop's, bit for bit,
+/// non-finite inputs included. The second value is the mask of lanes
+/// that fell back.
 ///
 /// # Panics
 ///
 /// If `residuals.len()` is not a multiple of [`BINARY_LANES`], or
-/// `dictionary.len() != m * n`, or `norms` does not hold `n` atoms.
+/// `dictionary.len() != m * n`, or `atoms` does not hold `n` atoms of
+/// `m` links.
 pub fn nearest_block(
     residuals: &[f64],
     dictionary: &[f64],
-    norms: &AtomNorms,
+    atoms: &FilterAtoms,
     excluded: &[u8],
     fallback: &mut Vec<f64>,
 ) -> (NearestLanes, u8) {
@@ -958,11 +996,15 @@ pub fn nearest_block(
         ScanArm::widest(),
         residuals,
         dictionary,
-        norms,
+        atoms,
         excluded,
         fallback,
     )
 }
+
+/// Links whose f32 lane residuals [`nearest_block`] converts into a
+/// stack buffer (2 KiB); a taller dictionary converts into the heap.
+const STACK_LINKS: usize = 64;
 
 /// [`nearest_block`] through a chosen filter arm, so the parity tier
 /// can pin every arm a host supports, not only the widest.
@@ -977,7 +1019,7 @@ pub fn nearest_block_on(
     arm: ScanArm,
     residuals: &[f64],
     dictionary: &[f64],
-    norms: &AtomNorms,
+    atoms: &FilterAtoms,
     excluded: &[u8],
     fallback: &mut Vec<f64>,
 ) -> (NearestLanes, u8) {
@@ -992,32 +1034,53 @@ pub fn nearest_block_on(
         m.checked_mul(n),
         "dictionary must be m rows of one cell per exclusion byte"
     );
-    assert_eq!(norms.sq.len(), n, "norms must cover every atom");
+    assert!(
+        atoms.sq.len() == n && atoms.atoms.len() == dictionary.len(),
+        "filter atoms must cover the dictionary"
+    );
     assert!(arm.runs(), "scan arm {arm:?} is not available here");
+    let (mut stack, mut heap) = ([0.0_f32; STACK_LINKS * BINARY_LANES], Vec::new());
+    let r32 = if m <= STACK_LINKS {
+        &mut stack[..residuals.len()]
+    } else {
+        heap.resize(residuals.len(), 0.0);
+        &mut heap[..]
+    };
+    for (d, &r) in r32.iter_mut().zip(residuals) {
+        *d = r as f32;
+    }
+    let r32 = &*r32;
     let filter = match arm {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        ScanArm::AvxFma => simd::filter_avx_fma(residuals, dictionary, &norms.sq, excluded),
+        ScanArm::AvxFma => simd::filter_avx_fma(r32, &atoms.atoms, &atoms.sq, excluded),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        ScanArm::Avx512f => simd::filter_avx512(residuals, dictionary, &norms.sq, excluded),
-        _ => filter_scalar(residuals, dictionary, &norms.sq, excluded),
+        ScanArm::Avx512f => simd::filter_avx512(r32, &atoms.atoms, &atoms.sq, excluded),
+        _ => filter_scalar(r32, &atoms.atoms, &atoms.sq, excluded),
     };
-    certify(residuals, dictionary, norms, excluded, &filter, fallback)
+    certify(
+        residuals,
+        dictionary,
+        atoms.max_norm,
+        excluded,
+        &filter,
+        fallback,
+    )
 }
 
 /// One filter pass: per lane, the smallest and second-smallest
 /// estimate `ê` over its unexcluded atoms (`+∞` when there are none)
 /// and the atom of the smallest.
 struct Filter {
-    best: [f64; BINARY_LANES],
-    runner: [f64; BINARY_LANES],
+    best: [f32; BINARY_LANES],
+    runner: [f32; BINARY_LANES],
     index: [usize; BINARY_LANES],
 }
 
 impl Filter {
     fn new() -> Self {
         Filter {
-            best: [f64::INFINITY; BINARY_LANES],
-            runner: [f64::INFINITY; BINARY_LANES],
+            best: [f32::INFINITY; BINARY_LANES],
+            runner: [f32::INFINITY; BINARY_LANES],
             index: [usize::MAX; BINARY_LANES],
         }
     }
@@ -1025,7 +1088,7 @@ impl Filter {
     /// Folds atom `j`'s estimate `e` into lane `l`. An estimate equal
     /// to the best becomes the runner-up, so an exact tie leaves a
     /// zero gap and fails the certificate.
-    fn push(&mut self, l: usize, e: f64, j: usize) {
+    fn push(&mut self, l: usize, e: f32, j: usize) {
         if e < self.best[l] {
             self.runner[l] = self.best[l];
             self.best[l] = e;
@@ -1037,61 +1100,88 @@ impl Filter {
 }
 
 /// The scalar filter arm: four atoms at a time against all eight
-/// lanes, then one at a time, each `⟨r, x_j⟩` one ascending-link
+/// lanes, then one at a time, each `⟨r̃, x̃_j⟩` one ascending-link f32
 /// mul-then-add chain.
-fn filter_scalar(residuals: &[f64], dictionary: &[f64], sq: &[f64], excluded: &[u8]) -> Filter {
+fn filter_scalar(residuals: &[f32], atoms: &[f32], sq: &[f32], excluded: &[u8]) -> Filter {
     let n = excluded.len();
     let mut filter = Filter::new();
     let mut j = 0;
     while j + 4 <= n {
-        scalar_group::<4>(residuals, dictionary, sq, excluded, j, &mut filter);
+        scalar_group::<4>(residuals, atoms, sq, excluded, j, &mut filter);
         j += 4;
     }
     while j < n {
-        scalar_group::<1>(residuals, dictionary, sq, excluded, j, &mut filter);
+        scalar_group::<1>(residuals, atoms, sq, excluded, j, &mut filter);
         j += 1;
     }
     filter
 }
 
-/// Atoms `j..j + A` of [`filter_scalar`].
+/// Atoms `j..j + A` of [`filter_scalar`]: the `L` lanes of one atom
+/// are one contiguous accumulator row, so LLVM vectorises across lanes
+/// without reassociating. Kept out of line: inlined into
+/// [`nearest_block_on`], the lane loop stayed scalar and the arm ran
+/// about 3× slower.
+#[inline(never)]
 fn scalar_group<const A: usize>(
-    residuals: &[f64],
-    dictionary: &[f64],
-    sq: &[f64],
+    residuals: &[f32],
+    atoms: &[f32],
+    sq: &[f32],
     excluded: &[u8],
     j: usize,
     filter: &mut Filter,
 ) {
     const L: usize = BINARY_LANES;
     let n = excluded.len();
-    let mut acc = [[0.0_f64; A]; L];
-    for (r, row) in residuals.chunks_exact(L).zip(dictionary.chunks_exact(n)) {
-        let x = &row[j..j + A];
-        for (accl, &rl) in acc.iter_mut().zip(r) {
-            for (s, &xa) in accl.iter_mut().zip(x) {
-                *s += rl * xa;
+    let mut acc = [[0.0_f32; L]; A];
+    for (r, row) in residuals
+        .as_chunks::<L>()
+        .0
+        .iter()
+        .zip(atoms.chunks_exact(n))
+    {
+        let x: [f32; A] = core::array::from_fn(|a| row[j + a]);
+        for (acca, x) in acc.iter_mut().zip(x) {
+            for (s, &rl) in acca.iter_mut().zip(r) {
+                *s += rl * x;
             }
         }
     }
-    for (a, (&ex, &norm)) in excluded[j..j + A].iter().zip(&sq[j..j + A]).enumerate() {
-        for (l, accl) in acc.iter().enumerate() {
+    for (a, ((&ex, &norm), acca)) in excluded[j..j + A]
+        .iter()
+        .zip(&sq[j..j + A])
+        .zip(&acc)
+        .enumerate()
+    {
+        for (l, &dot) in acca.iter().enumerate() {
             if ex & (1 << l) == 0 {
-                filter.push(l, norm - 2.0 * accl[a], j + a);
+                filter.push(l, norm - 2.0 * dot, j + a);
             }
         }
     }
 }
 
-/// The certificate threshold `τ` of a lane with `Σ r² = residual_sq`
-/// over `m` links against atoms of norm at most `max_norm`: `+∞` (so
-/// the certificate fails) when `(R + X)²` is NaN or within a factor 4
-/// of overflow, where the error bounds no longer hold.
+/// The `(R + X)²` range over which the f32 filter's error bound holds:
+/// below `2⁻¹⁰⁰` the absolute underflow errors of f32 roundings (up
+/// to `2⁻¹⁵⁰` each) are no longer negligible next to `u·(R + X)²`, and
+/// from `f32::MAX / 4` up an f32 residual, atom, product or estimate
+/// may overflow.
+const CERTIFIED_SCALE: core::ops::Range<f64> = 1.0 / (1u128 << 100) as f64..f32::MAX as f64 / 4.0;
+
+/// Links up to which the f32 filter's first-order error bound holds
+/// with room to spare (`m·u ≤ 2⁻⁴`).
+const CERTIFIED_LINKS: usize = 1 << 20;
+
+/// The certificate threshold `τ = 2(m + 5)·ε₃₂·(R + X)²` of a lane with
+/// `Σ r² = residual_sq` over `m` links against atoms of norm at most
+/// `max_norm`: `+∞` (so the certificate fails) when `(R + X)²` is NaN
+/// or outside [`CERTIFIED_SCALE`], or `m` exceeds [`CERTIFIED_LINKS`],
+/// where the error bound no longer holds.
 fn certificate_gap(m: usize, residual_sq: f64, max_norm: f64) -> f64 {
     let reach = residual_sq.sqrt() + max_norm;
     let scale = reach * reach;
-    if scale < f64::MAX / 4.0 {
-        (m + 2) as f64 * (4.0 * f64::EPSILON * scale + f64::MIN_POSITIVE)
+    if CERTIFIED_SCALE.contains(&scale) && m <= CERTIFIED_LINKS {
+        2.0 * (m + 5) as f64 * f64::from(f32::EPSILON) * scale
     } else {
         f64::INFINITY
     }
@@ -1102,7 +1192,7 @@ fn certificate_gap(m: usize, residual_sq: f64, max_norm: f64) -> f64 {
 fn certify(
     residuals: &[f64],
     dictionary: &[f64],
-    norms: &AtomNorms,
+    max_norm: f64,
     excluded: &[u8],
     filter: &Filter,
     fallback: &mut Vec<f64>,
@@ -1115,8 +1205,8 @@ fn certify(
     let mut uncertified = 0_u8;
     for l in (0..L).filter(|l| settled & (1 << l) == 0) {
         let lane = || residuals.iter().skip(l).step_by(L);
-        let tau = certificate_gap(m, lane().map(|r| r * r).sum(), norms.max_norm);
-        if filter.runner[l] - filter.best[l] > tau {
+        let tau = certificate_gap(m, lane().map(|r| r * r).sum(), max_norm);
+        if f64::from(filter.runner[l]) - f64::from(filter.best[l]) > tau {
             let w = filter.index[l];
             let d = lane()
                 .zip(dictionary.iter().skip(w).step_by(n))
@@ -1211,30 +1301,35 @@ pub fn sq_dist_row(residual: &[f64], dictionary: &[f64], out: &mut [f64]) {
 /// matching add, never an FMA, so the results are bit-identical to the
 /// scalar path and the parity tier covers every arm; the distance kernel
 /// adds one sub in front.
-/// The FMAs live only in the nearest-atom scan's filter arms, whose
-/// estimates never reach an answer: the shared certificate decides
-/// which atom wins and the exact chain gives its distance.
+/// The FMAs, and the only f32 arithmetic, live in the nearest-atom
+/// scan's filter arms, whose estimates never reach an answer: the
+/// shared certificate decides which atom wins and the exact f64 chain
+/// gives its distance.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
     #![allow(unsafe_code)]
 
     use core::arch::x86_64::{
-        __m256d, __m256i, __m512d, _mm256_add_pd, _mm256_blendv_pd, _mm256_castsi256_pd,
-        _mm256_cmp_pd, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd,
-        _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_epi64x,
-        _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd,
-        _mm512_cmp_pd_mask, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_mask_mov_pd,
-        _mm512_mask_storeu_pd, _mm512_maskz_loadu_pd, _mm512_max_pd, _mm512_min_pd, _mm512_mul_pd,
-        _mm512_set1_pd, _mm512_setr_pd, _mm512_setzero_pd, _mm512_storeu_pd, _CMP_LT_OQ,
+        __m256, __m256i, __m512, __m512i, _mm256_add_pd, _mm256_blendv_ps, _mm256_castps_si256,
+        _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_loadu_pd,
+        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_pd,
+        _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_pd,
+        _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_pd,
+        _mm512_add_epi32, _mm512_add_pd, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_fnmadd_ps,
+        _mm512_loadu_pd, _mm512_mask_mov_epi32, _mm512_mask_mov_ps, _mm512_mask_storeu_pd,
+        _mm512_maskz_loadu_pd, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_min_ps, _mm512_mul_pd,
+        _mm512_set1_epi32, _mm512_set1_pd, _mm512_set1_ps, _mm512_setr_epi32, _mm512_setzero_pd,
+        _mm512_setzero_ps, _mm512_storeu_epi32, _mm512_storeu_pd, _mm512_storeu_ps, _CMP_LT_OQ,
     };
 
     use super::{lane_masks, Filter, BINARY_LANES};
 
     /// Atoms per tile of the certified scan's AVX-512F arm: three
-    /// 8-atom registers times the [`BINARY_LANES`] queries, 24
+    /// 16-atom f32 registers times the [`BINARY_LANES`] queries, 24
     /// accumulators in flight over every link. The AVX+FMA arm (sixteen
-    /// registers) runs each half of it as a 4-query × 12-atom sub-tile.
-    const TILE_ATOMS: usize = 24;
+    /// registers) runs each half of it as a 4-query × 24-atom sub-tile
+    /// of three 8-atom registers.
+    const TILE_ATOMS: usize = 48;
 
     /// Runtime AVX capability (cached by `std`).
     #[inline]
@@ -1535,10 +1630,10 @@ mod simd {
     /// that saw no atom) into `filter`. Every slot's smallest goes in
     /// before any runner-up, so the lane's runner-up is the smallest
     /// of the other slots' smallest and the winning slot's runner-up.
-    fn fold_slots(filter: &mut Filter, l: usize, best: &[f64], runner: &[f64], index: &[f64]) {
+    fn fold_slots(filter: &mut Filter, l: usize, best: &[f32], runner: &[f32], index: &[i32]) {
         for (&b, &j) in best.iter().zip(index) {
-            if j >= 0.0 {
-                filter.push(l, b, j as usize);
+            if let Ok(j) = usize::try_from(j) {
+                filter.push(l, b, j);
             }
         }
         for &r in runner {
@@ -1546,66 +1641,85 @@ mod simd {
         }
     }
 
+    /// One lane's running state in the AVX-512F arm, one slot per
+    /// vector position: the smallest `ê`, the second smallest and the
+    /// smallest's atom (`-1` before any).
+    #[derive(Clone, Copy)]
+    struct Slots512 {
+        best: __m512,
+        runner: __m512,
+        index: __m512i,
+    }
+
     /// The AVX-512F filter arm of [`super::nearest_block`]: [`TILE_ATOMS`]
-    /// atoms at a time, each link's three 8-atom registers against the
-    /// eight lanes' broadcast residuals in 24 FMA accumulators, then
-    /// one 8-atom register at a time, the last one loaded under a mask.
-    /// Each lane keeps three registers across tiles — per slot its
-    /// smallest `ê`, its second smallest and the smallest's atom — and
-    /// an excluded atom (or a slot past `n`) enters as `+∞` through the
-    /// lane's write mask. A NaN `ê` sets its slot's runner-up to its
-    /// smallest, so that lane's certificate fails.
+    /// atoms at a time, each link's three 16-atom f32 registers against
+    /// the eight lanes' broadcast residuals in 24 FMA accumulators, then
+    /// one 16-atom register at a time, the last one loaded under a
+    /// mask. Each lane keeps its [`Slots512`] across tiles, and an
+    /// excluded atom (or a slot past `n`) enters as `+∞` through the
+    /// lane's 16-bit write mask, two transposed exclusion bytes. A NaN
+    /// `ê` sets its slot's runner-up to its smallest, so that lane's
+    /// certificate fails.
     ///
     /// Callers must have verified [`avx512f_available`].
     pub(super) fn filter_avx512(
-        residuals: &[f64],
-        dictionary: &[f64],
-        sq: &[f64],
+        residuals: &[f32],
+        atoms: &[f32],
+        sq: &[f32],
         excluded: &[u8],
     ) -> Filter {
         let m = residuals.len() / BINARY_LANES;
         assert!(residuals.len() == m * BINARY_LANES);
-        assert_eq!(Some(dictionary.len()), excluded.len().checked_mul(m));
+        assert_eq!(Some(atoms.len()), excluded.len().checked_mul(m));
         assert_eq!(sq.len(), excluded.len());
+        assert!(
+            i32::try_from(excluded.len()).is_ok(),
+            "atom indices are i32 lanes"
+        );
         // SAFETY: AVX-512F support is checked by the caller via
         // `avx512f_available`; the asserts above are the inner
         // function's shape contract.
-        unsafe { filter_avx512_inner(residuals, dictionary, sq, excluded, m) }
+        unsafe { filter_avx512_inner(residuals, atoms, sq, excluded, m) }
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
     // call — callers must have verified `avx512f_available()` first.
-    // The caller guarantees `residuals.len() == m * 8`, `dictionary.len()
-    // == m * n` and `sq.len() == n` for `n = excluded.len()`; every tile
-    // below starts at an atom `j < n` and holds at most `n - j` atoms.
+    // The caller guarantees `residuals.len() == m * 8`, `atoms.len()
+    // == m * n`, `sq.len() == n` and `n <= i32::MAX` for `n =
+    // excluded.len()`; every tile below starts at an atom `j < n` and
+    // holds at most `n - j` atoms.
     #[target_feature(enable = "avx512f")]
     unsafe fn filter_avx512_inner(
-        residuals: &[f64],
-        dictionary: &[f64],
-        sq: &[f64],
+        residuals: &[f32],
+        atoms: &[f32],
+        sq: &[f32],
         excluded: &[u8],
         m: usize,
     ) -> Filter {
         let n = excluded.len();
-        let inf = _mm512_set1_pd(f64::INFINITY);
-        let mut slots = [[inf, inf, _mm512_set1_pd(-1.0)]; BINARY_LANES];
+        let inf = _mm512_set1_ps(f32::INFINITY);
+        let mut slots = [Slots512 {
+            best: inf,
+            runner: inf,
+            index: _mm512_set1_epi32(-1),
+        }; BINARY_LANES];
         let mut j = 0;
         while j + TILE_ATOMS <= n {
-            tile512::<{ TILE_ATOMS / 8 }>(residuals, dictionary, sq, excluded, m, j, 8, &mut slots);
+            tile512::<{ TILE_ATOMS / 16 }>(residuals, atoms, sq, excluded, m, j, 16, &mut slots);
             j += TILE_ATOMS;
         }
         while j < n {
-            let width = (n - j).min(8);
-            tile512::<1>(residuals, dictionary, sq, excluded, m, j, width, &mut slots);
-            j += 8;
+            let width = (n - j).min(16);
+            tile512::<1>(residuals, atoms, sq, excluded, m, j, width, &mut slots);
+            j += 16;
         }
         let mut filter = Filter::new();
         for (l, slot) in slots.iter().enumerate() {
-            let mut stored = [[0.0; 8]; 3];
-            for (out, &reg) in stored.iter_mut().zip(slot) {
-                _mm512_storeu_pd(out.as_mut_ptr(), reg);
-            }
-            fold_slots(&mut filter, l, &stored[0], &stored[1], &stored[2]);
+            let (mut best, mut runner, mut index) = ([0.0; 16], [0.0; 16], [0; 16]);
+            _mm512_storeu_ps(best.as_mut_ptr(), slot.best);
+            _mm512_storeu_ps(runner.as_mut_ptr(), slot.runner);
+            _mm512_storeu_epi32(index.as_mut_ptr(), slot.index);
+            fold_slots(&mut filter, l, &best, &runner, &index);
         }
         filter
     }
@@ -1613,85 +1727,101 @@ mod simd {
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
     // call — callers must have verified `avx512f_available()` first.
     // On top of `filter_avx512_inner`'s shape contract, `1 <= width
-    // <= 8` and `j + 8 * (V - 1) + width <= n`: every full register's
-    // loads stay inside a dictionary row (or `sq`), and the last
+    // <= 16` and `j + 16 * (V - 1) + width <= n`: every full
+    // register's loads stay inside an atom row (or `sq`), and the last
     // register's masked loads touch only its `width` atoms.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     unsafe fn tile512<const V: usize>(
-        residuals: &[f64],
-        dictionary: &[f64],
-        sq: &[f64],
+        residuals: &[f32],
+        atoms: &[f32],
+        sq: &[f32],
         excluded: &[u8],
         m: usize,
         j: usize,
         width: usize,
-        slots: &mut [[__m512d; 3]; BINARY_LANES],
+        slots: &mut [Slots512; BINARY_LANES],
     ) {
         let n = excluded.len();
-        let mut valid = [u8::MAX; V];
-        valid[V - 1] = u8::MAX >> (8 - width);
+        let mut valid = [u16::MAX; V];
+        valid[V - 1] = u16::MAX >> (16 - width);
         let r = residuals.as_ptr();
-        let d = dictionary.as_ptr().add(j);
-        let mut acc = [[_mm512_setzero_pd(); V]; BINARY_LANES];
+        let d = atoms.as_ptr().add(j);
+        let mut acc = [[_mm512_setzero_ps(); V]; BINARY_LANES];
         for i in 0..m {
             let row = d.add(i * n);
-            let mut x = [_mm512_setzero_pd(); V];
+            let mut x = [_mm512_setzero_ps(); V];
             for (v, xv) in x.iter_mut().enumerate() {
-                *xv = _mm512_maskz_loadu_pd(valid[v], row.add(8 * v));
+                *xv = _mm512_maskz_loadu_ps(valid[v], row.add(16 * v));
             }
             for (l, accl) in acc.iter_mut().enumerate() {
-                let rl = _mm512_set1_pd(*r.add(i * BINARY_LANES + l));
+                let rl = _mm512_set1_ps(*r.add(i * BINARY_LANES + l));
                 for (a, &xv) in accl.iter_mut().zip(&x) {
-                    *a = _mm512_fmadd_pd(rl, xv, *a);
+                    *a = _mm512_fmadd_ps(rl, xv, *a);
                 }
             }
         }
-        let (two, inf) = (_mm512_set1_pd(2.0), _mm512_set1_pd(f64::INFINITY));
-        let iota = _mm512_setr_pd(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
+        let (two, inf) = (_mm512_set1_ps(2.0), _mm512_set1_ps(f32::INFINITY));
+        let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
         for (v, &ok) in valid.iter().enumerate() {
-            let at = j + 8 * v;
+            let at = j + 16 * v;
             let w = ok.count_ones() as usize;
-            let norms = _mm512_maskz_loadu_pd(ok, sq.as_ptr().add(at));
-            let jv = _mm512_add_pd(_mm512_set1_pd(at as f64), iota);
-            let mut bytes = [0_u8; 8];
+            let norms = _mm512_maskz_loadu_ps(ok, sq.as_ptr().add(at));
+            let jv = _mm512_add_epi32(_mm512_set1_epi32(at as i32), iota);
+            let mut bytes = [0_u8; 16];
             bytes[..w].copy_from_slice(&excluded[at..at + w]);
-            let masks = lane_masks(u64::from_le_bytes(bytes));
-            for ((slot, accl), &ex) in slots.iter_mut().zip(&acc).zip(&masks) {
-                let e = _mm512_fnmadd_pd(two, accl[v], norms);
-                let e = _mm512_mask_mov_pd(e, ex | !ok, inf);
-                let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(e, slot[0]);
-                slot[1] = _mm512_min_pd(_mm512_max_pd(e, slot[0]), slot[1]);
-                slot[0] = _mm512_min_pd(e, slot[0]);
-                slot[2] = _mm512_mask_mov_pd(slot[2], lt, jv);
+            let bits = u128::from_le_bytes(bytes);
+            let (lo, hi) = (lane_masks(bits as u64), lane_masks((bits >> 64) as u64));
+            for (((slot, accl), &lo), &hi) in slots.iter_mut().zip(&acc).zip(&lo).zip(&hi) {
+                let ex = u16::from_le_bytes([lo, hi]);
+                let e = _mm512_fnmadd_ps(two, accl[v], norms);
+                let e = _mm512_mask_mov_ps(e, ex | !ok, inf);
+                let lt = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(e, slot.best);
+                slot.runner = _mm512_min_ps(_mm512_max_ps(e, slot.best), slot.runner);
+                slot.best = _mm512_min_ps(e, slot.best);
+                slot.index = _mm512_mask_mov_epi32(slot.index, lt, jv);
             }
         }
     }
 
+    /// One lane's running state in the AVX+FMA arm (as [`Slots512`],
+    /// eight slots; the `i32` atom indices ride in an `f32` register so
+    /// `blendv` can move them).
+    #[derive(Clone, Copy)]
+    struct Slots256 {
+        best: __m256,
+        runner: __m256,
+        index: __m256,
+    }
+
     /// The AVX+FMA filter arm of [`super::nearest_block`]: sixteen
-    /// registers hold one 4-query × 12-atom sub-tile (twelve FMA
-    /// accumulators, three atom registers, one broadcast), so each
-    /// 12-atom tile runs once per half of the lanes, then one 4-atom
-    /// register at a time, the last one loaded under a mask. The
-    /// per-slot bookkeeping is the AVX-512F arm's, with `blendv` for
-    /// the write masks.
+    /// registers hold one 4-query × 24-atom sub-tile (twelve FMA
+    /// accumulators, three 8-atom f32 registers, one broadcast), so
+    /// each [`TILE_ATOMS`]` / 2` tile runs once per half of the lanes,
+    /// then one 8-atom register at a time, the last one loaded under a
+    /// mask. The per-slot bookkeeping is the AVX-512F arm's, with
+    /// `blendv` for the write masks.
     ///
     /// Callers must have verified [`avx_fma_available`].
     pub(super) fn filter_avx_fma(
-        residuals: &[f64],
-        dictionary: &[f64],
-        sq: &[f64],
+        residuals: &[f32],
+        atoms: &[f32],
+        sq: &[f32],
         excluded: &[u8],
     ) -> Filter {
         let m = residuals.len() / BINARY_LANES;
         assert!(residuals.len() == m * BINARY_LANES);
-        assert_eq!(Some(dictionary.len()), excluded.len().checked_mul(m));
+        assert_eq!(Some(atoms.len()), excluded.len().checked_mul(m));
         assert_eq!(sq.len(), excluded.len());
+        assert!(
+            i32::try_from(excluded.len()).is_ok(),
+            "atom indices are i32 lanes"
+        );
         // SAFETY: AVX and FMA support is checked by the caller via
         // `avx_fma_available`; the asserts above are the inner
         // function's shape contract.
-        unsafe { filter_avx_fma_inner(residuals, dictionary, sq, excluded, m) }
+        unsafe { filter_avx_fma_inner(residuals, atoms, sq, excluded, m) }
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
@@ -1699,109 +1829,122 @@ mod simd {
     // Same shape contract as `filter_avx512_inner`.
     #[target_feature(enable = "avx,fma")]
     unsafe fn filter_avx_fma_inner(
-        residuals: &[f64],
-        dictionary: &[f64],
-        sq: &[f64],
+        residuals: &[f32],
+        atoms: &[f32],
+        sq: &[f32],
         excluded: &[u8],
         m: usize,
     ) -> Filter {
         const SUB: usize = TILE_ATOMS / 2;
         let n = excluded.len();
-        let inf = _mm256_set1_pd(f64::INFINITY);
-        let mut slots = [[inf, inf, _mm256_set1_pd(-1.0)]; BINARY_LANES];
+        let inf = _mm256_set1_ps(f32::INFINITY);
+        let mut slots = [Slots256 {
+            best: inf,
+            runner: inf,
+            index: _mm256_castsi256_ps(_mm256_set1_epi32(-1)),
+        }; BINARY_LANES];
         let mut j = 0;
         while j + SUB <= n {
             for half in 0..2 {
-                tile256::<{ SUB / 4 }, false>(
-                    residuals, dictionary, sq, excluded, m, j, 4, half, &mut slots,
+                tile256::<{ SUB / 8 }, false>(
+                    residuals, atoms, sq, excluded, m, j, 8, half, &mut slots,
                 );
             }
             j += SUB;
         }
         while j < n {
-            let width = (n - j).min(4);
+            let width = (n - j).min(8);
             for half in 0..2 {
                 tile256::<1, true>(
-                    residuals, dictionary, sq, excluded, m, j, width, half, &mut slots,
+                    residuals, atoms, sq, excluded, m, j, width, half, &mut slots,
                 );
             }
-            j += 4;
+            j += 8;
         }
         let mut filter = Filter::new();
         for (l, slot) in slots.iter().enumerate() {
-            let mut stored = [[0.0; 4]; 3];
-            for (out, &reg) in stored.iter_mut().zip(slot) {
-                _mm256_storeu_pd(out.as_mut_ptr(), reg);
-            }
-            fold_slots(&mut filter, l, &stored[0], &stored[1], &stored[2]);
+            let (mut best, mut runner, mut index) = ([0.0; 8], [0.0; 8], [0; 8]);
+            _mm256_storeu_ps(best.as_mut_ptr(), slot.best);
+            _mm256_storeu_ps(runner.as_mut_ptr(), slot.runner);
+            _mm256_storeu_si256(index.as_mut_ptr().cast(), _mm256_castps_si256(slot.index));
+            fold_slots(&mut filter, l, &best, &runner, &index);
         }
         filter
     }
 
-    /// The all-ones / all-zeros 64-bit lanes of the low four bits of
-    /// `bits`: a `blendv` or `maskload` mask.
+    /// The all-ones / all-zeros 32-bit lanes of the bits of `bits`: a
+    /// `blendv` or `maskload` mask over eight atoms.
     #[inline]
     #[target_feature(enable = "avx")]
-    fn nibble_mask(bits: u8) -> __m256i {
-        let lane = |b: u8| -i64::from((bits >> b) & 1);
-        _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0))
+    fn byte_mask(bits: u8) -> __m256i {
+        let lane = |b: u8| -i32::from((bits >> b) & 1);
+        _mm256_setr_epi32(
+            lane(0),
+            lane(1),
+            lane(2),
+            lane(3),
+            lane(4),
+            lane(5),
+            lane(6),
+            lane(7),
+        )
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
     // call — callers must have verified `avx_fma_available()` first.
     // On top of `filter_avx512_inner`'s shape contract, `half < 2`,
-    // `1 <= width <= 4` and `j + 4 * (V - 1) + width <= n`: every full
-    // register's loads stay inside a dictionary row (or `sq`), and the
-    // last register's masked loads touch only its `width` atoms.
+    // `1 <= width <= 8` and `j + 8 * (V - 1) + width <= n`: every full
+    // register's loads stay inside an atom row (or `sq`), and the last
+    // register's masked loads touch only its `width` atoms.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx,fma")]
     unsafe fn tile256<const V: usize, const MASKED: bool>(
-        residuals: &[f64],
-        dictionary: &[f64],
-        sq: &[f64],
+        residuals: &[f32],
+        atoms: &[f32],
+        sq: &[f32],
         excluded: &[u8],
         m: usize,
         j: usize,
         width: usize,
         half: usize,
-        slots: &mut [[__m256d; 3]; BINARY_LANES],
+        slots: &mut [Slots256; BINARY_LANES],
     ) {
         const Q: usize = BINARY_LANES / 2;
         let n = excluded.len();
-        let mut valid = [0x0f_u8; V];
-        valid[V - 1] = 0x0f >> (4 - width);
-        let last = nibble_mask(valid[V - 1]);
-        let load = |p: *const f64| {
+        let mut valid = [u8::MAX; V];
+        valid[V - 1] = u8::MAX >> (8 - width);
+        let last = byte_mask(valid[V - 1]);
+        let load = |p: *const f32| {
             if MASKED {
-                _mm256_maskload_pd(p, last)
+                _mm256_maskload_ps(p, last)
             } else {
-                _mm256_loadu_pd(p)
+                _mm256_loadu_ps(p)
             }
         };
         let r = residuals.as_ptr().add(half * Q);
-        let d = dictionary.as_ptr().add(j);
-        let mut acc = [[_mm256_setzero_pd(); V]; Q];
+        let d = atoms.as_ptr().add(j);
+        let mut acc = [[_mm256_setzero_ps(); V]; Q];
         for i in 0..m {
             let row = d.add(i * n);
-            let mut x = [_mm256_setzero_pd(); V];
+            let mut x = [_mm256_setzero_ps(); V];
             for (v, xv) in x.iter_mut().enumerate() {
-                *xv = load(row.add(4 * v));
+                *xv = load(row.add(8 * v));
             }
             for (q, accq) in acc.iter_mut().enumerate() {
-                let rq = _mm256_set1_pd(*r.add(i * BINARY_LANES + q));
+                let rq = _mm256_set1_ps(*r.add(i * BINARY_LANES + q));
                 for (a, &xv) in accq.iter_mut().zip(&x) {
-                    *a = _mm256_fmadd_pd(rq, xv, *a);
+                    *a = _mm256_fmadd_ps(rq, xv, *a);
                 }
             }
         }
-        let (two, inf) = (_mm256_set1_pd(2.0), _mm256_set1_pd(f64::INFINITY));
-        let iota = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+        let (two, inf) = (_mm256_set1_ps(2.0), _mm256_set1_ps(f32::INFINITY));
         for (v, &ok) in valid.iter().enumerate() {
-            let at = j + 4 * v;
+            let at = j + 8 * v;
             let w = ok.count_ones() as usize;
             let norms = load(sq.as_ptr().add(at));
-            let jv = _mm256_add_pd(_mm256_set1_pd(at as f64), iota);
+            let ids: [i32; 8] = core::array::from_fn(|k| (at as i32).wrapping_add(k as i32));
+            let jv = _mm256_loadu_ps(ids.as_ptr().cast());
             let mut bytes = [0_u8; 8];
             bytes[..w].copy_from_slice(&excluded[at..at + w]);
             let masks = lane_masks(u64::from_le_bytes(bytes));
@@ -1810,15 +1953,15 @@ mod simd {
                 .zip(&acc)
                 .zip(&masks[half * Q..]);
             for ((slot, accq), &ex) in lanes {
-                let mut e = _mm256_fnmadd_pd(two, accq[v], norms);
-                let drop = (ex | !ok) & 0x0f;
+                let mut e = _mm256_fnmadd_ps(two, accq[v], norms);
+                let drop = ex | !ok;
                 if drop != 0 {
-                    e = _mm256_blendv_pd(e, inf, _mm256_castsi256_pd(nibble_mask(drop)));
+                    e = _mm256_blendv_ps(e, inf, _mm256_castsi256_ps(byte_mask(drop)));
                 }
-                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(e, slot[0]);
-                slot[1] = _mm256_min_pd(_mm256_max_pd(e, slot[0]), slot[1]);
-                slot[0] = _mm256_min_pd(e, slot[0]);
-                slot[2] = _mm256_blendv_pd(slot[2], jv, lt);
+                let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(e, slot.best);
+                slot.runner = _mm256_min_ps(_mm256_max_ps(e, slot.best), slot.runner);
+                slot.best = _mm256_min_ps(e, slot.best);
+                slot.index = _mm256_blendv_ps(slot.index, jv, lt);
             }
         }
     }

@@ -268,11 +268,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f(row, col, value)` to every element, returning a new matrix.
-    pub fn map_indexed(&self, f: impl Fn(usize, usize, f64) -> f64) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |i, j| f(i, j, self[(i, j)]))
-    }
-
     /// Iterates over all elements in row-major order.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()
@@ -494,11 +489,5 @@ mod tests {
     fn debug_is_never_empty() {
         let s = format!("{:?}", Matrix::zeros(0, 0));
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn map_indexed_passes_indices() {
-        let m = Matrix::zeros(2, 2).map_indexed(|i, j, _| (i + 10 * j) as f64);
-        assert_eq!(m.as_slice(), &[0.0, 10.0, 1.0, 11.0]);
     }
 }

@@ -64,8 +64,8 @@ proptest! {
         // A tiny perturbation of every entry models day-to-day drift.
         // The certificate may decline (margin), but when it accepts,
         // its chain must equal the fresh selection on the drifted data.
-        let drifted = base.map_indexed(|i, j, v| {
-            v + scale * (((i * 31 + j * 7) % 13) as f64 - 6.0)
+        let drifted = Matrix::from_fn(base.rows(), base.cols(), |i, j| {
+            base[(i, j)] + scale * (((i * 31 + j * 7) % 13) as f64 - 6.0)
         });
         let fresh_lead = drifted.pivoted_leading_columns(RANK_TOL).unwrap();
         let rank = fresh_lead.len();

@@ -36,16 +36,19 @@
 //!   entry by entry across every 16-/4-cell tail; the one thing
 //!   compared by class rather than by bits is a NaN result's sign and
 //!   payload, which Rust leaves unspecified (see `dist_bits`).
-//!   `nearest_block` — a certified dot-product filter with an exact
-//!   fallback — is compared with the naive chains followed by a
-//!   strict-`<` first-minimum argmin over the atoms a lane has not
-//!   excluded: the same index and distance bits per lane, across every
-//!   tail of its 24-atom tile, duplicate atoms (exact ties, which must
-//!   fail the certificate), huge magnitudes, random exclusion masks
-//!   (a fully excluded lane returns `(+∞, usize::MAX)`), `m = 0` and
-//!   `m = 1`. Every arm the host runs (scalar, AVX+FMA, AVX-512F) is
-//!   called directly through `nearest_block_on`, since dispatch
-//!   reaches only the widest.
+//!   `nearest_block` — a certified single-precision dot-product filter
+//!   with an exact fallback — is compared with the naive chains
+//!   followed by a strict-`<` first-minimum argmin over the atoms a
+//!   lane has not excluded: the same index and distance bits per lane,
+//!   across every tail of its 48-atom tile, duplicate atoms (exact
+//!   ties, which must fail the certificate), twins at f32 resolution
+//!   (a relative `2⁻ᵏ` apart, `k ∈ 8..=40`, on both sides of the
+//!   certificate's bound), huge magnitudes, atoms and residuals past
+//!   `f32::MAX` and a dictionary at f32-subnormal scale (all of which
+//!   must fall back), random exclusion masks (a fully excluded lane
+//!   returns `(+∞, usize::MAX)`), `m = 0` and `m = 1`. Every arm the
+//!   host runs (scalar, AVX+FMA, AVX-512F) is called directly through
+//!   `nearest_block_on`, since dispatch reaches only the widest.
 //!
 //! Any future kernel that cannot preserve the accumulation order must
 //! downgrade the affected assertions to a `<= 1e-12` relative bound
@@ -53,7 +56,7 @@
 
 use iupdater_linalg::kernels::{
     classify, gather_matmul, gather_matmul_on, matmul_rk, nearest_block, nearest_block_on,
-    sq_dist_row, weighted_gram_on, AtomNorms, KernelArm, MulArm, NearestLanes, ScanArm,
+    sq_dist_row, weighted_gram_on, FilterAtoms, KernelArm, MulArm, NearestLanes, ScanArm,
     BINARY_LANES, THIN_EDGE, TINY_INNER_MAX,
 };
 use iupdater_linalg::{axpy_slice, Matrix};
@@ -567,14 +570,20 @@ fn to_dictionary(atoms: &[f64], m: usize, n: usize) -> Vec<f64> {
 fn assert_every_arm(residuals: &[f64], atoms: &[f64], excluded: &[u8], ctx: &str) -> u8 {
     let (m, n) = (residuals.len() / BINARY_LANES, excluded.len());
     let dictionary = to_dictionary(atoms, m, n);
-    let norms = AtomNorms::new(&dictionary, n);
+    let atoms32 = FilterAtoms::new(&dictionary, n);
     let want = naive_nearest(residuals, atoms, excluded);
     let settled = excluded.iter().fold(u8::MAX, |all, &ex| all & ex);
     let mut fallback = Vec::new();
     let mut uncertified = 0;
     for arm in ScanArm::available() {
-        let (got, mask) =
-            nearest_block_on(arm, residuals, &dictionary, &norms, excluded, &mut fallback);
+        let (got, mask) = nearest_block_on(
+            arm,
+            residuals,
+            &dictionary,
+            &atoms32,
+            excluded,
+            &mut fallback,
+        );
         assert_nearest_eq(got, want, &format!("{ctx} {arm:?}"));
         assert_eq!(
             mask & settled,
@@ -583,7 +592,7 @@ fn assert_every_arm(residuals: &[f64], atoms: &[f64], excluded: &[u8], ctx: &str
         );
         uncertified = mask;
     }
-    let (got, mask) = nearest_block(residuals, &dictionary, &norms, excluded, &mut fallback);
+    let (got, mask) = nearest_block(residuals, &dictionary, &atoms32, excluded, &mut fallback);
     assert_nearest_eq(got, want, &format!("{ctx} dispatch"));
     assert_eq!(mask, uncertified, "{ctx}: dispatch runs the widest arm");
     uncertified
@@ -627,10 +636,10 @@ fn laced(len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 /// `n` values: 0, 1, every residue mod 16 (row kernel's 16-/4-cell
-/// tails) and mod 24, 12, 8 and 4 (the nearest-atom scan's tiles and
-/// registers) past three full 24-atom tiles, odd and even.
+/// tails) and mod 48, 24, 16 and 8 (the nearest-atom scan's tiles and
+/// registers) past two full 48-atom tiles, odd and even.
 fn distance_n() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), Just(1usize), 2usize..=75]
+    prop_oneof![Just(0usize), Just(1usize), 2usize..=100]
 }
 
 /// `n` exclusion bytes: none, all lanes, or a random lane set.
@@ -724,6 +733,49 @@ proptest! {
         prop_assert_eq!(uncertified & on, on, "a lane on a near-tie was certified");
     }
 
+    /// f32-resolution near-ties: atom `twin` is atom `src` scaled by
+    /// `1 + 2⁻ᵏ` (`k ∈ 8..=40`), and the lanes in `on` sit on `src`
+    /// pulled `2⁻ᵖ` of the way toward the origin, so their two
+    /// candidates differ by about `2¹⁻ᵏ⁻ᵖ·‖src‖²`. For small `k` that
+    /// is far above the f32 certificate's `τ`, for large `k` far below
+    /// it (and under one f32 ulp of the estimates), and in between
+    /// near it. Whatever each arm certifies, every lane must answer
+    /// exactly.
+    #[test]
+    fn nearest_block_f32_near_ties_answer_exactly(
+        (m, n, (residuals, atoms), (src, twin), (k, p, on)) in (1usize..=40, 2usize..=100)
+            .prop_flat_map(|(m, n)| {
+                (
+                    Just(m),
+                    Just(n),
+                    (
+                        prop::collection::vec(-10.0f64..10.0, m * BINARY_LANES),
+                        prop::collection::vec(-10.0f64..10.0, n * m),
+                    ),
+                    (0..n, 0..n - 1),
+                    (8i32..=40, 1i32..=6, 1u32..256),
+                )
+            }),
+    ) {
+        let (mut residuals, mut atoms) = (residuals, atoms);
+        let twin = if twin >= src { twin + 1 } else { twin };
+        let (grow, pull) = (1.0 + 2f64.powi(-k), 1.0 - 2f64.powi(-p));
+        for i in 0..m {
+            atoms[twin * m + i] = atoms[src * m + i] * grow;
+        }
+        for l in (0..BINARY_LANES).filter(|l| on & (1 << l) != 0) {
+            for i in 0..m {
+                residuals[i * BINARY_LANES + l] = atoms[src * m + i] * pull;
+            }
+        }
+        assert_every_arm(
+            &residuals,
+            &atoms,
+            &vec![0; n],
+            &format!("f32 near tie {m}x{n} {src}|{twin} k={k} p={p}"),
+        );
+    }
+
     #[test]
     fn sq_dist_row_matches_naive_chain_bitwise(
         (n, residual, dictionary) in (1usize..=40, distance_n()).prop_flat_map(|(m, n)| {
@@ -738,12 +790,12 @@ proptest! {
 }
 
 /// Every tail of both distance kernels at fixed shapes that never
-/// shrink away: `n` in `0..=50` (each residue mod 24, 16, 12, 8 and 4
-/// at least twice) against link counts around the 4-/8-lane and
+/// shrink away: `n` in `0..=100` (each residue mod 48, 24, 16, 8 and
+/// 4 at least twice) against link counts around the 4-/8-lane and
 /// 16-cell edges, `m = 0` (empty chains are `+0.0`, so the first
 /// selectable atom wins) included, with a special value laced in at a
 /// shape-dependent position. The nearest-atom kernel also sees
-/// duplicate atoms on both sides of every 4-, 8-, 12- and 24-atom
+/// duplicate atoms on both sides of every 8-, 16-, 24- and 48-atom
 /// register and tile boundary and at the same position, residual lanes sitting exactly
 /// on a duplicated atom (a `+0.0` tie the first index must win),
 /// varying exclusion masks and one lane excluded from every atom,
@@ -755,7 +807,7 @@ fn distance_kernels_cover_every_tail_bitwise() {
     const L: usize = BINARY_LANES;
     let (mut lanes, mut fell_back) = (0, 0);
     for m in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 40] {
-        for n in 0usize..=50 {
+        for n in 0usize..=100 {
             let value = |k: usize| ((k as f64) * 0.37 + m as f64).sin() * 7.0 / 3.0;
             let mut residuals: Vec<f64> = (0..m * L).map(value).collect();
             let mut atoms: Vec<f64> = (0..n * m).map(|k| value(k + 1000)).collect();
@@ -801,4 +853,82 @@ fn distance_kernels_cover_every_tail_bitwise() {
         fell_back > 1000 && lanes - fell_back > 500,
         "{fell_back} of {lanes} lanes fell back"
     );
+}
+
+/// The f32 certificate's boundary, swept: lane `l` sits on atom
+/// `3l + 1` pulled `1/16` of the way toward the origin, and atom
+/// `3l + 2` is that atom scaled by `1 + 2⁻ᵏ`, for every `k ∈ 8..=40`
+/// on a storm-shaped 32-link dictionary. At `k = 8` the pair's gap is
+/// far above `τ` and every lane certifies; at `k = 40` it is far below
+/// and every lane falls back. Every answer, on every arm, is exact.
+#[test]
+fn f32_near_ties_straddle_the_certificate() {
+    const L: usize = BINARY_LANES;
+    let (m, n) = (32, 64);
+    let mut masks = Vec::new();
+    for k in 8..=40 {
+        let mut atoms: Vec<f64> = (0..n * m)
+            .map(|q| ((q as f64) * 0.61 + 0.2).sin() * 7.0 / 3.0)
+            .collect();
+        let mut residuals = vec![0.0; m * L];
+        for l in 0..L {
+            let (src, twin) = (3 * l + 1, 3 * l + 2);
+            for i in 0..m {
+                let x = atoms[src * m + i];
+                atoms[twin * m + i] = x * (1.0 + 2f64.powi(-k));
+                residuals[i * L + l] = x * (1.0 - 1.0 / 16.0);
+            }
+        }
+        let ctx = format!("boundary k={k}");
+        masks.push(assert_every_arm(&residuals, &atoms, &vec![0; n], &ctx));
+    }
+    assert_eq!(masks[0], 0, "k = 8: every lane must certify ({masks:?})");
+    assert_eq!(
+        masks[masks.len() - 1],
+        u8::MAX,
+        "k = 40: every lane must fall back ({masks:?})"
+    );
+}
+
+/// Inputs outside the f32 filter's range: an atom or a residual past
+/// `f32::MAX` (finite in f64, `+∞` in f32), a whole dictionary at
+/// f32-subnormal scale (about `1e-40`, where f32 keeps a few bits) and
+/// one whose products and norms are f32-subnormal (about `1e-20`) make
+/// `τ` infinite, so every lane falls back and answers exactly. The
+/// same data at a small but normal scale (`1e-12`) still certifies.
+#[test]
+fn nearest_block_outside_f32_range_falls_back_exactly() {
+    const L: usize = BINARY_LANES;
+    let (m, n) = (8, 40);
+    let value = |q: usize| ((q as f64) * 0.43 + 1.1).sin() * 3.0;
+    let atoms: Vec<f64> = (0..n * m).map(|q| value(q + 500)).collect();
+    let residuals: Vec<f64> = (0..m * L).map(value).collect();
+    let none = vec![0_u8; n];
+    let baseline = assert_every_arm(&residuals, &atoms, &none, "in range");
+    assert_ne!(baseline, u8::MAX, "the in-range case must certify a lane");
+
+    let mut huge_atom = atoms.clone();
+    huge_atom[17 * m + 3] = 1e39;
+    assert!(1e39 > f64::from(f32::MAX));
+    let mask = assert_every_arm(&residuals, &huge_atom, &none, "atom past f32::MAX");
+    assert_eq!(mask, u8::MAX, "an atom past f32::MAX must fail every lane");
+
+    let mut huge_residuals = residuals.clone();
+    for l in 0..L {
+        huge_residuals[(l % m) * L + l] = -1e39;
+    }
+    let mask = assert_every_arm(&huge_residuals, &atoms, &none, "residuals past f32::MAX");
+    assert_eq!(mask, u8::MAX, "a residual past f32::MAX must fail its lane");
+
+    for (scale, certifies) in [(1e-40, false), (1e-20, false), (1e-12, true)] {
+        let tiny_atoms: Vec<f64> = atoms.iter().map(|x| x * scale).collect();
+        let tiny_residuals: Vec<f64> = residuals.iter().map(|r| r * scale).collect();
+        let ctx = format!("scale {scale:e}");
+        let mask = assert_every_arm(&tiny_residuals, &tiny_atoms, &none, &ctx);
+        assert_eq!(
+            mask != u8::MAX,
+            certifies,
+            "{ctx}: fallback mask {mask:#04x}"
+        );
+    }
 }
