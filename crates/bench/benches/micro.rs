@@ -7,6 +7,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use iupdater_baselines::rass::{default_rass_params, Rass};
 use iupdater_core::prelude::*;
+use iupdater_core::query::QUERY_CHUNK;
 use iupdater_core::{correlation, mic};
 use iupdater_linalg::kernels::{nearest_block_on, sq_dist_row, FilterAtoms, ScanArm, BINARY_LANES};
 use iupdater_linalg::lrr::solve_lrr;
@@ -644,6 +645,15 @@ fn bench_query(c: &mut Criterion) {
             group.bench_function("binary_scan_block_32x1536", |b| {
                 b.iter(|| loc.localize_batch(black_box(&queries[..8])).unwrap())
             });
+            // One QUERY_CHUNK slab is one serial chunk (no pool
+            // hand-off): the filter plus the pursuit's bookkeeping per
+            // query, eight 8-lane blocks.
+            group.bench_function("localize_chunk_64_32x1536", |b| {
+                b.iter(|| {
+                    loc.localize_batch(black_box(&queries[..QUERY_CHUNK]))
+                        .unwrap()
+                })
+            });
             bench_nearest_block_arms(&mut group, loc.prepared(), &queries[..BINARY_LANES]);
         }
     }
@@ -664,6 +674,7 @@ fn bench_nearest_block_arms(
     let dictionary = prepared.dictionary();
     let (m, n) = dictionary.shape();
     let mut residuals = vec![0.0; m * L];
+    let mut residual_sq = [0.0; L];
     let mut want = ([f64::INFINITY; L], [usize::MAX; L]);
     let mut row = vec![0.0; n];
     for (l, y) in queries.iter().enumerate() {
@@ -671,6 +682,7 @@ fn bench_nearest_block_arms(
         for (i, &r) in centered.iter().enumerate() {
             residuals[i * L + l] = r;
         }
+        residual_sq[l] = centered.iter().map(|r| r * r).sum();
         sq_dist_row(&centered, dictionary.as_slice(), &mut row);
         for (j, &d) in row.iter().enumerate() {
             if d < want.0[l] {
@@ -686,6 +698,7 @@ fn bench_nearest_block_arms(
             nearest_block_on(
                 arm,
                 black_box(&residuals),
+                &residual_sq,
                 dictionary.as_slice(),
                 &atoms,
                 &excluded,

@@ -174,12 +174,8 @@ impl Localizer {
             for y in block {
                 self.check_query(y)?;
             }
-            for sol in self
-                .prepared
-                .binary_pursuit_block(block, &self.config, scratch)
-            {
-                out.push(self.estimate_from(sol)?);
-            }
+            self.prepared
+                .binary_pursuit_block(block, &self.config, scratch, &mut out)?;
         }
         for y in blocks.remainder() {
             out.push(self.localize_with_scratch(y, scratch)?);

@@ -37,6 +37,7 @@ use iupdater_linalg::kernels::{nearest_block, sq_dist_row, FilterAtoms, BINARY_L
 use iupdater_linalg::Matrix;
 
 use crate::config::{AtomSelection, LocalizerConfig};
+use crate::localize::{LocationEstimate, NO_ATOM_SELECTED};
 use crate::omp::{orthogonal_matching_pursuit, OmpSolution};
 use crate::{CoreError, Result};
 
@@ -47,55 +48,82 @@ use crate::{CoreError, Result};
 /// reassembly keep batch results identical at any worker count.
 pub const QUERY_CHUNK: usize = 64;
 
+/// The per-link centring of one fingerprint database: the row means
+/// and the centred dictionary. Raw RSS vectors share a large common
+/// negative level; centring makes the matching step discriminative.
+/// The localizer's [`PreparedDictionary`] and the tracker's emission
+/// scores share it; only the localizer builds the certified scan's
+/// filter input on top.
+#[derive(Debug, Clone)]
+pub(crate) struct CenteredDictionary {
+    /// The centred dictionary, links x locations.
+    dictionary: Matrix,
+    /// Per-link means subtracted from dictionary and queries.
+    row_means: Vec<f64>,
+}
+
+impl CenteredDictionary {
+    /// Centres every link (row) of `x` on its mean over the locations.
+    pub(crate) fn new(x: &Matrix) -> Self {
+        let row_means: Vec<f64> = (0..x.rows())
+            .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
+            .collect();
+        let dictionary = Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i]);
+        CenteredDictionary {
+            dictionary,
+            row_means,
+        }
+    }
+
+    /// The centred dictionary, links x locations.
+    pub(crate) fn dictionary(&self) -> &Matrix {
+        &self.dictionary
+    }
+
+    /// Centres one raw query, allocating.
+    pub(crate) fn center_query(&self, y: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(y.len());
+        self.center_into(y, &mut out);
+        out
+    }
+
+    /// Centres a raw query into `out`: the one per-element subtraction
+    /// every read path and the tracker share.
+    fn center_into(&self, y: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(y.iter().zip(&self.row_means).map(|(v, m)| v - m));
+    }
+}
+
 /// Publish-once query structures over one fingerprint database.
 #[derive(Debug, Clone)]
 pub struct PreparedDictionary {
-    /// The centred dictionary, links x locations.
-    dictionary: Matrix,
+    /// The centred dictionary and its row means.
+    centered: CenteredDictionary,
     /// The f32 copy of the centred dictionary, its squared norms and
     /// the largest f64 atom norm: the certified scan's filter input,
     /// built once per publish.
     filter: FilterAtoms,
-    /// Per-link means subtracted from dictionary and queries. Raw RSS
-    /// vectors share a large common negative level; centring makes the
-    /// matching step discriminative.
-    row_means: Vec<f64>,
 }
 
 impl PreparedDictionary {
     /// Prepares the query structures for one published database:
     /// centres the dictionary and builds its f32 filter input.
     pub fn prepare(x: &Matrix) -> Self {
-        let row_means: Vec<f64> = (0..x.rows())
-            .map(|i| x.row(i).iter().sum::<f64>() / x.cols() as f64)
-            .collect();
-        let dictionary = Matrix::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] - row_means[i]);
-        let filter = FilterAtoms::new(dictionary.as_slice(), dictionary.cols());
-        PreparedDictionary {
-            dictionary,
-            filter,
-            row_means,
-        }
+        let centered = CenteredDictionary::new(x);
+        let filter = FilterAtoms::new(centered.dictionary.as_slice(), x.cols());
+        PreparedDictionary { centered, filter }
     }
 
     /// The centred dictionary, links x locations.
     pub fn dictionary(&self) -> &Matrix {
-        &self.dictionary
+        self.centered.dictionary()
     }
 
     /// Centres one raw query, allocating — the unprepared oracle's
     /// entry point, so both paths share one centring expression.
     pub fn center_query(&self, y: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(y.len());
-        self.center_into(y, &mut out);
-        out
-    }
-
-    /// Centres a raw query into `out`. The arithmetic is the exact
-    /// per-element subtraction of the unprepared path.
-    fn center_into(&self, y: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(y.iter().zip(&self.row_means).map(|(v, m)| v - m));
+        self.centered.center_query(y)
     }
 
     /// Runs the configured pursuit for one raw query against the
@@ -114,19 +142,20 @@ impl PreparedDictionary {
         config: &LocalizerConfig,
         scratch: &mut QueryScratch,
     ) -> Result<OmpSolution> {
-        if y.len() != self.dictionary.rows() {
+        let dictionary = self.dictionary();
+        if y.len() != dictionary.rows() {
             return Err(CoreError::DimensionMismatch {
                 context: "query",
-                expected: format!("{} measurements", self.dictionary.rows()),
+                expected: format!("{} measurements", dictionary.rows()),
                 got: format!("{}", y.len()),
             });
         }
-        scratch.ensure(self.dictionary.cols());
-        self.center_into(y, &mut scratch.centered);
+        scratch.ensure(dictionary.cols());
+        self.centered.center_into(y, &mut scratch.centered);
         match config.selection {
             AtomSelection::BinaryResidual => Ok(self.binary_pursuit(config, scratch)),
             AtomSelection::Correlation => orthogonal_matching_pursuit(
-                &self.dictionary,
+                dictionary,
                 &scratch.centered,
                 config.max_atoms,
                 config.residual_threshold,
@@ -134,8 +163,9 @@ impl PreparedDictionary {
         }
     }
 
-    /// [`BINARY_LANES`] binary pursuits advanced in lockstep: each step
-    /// is one [`nearest_block`] pass over the dictionary, which returns
+    /// [`BINARY_LANES`] binary pursuits advanced in lockstep, each
+    /// lane's estimate appended to `out` in lane order: each step is
+    /// one [`nearest_block`] pass over the dictionary, which returns
     /// every lane's nearest atom not yet selected by that lane (bit
     /// `l` of `block_excluded[j]`). Every distance is the exact
     /// ascending-link chain of [`Self::binary_pursuit`] and the minimum
@@ -145,18 +175,34 @@ impl PreparedDictionary {
     /// pass, so that pass neither certifies nor rescans it; the lanes
     /// whose certificate failed are added to the scratch's count.
     ///
+    /// The lanes' state is fixed-size: their `Σ r²` (the residual
+    /// guard's, which is also what the certificate reads) and their
+    /// supports, each allocated once at its final capacity and moved
+    /// into its estimate.
+    ///
     /// `ys` must hold exactly [`BINARY_LANES`] queries of dictionary
     /// row length (the caller validates lengths).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidArgument`] for the first lane that selected
+    /// no atom (nothing selectable), as `Localizer::localize` reports
+    /// it; the lanes before it are already in `out`.
     pub(crate) fn binary_pursuit_block(
         &self,
         ys: &[Vec<f64>],
         config: &LocalizerConfig,
         scratch: &mut QueryScratch,
-    ) -> Vec<OmpSolution> {
+        out: &mut Vec<LocationEstimate>,
+    ) -> Result<()> {
         const L: usize = BINARY_LANES;
         debug_assert_eq!(ys.len(), L);
-        let m = self.dictionary.rows();
-        let n = self.dictionary.cols();
+        let CenteredDictionary {
+            dictionary,
+            row_means,
+        } = &self.centered;
+        let (m, n) = dictionary.shape();
+        let dictionary = dictionary.as_slice();
         let QueryScratch {
             block_residual,
             block_excluded,
@@ -170,10 +216,10 @@ impl PreparedDictionary {
         let (residual, excluded) = (&mut block_residual[..], &mut block_excluded[..]);
         // Centre straight into the interleaved layout — the same
         // per-element subtraction as the scalar path.
-        for i in 0..m {
+        for (i, &mean) in row_means.iter().enumerate() {
             let base = i * L;
             for (l, y) in ys.iter().enumerate() {
-                residual[base + l] = y[i] - self.row_means[i];
+                residual[base + l] = y[i] - mean;
             }
         }
         let lane_sq = |residual: &[f64], l: usize| -> f64 {
@@ -184,11 +230,12 @@ impl PreparedDictionary {
                 })
                 .sum()
         };
-        let mut support: Vec<Vec<usize>> = vec![Vec::new(); L];
-        let mut residual_sq: Vec<f64> = (0..L).map(|l| lane_sq(residual, l)).collect();
+        let steps = config.max_atoms.min(n);
+        let mut support: [Vec<usize>; L] = core::array::from_fn(|_| Vec::with_capacity(steps));
+        let mut residual_sq: [f64; L] = core::array::from_fn(|l| lane_sq(residual, l));
         let mut active = [true; L];
         let mut stopped = 0_u8;
-        for _ in 0..config.max_atoms.min(n) {
+        for _ in 0..steps {
             if !active.iter().any(|&a| a) {
                 break;
             }
@@ -200,7 +247,8 @@ impl PreparedDictionary {
             }
             let ((best_dist, best_j), fell_back) = nearest_block(
                 residual,
-                self.dictionary.as_slice(),
+                &residual_sq,
+                dictionary,
                 &self.filter,
                 excluded,
                 dist,
@@ -224,7 +272,7 @@ impl PreparedDictionary {
                 support[l].push(j_star);
                 excluded[j_star] |= 1 << l;
                 for i in 0..m {
-                    residual[i * L + l] -= self.dictionary[(i, j_star)];
+                    residual[i * L + l] -= dictionary[i * n + j_star];
                 }
                 residual_sq[l] = lane_sq(residual, l);
                 if residual_sq[l] < config.residual_threshold {
@@ -233,18 +281,18 @@ impl PreparedDictionary {
                 }
             }
         }
-        support
-            .into_iter()
-            .zip(residual_sq)
-            .map(|(s, rsq)| {
-                let coefficients = vec![1.0; s.len()];
-                OmpSolution {
-                    support: s,
-                    coefficients,
-                    residual_sq: rsq,
-                }
-            })
-            .collect()
+        for (support, residual_sq) in support.into_iter().zip(residual_sq) {
+            let grid = *support
+                .first()
+                .ok_or(CoreError::InvalidArgument(NO_ATOM_SELECTED))?;
+            out.push(LocationEstimate {
+                grid,
+                coefficients: vec![1.0; support.len()],
+                support,
+                residual_sq,
+            });
+        }
+        Ok(())
     }
 
     /// Greedy binary pursuit (Eq. 26's unit-coefficient model): each
@@ -253,7 +301,8 @@ impl PreparedDictionary {
     /// order of the unprepared path's column walk — then the argmin
     /// over unselected atoms. Bit-identical selections.
     fn binary_pursuit(&self, config: &LocalizerConfig, scratch: &mut QueryScratch) -> OmpSolution {
-        let n = self.dictionary.cols();
+        let dictionary = self.dictionary();
+        let n = dictionary.cols();
         let QueryScratch {
             centered,
             residual,
@@ -266,7 +315,7 @@ impl PreparedDictionary {
         let mut support = Vec::new();
         let mut residual_sq: f64 = residual.iter().map(|r| r * r).sum();
         for _ in 0..config.max_atoms.min(n) {
-            sq_dist_row(residual, self.dictionary.as_slice(), &mut dist[..n]);
+            sq_dist_row(residual, dictionary.as_slice(), &mut dist[..n]);
             let mut best = None;
             let mut best_dist = f64::INFINITY;
             for (j, (&d, &sel)) in dist[..n].iter().zip(&selected[..n]).enumerate() {
@@ -285,7 +334,7 @@ impl PreparedDictionary {
             support.push(j_star);
             selected[j_star] = true;
             for (i, r) in residual.iter_mut().enumerate() {
-                *r -= self.dictionary[(i, j_star)];
+                *r -= dictionary[(i, j_star)];
             }
             residual_sq = residual.iter().map(|r| r * r).sum();
             if residual_sq < config.residual_threshold {

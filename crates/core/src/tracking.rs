@@ -15,7 +15,7 @@ use iupdater_linalg::Matrix;
 use iupdater_rfsim::Deployment;
 
 use crate::fingerprint::FingerprintMatrix;
-use crate::query::PreparedDictionary;
+use crate::query::CenteredDictionary;
 use crate::{CoreError, Result};
 
 /// Tracker configuration.
@@ -41,10 +41,10 @@ impl Default for TrackerConfig {
 /// A Viterbi tracker over the fingerprint grid.
 #[derive(Debug, Clone)]
 pub struct Tracker {
-    /// The centred dictionary, shared with the localizer's read path:
-    /// raw RSS shares a large common level, so every epoch is centred
-    /// through it before matching.
-    prepared: PreparedDictionary,
+    /// The centred dictionary, the localizer's read-path centring
+    /// without its filter input: raw RSS shares a large common level,
+    /// so every epoch is centred through it before matching.
+    centered: CenteredDictionary,
     config: TrackerConfig,
     /// Pairwise squared distances between grid cells (metres²).
     dist_sq: Matrix,
@@ -70,14 +70,14 @@ impl Tracker {
                 got: format!("{}", deployment.num_locations()),
             });
         }
-        let prepared = PreparedDictionary::prepare(fingerprint.matrix());
+        let centered = CenteredDictionary::new(fingerprint.matrix());
         let n = fingerprint.num_locations();
         let dist_sq = Matrix::from_fn(n, n, |a, b| {
             let d = deployment.distance_between(a, b);
             d * d
         });
         Ok(Tracker {
-            prepared,
+            centered,
             config,
             dist_sq,
         })
@@ -87,8 +87,8 @@ impl Tracker {
     /// centred squared distance to each atom in dB², one
     /// [`sq_dist_row`] pass written into `out`.
     fn emission_row(&self, y: &[f64], out: &mut [f64]) {
-        let centered = self.prepared.center_query(y);
-        sq_dist_row(&centered, self.prepared.dictionary().as_slice(), out);
+        let centered = self.centered.center_query(y);
+        sq_dist_row(&centered, self.centered.dictionary().as_slice(), out);
     }
 
     /// Decodes the most likely cell sequence for a measurement stream
@@ -103,7 +103,7 @@ impl Tracker {
         if measurements.rows() == 0 {
             return Err(CoreError::InvalidArgument("empty measurement stream"));
         }
-        let (m, n) = self.prepared.dictionary().shape();
+        let (m, n) = self.centered.dictionary().shape();
         if measurements.cols() != m {
             return Err(CoreError::DimensionMismatch {
                 context: "Tracker::track",

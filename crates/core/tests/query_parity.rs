@@ -436,3 +436,49 @@ fn certificate_ties_fall_back_to_the_oracle_answer() {
         &queries_near(&[-60.0, -61.0, -62.0, -63.0], &[0, 1, 2, 3]),
     );
 }
+
+/// The certificate's hit rate on storm-shaped traffic. The answers are
+/// exact either way, so only this count notices a filter change that
+/// quietly sends most lanes to the exact fallback scan. The fixture is
+/// the storm site (`Environment::office()` scaled ×4: 32 links, 1,536
+/// cells, as `ext_scale::scaled_office(4)` builds it), testbed seed
+/// 20170605 and a 5-sample day-0 survey, read by 4,096
+/// `online_measurement` queries spread over the five storm days. The
+/// filter left 3 of the 4,096 lanes uncertified when this test was
+/// written; the pin allows 1 %.
+#[test]
+fn storm_traffic_certifies_nearly_every_lane() {
+    use iupdater_rfsim::{Environment, EnvironmentKind, Testbed};
+
+    let office = Environment::office();
+    let site = Environment {
+        kind: EnvironmentKind::Custom,
+        width_m: office.width_m * 4.0,
+        height_m: office.height_m * 4.0,
+        num_links: office.num_links * 4,
+        locations_per_link: office.locations_per_link * 4,
+        ..office
+    };
+    let testbed = Testbed::new(site, 20_170_605);
+    let loc = Localizer::new(
+        FingerprintMatrix::survey(&testbed, 0.0, 5),
+        LocalizerConfig::default(),
+    );
+    let cells = testbed.deployment().num_locations();
+    assert_eq!((testbed.deployment().num_links(), cells), (32, 1536));
+    let days = [3.0, 5.0, 15.0, 45.0, 90.0];
+    let queries: Vec<Vec<f64>> = (0..4096usize)
+        .map(|q| testbed.online_measurement((q * 7919) % cells, days[q % 5], 900 + q as u64))
+        .collect();
+    let (batch, uncertified) = loc.localize_batch_counted(&queries).unwrap();
+    for (q, b) in queries.iter().zip(&batch) {
+        let oracle = loc.localize_unprepared(q).unwrap();
+        assert_eq!(*b, oracle);
+        assert_eq!(b.residual_sq.to_bits(), oracle.residual_sq.to_bits());
+    }
+    assert!(
+        uncertified * 100 <= queries.len(),
+        "{uncertified} of {} lanes fell back to the exact scan",
+        queries.len()
+    );
+}

@@ -79,31 +79,39 @@
 //! `‖r − x‖² = ‖r‖² + ‖x‖² − 2⟨r, x⟩` rounds differently from the
 //! chain (and cancels catastrophically when `r ≈ x`, at the best
 //! match), so it cannot produce the answer; it can certify one, and in
-//! single precision. The kernel rounds the lanes' residuals to f32
-//! (`r̃`) once per pass and, against the f32 copy `x̃` of the dictionary
-//! and its f32 squared norms (prepared once, [`FilterAtoms`]), computes
-//! `ê_j = fl₃₂(‖x̃_j‖² − 2⟨r̃, x̃_j⟩)` — one f32 FMA per atom and link,
-//! sixteen atoms per 512-bit register — keeps each lane's smallest and
-//! second-smallest `ê` over the atoms it has not excluded, and
-//! certifies the smallest's atom `w` when
+//! single precision. The kernel rounds the lanes' residuals to f32 and
+//! scales them by `−2` once per pass (`s̃ = −2·r̃`; a power-of-two
+//! scaling is exact unless it overflows, and inside the certified range
+//! below it cannot). Against the f32 copy `x̃` of the dictionary and its
+//! f32 squared norms (prepared once, [`FilterAtoms`]) it runs, per atom
+//! and lane, one **norm-seeded chain**: the accumulator starts at
+//! `‖x̃_j‖²` and takes `s̃_i·x̃_ij` for every link in ascending order —
+//! one f32 FMA per atom and link, sixteen atoms per 512-bit register —
+//! so its last step yields `ê_j = fl₃₂(‖x̃_j‖² − 2⟨r̃, x̃_j⟩)` directly,
+//! with no zeroing and no final subtraction. It keeps each lane's
+//! smallest and second-smallest `ê` over the atoms it has not excluded,
+//! and certifies the smallest's atom `w` when
 //! `runner − best > τ = 2(m + 5)·ε₃₂·(R + X)²`, where `R = ‖r‖`, `X` is
 //! the largest atom norm of the f64 dictionary and `ε₃₂ =
 //! f32::EPSILON`. The proof, with `u = ε₃₂/2 = 2⁻²⁴`, `γ_k = k·u/(1 −
 //! k·u)` and `X_j = ‖x_j‖ ≤ X`:
 //!
+//! - the chain sums `m + 1` terms — the norm and the `m` products
+//!   `−2r̃_i·x̃_ij` — of total magnitude at most `X_j² + 2R·X_j ≤ (R +
+//!   X)²` (Cauchy–Schwarz, to first order). Every term passes through
+//!   at most `m + 1` roundings (its FMA, or its multiply and the adds
+//!   after it; the seed through `m` adds), so the chain is within
+//!   `γ_{m+1}·(R + X)²` of the exact sum of its terms, in every arm,
+//!   FMA or mul then add;
 //! - rounding `r_i` and `x_i` to f32 perturbs each product `r_i·x_i`
 //!   and each square `x_i²` by at most `(2u + u²)` relative, so
-//!   `⟨r̃, x̃_j⟩` is within `(2u + u²)·R·X_j` of `⟨r, x_j⟩` and
-//!   `‖x̃_j‖²` within `(2u + u²)·X_j²` of `‖x_j‖²`;
-//! - the norm is summed in f64 and rounded once to f32 (`u`, plus an
-//!   f64 sum's negligible `γ⁽⁶⁴⁾_m`), and the `m`-term f32 dot product —
-//!   FMA or mul then add — is within `γ_m·Σ|r̃_i·x̃_i|`;
-//! - the final `fnmadd` (or an exact doubling and one subtraction)
-//!   costs at most `u·|ê_j|`;
+//!   `2⟨r̃, x̃_j⟩` is within `2(2u + u²)·R·X_j` of `2⟨r, x_j⟩` and the
+//!   norm, summed in f64 (a negligible `γ⁽⁶⁴⁾_m`) and rounded once to
+//!   f32 (`u`), within `(3u + O(u²))·X_j²` of `‖x_j‖²`: together at
+//!   most `3u·(X_j² + 2R·X_j) ≤ 3u·(R + X)²`;
 //! - summed, to first order in `u`, each `ê_j` is within
-//!   `4u·X_j² + 2(m + 3)u·R·X_j ≤ (m + 4)·u·(R + X)²` of
-//!   `‖r − x_j‖² − ‖r‖²`, and each f64 chain is within
-//!   `γ⁽⁶⁴⁾_{m+2}·(R + X)²` of `‖r − x_j‖²`.
+//!   `(m + 4)·u·(R + X)²` of `‖r − x_j‖² − ‖r‖²`, and each f64 chain
+//!   is within `γ⁽⁶⁴⁾_{m+2}·(R + X)²` of `‖r − x_j‖²`.
 //!
 //! So if `ê_j − ê_w > 2(m + 4)u·(R + X)² + 2γ⁽⁶⁴⁾_{m+2}·(R + X)²`, atom
 //! `j`'s chain exceeds `w`'s. `τ = 4(m + 5)·u·(R + X)²` is at least
@@ -128,10 +136,12 @@
 //! The filter has three arms ([`ScanArm`]), chosen at runtime: AVX-512F
 //! (atoms in the vector lanes over the f32 links x cells copy, a
 //! [`BINARY_LANES`]-query × 48-atom tile, the lane's two transposed
-//! exclusion bytes as a 16-bit write mask), AVX+FMA (4-query × 24-atom
-//! sub-tiles, `blendv`), and a scalar body (f32 mul then add; the bound
-//! covers both roundings). They may round `ê` differently, but the
-//! shared certificate and fallback make their answers identical.
+//! exclusion bytes as the write mask of its compare and `min`s, no
+//! transposes for a register with no excluded atom), AVX+FMA (4-query ×
+//! 24-atom sub-tiles, `blendv`), and a scalar body (f32 mul then add;
+//! the bound covers both roundings). They may round `ê` differently,
+//! but the shared certificate and fallback make their answers
+//! identical.
 
 /// Largest shared dimension `k` routed to the monomorphised
 /// tiny-inner kernels ([`matmul_rk`]). It covers every rank the solver
@@ -965,11 +975,13 @@ impl ScanArm {
 /// excluded.len()` and `m = residuals.len() / BINARY_LANES`. A lane
 /// with no selectable atom (all excluded, `n = 0`, or every distance
 /// NaN or `+∞`) returns `(+∞, usize::MAX)`. `atoms` must be
-/// [`FilterAtoms::new`] of this dictionary.
+/// [`FilterAtoms::new`] of this dictionary, and `residual_sq[l]` lane
+/// `l`'s `Σ_i r_i²` summed in ascending `i` by `Iterator::sum` (the
+/// pursuit's residual guard already holds it; debug builds check it).
 ///
 /// The scan does not evaluate those chains. It rounds the residuals to
-/// f32 once, filters with the single-precision expansion `ê_j =
-/// fl(‖x̃_j‖² − 2⟨r̃, x̃_j⟩)` and certifies each lane's smallest when
+/// f32 once, filters with the norm-seeded single-precision chains `ê_j
+/// = fl(‖x̃_j‖² − 2⟨r̃, x̃_j⟩)` and certifies each lane's smallest when
 /// its gap to the second smallest exceeds the rounding bound `τ` (see
 /// the module docs for `τ` and its proof); the winner's f64 chain is
 /// then recomputed exactly. A lane whose certificate fails (a
@@ -987,6 +999,7 @@ impl ScanArm {
 /// `m` links.
 pub fn nearest_block(
     residuals: &[f64],
+    residual_sq: &[f64; BINARY_LANES],
     dictionary: &[f64],
     atoms: &FilterAtoms,
     excluded: &[u8],
@@ -995,6 +1008,7 @@ pub fn nearest_block(
     nearest_block_on(
         ScanArm::widest(),
         residuals,
+        residual_sq,
         dictionary,
         atoms,
         excluded,
@@ -1002,8 +1016,8 @@ pub fn nearest_block(
     )
 }
 
-/// Links whose f32 lane residuals [`nearest_block`] converts into a
-/// stack buffer (2 KiB); a taller dictionary converts into the heap.
+/// Links whose scaled f32 lane residuals [`nearest_block`] writes into
+/// a stack buffer (2 KiB); a taller dictionary writes them to the heap.
 const STACK_LINKS: usize = 64;
 
 /// [`nearest_block`] through a chosen filter arm, so the parity tier
@@ -1018,6 +1032,7 @@ const STACK_LINKS: usize = 64;
 pub fn nearest_block_on(
     arm: ScanArm,
     residuals: &[f64],
+    residual_sq: &[f64; BINARY_LANES],
     dictionary: &[f64],
     atoms: &FilterAtoms,
     excluded: &[u8],
@@ -1039,32 +1054,40 @@ pub fn nearest_block_on(
         "filter atoms must cover the dictionary"
     );
     assert!(arm.runs(), "scan arm {arm:?} is not available here");
-    let (mut stack, mut heap) = ([0.0_f32; STACK_LINKS * BINARY_LANES], Vec::new());
-    let r32 = if m <= STACK_LINKS {
-        &mut stack[..residuals.len()]
-    } else {
-        heap.resize(residuals.len(), 0.0);
-        &mut heap[..]
-    };
-    for (d, &r) in r32.iter_mut().zip(residuals) {
-        *d = r as f32;
-    }
-    let r32 = &*r32;
-    let filter = match arm {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        ScanArm::AvxFma => simd::filter_avx_fma(r32, &atoms.atoms, &atoms.sq, excluded),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        ScanArm::Avx512f => simd::filter_avx512(r32, &atoms.atoms, &atoms.sq, excluded),
-        _ => filter_scalar(r32, &atoms.atoms, &atoms.sq, excluded),
-    };
+    let filter = filter_on(arm, residuals, atoms, excluded);
     certify(
         residuals,
+        residual_sq,
         dictionary,
         atoms.max_norm,
         excluded,
         &filter,
         fallback,
     )
+}
+
+/// One filter pass of `arm` (shapes checked by the caller): the lanes'
+/// residuals are rounded to f32 and scaled by `−2` once, into the
+/// buffer every arm's norm-seeded chains read.
+fn filter_on(arm: ScanArm, residuals: &[f64], atoms: &FilterAtoms, excluded: &[u8]) -> Filter {
+    let (mut stack, mut heap) = ([0.0_f32; STACK_LINKS * BINARY_LANES], Vec::new());
+    let scaled = if residuals.len() <= stack.len() {
+        &mut stack[..residuals.len()]
+    } else {
+        heap.resize(residuals.len(), 0.0);
+        &mut heap[..]
+    };
+    for (s, &r) in scaled.iter_mut().zip(residuals) {
+        *s = -2.0 * (r as f32);
+    }
+    let scaled = &*scaled;
+    match arm {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        ScanArm::AvxFma => simd::filter_avx_fma(scaled, &atoms.atoms, &atoms.sq, excluded),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        ScanArm::Avx512f => simd::filter_avx512(scaled, &atoms.atoms, &atoms.sq, excluded),
+        _ => filter_scalar(scaled, &atoms.atoms, &atoms.sq, excluded),
+    }
 }
 
 /// One filter pass: per lane, the smallest and second-smallest
@@ -1099,9 +1122,9 @@ impl Filter {
     }
 }
 
-/// The scalar filter arm: four atoms at a time against all eight
-/// lanes, then one at a time, each `⟨r̃, x̃_j⟩` one ascending-link f32
-/// mul-then-add chain.
+/// The scalar filter arm over the `−2`-scaled residuals: four atoms at
+/// a time against all eight lanes, then one at a time, each `ê_j` one
+/// ascending-link f32 mul-then-add chain seeded with `‖x̃_j‖²`.
 fn filter_scalar(residuals: &[f32], atoms: &[f32], sq: &[f32], excluded: &[u8]) -> Filter {
     let n = excluded.len();
     let mut filter = Filter::new();
@@ -1133,7 +1156,7 @@ fn scalar_group<const A: usize>(
 ) {
     const L: usize = BINARY_LANES;
     let n = excluded.len();
-    let mut acc = [[0.0_f32; L]; A];
+    let mut acc: [[f32; L]; A] = core::array::from_fn(|a| [sq[j + a]; L]);
     for (r, row) in residuals
         .as_chunks::<L>()
         .0
@@ -1147,15 +1170,10 @@ fn scalar_group<const A: usize>(
             }
         }
     }
-    for (a, ((&ex, &norm), acca)) in excluded[j..j + A]
-        .iter()
-        .zip(&sq[j..j + A])
-        .zip(&acc)
-        .enumerate()
-    {
-        for (l, &dot) in acca.iter().enumerate() {
+    for (a, (&ex, acca)) in excluded[j..j + A].iter().zip(&acc).enumerate() {
+        for (l, &e) in acca.iter().enumerate() {
             if ex & (1 << l) == 0 {
-                filter.push(l, norm - 2.0 * dot, j + a);
+                filter.push(l, e, j + a);
             }
         }
     }
@@ -1188,9 +1206,11 @@ fn certificate_gap(m: usize, residual_sq: f64, max_norm: f64) -> f64 {
 }
 
 /// Turns a filter pass into exact answers: certified lanes get their
-/// winner's exact chain, the rest an exact [`sq_dist_row`] scan.
+/// winner's exact chain, the rest an exact [`sq_dist_row`] scan. Each
+/// lane's `τ` reads the caller's `Σ r²` of that lane.
 fn certify(
     residuals: &[f64],
+    residual_sq: &[f64; BINARY_LANES],
     dictionary: &[f64],
     max_norm: f64,
     excluded: &[u8],
@@ -1205,7 +1225,14 @@ fn certify(
     let mut uncertified = 0_u8;
     for l in (0..L).filter(|l| settled & (1 << l) == 0) {
         let lane = || residuals.iter().skip(l).step_by(L);
-        let tau = certificate_gap(m, lane().map(|r| r * r).sum(), max_norm);
+        debug_assert!(
+            {
+                let sum: f64 = lane().map(|r| r * r).sum();
+                sum.to_bits() == residual_sq[l].to_bits() || sum.is_nan() && residual_sq[l].is_nan()
+            },
+            "residual_sq[{l}] must be the lane's Σ r²"
+        );
+        let tau = certificate_gap(m, residual_sq[l], max_norm);
         if f64::from(filter.runner[l]) - f64::from(filter.best[l]) > tau {
             let w = filter.index[l];
             let d = lane()
@@ -1311,15 +1338,16 @@ mod simd {
 
     use core::arch::x86_64::{
         __m256, __m256i, __m512, __m512i, _mm256_add_pd, _mm256_blendv_ps, _mm256_castps_si256,
-        _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_loadu_pd,
-        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_pd,
-        _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_pd,
-        _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_pd,
-        _mm512_add_epi32, _mm512_add_pd, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_fnmadd_ps,
-        _mm512_loadu_pd, _mm512_mask_mov_epi32, _mm512_mask_mov_ps, _mm512_mask_storeu_pd,
-        _mm512_maskz_loadu_pd, _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_min_ps, _mm512_mul_pd,
+        _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_pd, _mm256_set1_epi32,
+        _mm256_set1_pd, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_pd, _mm256_storeu_pd,
+        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_pd, _mm512_add_epi32, _mm512_add_pd,
+        _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_pd, _mm512_mask_cmp_ps_mask,
+        _mm512_mask_min_ps, _mm512_mask_mov_epi32, _mm512_mask_reduce_max_epi32,
+        _mm512_mask_reduce_min_ps, _mm512_mask_storeu_pd, _mm512_maskz_loadu_pd,
+        _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_mul_pd, _mm512_reduce_min_ps,
         _mm512_set1_epi32, _mm512_set1_pd, _mm512_set1_ps, _mm512_setr_epi32, _mm512_setzero_pd,
-        _mm512_setzero_ps, _mm512_storeu_epi32, _mm512_storeu_pd, _mm512_storeu_ps, _CMP_LT_OQ,
+        _mm512_storeu_pd, _CMP_EQ_OQ, _CMP_LT_OQ,
     };
 
     use super::{lane_masks, Filter, BINARY_LANES};
@@ -1653,13 +1681,14 @@ mod simd {
 
     /// The AVX-512F filter arm of [`super::nearest_block`]: [`TILE_ATOMS`]
     /// atoms at a time, each link's three 16-atom f32 registers against
-    /// the eight lanes' broadcast residuals in 24 FMA accumulators, then
-    /// one 16-atom register at a time, the last one loaded under a
-    /// mask. Each lane keeps its [`Slots512`] across tiles, and an
-    /// excluded atom (or a slot past `n`) enters as `+∞` through the
-    /// lane's 16-bit write mask, two transposed exclusion bytes. A NaN
-    /// `ê` sets its slot's runner-up to its smallest, so that lane's
-    /// certificate fails.
+    /// the eight lanes' broadcast scaled residuals in 24 FMA
+    /// accumulators seeded with the atoms' norms, then one 16-atom
+    /// register at a time, the last one loaded under a mask. Each lane
+    /// keeps its [`Slots512`] across tiles; its 16-bit write mask (the
+    /// slots inside `n`, less two transposed exclusion bytes) masks the
+    /// compare and both `min`s, so an excluded atom or a slot past `n`
+    /// leaves the slot as it was. A NaN `ê` sets its slot's runner-up
+    /// to its smallest, so its gap there is zero.
     ///
     /// Callers must have verified [`avx512f_available`].
     pub(super) fn filter_avx512(
@@ -1715,13 +1744,29 @@ mod simd {
         }
         let mut filter = Filter::new();
         for (l, slot) in slots.iter().enumerate() {
-            let (mut best, mut runner, mut index) = ([0.0; 16], [0.0; 16], [0; 16]);
-            _mm512_storeu_ps(best.as_mut_ptr(), slot.best);
-            _mm512_storeu_ps(runner.as_mut_ptr(), slot.runner);
-            _mm512_storeu_epi32(index.as_mut_ptr(), slot.index);
-            fold_slots(&mut filter, l, &best, &runner, &index);
+            fold512(&mut filter, l, slot);
         }
         filter
+    }
+
+    /// Folds one lane's [`Slots512`] into `filter` with vector
+    /// reductions, as [`fold_slots`] would: the smallest `ê` of the
+    /// lowest slot that holds it wins, and the runner-up is the
+    /// smallest of the other slots' smallest and of every slot's
+    /// runner-up. No slot ever holds a NaN (a NaN `ê` loses both `min`s
+    /// and the `max`), and only a slot that saw an atom holds a finite
+    /// smallest, so a lane that saw none folds to `(+∞, +∞, MAX)`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn fold512(filter: &mut Filter, l: usize, slot: &Slots512) {
+        let best = _mm512_reduce_min_ps(slot.best);
+        let ties = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(slot.best, _mm512_set1_ps(best));
+        let first = ties & ties.wrapping_neg();
+        let index = _mm512_mask_reduce_max_epi32(first, slot.index);
+        let others = _mm512_mask_reduce_min_ps(!first, slot.best);
+        filter.best[l] = best;
+        filter.runner[l] = others.min(_mm512_reduce_min_ps(slot.runner));
+        filter.index[l] = usize::try_from(index).unwrap_or(usize::MAX);
     }
 
     // SAFETY contract: `#[target_feature]` makes this fn unsafe to
@@ -1748,13 +1793,13 @@ mod simd {
         valid[V - 1] = u16::MAX >> (16 - width);
         let r = residuals.as_ptr();
         let d = atoms.as_ptr().add(j);
-        let mut acc = [[_mm512_setzero_ps(); V]; BINARY_LANES];
+        let norms: [__m512; V] =
+            core::array::from_fn(|v| _mm512_maskz_loadu_ps(valid[v], sq.as_ptr().add(j + 16 * v)));
+        let mut acc = [norms; BINARY_LANES];
         for i in 0..m {
             let row = d.add(i * n);
-            let mut x = [_mm512_setzero_ps(); V];
-            for (v, xv) in x.iter_mut().enumerate() {
-                *xv = _mm512_maskz_loadu_ps(valid[v], row.add(16 * v));
-            }
+            let x: [__m512; V] =
+                core::array::from_fn(|v| _mm512_maskz_loadu_ps(valid[v], row.add(16 * v)));
             for (l, accl) in acc.iter_mut().enumerate() {
                 let rl = _mm512_set1_ps(*r.add(i * BINARY_LANES + l));
                 for (a, &xv) in accl.iter_mut().zip(&x) {
@@ -1762,26 +1807,42 @@ mod simd {
                 }
             }
         }
-        let (two, inf) = (_mm512_set1_ps(2.0), _mm512_set1_ps(f32::INFINITY));
-        let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        // Each lane's write mask per register: the atoms inside `n`
+        // that the lane has not excluded. A register with no excluded
+        // atom (every register of a pursuit's first pass) keeps
+        // `valid` and skips the transposes.
+        let mut keep = [valid; BINARY_LANES];
         for (v, &ok) in valid.iter().enumerate() {
             let at = j + 16 * v;
-            let w = ok.count_ones() as usize;
-            let norms = _mm512_maskz_loadu_ps(ok, sq.as_ptr().add(at));
-            let jv = _mm512_add_epi32(_mm512_set1_epi32(at as i32), iota);
-            let mut bytes = [0_u8; 16];
-            bytes[..w].copy_from_slice(&excluded[at..at + w]);
-            let bits = u128::from_le_bytes(bytes);
-            let (lo, hi) = (lane_masks(bits as u64), lane_masks((bits >> 64) as u64));
-            for (((slot, accl), &lo), &hi) in slots.iter_mut().zip(&acc).zip(&lo).zip(&hi) {
-                let ex = u16::from_le_bytes([lo, hi]);
-                let e = _mm512_fnmadd_ps(two, accl[v], norms);
-                let e = _mm512_mask_mov_ps(e, ex | !ok, inf);
-                let lt = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(e, slot.best);
-                slot.runner = _mm512_min_ps(_mm512_max_ps(e, slot.best), slot.runner);
-                slot.best = _mm512_min_ps(e, slot.best);
-                slot.index = _mm512_mask_mov_epi32(slot.index, lt, jv);
+            // A full register reads its sixteen bytes in one load; the
+            // masked tail assembles its `width` bytes one by one, which
+            // (unlike a copy into a buffer) calls no `memcpy` around
+            // which the accumulators would spill.
+            let bits = match excluded[at..].first_chunk::<16>() {
+                Some(&bytes) if ok == u16::MAX => u128::from_le_bytes(bytes),
+                _ => excluded[at..at + ok.count_ones() as usize]
+                    .iter()
+                    .rev()
+                    .fold(0, |bits, &ex| bits << 8 | u128::from(ex)),
+            };
+            if bits != 0 {
+                let (lo, hi) = (lane_masks(bits as u64), lane_masks((bits >> 64) as u64));
+                for ((k, &lo), &hi) in keep.iter_mut().zip(&lo).zip(&hi) {
+                    k[v] &= !u16::from_le_bytes([lo, hi]);
+                }
             }
+        }
+        let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        for ((slot, accl), keep) in slots.iter_mut().zip(&acc).zip(&keep) {
+            let mut s = *slot;
+            for (v, (&e, &k)) in accl.iter().zip(keep).enumerate() {
+                let jv = _mm512_add_epi32(_mm512_set1_epi32((j + 16 * v) as i32), iota);
+                let lt = _mm512_mask_cmp_ps_mask::<_CMP_LT_OQ>(k, e, s.best);
+                s.runner = _mm512_mask_min_ps(s.runner, k, _mm512_max_ps(e, s.best), s.runner);
+                s.best = _mm512_mask_min_ps(s.best, k, e, s.best);
+                s.index = _mm512_mask_mov_epi32(s.index, lt, jv);
+            }
+            *slot = s;
         }
     }
 
@@ -1797,11 +1858,13 @@ mod simd {
 
     /// The AVX+FMA filter arm of [`super::nearest_block`]: sixteen
     /// registers hold one 4-query × 24-atom sub-tile (twelve FMA
-    /// accumulators, three 8-atom f32 registers, one broadcast), so
-    /// each [`TILE_ATOMS`]` / 2` tile runs once per half of the lanes,
-    /// then one 8-atom register at a time, the last one loaded under a
-    /// mask. The per-slot bookkeeping is the AVX-512F arm's, with
-    /// `blendv` for the write masks.
+    /// accumulators seeded with the atoms' norms, three 8-atom f32
+    /// registers, one broadcast), so each [`TILE_ATOMS`]` / 2` tile runs
+    /// once per half of the lanes, then one 8-atom register at a time,
+    /// the last one loaded under a mask. The per-slot bookkeeping is the
+    /// AVX-512F arm's, unmasked: an excluded atom (or a slot past `n`)
+    /// enters as `+∞` through `blendv`, and the slots fold through
+    /// [`fold_slots`].
     ///
     /// Callers must have verified [`avx_fma_available`].
     pub(super) fn filter_avx_fma(
@@ -1924,13 +1987,11 @@ mod simd {
         };
         let r = residuals.as_ptr().add(half * Q);
         let d = atoms.as_ptr().add(j);
-        let mut acc = [[_mm256_setzero_ps(); V]; Q];
+        let norms: [__m256; V] = core::array::from_fn(|v| load(sq.as_ptr().add(j + 8 * v)));
+        let mut acc = [norms; Q];
         for i in 0..m {
             let row = d.add(i * n);
-            let mut x = [_mm256_setzero_ps(); V];
-            for (v, xv) in x.iter_mut().enumerate() {
-                *xv = load(row.add(8 * v));
-            }
+            let x: [__m256; V] = core::array::from_fn(|v| load(row.add(8 * v)));
             for (q, accq) in acc.iter_mut().enumerate() {
                 let rq = _mm256_set1_ps(*r.add(i * BINARY_LANES + q));
                 for (a, &xv) in accq.iter_mut().zip(&x) {
@@ -1938,22 +1999,26 @@ mod simd {
                 }
             }
         }
-        let (two, inf) = (_mm256_set1_ps(2.0), _mm256_set1_ps(f32::INFINITY));
+        let inf = _mm256_set1_ps(f32::INFINITY);
         for (v, &ok) in valid.iter().enumerate() {
             let at = j + 8 * v;
             let w = ok.count_ones() as usize;
-            let norms = load(sq.as_ptr().add(at));
             let ids: [i32; 8] = core::array::from_fn(|k| (at as i32).wrapping_add(k as i32));
             let jv = _mm256_loadu_ps(ids.as_ptr().cast());
             let mut bytes = [0_u8; 8];
             bytes[..w].copy_from_slice(&excluded[at..at + w]);
-            let masks = lane_masks(u64::from_le_bytes(bytes));
+            let bits = u64::from_le_bytes(bytes);
+            let masks = if bits == 0 {
+                [0; BINARY_LANES]
+            } else {
+                lane_masks(bits)
+            };
             let lanes = slots[half * Q..]
                 .iter_mut()
                 .zip(&acc)
                 .zip(&masks[half * Q..]);
             for ((slot, accq), &ex) in lanes {
-                let mut e = _mm256_fnmadd_ps(two, accq[v], norms);
+                let mut e = accq[v];
                 let drop = ex | !ok;
                 if drop != 0 {
                     e = _mm256_blendv_ps(e, inf, _mm256_castsi256_ps(byte_mask(drop)));
@@ -2110,6 +2175,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The proved bound on the norm-seeded estimates: every `ê_j` of
+    /// every filter arm (the scalar arm's f32 mul-then-add chains
+    /// always among them) lies within `(m + 4)·u·(R + X)²` of the exact
+    /// `‖x_j‖² − 2⟨r, x_j⟩`, on random inputs and on cancellation-heavy
+    /// ones, where each residual sits `10⁻⁷` of an atom's norm off that
+    /// atom (`‖x_j‖²` some `10¹⁴` times their squared distance).
+    /// Each atom is read alone by excluding every other atom from every
+    /// lane, so the lane's smallest estimate is that atom's. The exact
+    /// value is summed in f64, whose own error is added to the bound.
+    #[test]
+    fn seeded_estimates_stay_inside_the_proved_bound() {
+        const L: usize = BINARY_LANES;
+        let u = f64::from(f32::EPSILON) / 2.0;
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let mut worst = 0.0_f64;
+        for case in 0..48 {
+            let m = [1, 2, 7, 8, 17, 32, 33, 64][case % 8];
+            let n = [1, 5, 6][case % 3];
+            let cancelling = case % 2 == 1;
+            let scale = [1e-6, 1.0, 3e3][case % 3];
+            let offset = if cancelling { 100.0 * scale } else { 0.0 };
+            let dictionary: Vec<f64> = (0..m * n).map(|_| offset + scale * uniform()).collect();
+            let residuals: Vec<f64> = (0..m * L)
+                .map(|k| {
+                    let (i, l) = (k / L, k % L);
+                    if cancelling {
+                        dictionary[i * n + l % n] + 1e-5 * scale * uniform()
+                    } else {
+                        scale * uniform()
+                    }
+                })
+                .collect();
+            let atoms = FilterAtoms::new(&dictionary, n);
+            let x = atoms.max_norm;
+            for k in 0..n {
+                let excluded: Vec<u8> = (0..n).map(|j| if j == k { 0 } else { u8::MAX }).collect();
+                for arm in ScanArm::available() {
+                    let filter = filter_on(arm, &residuals, &atoms, &excluded);
+                    for l in 0..L {
+                        let lane = |i: usize| residuals[i * L + l];
+                        let r = (0..m).map(|i| lane(i) * lane(i)).sum::<f64>().sqrt();
+                        let exact: f64 = (0..m)
+                            .map(|i| {
+                                let xi = dictionary[i * n + k];
+                                xi * xi - 2.0 * lane(i) * xi
+                            })
+                            .sum();
+                        let reach = (r + x) * (r + x);
+                        let bound =
+                            (m + 4) as f64 * u * reach + (m + 2) as f64 * f64::EPSILON * reach;
+                        let err = (f64::from(filter.best[l]) - exact).abs();
+                        assert_eq!(filter.index[l], k, "case {case} {arm:?} lane {l}");
+                        assert!(
+                            err <= bound,
+                            "case {case} {arm:?} m={m} atom {k} lane {l}: \
+                             |ê − e| = {err:e} > {bound:e}"
+                        );
+                        worst = worst.max(err / (u * reach));
+                    }
+                }
+            }
+        }
+        // The bound is not vacuous: some estimate uses a visible share
+        // of it.
+        assert!(worst > 0.5, "largest error {worst} u(R + X)²");
     }
 
     #[test]

@@ -564,6 +564,19 @@ fn to_dictionary(atoms: &[f64], m: usize, n: usize) -> Vec<f64> {
     (0..m * n).map(|k| atoms[(k % n) * m + k / n]).collect()
 }
 
+/// Each lane's `Σ r²` in ascending link order: what the pursuit's
+/// residual guard holds and `nearest_block`'s certificate reads.
+fn lane_sq(residuals: &[f64]) -> [f64; BINARY_LANES] {
+    core::array::from_fn(|l| {
+        residuals
+            .iter()
+            .skip(l)
+            .step_by(BINARY_LANES)
+            .map(|r| r * r)
+            .sum()
+    })
+}
+
 /// Every scan arm this host runs, and the dispatching entry point,
 /// against the naive nearest atoms. Returns the widest arm's mask of
 /// lanes whose certificate failed.
@@ -571,6 +584,7 @@ fn assert_every_arm(residuals: &[f64], atoms: &[f64], excluded: &[u8], ctx: &str
     let (m, n) = (residuals.len() / BINARY_LANES, excluded.len());
     let dictionary = to_dictionary(atoms, m, n);
     let atoms32 = FilterAtoms::new(&dictionary, n);
+    let residual_sq = lane_sq(residuals);
     let want = naive_nearest(residuals, atoms, excluded);
     let settled = excluded.iter().fold(u8::MAX, |all, &ex| all & ex);
     let mut fallback = Vec::new();
@@ -579,6 +593,7 @@ fn assert_every_arm(residuals: &[f64], atoms: &[f64], excluded: &[u8], ctx: &str
         let (got, mask) = nearest_block_on(
             arm,
             residuals,
+            &residual_sq,
             &dictionary,
             &atoms32,
             excluded,
@@ -592,7 +607,14 @@ fn assert_every_arm(residuals: &[f64], atoms: &[f64], excluded: &[u8], ctx: &str
         );
         uncertified = mask;
     }
-    let (got, mask) = nearest_block(residuals, &dictionary, &atoms32, excluded, &mut fallback);
+    let (got, mask) = nearest_block(
+        residuals,
+        &residual_sq,
+        &dictionary,
+        &atoms32,
+        excluded,
+        &mut fallback,
+    );
     assert_nearest_eq(got, want, &format!("{ctx} dispatch"));
     assert_eq!(mask, uncertified, "{ctx}: dispatch runs the widest arm");
     uncertified
@@ -931,4 +953,118 @@ fn nearest_block_outside_f32_range_falls_back_exactly() {
             "{ctx}: fallback mask {mask:#04x}"
         );
     }
+}
+
+/// A storm-shaped atom row set for the exclusion cases below: `n`
+/// distinct atoms of `m` links, with every lane's residual sitting
+/// exactly on atom `on[l]`, so a lane's answer moves whenever its own
+/// atom is excluded.
+fn sitting_on(m: usize, n: usize, on: [usize; BINARY_LANES]) -> (Vec<f64>, Vec<f64>) {
+    let atoms: Vec<f64> = (0..n * m)
+        .map(|q| ((q as f64) * 0.53 + 0.7).sin() * 7.0 / 3.0)
+        .collect();
+    let mut residuals = vec![0.0; m * BINARY_LANES];
+    for (l, &j) in on.iter().enumerate() {
+        for i in 0..m {
+            residuals[i * BINARY_LANES + l] = atoms[j * m + i];
+        }
+    }
+    (residuals, atoms)
+}
+
+/// The masked argmin update, one exclusion at a time: at every
+/// position `p` of the 48-atom tile and of the 16-atom register after
+/// it (`n = 64`, and `n = 61`, whose last register is loaded under a
+/// 13-atom mask), lane `p % 8` has atom `p` excluded while every lane
+/// sits exactly on atom `p`. The excluded lane must answer another
+/// atom, every other lane atom `p` at `+0.0`, on every arm.
+#[test]
+fn nearest_block_one_exclusion_at_every_tile_position() {
+    const L: usize = BINARY_LANES;
+    let m = 32;
+    for n in [64, 61] {
+        let mut certified = 0;
+        for p in 0..n {
+            let (residuals, atoms) = sitting_on(m, n, [p; L]);
+            let lane = p % L;
+            let mut excluded = vec![0_u8; n];
+            excluded[p] = 1 << lane;
+            let want = naive_nearest(&residuals, &atoms, &excluded);
+            for l in 0..L {
+                assert_eq!(want.1[l] == p, l != lane, "position {p}, lane {l}");
+            }
+            let ctx = format!("one exclusion n={n} p={p}");
+            let mask = assert_every_arm(&residuals, &atoms, &excluded, &ctx);
+            certified += (!mask).count_ones();
+        }
+        assert!(
+            certified as usize > (L - 1) * n,
+            "n = {n}: only {certified} lanes certified"
+        );
+    }
+}
+
+/// A tile with exclusions next to one without: over `n = 112` (two
+/// full 48-atom tiles and a 16-atom register), lane `l` sits on atom
+/// `48·t + 5l + 1` of tile `t` and has that atom and a lane-dependent
+/// pattern of its tile excluded, while the other tiles exclude
+/// nothing; the odd lanes then move onto an atom of the next,
+/// unexcluded tile. Every arm must answer as the naive scan.
+#[test]
+fn nearest_block_excluded_tile_beside_a_clean_one() {
+    const L: usize = BINARY_LANES;
+    let (m, n) = (32, 112);
+    for t in 0..3 {
+        let (lo, hi) = (48 * t, (48 * t + 48).min(n));
+        let clean = if t == 0 { 48 } else { 0 };
+        for odd_clean in [false, true] {
+            let on: [usize; L] = core::array::from_fn(|l| {
+                if odd_clean && l % 2 == 1 {
+                    clean + 3 * l
+                } else {
+                    lo + (5 * l + 1) % (hi - lo)
+                }
+            });
+            let (residuals, atoms) = sitting_on(m, n, on);
+            let mut excluded = vec![0_u8; n];
+            for l in 0..L {
+                let own = lo + (5 * l + 1) % (hi - lo);
+                excluded[own] |= 1 << l;
+                for j in (lo..hi).filter(|j| (j * 7 + l) % 5 == 0) {
+                    excluded[j] |= 1 << l;
+                }
+            }
+            let ctx = format!("excluded tile {t}, odd lanes clean {odd_clean}");
+            assert_every_arm(&residuals, &atoms, &excluded, &ctx);
+        }
+    }
+}
+
+/// A lane excluded from a whole tile: over `n = 112`, lane 3 is
+/// excluded from every atom of the second 48-atom tile and sits on
+/// atom 60 inside it, and lane 5 from the first tile and the 16-atom
+/// register, sitting on atom 7; the other lanes exclude nothing. Both
+/// must answer from the atoms left to them, on every arm.
+#[test]
+fn nearest_block_lane_excluded_from_a_whole_tile() {
+    const L: usize = BINARY_LANES;
+    let (m, n) = (32, 112);
+    let on: [usize; L] = [2, 20, 50, 60, 100, 7, 95, 47];
+    let (residuals, atoms) = sitting_on(m, n, on);
+    let mut excluded = vec![0_u8; n];
+    for (j, ex) in excluded.iter_mut().enumerate() {
+        if (48..96).contains(&j) {
+            *ex |= 1 << 3;
+        } else {
+            *ex |= 1 << 5;
+        }
+    }
+    let want = naive_nearest(&residuals, &atoms, &excluded);
+    assert!(!(48..96).contains(&want.1[3]) && (48..96).contains(&want.1[5]));
+    let mask = assert_every_arm(&residuals, &atoms, &excluded, "whole-tile exclusion");
+    assert_eq!(
+        mask & !(1 << 3 | 1 << 5),
+        0,
+        "lanes on their atom must certify"
+    );
 }
