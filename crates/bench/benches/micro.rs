@@ -327,6 +327,30 @@ fn bench_extensions(c: &mut Criterion) {
             persist::read_fingerprint(buf.as_slice()).unwrap()
         })
     });
+
+    // The v3 checkpoint a three-preset fleet writes after one cycle:
+    // prior, current and basis `Z` of office, library and hall.
+    let mut fleet = UpdateService::new();
+    for (i, env) in Environment::all_presets().into_iter().enumerate() {
+        fleet
+            .register(
+                format!("site-{i}"),
+                Testbed::new(env, 11 + i as u64),
+                UpdaterConfig::default(),
+                10,
+            )
+            .unwrap();
+    }
+    fleet.run_cycle(1.0, 5).unwrap();
+    let snapshot = fleet.snapshot();
+    let mut checkpoint = Vec::new();
+    group.bench_function("write_service_fleet_3_presets", |b| {
+        b.iter(|| {
+            checkpoint.clear();
+            persist::write_service(black_box(&snapshot), &mut checkpoint).unwrap();
+            checkpoint.len()
+        })
+    });
     group.finish();
 }
 
@@ -576,6 +600,22 @@ fn bench_query(c: &mut Criterion) {
         (iupdater_eval::ext_scale::scaled_office(2), 2, 5, "16x384"),
         (iupdater_eval::ext_scale::scaled_office(4), 3, 1, "32x1536"),
     ];
+    // One single read through `Localizer::localize` (its per-thread
+    // scratch) on the largest paper preset, the hall.
+    let hall = Testbed::new(Environment::hall(), 4);
+    let hall_loc = Localizer::new(
+        FingerprintMatrix::survey(&hall, 0.0, 20),
+        LocalizerConfig::default(),
+    );
+    let hall_query = hall.online_measurement(17, 0.0, 917);
+    assert_eq!(
+        hall_loc.localize(&hall_query).unwrap(),
+        hall_loc.localize_unprepared(&hall_query).unwrap()
+    );
+    group.bench_function("localize_single_8x120", |b| {
+        b.iter(|| hall_loc.localize(black_box(&hall_query)).unwrap())
+    });
+
     for (env, seed, samples, tag) in setups {
         let t = Testbed::new(env, seed);
         let fp = FingerprintMatrix::survey(&t, 0.0, samples);

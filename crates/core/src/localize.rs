@@ -13,6 +13,8 @@
 //! path is kept verbatim as [`Localizer::localize_unprepared`] — the
 //! golden oracle the `query_parity` tier pins every fast path against.
 
+use std::cell::Cell;
+
 use iupdater_linalg::kernels::BINARY_LANES;
 use iupdater_linalg::Matrix;
 use rayon::prelude::*;
@@ -65,9 +67,11 @@ impl Localizer {
     /// Estimates the grid location for an online measurement `y`
     /// (one RSS value per link, Eq. 25).
     ///
-    /// Convenience wrapper over [`Self::localize_with_scratch`] with a
-    /// throwaway scratch; loops over many queries should hold one
-    /// [`QueryScratch`] (or call [`Self::localize_batch`]) instead.
+    /// Runs [`Self::localize_with_scratch`] on a per-thread scratch, so
+    /// a single read allocates only its output. A thread that served a
+    /// read keeps that scratch, `9n + 16m` bytes at the largest
+    /// `m` links x `n` cells it served. Answers do not depend on what
+    /// the scratch served before (pinned by `query_parity`).
     ///
     /// # Errors
     ///
@@ -77,8 +81,20 @@ impl Localizer {
     ///   [`RSS_DBM_RANGE`] (NaN and ±∞ included), or if OMP selects no
     ///   atom (zero dictionary).
     pub fn localize(&self, y: &[f64]) -> Result<LocationEstimate> {
-        let mut scratch = QueryScratch::new();
-        self.localize_with_scratch(y, &mut scratch)
+        thread_local! {
+            static SCRATCH: Cell<QueryScratch> = Cell::new(QueryScratch::new());
+        }
+        // The scratch is taken out for the call and put back after it,
+        // so no borrow is held across the pursuit. A thread whose
+        // locals are being torn down reads with a fresh one.
+        SCRATCH
+            .try_with(|cell| {
+                let mut scratch = cell.take();
+                let out = self.localize_with_scratch(y, &mut scratch);
+                cell.set(scratch);
+                out
+            })
+            .unwrap_or_else(|_| self.localize_with_scratch(y, &mut QueryScratch::new()))
     }
 
     /// [`Self::localize`] against caller-held working memory: after the

@@ -64,8 +64,47 @@
 //! retired v2 format (no `seed` / `basis` sections) is no longer read;
 //! its header is rejected like any unrecognised one.
 //!
-//! All readers reject trailing non-blank content after the final row
-//! and non-finite values; all writers refuse to serialise non-finite
+//! # v3 floats are `Display` text
+//!
+//! Every `row` and `zrow` value is the exact text of `format!("{x}")`:
+//! the shortest decimal that reads back as `x`, the nearest to `x`
+//! among the shortest, never with an exponent. The writer renders most
+//! values with its own exact integer routine (`push_f64`) and the rest
+//! with the std formatter, so the bytes equal the std formatter's by
+//! construction, and each line is built in one reusable buffer and
+//! written with one `write_all`. The routine takes normal values
+//! `x = ±m·2^-s` (`m` the 53-bit significand) with `1 ≤ s ≤ 62`, that
+//! is `2^-10 ≤ |x| < 2^52`, plus `±0`. It applies the shortest-digit
+//! criterion of std's `flt2dec` (Steele–White / Burger–Dybvig):
+//!
+//! - `x` rounds back from anything inside `x ± 2^-(s+1)`, with the
+//!   lower half-gap `2^-(s+2)` at a power of two (std's decoder).
+//! - `K = ⌊(s + 2)·log₁₀2⌋ + 1` fractional digits suffice: then
+//!   `10^-K < 2^-(s+2)`, the smallest half-gap, so `K`-digit decimals
+//!   lie strictly inside the interval. Scaled by `10^K·2^(s+2-K)`,
+//!   the value is `V = 4m·5^K` and the interval runs from
+//!   `(4m − 2)·5^K` (`4m − 1` at a power of two) to `(4m + 2)·5^K`,
+//!   all below `2^102` in `u128`; one shift by `s + 2 − K` turns them
+//!   into multiples of `10^-K`.
+//! - The endpoints have `s + 1` or `s + 2` fractional digits and
+//!   `K ≤ s`, so neither is a `K`-digit decimal: whether the interval
+//!   is closed (std's decoder closes it for even `m`) changes nothing.
+//!   Nor does the halved lower half-gap inside the window: its powers
+//!   of two, `2^-10 … 2^51`, have at most 16 significant digits and
+//!   print exactly. The routine keeps that gap to mirror the decoder.
+//! - The answer is a multiple of `10^(p−K)` inside the interval for
+//!   the largest such `p`, the one nearer `x` when two are; the digits
+//!   are printed with the point `K − p` places from the right. An
+//!   exact tie between the two goes to the std formatter.
+//!
+//! Zeros excepted, values outside the window (subnormals, tiny or huge
+//! magnitudes) also take the std formatter: 91 of the 6,480 values of
+//! a three-preset fleet checkpoint. The v1 writer keeps its `{:.6}` text.
+//!
+//! All readers reject trailing non-blank content after the final row,
+//! a non-blank last line without its newline (a file cut short inside
+//! its last value would otherwise read as a different value) and
+//! non-finite values; all writers refuse to serialise non-finite
 //! values in the first place (a `NaN` database must never round-trip
 //! into a "valid" file that poisons downstream solves). I/O failures
 //! are reported as [`CoreError::Io`], preserving the underlying
@@ -112,22 +151,179 @@ pub fn write_fingerprint<W: Write>(fp: &FingerprintMatrix, mut w: W) -> Result<(
 
 /// Writes the `links` / `per_link` / `row` block shared by both
 /// formats. v1 keeps the historical 6-decimal rendering;
-/// `full_precision` (v3) uses the shortest exact representation.
+/// `full_precision` (v3) writes each row as one [`write_line`].
 fn write_block<W: Write>(fp: &FingerprintMatrix, w: &mut W, full_precision: bool) -> Result<()> {
     writeln!(w, "links {}", fp.num_links()).map_err(write_err)?;
     writeln!(w, "per_link {}", fp.locations_per_link()).map_err(write_err)?;
+    let mut line = Vec::new();
     for i in 0..fp.num_links() {
-        write!(w, "row").map_err(write_err)?;
-        for j in 0..fp.num_locations() {
-            if full_precision {
-                write!(w, " {}", fp.rss(i, j)).map_err(write_err)?;
-            } else {
+        if full_precision {
+            write_line(w, &mut line, "row", fp.matrix().row(i))?;
+        } else {
+            write!(w, "row").map_err(write_err)?;
+            for j in 0..fp.num_locations() {
                 write!(w, " {:.6}", fp.rss(i, j)).map_err(write_err)?;
             }
+            writeln!(w).map_err(write_err)?;
         }
-        writeln!(w).map_err(write_err)?;
     }
     Ok(())
+}
+
+/// Writes one v3 `<tag> <v_1> ... <v_n>` line: the values are rendered
+/// by [`push_f64`] into the reusable `line` buffer, which goes to the
+/// writer in one `write_all`.
+fn write_line<W: Write>(w: &mut W, line: &mut Vec<u8>, tag: &str, values: &[f64]) -> Result<()> {
+    line.clear();
+    line.extend_from_slice(tag.as_bytes());
+    for &x in values {
+        line.push(b' ');
+        push_f64(line, x);
+    }
+    line.push(b'\n');
+    w.write_all(line).map_err(write_err)
+}
+
+/// Appends exactly the bytes of `format!("{x}")`: the shortest decimal
+/// that reads back as `x`, nearest to `x` among the shortest, never
+/// with an exponent (see the module docs for the routine and its
+/// window). Values outside the window, and the nearest-candidate ties,
+/// go through the std formatter itself.
+fn push_f64(out: &mut Vec<u8>, x: f64) {
+    if !push_f64_window(out, x) {
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// `5^k` for `k ≤ 20`, the largest digit count `K` of the window.
+const POW5: [u64; 21] = {
+    let mut table = [1u64; 21];
+    let mut k = 1;
+    while k < table.len() {
+        table[k] = table[k - 1] * 5;
+        k += 1;
+    }
+    table
+};
+
+/// `"00" "01" … "99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The fractional digit count `K = ⌊(s + 2)·log₁₀2⌋ + 1` of a window
+/// value `m·2^-s` (`78913 / 2^18` is `log₁₀2` to within `2^-20`, exact
+/// under the floor for every `s + 2 ≤ 64`).
+fn window_digits(s: u32) -> u32 {
+    (((s + 2) * 78_913) >> 18) + 1
+}
+
+/// [`push_f64`]'s exact integer routine for a normal `x = ±m·2^-s`
+/// with `1 ≤ s ≤ 62`, and for `±0`; returns `false`, having appended
+/// nothing, for any other `x` and for a tie between the two nearest
+/// shortest candidates.
+fn push_f64_window(out: &mut Vec<u8>, x: f64) -> bool {
+    let bits = x.to_bits();
+    let biased = (bits >> 52) & 0x7ff;
+    let frac = bits & ((1 << 52) - 1);
+    // Zeros and subnormals have `biased == 0`, ±∞ and NaN `0x7ff`;
+    // both land outside the window's `s`.
+    let s = 1075 - biased as i64;
+    if bits << 1 == 0 {
+        out.extend_from_slice(if bits == 0 { b"0" } else { b"-0" });
+        return true;
+    }
+    if biased == 0 || !(1..=62).contains(&s) {
+        return false;
+    }
+    let s = s as u32;
+    let m = frac | 1 << 52;
+    let k = window_digits(s);
+    // Everything below is in units of `10^-K / 2^(s + 2 - K)`: `x`
+    // is `v`, the rounding interval runs from `lo` to `hi`, and its
+    // lower half-gap halves at a power of two.
+    let p5 = u128::from(POW5[k as usize]);
+    let v = u128::from(4 * m) * p5;
+    let lo = v - if frac == 0 { p5 } else { 2 * p5 };
+    let hi = v + 2 * p5;
+    let sh = s + 2 - k;
+    // The smallest and largest multiples of `10^-K` inside the
+    // interval. The endpoints have `s + 1` or `s + 2` fractional
+    // digits and `K ≤ s`, so neither is itself a multiple and
+    // whether the interval is closed changes nothing.
+    let mut first = (lo >> sh) as u64 + 1;
+    let mut last = (hi >> sh) as u64;
+    // Coarsen to the largest `10^p` with a multiple inside.
+    let (mut p, mut pow) = (0u32, 1u64);
+    while first.div_ceil(10) <= last / 10 {
+        first = first.div_ceil(10);
+        last /= 10;
+        p += 1;
+        pow *= 10;
+    }
+    // The multiples of `10^p` just below and just above `x`; take the
+    // one inside, or the nearer when both are.
+    let below = ((v >> sh) as u64) / pow;
+    let digits = if below < first {
+        below + 1
+    } else if below == last {
+        below
+    } else {
+        let mask = (1u128 << sh) - 1;
+        let twice_rest = 2 * ((u128::from(((v >> sh) as u64) % pow) << sh) + (v & mask));
+        match twice_rest.cmp(&(u128::from(pow) << sh)) {
+            std::cmp::Ordering::Less => below,
+            std::cmp::Ordering::Greater => below + 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    };
+    if bits >> 63 == 1 {
+        out.push(b'-');
+    }
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    let mut rest = digits;
+    while rest >= 100 {
+        let pair = 2 * (rest % 100) as usize;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        rest /= 100;
+    }
+    if rest >= 10 {
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[2 * rest as usize..][..2]);
+    } else {
+        start -= 1;
+        buf[start] = b'0' + rest as u8;
+    }
+    let digits = &buf[start..];
+    // `digits` ends in a nonzero digit (a trailing zero would put a
+    // multiple of `10^(p + 1)` inside), and the point sits `K − p`
+    // places from its right.
+    let places = k as usize;
+    let p = p as usize;
+    if p >= places {
+        out.extend_from_slice(digits);
+        out.resize(out.len() + (p - places), b'0');
+    } else if digits.len() > places - p {
+        let (int, fraction) = digits.split_at(digits.len() - (places - p));
+        out.extend_from_slice(int);
+        out.push(b'.');
+        out.extend_from_slice(fraction);
+    } else {
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + (places - p - digits.len()), b'0');
+        out.extend_from_slice(digits);
+    }
+    true
 }
 
 fn check_finite(x: &Matrix) -> Result<()> {
@@ -152,7 +348,7 @@ fn check_finite(x: &Matrix) -> Result<()> {
 /// lengths, trailing content after the last row) and [`CoreError::Io`]
 /// for read failures.
 pub fn read_fingerprint<R: BufRead>(r: R) -> Result<FingerprintMatrix> {
-    let mut lines = r.lines();
+    let mut lines = Lines(r);
     let header = next_line(&mut lines, "empty input")?;
     if header.trim() != HEADER {
         return Err(CoreError::InvalidArgument("unrecognised header"));
@@ -163,7 +359,7 @@ pub fn read_fingerprint<R: BufRead>(r: R) -> Result<FingerprintMatrix> {
 }
 
 /// Reads the `links` / `per_link` / `row` block shared by both formats.
-fn read_block(lines: &mut std::io::Lines<impl BufRead>) -> Result<FingerprintMatrix> {
+fn read_block(lines: &mut Lines<impl BufRead>) -> Result<FingerprintMatrix> {
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
     let links = parse_field(lines, "links")?;
     let per = parse_field(lines, "per_link")?;
@@ -200,20 +396,46 @@ fn read_block(lines: &mut std::io::Lines<impl BufRead>) -> Result<FingerprintMat
     FingerprintMatrix::new(matrix, per)
 }
 
-/// Pulls the next line, mapping end-of-input to `missing` and I/O
-/// failures to [`CoreError::Io`].
-fn next_line(lines: &mut std::io::Lines<impl BufRead>, missing: &'static str) -> Result<String> {
-    lines
-        .next()
-        .ok_or(CoreError::InvalidArgument(missing))?
-        .map_err(read_err)
+/// The lines of a text file, split as `BufRead::lines` splits them,
+/// except that a non-blank last line without its newline is an error:
+/// every writer ends every line with one, so such a line is a file cut
+/// short mid-line, whose last value may still parse, just not as the
+/// value written.
+struct Lines<R>(R);
+
+impl<R: BufRead> Iterator for Lines<R> {
+    type Item = Result<String>;
+
+    fn next(&mut self) -> Option<Result<String>> {
+        let mut line = String::new();
+        match self.0.read_line(&mut line) {
+            Ok(0) => None,
+            Ok(_) if line.ends_with('\n') => {
+                line.pop();
+                if line.ends_with('\r') {
+                    line.pop();
+                }
+                Some(Ok(line))
+            }
+            Ok(_) if line.trim().is_empty() => Some(Ok(line)),
+            Ok(_) => Some(Err(CoreError::InvalidArgument(
+                "the last line has no newline: the file was cut short",
+            ))),
+            Err(e) => Some(Err(read_err(e))),
+        }
+    }
+}
+
+/// Pulls the next line, mapping end-of-input to `missing`.
+fn next_line(lines: &mut Lines<impl BufRead>, missing: &'static str) -> Result<String> {
+    lines.next().ok_or(CoreError::InvalidArgument(missing))?
 }
 
 /// Requires that only blank lines remain: a truncated-then-concatenated
 /// or doubled file must not parse as valid.
-fn expect_eof(lines: &mut std::io::Lines<impl BufRead>) -> Result<()> {
+fn expect_eof(lines: &mut Lines<impl BufRead>) -> Result<()> {
     for line in lines {
-        if !line.map_err(read_err)?.trim().is_empty() {
+        if !line?.trim().is_empty() {
             return Err(CoreError::InvalidArgument(
                 "trailing content after the last row",
             ));
@@ -222,7 +444,7 @@ fn expect_eof(lines: &mut std::io::Lines<impl BufRead>) -> Result<()> {
     Ok(())
 }
 
-fn parse_field(lines: &mut std::io::Lines<impl BufRead>, name: &'static str) -> Result<usize> {
+fn parse_field(lines: &mut Lines<impl BufRead>, name: &'static str) -> Result<usize> {
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
     let line = next_line(lines, "missing header field")?;
     let mut parts = line.split_whitespace();
@@ -249,6 +471,7 @@ pub fn write_service<W: Write>(snapshot: &ServiceSnapshot, mut w: W) -> Result<(
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
     writeln!(w, "{SERVICE_HEADER}").map_err(write_err)?;
     writeln!(w, "deployments {}", snapshot.deployments.len()).map_err(write_err)?;
+    let mut line = Vec::new();
     for (k, d) in snapshot.deployments.iter().enumerate() {
         crate::service::validate_name(&d.name)?;
         let preset =
@@ -299,11 +522,7 @@ pub fn write_service<W: Write>(snapshot: &ServiceSnapshot, mut w: W) -> Result<(
             Some(z) => {
                 writeln!(w, "basis {} {}", z.rows(), z.cols()).map_err(write_err)?;
                 for i in 0..z.rows() {
-                    write!(w, "zrow").map_err(write_err)?;
-                    for j in 0..z.cols() {
-                        write!(w, " {}", z[(i, j)]).map_err(write_err)?;
-                    }
-                    writeln!(w).map_err(write_err)?;
+                    write_line(&mut w, &mut line, "zrow", z.row(i))?;
                 }
             }
             None => writeln!(w, "basis none").map_err(write_err)?,
@@ -373,7 +592,7 @@ pub fn write_service_to_path(snapshot: &ServiceSnapshot, path: &std::path::Path)
 /// [`CoreError::Io`] for read failures.
 pub fn read_service<R: BufRead>(r: R) -> Result<ServiceSnapshot> {
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
-    let mut lines = r.lines();
+    let mut lines = Lines(r);
     let header = next_line(&mut lines, "empty input")?;
     if header.trim() != SERVICE_HEADER {
         return Err(bad("unrecognised header"));
@@ -459,10 +678,7 @@ pub fn read_service<R: BufRead>(r: R) -> Result<ServiceSnapshot> {
 
 /// Parses the v3 `basis` section: `basis none`, or `basis <r> <n>`
 /// followed by `r` full-precision `zrow` lines.
-fn parse_basis(
-    lines: &mut std::io::Lines<impl BufRead>,
-    ref_count: usize,
-) -> Result<Option<Matrix>> {
+fn parse_basis(lines: &mut Lines<impl BufRead>, ref_count: usize) -> Result<Option<Matrix>> {
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
     let line = next_line(lines, "missing basis line")?;
     let mut parts = line.split_whitespace();
@@ -520,7 +736,7 @@ fn preset_for_kind(kind: EnvironmentKind) -> Option<Environment> {
     }
 }
 
-fn expect_tag(lines: &mut std::io::Lines<impl BufRead>, tag: &'static str) -> Result<()> {
+fn expect_tag(lines: &mut Lines<impl BufRead>, tag: &'static str) -> Result<()> {
     let line = next_line(lines, "missing section tag")?;
     if line.trim() != tag {
         return Err(CoreError::InvalidArgument("unexpected section tag"));
@@ -528,7 +744,7 @@ fn expect_tag(lines: &mut std::io::Lines<impl BufRead>, tag: &'static str) -> Re
     Ok(())
 }
 
-fn parse_f64_field(lines: &mut std::io::Lines<impl BufRead>, name: &'static str) -> Result<f64> {
+fn parse_f64_field(lines: &mut Lines<impl BufRead>, name: &'static str) -> Result<f64> {
     let bad = |msg: &'static str| CoreError::InvalidArgument(msg);
     let line = next_line(lines, "missing header field")?;
     let mut parts = line.split_whitespace();
@@ -857,6 +1073,172 @@ mod tests {
         write_fingerprint(&fp, &mut buf).unwrap();
         let back = read_fingerprint(buf.as_slice()).unwrap();
         assert!(back.matrix().approx_eq(fp.matrix(), 1e-6));
+    }
+
+    /// Asserts that [`push_f64`] appends exactly `format!("{x}")`, and
+    /// returns whether the exact routine (not the std fallback) did.
+    fn assert_display(x: f64) -> bool {
+        let mut fast = b"zrow ".to_vec();
+        let hit = push_f64_window(&mut fast, x);
+        let mut out = b"zrow ".to_vec();
+        push_f64(&mut out, x);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            format!("zrow {x}"),
+            "bits {:#018x}",
+            x.to_bits()
+        );
+        if hit {
+            assert_eq!(fast, format!("zrow {x}").into_bytes());
+        }
+        hit
+    }
+
+    fn from_words(hi: u32, lo: u32) -> u64 {
+        u64::from(hi) << 32 | u64::from(lo)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn push_f64_matches_display_on_random_bits(
+            words in proptest::prop::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 256)
+        ) {
+            // Every exponent: zeros, subnormals, ±∞ and NaN included.
+            for (hi, lo) in words {
+                assert_display(f64::from_bits(from_words(hi, lo)));
+            }
+        }
+
+        #[test]
+        fn push_f64_matches_display_around_the_window(
+            draws in proptest::prop::collection::vec(
+                (0u32..=u32::MAX, 0u32..=u32::MAX, 0u64..70, 0u64..2),
+                256,
+            )
+        ) {
+            // `x = ±m·2^-s` with `s ∈ [−4, 65]`: the window `1 ≤ s ≤ 62`
+            // and a few exponents past each of its edges.
+            for (hi, lo, shift, sign) in draws {
+                let biased = 1075 + 4 - shift;
+                let bits = sign << 63 | biased << 52 | from_words(hi, lo) & ((1 << 52) - 1);
+                assert_display(f64::from_bits(bits));
+            }
+        }
+
+        #[test]
+        fn push_f64_matches_display_on_rss_readings(
+            draws in proptest::prop::collection::vec((-150.0f64..30.0, 0i32..8), 256)
+        ) {
+            // Uniform RSS and its roundings to 0–7 decimals.
+            for (x, places) in draws {
+                let scale = 10f64.powi(places);
+                assert_display(x);
+                assert_display((x * scale).round() / scale);
+            }
+        }
+    }
+
+    #[test]
+    fn push_f64_matches_display_at_every_power_of_two() {
+        // Every binary exponent's power of two (subnormal to the
+        // largest), ±2 ulps, both signs: the lower half-gap halves at
+        // the power itself.
+        for e in -1074i32..=1023 {
+            let bits = if e < -1022 {
+                1u64 << (e + 1074)
+            } else {
+                ((e + 1023) as u64) << 52
+            };
+            for delta in -2i64..=2 {
+                let Some(b) = bits.checked_add_signed(delta) else {
+                    continue;
+                };
+                assert_display(f64::from_bits(b));
+                assert_display(-f64::from_bits(b));
+            }
+        }
+    }
+
+    #[test]
+    fn push_f64_window_edges() {
+        // `2^-10` is the window's smallest binade, `2^52` the first
+        // binade past it; each neighbour matches std either way.
+        let low = 2f64.powi(-10);
+        let high = 2f64.powi(52);
+        assert!(push_f64_window(&mut Vec::new(), low));
+        assert!(!push_f64_window(
+            &mut Vec::new(),
+            f64::from_bits(low.to_bits() - 1)
+        ));
+        assert!(push_f64_window(
+            &mut Vec::new(),
+            f64::from_bits(high.to_bits() - 1)
+        ));
+        assert!(!push_f64_window(&mut Vec::new(), high));
+        for edge in [low, high] {
+            for delta in -3i64..=3 {
+                let x = f64::from_bits(edge.to_bits().checked_add_signed(delta).unwrap());
+                assert_display(x);
+                assert_display(-x);
+            }
+        }
+        // `K` fractional digits put a `10^-K` grid point strictly inside
+        // every rounding interval (`10^-K < 2^-(s+2)`, the smallest
+        // half-gap), `K − 1` would not always, and `K ≤ s` keeps the
+        // interval's endpoints off the grid.
+        for s in 1u32..=62 {
+            let k = window_digits(s);
+            assert!(10u128.pow(k) > 1u128 << (s + 2), "s = {s}");
+            assert!(10u128.pow(k - 1) <= 1u128 << (s + 2), "s = {s}");
+            assert!(k <= s, "s = {s}");
+            assert!(k < POW5.len() as u32);
+        }
+    }
+
+    #[test]
+    fn window_powers_of_two_print_exactly() {
+        // `2^-10 … 2^51` have at most 16 significant digits, so each is
+        // its own shortest decimal: the halved lower half-gap at a power
+        // of two, like the interval's closedness, never changes an
+        // answer inside the window.
+        for k in -10i32..=51 {
+            let x = 2f64.powi(k);
+            let exact = if k >= 0 {
+                (1u64 << k).to_string()
+            } else {
+                format!(
+                    "0.{:0>width$}",
+                    5u64.pow(k.unsigned_abs()),
+                    width = (-k) as usize
+                )
+            };
+            assert_eq!(format!("{x}"), exact);
+            let mut out = Vec::new();
+            assert!(push_f64_window(&mut out, x));
+            assert_eq!(out, exact.into_bytes());
+        }
+    }
+
+    #[test]
+    fn push_f64_matches_display_on_decimal_fractions() {
+        // RSS-like decimals `k / 10^j` of both signs; nearly all of them
+        // take the exact routine, not the fallback.
+        let (mut total, mut fast) = (0usize, 0usize);
+        for j in 0..6 {
+            let scale = 10f64.powi(j);
+            let ks = (0u32..20_000).chain((20_000..2_000_000).step_by(97));
+            for k in ks {
+                let x = f64::from(k) / scale;
+                for x in [x, -x] {
+                    total += 1;
+                    fast += usize::from(assert_display(x));
+                }
+            }
+        }
+        assert!(
+            fast * 100 > total * 95,
+            "{fast} of {total} on the exact routine"
+        );
     }
 
     fn small_fleet() -> UpdateService {

@@ -448,18 +448,9 @@ fn certificate_ties_fall_back_to_the_oracle_answer() {
 /// written; the pin allows 1 %.
 #[test]
 fn storm_traffic_certifies_nearly_every_lane() {
-    use iupdater_rfsim::{Environment, EnvironmentKind, Testbed};
+    use iupdater_rfsim::Testbed;
 
-    let office = Environment::office();
-    let site = Environment {
-        kind: EnvironmentKind::Custom,
-        width_m: office.width_m * 4.0,
-        height_m: office.height_m * 4.0,
-        num_links: office.num_links * 4,
-        locations_per_link: office.locations_per_link * 4,
-        ..office
-    };
-    let testbed = Testbed::new(site, 20_170_605);
+    let testbed = Testbed::new(storm_site(), 20_170_605);
     let loc = Localizer::new(
         FingerprintMatrix::survey(&testbed, 0.0, 5),
         LocalizerConfig::default(),
@@ -481,4 +472,103 @@ fn storm_traffic_certifies_nearly_every_lane() {
         "{uncertified} of {} lanes fell back to the exact scan",
         queries.len()
     );
+}
+
+/// The storm site: `Environment::office()` scaled ×4 (32 links, 1,536
+/// cells), as `ext_scale::scaled_office(4)` builds it.
+fn storm_site() -> iupdater_rfsim::Environment {
+    use iupdater_rfsim::{Environment, EnvironmentKind};
+    let office = Environment::office();
+    Environment {
+        kind: EnvironmentKind::Custom,
+        width_m: office.width_m * 4.0,
+        height_m: office.height_m * 4.0,
+        num_links: office.num_links * 4,
+        locations_per_link: office.locations_per_link * 4,
+        ..office
+    }
+}
+
+/// Localizers of three shapes (6x72, 8x120, 32x1536) under `config`,
+/// each with a few online queries.
+fn three_shapes(config: &LocalizerConfig) -> Vec<(Localizer, Vec<Vec<f64>>)> {
+    use iupdater_rfsim::{Environment, Testbed};
+    [Environment::library(), Environment::hall(), storm_site()]
+        .into_iter()
+        .enumerate()
+        .map(|(k, env)| {
+            let testbed = Testbed::new(env, 31 + k as u64);
+            let loc = Localizer::new(FingerprintMatrix::survey(&testbed, 0.0, 3), config.clone());
+            let cells = testbed.deployment().num_locations();
+            let queries = (0..12usize)
+                .map(|q| testbed.online_measurement((q * 37) % cells, 20.0, 500 + q as u64))
+                .collect();
+            (loc, queries)
+        })
+        .collect()
+}
+
+fn assert_single_read_is_oracle(loc: &Localizer, y: &[f64]) {
+    let single = loc.localize(y).unwrap();
+    let oracle = loc.localize_unprepared(y).unwrap();
+    assert_eq!(single, oracle);
+    assert_eq!(single.residual_sq.to_bits(), oracle.residual_sq.to_bits());
+}
+
+fn single_read_configs() -> [LocalizerConfig; 3] {
+    [
+        LocalizerConfig::default(),
+        LocalizerConfig {
+            max_atoms: 3,
+            ..LocalizerConfig::default()
+        },
+        corr_config(3),
+    ]
+}
+
+/// `Localizer::localize` reads through one per-thread scratch: single
+/// reads alternating across dictionaries of three shapes, each after a
+/// rejected query (a reading outside the dBm range, a wrong length),
+/// answer exactly as the unprepared oracle, residual bits included.
+#[test]
+fn per_thread_scratch_single_reads_match_the_oracle() {
+    for config in single_read_configs() {
+        let sites = three_shapes(&config);
+        for q in 0..12 {
+            for k in [0, 2, 1, 2, 0, 1] {
+                let (loc, queries) = &sites[k];
+                let mut bad = queries[q].clone();
+                let link = q % bad.len();
+                bad[link] = 1e6;
+                assert!(loc.localize(&bad).is_err());
+                assert!(loc.localize(&queries[q][1..]).is_err());
+                assert_single_read_is_oracle(loc, &queries[q]);
+            }
+        }
+    }
+}
+
+/// The same reads from four threads at once on shared localizers:
+/// each thread's scratch is its own.
+#[test]
+fn per_thread_scratch_is_private_to_each_thread() {
+    for config in single_read_configs() {
+        let sites = three_shapes(&config);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let sites = &sites;
+                scope.spawn(move || {
+                    for round in 0..3 {
+                        for q in 0..12 {
+                            let (loc, queries) = &sites[(t + q + round) % sites.len()];
+                            if q % 4 == t {
+                                assert!(loc.localize(&queries[q][1..]).is_err());
+                            }
+                            assert_single_read_is_oracle(loc, &queries[q]);
+                        }
+                    }
+                });
+            }
+        });
+    }
 }

@@ -30,8 +30,15 @@
 //! worker pool; the office field and pooled survey must hash to the
 //! digests recorded when every reading re-evaluated the whole field.
 //! The full tier lives in `crates/rfsim/tests/survey_parity.rs`.
+//!
+//! Checkpoint path: the smallest fleet (one office deployment, one
+//! cycle) must survive `read_service(write_service(s)) == s`, and every
+//! float token the v3 writer emits must be the std `Display` text of
+//! the value it reads back as. The full tier lives in
+//! `crates/core/tests/durability.rs`.
 
 use iupdater::core::config::{AtomSelection, CouplingMode};
+use iupdater::core::persist::{read_service, write_service};
 use iupdater::core::prelude::*;
 use iupdater::core::query::QUERY_CHUNK;
 use iupdater::core::solver::reference::ReferenceSolver;
@@ -227,4 +234,39 @@ fn pooled_survey_matches_the_recorded_per_reading_digests() {
         0xf0e9_0291_e389_5b47,
         "survey moved"
     );
+}
+
+#[test]
+fn v3_checkpoint_roundtrips_as_display_text() {
+    let mut service = UpdateService::new();
+    service
+        .register(
+            "office",
+            Testbed::new(Environment::office(), 7),
+            UpdaterConfig::default(),
+            2,
+        )
+        .unwrap();
+    service.run_cycle(5.0, 1).unwrap();
+    let snapshot = service.snapshot();
+    let mut bytes = Vec::new();
+    write_service(&snapshot, &mut bytes).unwrap();
+    assert_eq!(read_service(bytes.as_slice()).unwrap(), snapshot);
+    let text = String::from_utf8(bytes).unwrap();
+    let mut floats = 0;
+    for line in text.lines() {
+        let Some(values) = line
+            .strip_prefix("row ")
+            .or_else(|| line.strip_prefix("zrow "))
+        else {
+            continue;
+        };
+        for token in values.split(' ') {
+            let value: f64 = token.parse().unwrap();
+            assert_eq!(token, format!("{value}"), "line {line:.40}");
+            floats += 1;
+        }
+    }
+    // Prior, current and the warm-start basis `Z`.
+    assert!(floats > 2 * 8 * 96, "{floats} float tokens");
 }
