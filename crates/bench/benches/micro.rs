@@ -103,11 +103,13 @@ fn bench_linalg(c: &mut Criterion) {
     group.finish();
 }
 
-/// The dense-multiply kernel family at every dispatcher shape class
-/// (see `iupdater_linalg::kernels`): tiny shared dimension, short-fat,
-/// tall-thin and general, plus the Gram and `A·Bᵀ` entry points. All
-/// benchmarks reuse a preallocated output so they time the kernel, not
-/// the allocator. Names are stable: BENCH_PR6.json tracks them.
+/// The dense-multiply kernels (see `iupdater_linalg::kernels`): `A·B`
+/// at a tiny shared dimension, few output rows, few output columns and
+/// a square shape — every one the same gathered row-pass product, the
+/// shape classes of the former four-arm dispatch — plus the Gram and
+/// `A·Bᵀ` entry points. All benchmarks reuse a preallocated output so
+/// they time the kernel, not the allocator. Names are stable:
+/// BENCH_PR6.json tracks them.
 fn bench_matmul(c: &mut Criterion) {
     fn mat(rows: usize, cols: usize, phase: f64) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| {
@@ -127,8 +129,8 @@ fn bench_matmul(c: &mut Criterion) {
         bch.iter(|| black_box(&a).matmul_into(black_box(&b), &mut out).unwrap())
     });
 
-    // Tiny shared dimension at the scaled-office width (k = 16 is the
-    // dispatch threshold boundary).
+    // Tiny shared dimension at the scaled-office width (k = 16 is one
+    // full slab of the row pass).
     let a = mat(32, 16, 0.2);
     let b = mat(16, 1536, 1.2);
     let mut out = Matrix::zeros(32, 1536);
@@ -152,7 +154,7 @@ fn bench_matmul(c: &mut Criterion) {
         bch.iter(|| black_box(&a).matmul_into(black_box(&b), &mut out).unwrap())
     });
 
-    // General: everything big enough for cache blocking to matter.
+    // Square: six slabs of the row pass over 96-wide rows.
     let a = mat(96, 96, 0.8);
     let b = mat(96, 96, 1.8);
     let mut out = Matrix::zeros(96, 96);

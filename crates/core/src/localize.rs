@@ -13,8 +13,6 @@
 //! path is kept verbatim as [`Localizer::localize_unprepared`] — the
 //! golden oracle the `query_parity` tier pins every fast path against.
 
-use std::cell::Cell;
-
 use iupdater_linalg::kernels::BINARY_LANES;
 use iupdater_linalg::Matrix;
 use rayon::prelude::*;
@@ -81,20 +79,7 @@ impl Localizer {
     ///   [`RSS_DBM_RANGE`] (NaN and ±∞ included), or if OMP selects no
     ///   atom (zero dictionary).
     pub fn localize(&self, y: &[f64]) -> Result<LocationEstimate> {
-        thread_local! {
-            static SCRATCH: Cell<QueryScratch> = Cell::new(QueryScratch::new());
-        }
-        // The scratch is taken out for the call and put back after it,
-        // so no borrow is held across the pursuit. A thread whose
-        // locals are being torn down reads with a fresh one.
-        SCRATCH
-            .try_with(|cell| {
-                let mut scratch = cell.take();
-                let out = self.localize_with_scratch(y, &mut scratch);
-                cell.set(scratch);
-                out
-            })
-            .unwrap_or_else(|_| self.localize_with_scratch(y, &mut QueryScratch::new()))
+        QueryScratch::with_thread_scratch(|scratch| self.localize_with_scratch(y, scratch))
     }
 
     /// [`Self::localize`] against caller-held working memory: after the

@@ -30,7 +30,9 @@ impl Localizer {
     /// superposed targets separable). It runs on this localizer's
     /// prepared dictionary, which depends only on the database and on
     /// centring, so it answers exactly as a binary localizer built with
-    /// `max_atoms = max_targets` would.
+    /// `max_atoms = max_targets` would. It reads on the same per-thread
+    /// scratch as [`Localizer::localize`], so it allocates only its
+    /// output.
     ///
     /// # Errors
     ///
@@ -39,11 +41,12 @@ impl Localizer {
     pub fn localize_multi(&self, y: &[f64], max_targets: usize) -> Result<MultiTargetEstimate> {
         self.check_query(y)?;
         let cfg = LocalizerConfig {
+            residual_threshold: self.config().residual_threshold,
             max_atoms: max_targets,
             selection: AtomSelection::BinaryResidual,
-            ..self.config().clone()
         };
-        let sol = self.prepared().pursue(y, &cfg, &mut QueryScratch::new())?;
+        let sol =
+            QueryScratch::with_thread_scratch(|scratch| self.prepared().pursue(y, &cfg, scratch))?;
         if sol.support.is_empty() {
             return Err(CoreError::InvalidArgument(NO_ATOM_SELECTED));
         }

@@ -33,6 +33,8 @@
 //! hands it to `orthogonal_matching_pursuit`, the oracle itself, so it
 //! answers identically by construction.
 
+use std::cell::Cell;
+
 use iupdater_linalg::kernels::{nearest_block, sq_dist_row, FilterAtoms, BINARY_LANES};
 use iupdater_linalg::Matrix;
 
@@ -176,9 +178,10 @@ impl PreparedDictionary {
     /// whose certificate failed are added to the scratch's count.
     ///
     /// The lanes' state is fixed-size: their `Σ r²` (the residual
-    /// guard's, which is also what the certificate reads) and their
-    /// supports, each allocated once at its final capacity and moved
-    /// into its estimate.
+    /// guard's, which is also what the certificate reads; after a step
+    /// it is the winner's distance, the same chain over the new
+    /// residual) and their supports, each allocated once at its final
+    /// capacity and moved into its estimate.
     ///
     /// `ys` must hold exactly [`BINARY_LANES`] queries of dictionary
     /// row length (the caller validates lengths).
@@ -222,13 +225,12 @@ impl PreparedDictionary {
                 residual[base + l] = y[i] - mean;
             }
         }
+        // A lane's `Σ r²` as the distance kernels' chain, seeded at +0.0.
         let lane_sq = |residual: &[f64], l: usize| -> f64 {
-            (0..m)
-                .map(|i| {
-                    let r = residual[i * L + l];
-                    r * r
-                })
-                .sum()
+            (0..m).fold(0.0, |s, i| {
+                let r = residual[i * L + l];
+                s + r * r
+            })
         };
         let steps = config.max_atoms.min(n);
         let mut support: [Vec<usize>; L] = core::array::from_fn(|_| Vec::with_capacity(steps));
@@ -274,7 +276,11 @@ impl PreparedDictionary {
                 for i in 0..m {
                     residual[i * L + l] -= dictionary[i * n + j_star];
                 }
-                residual_sq[l] = lane_sq(residual, l);
+                // The winner's distance is the chain `t = r − x; s += t·t`
+                // over the subtraction just stored: the new `Σ r²`, bit
+                // for bit.
+                residual_sq[l] = best_dist[l];
+                debug_assert_eq!(residual_sq[l].to_bits(), lane_sq(residual, l).to_bits());
                 if residual_sq[l] < config.residual_threshold {
                     active[l] = false;
                     stopped |= 1 << l;
@@ -299,7 +305,8 @@ impl PreparedDictionary {
     /// step is one [`sq_dist_row`] pass over the links x cells
     /// dictionary — `‖r − x_j‖₂²` for every atom in the ascending-link
     /// order of the unprepared path's column walk — then the argmin
-    /// over unselected atoms. Bit-identical selections.
+    /// over unselected atoms. Bit-identical selections; the winner's
+    /// distance is the next residual's `Σ r²`, so it is not re-summed.
     fn binary_pursuit(&self, config: &LocalizerConfig, scratch: &mut QueryScratch) -> OmpSolution {
         let dictionary = self.dictionary();
         let n = dictionary.cols();
@@ -336,7 +343,12 @@ impl PreparedDictionary {
             for (i, r) in residual.iter_mut().enumerate() {
                 *r -= dictionary[(i, j_star)];
             }
-            residual_sq = residual.iter().map(|r| r * r).sum();
+            // The winner's distance is the new residual's `Σ r²` chain.
+            residual_sq = best_dist;
+            debug_assert_eq!(
+                residual_sq.to_bits(),
+                residual.iter().fold(0.0, |s, r| s + r * r).to_bits()
+            );
             if residual_sq < config.residual_threshold {
                 break;
             }
@@ -379,6 +391,26 @@ impl QueryScratch {
     /// An empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         QueryScratch::default()
+    }
+
+    /// Runs `f` on this thread's scratch: the single reads
+    /// (`Localizer::localize`, `Localizer::localize_multi`) share one
+    /// per thread, so a read allocates only its output. The scratch is
+    /// taken out for the call and put back after it, so no borrow is
+    /// held across the pursuit; a thread whose locals are being torn
+    /// down runs `f` on a fresh one.
+    pub(crate) fn with_thread_scratch<T>(mut f: impl FnMut(&mut QueryScratch) -> T) -> T {
+        thread_local! {
+            static SCRATCH: Cell<QueryScratch> = Cell::new(QueryScratch::new());
+        }
+        SCRATCH
+            .try_with(|cell| {
+                let mut scratch = cell.take();
+                let out = f(&mut scratch);
+                cell.set(scratch);
+                out
+            })
+            .unwrap_or_else(|_| f(&mut QueryScratch::new()))
     }
 
     /// Lanes of the blocked binary pursuit, over every pass this

@@ -415,11 +415,11 @@ impl AlsEngine {
         if self.serial(systems * (fit_len + ref_len)) {
             product(0, out.as_mut_slice());
         } else {
-            let chunk_rows = systems.div_ceil(self.threads);
+            let rows_per_chunk = systems.div_ceil(self.threads);
             out.as_mut_slice()
-                .par_chunks_mut(chunk_rows * r)
+                .par_chunks_mut(rows_per_chunk * r)
                 .enumerate()
-                .for_each(|(c, chunk)| product(c * chunk_rows, chunk));
+                .for_each(|(c, chunk)| product(c * rows_per_chunk, chunk));
         }
         out
     }

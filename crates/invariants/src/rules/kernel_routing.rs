@@ -1,5 +1,5 @@
 //! **kernel-routing** — PR 6 funnelled every dense multiply through
-//! the shape dispatcher in `linalg/src/kernels.rs`; a new hand-rolled
+//! the register-tiled kernels in `linalg/src/kernels.rs`; a new hand-rolled
 //! `out[…] += a[…] * b[…]` triple loop elsewhere would silently bypass
 //! the register-tiled kernels (and their bit-exactness pins). This
 //! rule flags an `+=` whose right-hand side is a product of two
@@ -8,7 +8,7 @@
 //!
 //! `solver/reference.rs` is exempt by design: it is the retired
 //! monolith kept verbatim as the executable specification, and
-//! predates the dispatcher by definition. New code matching the
+//! predates those kernels by definition. New code matching the
 //! pattern should call `matmul_into`/`matmul_bt_into`/`gram_into`
 //! instead — or, for genuinely non-GEMM accumulations, carry a waiver
 //! saying why routing does not apply.
@@ -21,7 +21,7 @@ pub const RULE: &str = "kernel-routing";
 
 /// Crates whose loops are checked.
 const SCOPE: [&str; 2] = ["crates/linalg/src/", "crates/core/src/"];
-/// Files exempt from the rule (the dispatcher itself; the frozen
+/// Files exempt from the rule (the kernels themselves; the frozen
 /// executable specification).
 const EXEMPT: [&str; 2] = [
     "crates/linalg/src/kernels.rs",
@@ -155,7 +155,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                 line,
                 message: format!(
                     "nested-loop dense-multiply pattern (`+= {short}…`) outside kernels.rs; \
-                     route through the shape dispatcher (matmul_into/matmul_bt_into/gram_into)"
+                     route through linalg's kernels (matmul_into/matmul_bt_into/gram_into)"
                 ),
             });
         }

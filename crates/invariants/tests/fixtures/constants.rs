@@ -1,8 +1,8 @@
 //! Fixture: source-of-truth constants for the doc-drift test.
 
 pub const TINY_INNER_MAX: usize = 16;
-pub const THIN_EDGE: usize = 8;
-pub const BLOCK: usize = 64;
+pub const BINARY_LANES: usize = 8;
+pub const TILE_ATOMS: usize = 48;
 pub const BT_TILE: usize = 32;
 pub const PIVOT_DRIFT_TOL: f64 = 1e-8;
 pub const PIVOT_TIE_TOL: f64 = 1.0;

@@ -1,49 +1,46 @@
-//! Register-tiled microkernels and the shape-aware dispatch layer.
+//! Register-tiled microkernels: one row pass shared by every dense
+//! product, and the distance kernels of the binary read path.
 //!
 //! Every dense multiply in this crate — [`crate::Matrix::matmul`],
 //! [`crate::Matrix::matmul_into`], [`crate::Matrix::matmul_bt_into`],
-//! [`crate::Matrix::gram_into`] and the [`crate::MatrixView`] variants —
-//! funnels into this module, and so do the solver's right-hand-side
-//! products ([`gather_matmul`]) and the binary read path's
-//! nearest-atom scans ([`nearest_block`], [`sq_dist_row`]). The hot
-//! shapes of the iUpdater workload are *small in one dimension* (rank ≤
-//! 8 on the paper's 6- and 8-link presets and r = 32 on the 32x1536
-//! storm site, links ≈ 6–32, cells ≤ 1536):
-//! short-fat and tall-thin products, tiny-inner Gram/projection
-//! products, and the solver's `L·Rᵀ` reconstruction. A one-size
-//! cache-blocked kernel loses on those shapes (BENCH_PR1 measured 0.88x
-//! at 96x8·8x96), so the dispatcher picks a microkernel per call from
-//! `(m, k, n)` alone:
+//! [`crate::Matrix::gram_into`] and [`crate::Matrix::add_weighted_gram`]
+//! — funnels into this module, and so do the solver's right-hand-side
+//! products and the binary read path's nearest-atom scans
+//! ([`nearest_block`], [`sq_dist_row`]). The hot shapes of the
+//! iUpdater workload are small in the shared dimension: rank ≤ 8 on the
+//! paper's 6- and 8-link presets, r = 32 on the 32x1536 storm site.
 //!
-//! | Arm                        | Condition (first match)    | Kernel |
-//! |----------------------------|----------------------------|--------|
-//! | [`KernelArm::TinyInner`]   | `k ≤ 16` (`TINY_INNER_MAX`)| monomorphised [`matmul_rk`]`::<K>`: coefficients in a `[f64; K]` register file, fully unrolled over `k`, 4-wide (8-wide AVX) accumulator groups over `j` |
-//! | [`KernelArm::ShortFat`]    | `m ≤ 8` (`THIN_EDGE`)      | `k` walked in ≤16-deep slabs of the same row kernel over full-width rows, accumulators seeded from the partial sums in `out` |
-//! | [`KernelArm::TallThin`]    | `n ≤ 8` (`THIN_EDGE`)      | output rows as monomorphised `[f64; N]` register files, four rows in flight, held in locals for the whole `k` loop; one store per element |
-//! | [`KernelArm::General`]     | otherwise                  | cache-blocked (`BLOCK = 64`) column panels — the active `B` slab (≤ 8 KB) stays L1-resident — times ≤16-deep `k`-slabs of the shared row kernel |
+//! There are three product entry points, and each walks the shared
+//! dimension `k` in ≤[`TINY_INNER_MAX`]-deep slabs of one row kernel:
+//! an output row's `K` coefficients of a slab sit in a `[f64; K]`
+//! register file, fully unrolled over `k`, and every slab after the
+//! first seeds its accumulators from the partial sums in `out`.
 //!
-//! `A·Bᵀ` has one arm at every shape: `BT_TILE = 32` columns of `Bᵀ` at
-//! a time, each tile walked in ≤16-deep `k`-slabs that are transposed
-//! into a stack tile and run through the same row kernel, seeded from
-//! `out` after the first slab. [`gather_matmul`] walks `k` in the same
-//! seeded slabs over coefficients it gathers per slab, never stored.
+//! - `A·B` is [`gather_matmul`] with a coefficient closure that copies
+//!   `a.row(i)[kb..kb + K]`; the solver's right-hand sides are the same
+//!   product over coefficients it gathers per slab, never stored. The
+//!   slab's `K` rows of `B` are captured once.
+//! - `A·Bᵀ` takes `BT_TILE = 32` columns of `Bᵀ` at a time and
+//!   transposes each slab of a tile into a stack tile.
+//! - The Gram `Σ α·x_p x_pᵀ` takes `α·x_p[a]` as the coefficients of
+//!   output row `a`, four rows at a time on the SIMD arms.
 //!
 //! # The accumulation-order contract
 //!
-//! Every arm computes each output element as the sum of
+//! Every product computes each output element as the sum of
 //! `a[i][p] * b[p][j]` **in ascending `p` order**, exactly like the
 //! naive triple loop. Register tiling changes which elements are in
 //! flight together, never the order within one element's sum, so for
-//! finite inputs every arm is **bit-identical** to the naive kernel and
-//! to the pre-dispatch blocked kernel. (The only tolerated divergence
-//! is non-finite input: the legacy kernel skipped `a[i][p] == 0.0`
-//! terms, which hides `0 · ∞ = NaN`; the matmul arms do not skip,
-//! because a branch inside an unrolled accumulator file costs more
-//! than the multiply. Skipping a `±0.0` coefficient is a no-op for
+//! finite inputs every product is **bit-identical** to the naive kernel
+//! and to the pre-dispatch blocked kernel. (The only tolerated
+//! divergence is non-finite input: the legacy kernel skipped
+//! `a[i][p] == 0.0` terms, which hides `0 · ∞ = NaN`; the row pass does
+//! not skip, because a branch inside an unrolled accumulator file costs
+//! more than the multiply. Skipping a `±0.0` coefficient is a no-op for
 //! finite data: the ascending-`k` accumulator can never be `-0.0` —
 //! it starts at `+0.0` and `+0.0 + -0.0 = +0.0` in round-to-nearest —
 //! so adding the `±0.0` product leaves its bits unchanged.) The
-//! `kernel_parity` test tier pins this: every arm is proptested
+//! `kernel_parity` test tier pins this: every product is proptested
 //! bit-identical to the naive reference on finite inputs, and the
 //! numeric parity rule for any future reassociating kernel is ≤ 1e-12
 //! relative — see ARCHITECTURE.md, "Kernel dispatch".
@@ -53,7 +50,7 @@
 //! The scalar kernels are written so LLVM can vectorise them *without
 //! reassociating*: accumulator groups are independent output elements
 //! (lanes never share a sum), inner trip counts are compile-time
-//! constants (`K`, `N`, the 4-wide `j` unroll), and slices are
+//! constants (`K`, the 4-wide `j` unroll), and slices are
 //! narrowed to `&[f64; 4]` chunks so bounds checks hoist out of the
 //! loop. With the `simd` crate feature enabled, the row pass and the
 //! weighted Gram tile additionally dispatch at runtime
@@ -143,87 +140,12 @@
 //! but the shared certificate and fallback make their answers
 //! identical.
 
-/// Largest shared dimension `k` routed to the monomorphised
-/// tiny-inner kernels ([`matmul_rk`]). It covers every rank the solver
-/// produces on the paper's presets (rank ≤ 8: at most 8 links); the
-/// 32x1536 storm site solves at r = 32, whose products walk `k` in two
-/// 16-deep slabs of the same row kernel (the short-fat, general and
-/// `A·Bᵀ` arms).
+/// Depth of one `k`-slab of the shared row kernel: every product walks
+/// its shared dimension in slabs of at most this many positions, each
+/// a monomorphised `[f64; K]` coefficient file. One slab covers every
+/// rank the solver produces on the paper's presets (rank ≤ 8: at most 8
+/// links); the 32x1536 storm site solves at r = 32 in two.
 pub const TINY_INNER_MAX: usize = 16;
-
-/// Row/column threshold for the short-fat (`m ≤ THIN_EDGE`) and
-/// tall-thin (`n ≤ THIN_EDGE`) arms: at most this many output rows /
-/// columns are handled with straight-line, unblocked loops.
-pub const THIN_EDGE: usize = 8;
-
-/// Cache-tile edge of the general arm. 64 f64 = 512 B per row segment:
-/// three active tiles stay comfortably inside L1.
-pub(crate) const BLOCK: usize = 64;
-
-/// The microkernel a product shape dispatches to. See the module docs
-/// for the decision table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelArm {
-    /// Shared dimension `k ≤` [`TINY_INNER_MAX`]: monomorphised
-    /// const-generic kernel, no blocking machinery at all.
-    TinyInner,
-    /// Few output rows (`m ≤` [`THIN_EDGE`]): `k` walked in ≤16-deep
-    /// slabs of the tiny-inner row kernel, accumulators seeded from
-    /// the partial sums already in `out`.
-    ShortFat,
-    /// Few output columns (`n ≤` [`THIN_EDGE`]): output rows as
-    /// monomorphised `[f64; N]` register files, four rows in flight.
-    TallThin,
-    /// Everything else: cache-blocked column panels (`BLOCK = 64`)
-    /// times ≤16-deep `k`-slabs of the shared row kernel.
-    General,
-}
-
-/// The dispatch decision for an `m x k · k x n` product, chosen once
-/// per call from the shape alone (first matching row of the decision
-/// table in the module docs).
-pub fn classify(m: usize, k: usize, n: usize) -> KernelArm {
-    if k <= TINY_INNER_MAX {
-        KernelArm::TinyInner
-    } else if m <= THIN_EDGE {
-        KernelArm::ShortFat
-    } else if n <= THIN_EDGE {
-        KernelArm::TallThin
-    } else {
-        KernelArm::General
-    }
-}
-
-/// `out = A * B` for an `m x k · k x n` product, `out` row-major
-/// `m x n` and fully overwritten (no pre-zeroing required — skipping
-/// that pass is part of the win on large outputs). Rows of `A` and `B`
-/// are fetched through closures so owned matrices and strided views
-/// share one implementation.
-pub(crate) fn matmul_into_rows<'r, A, B>(
-    a_row: &A,
-    b_row: &B,
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0); // an empty inner dimension is a zero product
-        return;
-    }
-    match classify(m, k, n) {
-        KernelArm::TinyInner => tiny_inner_dispatch(a_row, b_row, out, m, k, n),
-        KernelArm::ShortFat => short_fat(a_row, b_row, out, m, k, n),
-        KernelArm::TallThin => dispatch_k!(n, tall_thin_n, [_, _], (a_row, b_row, out, m, k)),
-        KernelArm::General => general(a_row, b_row, out, m, k, n),
-    }
-}
 
 /// `out[i][j] = dot(A.row(i), B.row(j))` — the `A · Bᵀ` entry point
 /// (`m x k` times `n x k`, `out` row-major `m x n`, fully overwritten).
@@ -266,10 +188,12 @@ pub(crate) fn matmul_bt_rows<'r, A, B>(
 /// `i < m = out.len() / n` (`out` row-major `m x n`, fully overwritten),
 /// summed in ascending `p`: a product whose coefficient matrix `c` is
 /// never stored. `coef(i, kb, file)` writes `c(i, kb + q)` into
-/// `file[q]` for every `q < file.len()`. The ALS engine builds every
-/// sweep's right-hand sides with it, gathering masked, weighted targets
-/// as coefficients and fetching factor rows by index through `b_row`,
-/// so neither a coefficient copy nor a stacked factor is stored.
+/// `file[q]` for every `q < file.len()`. It is the one `A·B` product:
+/// [`crate::Matrix::matmul_into`] copies `a.row(i)[kb..kb + K]` as the
+/// coefficients, and the ALS engine builds every sweep's right-hand
+/// sides with it, gathering masked, weighted targets as coefficients
+/// and fetching factor rows by index through `b_row`, so neither a
+/// coefficient copy nor a stacked factor is stored.
 ///
 /// `k` is walked in ≤[`TINY_INNER_MAX`]-deep slabs of the shared row
 /// kernel, each slab's `K` coefficients gathered per output row into a
@@ -411,10 +335,10 @@ fn weighted_gram_arm<'r, X>(
 
 /// The arms of the mul-then-add kernels: the weighted Gram tile
 /// ([`crate::Matrix::add_weighted_gram`], [`crate::Matrix::gram_into`])
-/// and the row pass every product kernel shares ([`gather_matmul`], the
-/// `matmul` arms, `A·Bᵀ`). Every arm runs the
-/// same per-element mul-then-add chains, so they differ in cost only;
-/// the widest one the host runs is dispatched.
+/// and the row pass every product kernel shares ([`gather_matmul`],
+/// hence `A·B`, and `A·Bᵀ`). Every arm runs the same per-element
+/// mul-then-add chains, so they differ in cost only; the widest one the
+/// host runs is dispatched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MulArm {
     /// The scalar row kernel per output row (4 lanes of locals).
@@ -565,78 +489,11 @@ macro_rules! dispatch_k {
             16 => $kernel::<16, $($ph),*>($($args),*),
             // invariants: allow(panic-freedom) — every call site
             // guards on k <= TINY_INNER_MAX before dispatching.
-            _ => unreachable!("tiny-inner dispatch requires k <= TINY_INNER_MAX"),
+            _ => unreachable!("slab dispatch requires k <= TINY_INNER_MAX"),
         }
     };
 }
 use dispatch_k;
-
-fn tiny_inner_dispatch<'r, A, B>(
-    a_row: &A,
-    b_row: &B,
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
-    debug_assert!((1..=TINY_INNER_MAX).contains(&k));
-    dispatch_k!(k, matmul_rk, [_, _], (a_row, b_row, out, m, n));
-}
-
-/// The monomorphised tiny-inner-dimension kernel: `out = A * B` with
-/// the shared dimension fixed at `K ≤ 16` by the type. The `K` rows of
-/// `B` are captured once, each `A` row is copied into a `[f64; K]`
-/// register file, and the row kernel streams every output row in a single
-/// pass — a straight-line loop with no blocking overhead, which is what
-/// the rank-8 Gram/projection products of the SVD/RRQR/LRR and ALS
-/// phase sweeps hit.
-// invariants: allow(dead-pub) — kernel_parity calls the
-// monomorphised kernel directly to pin it against the dispatcher.
-pub fn matmul_rk<'r, const K: usize, A, B>(
-    a_row: &A,
-    b_row: &B,
-    out: &mut [f64],
-    m: usize,
-    n: usize,
-) where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
-    chunk_rows::<K, A, B>(a_row, b_row, out, m, n, 0, n, 0, false);
-}
-
-/// The shared row-slab kernel behind the tiny-inner, short-fat and
-/// general arms: multiplies the `K`-deep coefficient slab starting at
-/// inner offset `kb` against output columns `jb..jhi`, seeding from
-/// the partial sums already in `out` when `accumulate` is set. The `K`
-/// rows of `B` are captured once and every output row is streamed in a
-/// single [`row_pass`].
-#[allow(clippy::too_many_arguments)]
-fn chunk_rows<'r, const K: usize, A, B>(
-    a_row: &A,
-    b_row: &B,
-    out: &mut [f64],
-    m: usize,
-    n: usize,
-    jb: usize,
-    jhi: usize,
-    kb: usize,
-    accumulate: bool,
-) where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
-    let b: [&[f64]; K] = core::array::from_fn(|p| &b_row(kb + p)[jb..jhi]);
-    let arm = MulArm::widest();
-    for i in 0..m {
-        let mut c = [0.0_f64; K];
-        c.copy_from_slice(&a_row(i)[kb..kb + K]);
-        row_pass(arm, &c, &b, &mut out[i * n + jb..i * n + jhi], accumulate);
-    }
-}
 
 /// One output row of the shared row kernel through `arm`: the AVX-512F
 /// or AVX pass, or [`tiny_row`]. All three run the same per-lane
@@ -658,14 +515,14 @@ fn row_pass<const K: usize>(
     }
 }
 
-/// One output row of the tiny-inner kernel: `orow[j] = Σ_p c[p]·b[p][j]`
+/// One output row of the scalar row kernel: `orow[j] = Σ_p c[p]·b[p][j]`
 /// with the `p` sum fully unrolled (`K` is a compile-time constant) and
 /// `j` processed 4 elements at a time through independent accumulators.
 /// Each accumulator is one output element summed in ascending `p`
 /// order, so vectorising across the 4 lanes needs no reassociation.
 ///
 /// With `accumulate` set, the accumulators are seeded from the partial
-/// sums already in `orow` instead of zero — the chunked arms walk a
+/// sums already in `orow` instead of zero — every product walks a
 /// large `k` in ≤[`TINY_INNER_MAX`] slabs, and seeding keeps every
 /// element one single left-to-right sum (`((…+t16)+t17)+…`), i.e.
 /// bit-identical to processing all of `k` in one pass.
@@ -701,108 +558,6 @@ fn tiny_row<const K: usize>(c: &[f64; K], b: &[&[f64]; K], orow: &mut [f64], acc
         }
         orow[j] = s;
         j += 1;
-    }
-}
-
-/// Short-fat arm (`m ≤ THIN_EDGE`, `k > TINY_INNER_MAX`): `k` is
-/// walked in ≤[`TINY_INNER_MAX`]-deep slabs of the shared row kernel
-/// ([`chunk_rows`]) over full-width output rows — with so few rows
-/// there is no cross-row reuse for column blocking to exploit, and the
-/// accumulator seeding keeps every element a single ascending-`k` sum.
-fn short_fat<'r, A, B>(a_row: &A, b_row: &B, out: &mut [f64], m: usize, k: usize, n: usize)
-where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
-    let mut kb = 0;
-    while kb < k {
-        let klen = (k - kb).min(TINY_INNER_MAX);
-        dispatch_k!(
-            klen,
-            chunk_rows,
-            [_, _],
-            (a_row, b_row, out, m, n, 0, n, kb, kb > 0)
-        );
-        kb += klen;
-    }
-}
-
-/// Tall-thin arm (`n ≤ THIN_EDGE`, `k > TINY_INNER_MAX`),
-/// monomorphised over the output width and tiled four rows at a time:
-/// each output row is an `[f64; N]` register file, every fetched `B`
-/// row is reused across the four `A` rows in flight, the `k` loop runs
-/// against locals with a compile-time-constant trip of `N` adds per
-/// step, and each output element is stored exactly once.
-fn tall_thin_n<'r, const N: usize, A, B>(a_row: &A, b_row: &B, out: &mut [f64], m: usize, k: usize)
-where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
-    let mut i = 0;
-    while i + 4 <= m {
-        let a4 = [
-            &a_row(i)[..k],
-            &a_row(i + 1)[..k],
-            &a_row(i + 2)[..k],
-            &a_row(i + 3)[..k],
-        ];
-        let mut acc = [[0.0_f64; N]; 4];
-        for p in 0..k {
-            // invariants: allow(panic-freedom) — the range is exactly
-            // N wide, so the array conversion cannot fail.
-            let brow: &[f64; N] = b_row(p)[..N].try_into().expect("N-wide row");
-            for (accr, ar) in acc.iter_mut().zip(&a4) {
-                let aip = ar[p];
-                for (s, &bv) in accr.iter_mut().zip(brow) {
-                    *s += aip * bv;
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            out[(i + r) * N..(i + r + 1) * N].copy_from_slice(accr);
-        }
-        i += 4;
-    }
-    while i < m {
-        let arow = &a_row(i)[..k];
-        let mut acc = [0.0_f64; N];
-        for (p, &aip) in arow.iter().enumerate() {
-            // invariants: allow(panic-freedom) — the range is exactly
-            // N wide, so the array conversion cannot fail.
-            let brow: &[f64; N] = b_row(p)[..N].try_into().expect("N-wide row");
-            for (s, &bv) in acc.iter_mut().zip(brow) {
-                *s += aip * bv;
-            }
-        }
-        out[i * N..(i + 1) * N].copy_from_slice(&acc);
-        i += 1;
-    }
-}
-
-/// General arm: column blocks of [`BLOCK`] (so the active `B` slab —
-/// at most `16 x 64` f64 = 8 KB — stays L1-resident while all `m`
-/// output rows stream over it), with `k` walked in
-/// ≤[`TINY_INNER_MAX`]-deep slabs of the shared row kernel
-/// ([`chunk_rows`]). Accumulator seeding across slabs keeps every
-/// output element a single ascending-`k` sum.
-fn general<'r, A, B>(a_row: &A, b_row: &B, out: &mut [f64], m: usize, k: usize, n: usize)
-where
-    A: Fn(usize) -> &'r [f64],
-    B: Fn(usize) -> &'r [f64],
-{
-    for jb in (0..n).step_by(BLOCK) {
-        let jhi = (jb + BLOCK).min(n);
-        let mut kb = 0;
-        while kb < k {
-            let klen = (k - kb).min(TINY_INNER_MAX);
-            dispatch_k!(
-                klen,
-                chunk_rows,
-                [_, _],
-                (a_row, b_row, out, m, n, jb, jhi, kb, kb > 0)
-            );
-            kb += klen;
-        }
     }
 }
 
@@ -1378,7 +1133,7 @@ mod simd {
         std::arch::is_x86_feature_detected!("avx512f")
     }
 
-    /// One tiny-inner output row with 256-bit lanes: 8 output elements
+    /// One row-pass output row with 256-bit lanes: 8 output elements
     /// in flight (two 4-wide registers), each lane an independent
     /// ascending-`p` sum, seeded from `orow`'s partial sums when
     /// `accumulate` is set (see the scalar `tiny_row` for why seeding
@@ -2100,7 +1855,7 @@ mod tests {
     use crate::Matrix;
 
     /// The naive triple loop (ascending `k`, no skip): the reference
-    /// every arm must match bit-for-bit on finite inputs.
+    /// every product must match bit-for-bit on finite inputs.
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
@@ -2122,32 +1877,15 @@ mod tests {
     }
 
     #[test]
-    fn decision_table() {
-        assert_eq!(classify(96, 8, 96), KernelArm::TinyInner);
-        assert_eq!(classify(96, 16, 96), KernelArm::TinyInner);
-        assert_eq!(classify(1, 16, 1), KernelArm::TinyInner);
-        assert_eq!(classify(8, 96, 96), KernelArm::ShortFat);
-        assert_eq!(classify(1, 17, 1000), KernelArm::ShortFat);
-        assert_eq!(classify(96, 96, 8), KernelArm::TallThin);
-        assert_eq!(classify(1000, 17, 1), KernelArm::TallThin);
-        assert_eq!(classify(96, 96, 96), KernelArm::General);
-        assert_eq!(classify(9, 17, 9), KernelArm::General);
-    }
-
-    #[test]
-    fn every_arm_matches_naive_bitwise() {
-        // One shape per dispatcher arm, odd sizes to cover tails.
-        for (m, k, n) in [
-            (13, 7, 29),  // TinyInner
-            (5, 33, 41),  // ShortFat
-            (37, 33, 5),  // TallThin
-            (70, 33, 67), // General (crosses a BLOCK seam)
-        ] {
+    fn products_match_naive_bitwise() {
+        // Odd sizes cover the row pass's tails: one slab, one slab plus
+        // a tail, few rows, few columns, and both sides of 64 columns.
+        for (m, k, n) in [(13, 7, 29), (5, 33, 41), (37, 33, 5), (70, 33, 67)] {
             let a = sample(m, k, 0.3);
             let b = sample(k, n, 1.7);
-            let mut out = Matrix::zeros(m, n);
+            let mut out = Matrix::filled(m, n, f64::NAN);
             a.matmul_into(&b, &mut out).unwrap();
-            assert_eq!(out, naive(&a, &b), "arm {:?}", classify(m, k, n));
+            assert_eq!(out, naive(&a, &b), "({m}, {k}, {n})");
         }
     }
 

@@ -53,7 +53,7 @@ pub mod svd;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use view::{axpy_slice, scale_slice, MatrixView};
+pub use view::{axpy_slice, scale_slice};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -24,8 +24,8 @@ impl Matrix {
         self.zip_with(other, "hadamard", |a, b| a * b)
     }
 
-    /// Matrix product `self * other` (shape-dispatched register-tiled
-    /// kernels, see [`crate::kernels`]; [`Matrix::matmul_into`] is the
+    /// Matrix product `self * other` (the register-tiled row pass, see
+    /// [`crate::kernels`]; [`Matrix::matmul_into`] is the
     /// allocation-free variant).
     ///
     /// # Errors

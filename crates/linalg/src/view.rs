@@ -1,23 +1,22 @@
-//! Zero-copy matrix views and in-place kernels.
+//! In-place kernels on [`Matrix`].
 //!
 //! The original substrate allocated a fresh `Matrix` for every
 //! operation (`transpose`, `matmul`, `col`, ...), which made the solver
-//! hot path clone-bound. This module adds the borrowed layer the
+//! hot path clone-bound. This module adds the allocation-free layer the
 //! engine now runs on:
 //!
-//! - [`MatrixView`]: strided row/column blocks of a [`Matrix`] without
-//!   copying;
 //! - in-place kernels on `Matrix`: [`Matrix::matmul_into`],
-//!   [`Matrix::add_assign_matrix`], [`Matrix::axpy`],
-//!   [`Matrix::scale_mut`], [`Matrix::gram_into`],
+//!   [`Matrix::matmul_bt_into`], [`Matrix::add_assign_matrix`],
+//!   [`Matrix::axpy`], [`Matrix::scale_mut`], [`Matrix::gram_into`],
 //!   [`Matrix::add_weighted_gram`] (Gram accumulation) and slice helpers
 //!   ([`axpy_slice`], [`scale_slice`]);
-//! - dispatch into the shape-aware microkernel layer ([`crate::kernels`])
-//!   shared by `matmul`, `matmul_into`, `matmul_bt_into`, `gram_into`
-//!   and `add_weighted_gram`. Every kernel arm tiles loops only — per-element
-//!   accumulation order stays ascending over the inner dimension, so
-//!   results are bit-identical to the naive kernel (see the
-//!   accumulation-order contract in [`crate::kernels`]).
+//! - the products route into the register-tiled row pass of
+//!   [`crate::kernels`], shared by `matmul`, `matmul_into`,
+//!   `matmul_bt_into`, `gram_into` and `add_weighted_gram`. Tiling
+//!   changes loops only — per-element accumulation order stays
+//!   ascending over the inner dimension, so results are bit-identical
+//!   to the naive kernel (see the accumulation-order contract in
+//!   [`crate::kernels`]).
 
 use crate::{kernels, LinalgError, Matrix, Result};
 
@@ -42,146 +41,7 @@ pub fn scale_slice(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// An immutable, possibly strided view of a block of a [`Matrix`].
-///
-/// Rows are contiguous slices of the backing storage separated by
-/// `row_stride` elements, so row access is allocation-free.
-#[derive(Clone, Copy, Debug)]
-pub struct MatrixView<'a> {
-    data: &'a [f64],
-    rows: usize,
-    cols: usize,
-    row_stride: usize,
-}
-
-impl<'a> MatrixView<'a> {
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)`.
-    #[inline]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Element at `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.rows && j < self.cols, "view index out of bounds");
-        self.data[i * self.row_stride + j]
-    }
-
-    /// Row `i` as a contiguous slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &'a [f64] {
-        assert!(i < self.rows, "view row out of bounds");
-        &self.data[i * self.row_stride..i * self.row_stride + self.cols]
-    }
-
-    /// A sub-block of this view (row and column ranges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges exceed the view.
-    pub fn block(
-        &self,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> MatrixView<'a> {
-        assert!(
-            rows.end <= self.rows && cols.end <= self.cols,
-            "block out of bounds"
-        );
-        let offset = rows.start * self.row_stride + cols.start;
-        MatrixView {
-            data: &self.data[offset..],
-            rows: rows.end - rows.start,
-            cols: cols.end - cols.start,
-            row_stride: self.row_stride,
-        }
-    }
-
-    /// Sum of squared elements.
-    pub fn frobenius_norm_sq(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|x| x * x).sum::<f64>())
-            .sum()
-    }
-
-    /// `out = self * other`, checked shapes, blocked kernel.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] on inner-dimension or output-shape
-    /// mismatch.
-    pub fn matmul_into(&self, other: &MatrixView<'_>, out: &mut Matrix) -> Result<()> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "view matmul",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        if out.shape() != (self.rows, other.cols) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "view matmul (out)",
-                lhs: (self.rows, other.cols),
-                rhs: out.shape(),
-            });
-        }
-        let out_cols = other.cols;
-        let out_data = out.as_mut_slice();
-        kernels::matmul_into_rows(
-            &|i| self.row(i),
-            &|p| other.row(p),
-            out_data,
-            self.rows,
-            self.cols,
-            out_cols,
-        );
-        Ok(())
-    }
-
-    /// `self * other` into a fresh matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] on inner-dimension mismatch.
-    pub fn matmul(&self, other: &MatrixView<'_>) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out)?;
-        Ok(out)
-    }
-}
-
 impl Matrix {
-    /// Borrows the whole matrix as a view.
-    pub fn view(&self) -> MatrixView<'_> {
-        MatrixView {
-            data: self.as_slice(),
-            rows: self.rows(),
-            cols: self.cols(),
-            row_stride: self.cols(),
-        }
-    }
-
     /// Two distinct mutable rows at once.
     ///
     /// # Panics
@@ -202,15 +62,37 @@ impl Matrix {
         }
     }
 
-    /// `out = self * other` without allocating (shape-dispatched
-    /// microkernels, see [`crate::kernels`]).
+    /// `out = self * other` without allocating: one
+    /// [`kernels::gather_matmul`] whose coefficients are `self`'s rows,
+    /// so every element is the ascending-`k` chain of the naive loop.
     ///
     /// # Errors
     ///
     /// [`LinalgError::ShapeMismatch`] on inner-dimension or output-shape
     /// mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
-        self.view().matmul_into(&other.view(), out)
+        if self.cols() != other.rows() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_into",
+                lhs: self.shape(),
+                rhs: other.shape(),
+            });
+        }
+        if out.shape() != (self.rows(), other.cols()) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_into (out)",
+                lhs: (self.rows(), other.cols()),
+                rhs: out.shape(),
+            });
+        }
+        kernels::gather_matmul(
+            &|i, kb, file: &mut [f64]| file.copy_from_slice(&self.row(i)[kb..kb + file.len()]),
+            &|p| other.row(p),
+            self.cols(),
+            out.as_mut_slice(),
+            other.cols(),
+        );
+        Ok(())
     }
 
     /// `out = self * otherᵀ` without materialising the transpose: every
@@ -378,31 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn view_row_and_at_match_owned() {
-        let m = sample(4, 6);
-        let v = m.view();
-        assert_eq!(v.shape(), (4, 6));
-        for i in 0..4 {
-            assert_eq!(v.row(i), m.row(i));
-            for j in 0..6 {
-                assert_eq!(v.at(i, j), m[(i, j)]);
-            }
-        }
-    }
-
-    #[test]
-    fn block_view_is_strided_not_copied() {
-        let m = sample(5, 7);
-        let b = m.view().block(1..4, 2..6);
-        assert_eq!(b.shape(), (3, 4));
-        for i in 0..3 {
-            for j in 0..4 {
-                assert_eq!(b.at(i, j), m[(i + 1, j + 2)]);
-            }
-        }
-    }
-
-    #[test]
     fn matmul_into_matches_matmul() {
         let a = sample(7, 5);
         let b = sample(5, 9);
@@ -410,14 +267,6 @@ mod tests {
         let mut out = Matrix::zeros(7, 9);
         a.matmul_into(&b, &mut out).unwrap();
         assert_eq!(out, expect);
-        // Strided views multiply identically to owned copies of the same
-        // blocks, taken from the source matrices.
-        let av = a.view().block(1..6, 0..4);
-        let bv = b.view().block(0..4, 2..8);
-        let a_blk = Matrix::from_fn(5, 4, |i, j| a[(i + 1, j)]);
-        let b_blk = Matrix::from_fn(4, 6, |i, j| b[(i, j + 2)]);
-        let expect2 = a_blk.matmul(&b_blk).unwrap();
-        assert_eq!(av.matmul(&bv).unwrap(), expect2);
     }
 
     #[test]
@@ -476,8 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_handles_sizes_beyond_one_tile() {
-        // 70 > BLOCK edge in one dimension exercises the tile seams.
+    fn matmul_into_walks_several_slabs() {
+        // k = 70 walks five slabs, the last a 6-deep tail.
         let a = Matrix::from_fn(3, 70, |i, j| ((i * 70 + j) % 13) as f64 - 6.0);
         let b = Matrix::from_fn(70, 67, |i, j| ((i * 67 + j) % 7) as f64 - 3.0);
         let mut out = Matrix::zeros(3, 67);
@@ -489,13 +338,5 @@ mod tests {
                 assert!((out[(i, j)] - expect).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn view_frobenius_matches_owned() {
-        let m = sample(5, 5);
-        let b = m.view().block(1..4, 1..4);
-        let blk = Matrix::from_fn(3, 3, |i, j| m[(i + 1, j + 1)]);
-        assert!((b.frobenius_norm_sq() - blk.frobenius_norm_sq()).abs() < 1e-12);
     }
 }

@@ -1,22 +1,21 @@
-//! Kernel-dispatch parity tier.
+//! Kernel parity tier.
 //!
-//! The shape-aware dispatcher in `iupdater_linalg::kernels` promises
-//! that every arm — tiny-inner, short-fat, tall-thin, general, plus
-//! the `A·Bᵀ` and Gram entry points — computes each output element as
-//! an ascending-`k` sum, **bit-identical** to the naive triple loop
-//! and to the pre-dispatch blocked kernel on finite inputs. This tier
-//! pins that contract:
+//! The kernels in `iupdater_linalg::kernels` promise that every product
+//! — `A·B` (the gathered product), `A·Bᵀ` and the Gram — computes each
+//! output element as an ascending-`k` sum, **bit-identical** to the
+//! naive triple loop and to the pre-dispatch blocked kernel on finite
+//! inputs. This tier pins that contract:
 //!
-//! - each arm is proptested against the naive reference with
-//!   `prop_assert_eq!` (exact bits, no tolerance), on shape families
-//!   that provably land on that arm (asserted via `classify`);
+//! - `A·B` is proptested against the naive reference (exact bits, no
+//!   tolerance) on one shape per case from each family of the former
+//!   four-arm dispatch: a shared dimension of one 16-deep slab, and
+//!   past it few output rows, few output columns, or neither;
 //! - fully randomized shapes, including the degenerate `m = 1`,
 //!   `n = 1`, `k = 1` and empty (`0`-extent) cases, cross-check all
 //!   three entry points;
 //! - a reimplementation of the legacy cache-blocked `i-k-j` kernel
 //!   (the exact code `blocked_multiply` shipped before the dispatcher)
-//!   proves below-threshold shapes — and every other finite-input
-//!   shape — produce the same bits as before the refactor;
+//!   proves every finite-input shape produces the same bits as before;
 //! - the weighted Gram entry point (`Matrix::add_weighted_gram`, the
 //!   solver's normal-matrix assembly) equals one sequential rank-1
 //!   update per listed row, bit for bit, across the 4-/8-/16-lane
@@ -55,15 +54,14 @@
 //! (see ARCHITECTURE.md, "Kernel dispatch") — never silently loosen.
 
 use iupdater_linalg::kernels::{
-    classify, gather_matmul, gather_matmul_on, matmul_rk, nearest_block, nearest_block_on,
-    sq_dist_row, weighted_gram_on, FilterAtoms, KernelArm, MulArm, NearestLanes, ScanArm,
-    BINARY_LANES, THIN_EDGE, TINY_INNER_MAX,
+    gather_matmul, gather_matmul_on, nearest_block, nearest_block_on, sq_dist_row,
+    weighted_gram_on, FilterAtoms, MulArm, NearestLanes, ScanArm, BINARY_LANES, TINY_INNER_MAX,
 };
 use iupdater_linalg::{axpy_slice, Matrix};
 use proptest::prelude::*;
 
 /// Naive `i-j-k` reference: one left-to-right ascending-`k` sum per
-/// output element, the order every dispatcher arm must reproduce.
+/// output element, the order every product must reproduce.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
@@ -76,21 +74,20 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     })
 }
 
-/// The pre-dispatch kernel, reimplemented verbatim from the seed's
-/// `blocked_multiply` (cache-blocked `i-k-j`, `BLOCK = 64`, zero-skip
-/// on `a[i][p]`, accumulating into a pre-zeroed output). Below the
-/// dispatch thresholds the new arms must match it bit-for-bit; on
-/// finite inputs the match in fact holds at every shape because the
-/// per-element accumulation order never changed.
+/// The pre-dispatch kernel, reimplemented from the seed's
+/// `blocked_multiply` (cache-blocked `i-k-j` over 64-wide tiles, zero-skip
+/// on `a[i][p]`, accumulating into a pre-zeroed output). On finite
+/// inputs the gathered product matches it bit-for-bit at every shape,
+/// because the per-element accumulation order never changed.
 fn legacy_blocked_multiply(a: &Matrix, b: &Matrix) -> Matrix {
-    const BLOCK: usize = 64;
+    const TILE: usize = 64;
     let (m, k) = a.shape();
     let n = b.cols();
     let mut out = vec![0.0; m * n];
-    for jb in (0..n).step_by(BLOCK) {
-        let jhi = (jb + BLOCK).min(n);
-        for ib in (0..m).step_by(BLOCK) {
-            let ihi = (ib + BLOCK).min(m);
+    for jb in (0..n).step_by(TILE) {
+        let jhi = (jb + TILE).min(n);
+        for ib in (0..m).step_by(TILE) {
+            let ihi = (ib + TILE).min(m);
             for i in ib..ihi {
                 let arow = a.row(i);
                 let orow = &mut out[i * n + jb..i * n + jhi];
@@ -117,47 +114,12 @@ fn matrix_of(r: usize, c: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
-/// `(A, B)` multiplicands for an `m x k · k x n` product.
-fn product_pair(m: usize, k: usize, n: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
-    (matrix_of(m, k), matrix_of(k, n))
-}
-
-/// Shape family guaranteed to dispatch to `arm` (checked again inside
-/// each test via `classify`).
-fn shape_for(arm: KernelArm) -> BoxedStrategy<(usize, usize, usize)> {
-    match arm {
-        KernelArm::TinyInner => (1usize..=40, 1usize..=TINY_INNER_MAX, 1usize..=40).boxed(),
-        KernelArm::ShortFat => (
-            1usize..=THIN_EDGE,
-            TINY_INNER_MAX + 1..48usize,
-            1usize..=100,
-        )
-            .boxed(),
-        KernelArm::TallThin => (
-            THIN_EDGE + 1..100usize,
-            TINY_INNER_MAX + 1..48usize,
-            1usize..=THIN_EDGE,
-        )
-            .boxed(),
-        KernelArm::General => (
-            THIN_EDGE + 1..64usize,
-            TINY_INNER_MAX + 1..48usize,
-            THIN_EDGE + 1..64usize,
-        )
-            .boxed(),
-    }
-}
-
-/// Drives one arm: sample a shape from its family, confirm `classify`
-/// picks it, and demand bit-equality with the naive reference through
-/// the public `matmul` / `matmul_into` entry points.
-fn check_arm(arm: KernelArm) -> impl Strategy<Value = (Matrix, Matrix)> {
-    shape_for(arm).prop_flat_map(move |(m, k, n)| {
-        product_pair(m, k, n).prop_map(move |(a, b)| {
-            assert_eq!(classify(m, k, n), arm, "shape family drifted off its arm");
-            (a, b)
-        })
-    })
+/// `(A, B)` multiplicands of an `m x k · k x n` product, over a family
+/// of `(m, k, n)` shapes.
+fn family(
+    shape: impl Strategy<Value = (usize, usize, usize)>,
+) -> impl Strategy<Value = (Matrix, Matrix)> {
+    shape.prop_flat_map(|(m, k, n)| (matrix_of(m, k), matrix_of(k, n)))
 }
 
 fn assert_bitwise_eq(got: &Matrix, want: &Matrix) {
@@ -168,29 +130,27 @@ fn assert_bitwise_eq(got: &Matrix, want: &Matrix) {
 }
 
 proptest! {
+    /// One shape per case from each family of the former four-arm
+    /// dispatch, all now the one gathered product: a shared dimension
+    /// of one slab (`k ≤ TINY_INNER_MAX`), and past it few output rows
+    /// (`m ≤ 8`), few output columns (`n ≤ 8`) or neither.
     #[test]
-    fn tiny_inner_matches_naive_bitwise((a, b) in check_arm(KernelArm::TinyInner)) {
-        assert_bitwise_eq(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b));
-    }
-
-    #[test]
-    fn short_fat_matches_naive_bitwise((a, b) in check_arm(KernelArm::ShortFat)) {
-        assert_bitwise_eq(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b));
-    }
-
-    #[test]
-    fn tall_thin_matches_naive_bitwise((a, b) in check_arm(KernelArm::TallThin)) {
-        assert_bitwise_eq(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b));
-    }
-
-    #[test]
-    fn general_matches_naive_bitwise((a, b) in check_arm(KernelArm::General)) {
-        assert_bitwise_eq(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b));
+    fn matmul_matches_naive_bitwise(
+        (one_slab, few_rows, few_cols, square) in (
+            family((1usize..=40, 1usize..=TINY_INNER_MAX, 1usize..=40)),
+            family((1usize..=8, TINY_INNER_MAX + 1..48usize, 1usize..=100)),
+            family((9usize..100, TINY_INNER_MAX + 1..48usize, 1usize..=8)),
+            family((9usize..64, TINY_INNER_MAX + 1..48usize, 9usize..64)),
+        ),
+    ) {
+        for (a, b) in [one_slab, few_rows, few_cols, square] {
+            assert_bitwise_eq(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b));
+        }
     }
 
     /// Fully randomized shapes, degenerate extents included: `m`, `k`
     /// or `n` may each be `0` or `1`, hitting the early returns and
-    /// the dispatch-table tails of all three entry points.
+    /// the row-pass tails of all three entry points.
     #[test]
     fn randomized_shapes_match_naive_bitwise(
         (m, k, n) in (0usize..=20, 0usize..=20, 0usize..=20),
@@ -216,17 +176,16 @@ proptest! {
         assert_bitwise_eq(&g, &naive_matmul(&a.transpose(), &a));
     }
 
-    /// The refactor pin: shapes below the dispatch thresholds (and, on
-    /// finite inputs, every other shape) produce the same bits as the
-    /// seed's `blocked_multiply`.
+    /// The refactor pin: on finite inputs every shape produces the
+    /// same bits as the seed's `blocked_multiply`.
     #[test]
-    fn dispatcher_matches_legacy_blocked_kernel_bitwise(
+    fn matmul_matches_legacy_blocked_kernel_bitwise(
         (m, k, n) in prop_oneof![
-            // Below-threshold shapes: each arm's home turf.
+            // The former four-arm dispatch's shape families.
             (1usize..=16, 1usize..=TINY_INNER_MAX, 1usize..=16),
-            (1usize..=THIN_EDGE, 17usize..40, 1usize..=80),
-            (9usize..80, 17usize..40, 1usize..=THIN_EDGE),
-            // And shapes that straddle the BLOCK=64 cache-tile edge.
+            (1usize..=8, 17usize..40, 1usize..=80),
+            (9usize..80, 17usize..40, 1usize..=8),
+            // And shapes that straddle the legacy kernel's 64-wide tile.
             (60usize..70, 17usize..40, 60usize..70),
         ],
         denom in 1.0f64..7.0,
@@ -410,37 +369,6 @@ fn weighted_gram_rejects_bad_shapes_and_indices() {
     let mut acc = Matrix::zeros(3, 3);
     assert!(acc.add_weighted_gram(1.0, &src, &[0, 5]).is_err());
     assert_eq!(acc, Matrix::zeros(3, 3), "a rejected call must not write");
-}
-
-/// The monomorphised tiny-inner kernel, called directly with explicit
-/// `K`, matches the dispatcher output (which routes through the same
-/// code — this guards the public `matmul_rk` entry point itself).
-#[test]
-fn matmul_rk_direct_call_matches_dispatcher() {
-    let (m, k, n) = (13, 8, 29);
-    let a = Matrix::from_fn(m, k, |i, j| ((i + 2 * j) as f64).sin() / 3.0);
-    let b = Matrix::from_fn(k, n, |i, j| ((3 * i + j) as f64).cos() / 3.0);
-    let mut direct = vec![f64::NAN; m * n];
-    matmul_rk::<8, _, _>(&|i| a.row(i), &|p| b.row(p), &mut direct, m, n);
-    let expected = a.matmul(&b).unwrap();
-    assert_eq!(direct, expected.as_slice());
-}
-
-/// Every decision-table row, spelled out at the boundary values.
-#[test]
-fn decision_table_boundaries() {
-    // k at and just past the tiny-inner threshold.
-    assert_eq!(classify(100, TINY_INNER_MAX, 100), KernelArm::TinyInner);
-    assert_eq!(classify(100, TINY_INNER_MAX + 1, 100), KernelArm::General);
-    // m at and just past the short-fat edge (k large enough).
-    assert_eq!(classify(THIN_EDGE, 32, 100), KernelArm::ShortFat);
-    assert_eq!(classify(THIN_EDGE + 1, 32, 100), KernelArm::General);
-    // n at and just past the tall-thin edge.
-    assert_eq!(classify(100, 32, THIN_EDGE), KernelArm::TallThin);
-    assert_eq!(classify(100, 32, THIN_EDGE + 1), KernelArm::General);
-    // First-match precedence: tiny-inner wins over both thin arms.
-    assert_eq!(classify(1, 1, 1), KernelArm::TinyInner);
-    assert_eq!(classify(THIN_EDGE, 32, THIN_EDGE), KernelArm::ShortFat);
 }
 
 /// Explicit degenerate shapes (the proptest above also reaches these,

@@ -143,40 +143,14 @@ proptest! {
     }
 
     #[test]
-    fn view_matmul_matches_owned(m in matrix_strategy(8)) {
-        // Whole-matrix views multiply exactly like the owned kernel.
+    fn matmul_into_matches_matmul(m in matrix_strategy(8)) {
+        // matmul_into produces the same bits as matmul without
+        // allocating.
         let b = m.transpose();
         let owned = m.matmul(&b).unwrap();
-        let viewed = m.view().matmul(&b.view()).unwrap();
-        prop_assert_eq!(&viewed, &owned);
-        // And matmul_into produces the same bits without allocating.
-        let mut out = iupdater_linalg::Matrix::zeros(m.rows(), m.rows());
+        let mut out = Matrix::zeros(m.rows(), m.rows());
         m.matmul_into(&b, &mut out).unwrap();
         prop_assert_eq!(&out, &owned);
-    }
-
-    #[test]
-    fn block_view_matches_owned_copy(m in matrix_strategy(8), fr in 0.0f64..1.0, fc in 0.0f64..1.0) {
-        // A strided sub-block behaves exactly like its owned copy.
-        let r0 = ((m.rows() - 1) as f64 * fr) as usize;
-        let c0 = ((m.cols() - 1) as f64 * fc) as usize;
-        let block = m.view().block(r0..m.rows(), c0..m.cols());
-        let owned = Matrix::from_fn(m.rows() - r0, m.cols() - c0, |i, j| m[(i + r0, j + c0)]);
-        prop_assert_eq!(block.shape(), owned.shape());
-        for i in 0..owned.rows() {
-            prop_assert_eq!(block.row(i), owned.row(i));
-        }
-        // (row-block summation order differs from the flat owned sum,
-        // so compare within round-off)
-        let scale = owned.frobenius_norm_sq().max(1.0);
-        prop_assert!((block.frobenius_norm_sq() - owned.frobenius_norm_sq()).abs() <= 1e-12 * scale);
-        // Strided x strided multiply == owned x owned multiply.
-        let bt = m.transpose();
-        let rhs = bt.view().block(c0..m.cols(), 0..bt.cols());
-        let via_views = block.matmul(&rhs).unwrap();
-        let rhs_owned = Matrix::from_fn(m.cols() - c0, bt.cols(), |i, j| bt[(i + c0, j)]);
-        let via_owned = owned.matmul(&rhs_owned).unwrap();
-        prop_assert!(via_views.approx_eq(&via_owned, 0.0));
     }
 
     #[test]

@@ -2,9 +2,14 @@
 //! inspect fingerprint databases on a simulated deployment. All logic
 //! lives in [`iupdater::cli`]; this binary only parses arguments and
 //! does file I/O.
+//!
+//! A command's result goes to stdout in one write. A reader that closes
+//! stdout early (`iupdater snapshot … | head`) ends the command quietly
+//! with status 0; any other write error is reported with status 1.
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -113,7 +118,7 @@ fn main() -> ExitCode {
                 eprintln!("survey requires --env");
                 return ExitCode::from(2);
             };
-            cli::cmd_survey(&env, seed, day, samples).map(|db| print!("{db}"))
+            cli::cmd_survey(&env, seed, day, samples)
         }
         "update" => {
             let (Some(env), Some(prior_path)) = (get("env"), get("prior")) else {
@@ -124,7 +129,7 @@ fn main() -> ExitCode {
                 Ok(prior) => {
                     cli::cmd_update(&env, seed, &prior, day, samples).map(|(db, summary)| {
                         eprintln!("{summary}");
-                        print!("{db}");
+                        db
                     })
                 }
                 Err(e) => {
@@ -144,7 +149,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             };
             match fs::read_to_string(&db_path) {
-                Ok(db) => cli::cmd_localize(&env, seed, &db, cell, day).map(|r| print!("{r}")),
+                Ok(db) => cli::cmd_localize(&env, seed, &db, cell, day),
                 Err(e) => {
                     eprintln!("cannot read {db_path}: {e}");
                     return ExitCode::from(1);
@@ -157,7 +162,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             };
             match fs::read_to_string(&db_path) {
-                Ok(db) => cli::cmd_info(&db).map(|r| print!("{r}")),
+                Ok(db) => cli::cmd_info(&db),
                 Err(e) => {
                     eprintln!("cannot read {db_path}: {e}");
                     return ExitCode::from(1);
@@ -178,7 +183,6 @@ fn main() -> ExitCode {
                 snapshot_dir.as_deref(),
                 rebase_every,
             )
-            .map(|r| print!("{r}"))
         }
         "serve" => {
             let (Some(envs), Some(days)) = (get("envs"), get("days")) else {
@@ -187,7 +191,7 @@ fn main() -> ExitCode {
             };
             cli::cmd_serve(&envs, seed, &days, samples, queries_per_cell).map(|(snap, report)| {
                 eprint!("{report}");
-                print!("{snap}");
+                snap
             })
         }
         "snapshot" => {
@@ -196,7 +200,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             };
             let days = get("days").unwrap_or_default();
-            cli::cmd_snapshot(&envs, seed, &days, samples).map(|snap| print!("{snap}"))
+            cli::cmd_snapshot(&envs, seed, &days, samples)
         }
         "restore" => {
             let Some(snap_path) = get("snapshot") else {
@@ -207,7 +211,7 @@ fn main() -> ExitCode {
             match fs::read_to_string(&snap_path) {
                 Ok(text) => cli::cmd_restore(&text, &days, samples).map(|(snap, report)| {
                     eprint!("{report}");
-                    print!("{snap}");
+                    snap
                 }),
                 Err(e) => {
                     eprintln!("cannot read {snap_path}: {e}");
@@ -215,19 +219,31 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "help" | "--help" | "-h" => {
-            println!("{}", cli::usage());
-            return ExitCode::SUCCESS;
-        }
+        "help" | "--help" | "-h" => Ok(format!("{}\n", cli::usage())),
         other => {
             eprintln!("unknown command '{other}'\n\n{}", cli::usage());
             return ExitCode::from(2);
         }
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(text) => emit(&text),
         Err(e) => {
             eprintln!("{e}");
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// Writes a command's result through one locked stdout handle. A closed
+/// pipe means the reader has taken all it wants, so it exits 0 without
+/// a message; any other write error is the command's failure.
+fn emit(text: &str) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write the result to stdout: {e}");
             ExitCode::from(1)
         }
     }

@@ -449,7 +449,11 @@ pub fn usage() -> &'static str {
      durable snapshot to stdout (report goes to stderr).\n\
      `snapshot` prints a durable fleet snapshot to stdout;\n\
      `restore` resumes one, runs more cycles, and prints the updated\n\
-     snapshot (fleet report goes to stderr)."
+     snapshot (fleet report goes to stderr).\n\
+     \n\
+     EXIT STATUS: 0 on success, also when the reader closes stdout early\n\
+     (`| head`); 1 when a command or the write to stdout fails; 2 on a\n\
+     usage error."
 }
 
 #[cfg(test)]

@@ -23,11 +23,10 @@
 //! talks to the one below it:
 //!
 //! 1. **Zero-copy linear algebra** (`linalg`): the dense row-major
-//!    [`linalg::Matrix`] plus borrowed [`linalg::MatrixView`]
-//!    row/column blocks, in-place kernels
-//!    (`matmul_into`, `matmul_bt_into`, `axpy`, `gram_into`,
-//!    `add_weighted_gram`) and a cache-blocked multiply. SVD, QR and LU run on
-//!    row-contiguous working storage instead of strided column walks.
+//!    [`linalg::Matrix`] with in-place kernels (`matmul_into`,
+//!    `matmul_bt_into`, `axpy`, `gram_into`, `add_weighted_gram`) over
+//!    one register-tiled row pass. SVD, QR and LU run on row-contiguous
+//!    working storage instead of strided column walks.
 //! 2. **The solver engine** (`core::solver`): the self-augmented RSVD
 //!    objective is an ordered list of pluggable
 //!    [`core::solver::terms::PenaltyTerm`]s (data fit, MIC

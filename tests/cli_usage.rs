@@ -1,8 +1,10 @@
-//! Usage errors of the `iupdater` binary: malformed numbers and flags a
-//! command does not take must exit with status 2 instead of silently
-//! running on defaults.
+//! Usage errors and stdout handling of the `iupdater` binary: malformed
+//! numbers and flags a command does not take must exit with status 2
+//! instead of silently running on defaults; a reader that closes stdout
+//! early ends a command quietly with status 0, and a failed write to
+//! stdout exits with status 1.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// Runs the binary on a whitespace-separated argument line.
 fn iupdater(args: &str) -> Output {
@@ -64,4 +66,44 @@ fn well_formed_flags_still_run() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(out.stdout.starts_with(b"iupdater-fingerprint v1"));
+}
+
+/// `iupdater snapshot … | head` with the reader gone before the result
+/// is written: the write fails with a closed pipe, which must end the
+/// command with status 0 and nothing on stderr, not a panic.
+#[test]
+fn a_closed_stdout_exits_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_iupdater"))
+        .args("snapshot --envs office --days 5 --seed 7".split_whitespace())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("iupdater binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("iupdater exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+/// Any other write error is the command's failure: a full device makes
+/// the write fail, which must exit with status 1 and say why.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_stdout_write_is_an_error() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("/dev/full opens for writing");
+    let out = Command::new(env!("CARGO_BIN_EXE_iupdater"))
+        .args("survey --env office --seed 7".split_whitespace())
+        .stdout(full)
+        .output()
+        .expect("iupdater binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot write the result to stdout"),
+        "{stderr}"
+    );
 }

@@ -36,6 +36,14 @@
 //! float token the v3 writer emits must be the std `Display` text of
 //! the value it reads back as. The full tier lives in
 //! `crates/core/tests/durability.rs`.
+//!
+//! Kernel path: every `A·B` is one gathered product of the L1 row pass,
+//! and must equal the naive ascending-`k` triple loop bit for bit at one
+//! shape from each family of the former four-arm dispatch (13x7x29,
+//! 5x33x41, 37x33x5, 70x33x67) and at the storm solve's products
+//! (32x32x1536, 32x48x48). `A·Bᵀ` must do so at the storm's
+//! reconstruction `L·Rᵀ` (32x32 times 1536x32). The full tier lives in
+//! `crates/linalg/tests/kernel_parity.rs`.
 
 use iupdater::core::config::{AtomSelection, CouplingMode};
 use iupdater::core::persist::{read_service, write_service};
@@ -269,4 +277,39 @@ fn v3_checkpoint_roundtrips_as_display_text() {
     }
     // Prior, current and the warm-start basis `Z`.
     assert!(floats > 2 * 8 * 96, "{floats} float tokens");
+}
+
+/// The naive triple loop `out[i][j] = Σ_p a[i][p]·b[p][j]`, summed in
+/// ascending `p` from `+0.0`.
+fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+        (0..a.cols()).fold(0.0, |s, p| s + a[(i, p)] * b[(p, j)])
+    })
+}
+
+#[test]
+fn products_equal_the_naive_loop_bitwise() {
+    let sample = |rows: usize, cols: usize, phase: f64| {
+        Matrix::from_fn(rows, cols, |i, j| {
+            ((i * cols + j) as f64 * 0.31 + phase).sin() / 3.0
+        })
+    };
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (m, k, n) in [
+        (13, 7, 29),
+        (5, 33, 41),
+        (37, 33, 5),
+        (70, 33, 67),
+        (32, 32, 1536),
+        (32, 48, 48),
+    ] {
+        let (a, b) = (sample(m, k, 0.3), sample(k, n, 1.7));
+        let mut out = Matrix::filled(m, n, f64::NAN);
+        a.matmul_into(&b, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&naive_matmul(&a, &b)), "A·B {m}x{k}x{n}");
+    }
+    let (l, r) = (sample(32, 32, 0.1), sample(1536, 32, 0.9));
+    let mut out = Matrix::filled(32, 1536, f64::NAN);
+    l.matmul_bt_into(&r, &mut out).unwrap();
+    assert_eq!(bits(&out), bits(&naive_matmul(&l, &r.transpose())), "L·Rᵀ");
 }
